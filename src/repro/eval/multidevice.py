@@ -31,16 +31,19 @@ Determinism and bit-exactness are part of the protocol:
   same in every cell — both table builders assert it, the pipeline table
   across transfer modes too;
 * with ``jobs == 1`` the cells share one device pool, recycled through
-  :meth:`~repro.simt.gpu.GGPUSimulator.reset`; with ``jobs > 1`` each worker
-  process builds a fresh pool.  Both paths must produce the same table
-  (``tests/tools/determinism_check.py`` and the CI determinism job compare
-  them).
+  :meth:`~repro.simt.gpu.GGPUSimulator.reset`, and one
+  :class:`~repro.runtime.multidevice.LaunchMemo`, so each distinct launch is
+  simulated once per sweep call; with ``jobs > 1`` each worker process
+  builds a fresh pool and simulates every launch.  Both paths must produce
+  the same table (the serial-vs-fan-out tests,
+  ``tests/tools/determinism_check.py`` and the CI determinism job compare a
+  memoized sweep against a fully simulated one).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,12 +53,74 @@ from repro.errors import KernelError
 from repro.eval.benchmarks import DEFAULT_SEED, BenchmarkSizes
 from repro.kernels import all_kernel_names, get_kernel_spec
 from repro.runtime.checkpoint import PathLike, SweepJournal, cell_key, open_journal
-from repro.runtime.multidevice import OutOfOrderQueue
+from repro.runtime.multidevice import LaunchMemo, OutOfOrderQueue
 from repro.runtime.parallel import default_jobs, parallel_map
 from repro.simt.gpu import GGPUSimulator
 
 # One device pool comfortably holds the scaled suite's buffers.
 CELL_MEMORY_BYTES = 32 * 1024 * 1024
+
+Pool = Optional[List[GGPUSimulator]]
+
+
+def _cell_queue(
+    config: GGPUConfig,
+    device_count: int,
+    memory_bytes: int,
+    pool: Pool,
+    memo: Optional[LaunchMemo],
+    **options: Any,
+) -> OutOfOrderQueue:
+    """One cell's queue: the first ``device_count`` devices of the sweep's
+    shared pool with its memo, or — in a fan-out worker (``pool=None``) — a
+    fresh pool that simulates every launch."""
+    if pool is None:
+        return OutOfOrderQueue(
+            config=config, num_devices=device_count, memory_bytes=memory_bytes, **options
+        )
+    return OutOfOrderQueue(devices=pool[:device_count], memo=memo, **options)
+
+
+def _run_cells(
+    run_cell: Callable[..., Any],
+    tasks: Sequence[tuple],
+    config: GGPUConfig,
+    memory_bytes: int,
+    widest: int,
+    jobs: int,
+    on_result: Callable[[int, Any], None],
+) -> None:
+    """Run ``run_cell(task, pool, memo)`` for every task, in task order.
+
+    Serially (``jobs == 1``), the widest pool is built once and recycled by
+    every cell's queue, and one :class:`LaunchMemo` created here serves the
+    whole call — it dies when the call returns, so repeated calls do the same
+    work.  Otherwise the tasks fan out through ``parallel_map`` and each
+    worker calls ``run_cell(task)`` on a fresh pool without a memo.
+    """
+    if jobs == 1 or len(tasks) <= 1:
+        pool = [GGPUSimulator(config, memory_bytes=memory_bytes) for _ in range(widest)]
+        memo = LaunchMemo()
+        for position, task in enumerate(tasks):
+            on_result(position, run_cell(task, pool, memo))
+    else:
+        parallel_map(run_cell, tasks, jobs=jobs, on_result=on_result)
+
+
+def _check_launch_cycles(
+    reference_cell: Any, cells: Iterable[Any], where: Callable[[Any], str]
+) -> None:
+    """The cross-cell invariant: each launch (by label) simulates the same
+    cycle count in every cell as in ``reference_cell``; ``where(cell)``
+    names a mismatching cell in the error."""
+    reference = {label: compute for label, *_, compute in reference_cell.schedule}
+    for cell in cells:
+        for label, *_, compute in cell.schedule:
+            if reference.get(label) != compute:
+                raise KernelError(
+                    f"launch {label!r} simulated {compute} cycles {where(cell)} "
+                    f"but {reference.get(label)} in the reference cell"
+                )
 
 
 @dataclass
@@ -208,15 +273,13 @@ def _cell_from_json(cls: type, payload: Dict[str, Any]) -> Any:
     return cls(**data)
 
 
-def _run_cell_task(task: tuple) -> MultiDeviceCell:
-    """Worker entry for one cell (module level: picklable)."""
+def _run_cell_task(
+    task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
+) -> MultiDeviceCell:
+    """One cell (module level: picklable for the fan-out workers)."""
     device_count, kernels, scale, seed, config, transfer, lpt = task
-    queue = OutOfOrderQueue(
-        config=config,
-        num_devices=device_count,
-        memory_bytes=CELL_MEMORY_BYTES,
-        transfer=transfer,
-        lpt=lpt,
+    queue = _cell_queue(
+        config, device_count, CELL_MEMORY_BYTES, pool, memo, transfer=transfer, lpt=lpt
     )
     return _run_cell_on_queue(queue, kernels, scale, seed)
 
@@ -235,8 +298,9 @@ def run_multidevice_table(
     """Measure the suite's makespan at every device count.
 
     ``jobs=None`` honours ``REPRO_JOBS``.  Serial runs recycle one device
-    pool across cells (each queue resets the simulators it is handed);
-    fanned-out runs build one pool per worker.  The resulting table is
+    pool across cells (each queue resets the simulators it is handed) and
+    simulate each distinct launch once; fanned-out runs build one pool per
+    worker and simulate every launch.  The resulting table is
     bit-identical either way, and every launch's simulated cycle count is
     asserted identical across cells.  ``lpt=True`` drains each queue
     longest-projected-time first, which tightens the makespan of this
@@ -287,36 +351,26 @@ def run_multidevice_table(
             key = _multidevice_cell_key(cell.device_count, names, scale, seed, lpt)
             book.record(key, asdict(cell))
 
-    if effective_jobs == 1 or len(missing) <= 1:
-        # Shared pool: build the widest cell once, reuse (reset) for the rest.
-        pool = [
-            GGPUSimulator(config, memory_bytes=CELL_MEMORY_BYTES)
-            for _ in range(max(missing, default=0))
-        ]
-        for position, count in enumerate(missing):
-            queue = OutOfOrderQueue(devices=pool[:count], transfer=transfer, lpt=lpt)
-            _collect(position, _run_cell_on_queue(queue, names, scale, seed))
-    else:
-        tasks = [
-            (count, tuple(names), scale, seed, config, transfer, lpt)
-            for count in missing
-        ]
-        parallel_map(_run_cell_task, tasks, jobs=effective_jobs, on_result=_collect)
+    tasks = [
+        (count, tuple(names), scale, seed, config, transfer, lpt) for count in missing
+    ]
+    _run_cells(
+        _run_cell_task,
+        tasks,
+        config,
+        CELL_MEMORY_BYTES,
+        max(missing, default=0),
+        effective_jobs,
+        _collect,
+    )
 
     # Bit-exactness across cells: the same launch simulates the same cycle
     # count whatever the device count (addresses are allocated in lock-step).
-    reference = {
-        label: compute
-        for label, _, _, _, _, compute in table.cell(min(table.cells)).schedule
-    }
-    for cell in table.cells.values():
-        for label, _, _, _, _, compute in cell.schedule:
-            if reference.get(label) != compute:
-                raise KernelError(
-                    f"launch {label!r} simulated {compute} cycles on "
-                    f"{cell.device_count} devices but {reference.get(label)} on "
-                    f"{min(table.cells)}"
-                )
+    _check_launch_cycles(
+        table.cell(min(table.cells)),
+        table.cells.values(),
+        lambda cell: f"on {cell.device_count} devices",
+    )
     return table
 
 
@@ -493,18 +547,16 @@ def _pipeline_queue_options(
     raise KernelError(f"unknown pipeline mode {mode!r}: pick from {PIPELINE_MODES}")
 
 
-def _run_pipeline_cell_task(task: tuple) -> PipelineCell:
-    """Worker entry for one (mode, device count) cell (module level: picklable)."""
+def _run_pipeline_cell_task(
+    task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
+) -> PipelineCell:
+    """One (mode, device count) cell (module level: picklable)."""
     mode, device_count, lanes, size, config, transfer, p2p_latency, p2p_bw = task
     model, lpt, hints = _pipeline_queue_options(
         mode, device_count, lanes, transfer, p2p_latency, p2p_bw
     )
-    queue = OutOfOrderQueue(
-        config=config,
-        num_devices=device_count,
-        memory_bytes=CELL_MEMORY_BYTES,
-        transfer=model,
-        lpt=lpt,
+    queue = _cell_queue(
+        config, device_count, CELL_MEMORY_BYTES, pool, memo, transfer=model, lpt=lpt
     )
     cell = _run_pipeline_on_queue(queue, lanes, size, hints)
     cell.mode = mode
@@ -527,8 +579,9 @@ def run_pipeline_table(
 
     One cell per (mode, device count); each cell verifies every lane's
     output.  ``jobs=None`` honours ``REPRO_JOBS``; serial runs recycle one
-    device pool across cells, fanned-out runs build one per worker — the
-    table is bit-identical either way.  Per-launch simulated cycle counts
+    device pool across cells and simulate each distinct launch once,
+    fanned-out runs build one pool per worker and simulate every launch —
+    the table is bit-identical either way.  Per-launch simulated cycle counts
     are asserted identical across *all* cells: the transfer mode and the
     scheduling hints move data and placement, never the simulated kernels.
 
@@ -595,35 +648,23 @@ def run_pipeline_table(
         )
         for mode, count in missing
     ]
-    if effective_jobs == 1 or len(tasks) <= 1:
-        # Shared pool: build the widest cell once, reuse (reset) for the rest.
-        pool = [
-            GGPUSimulator(config, memory_bytes=CELL_MEMORY_BYTES)
-            for _ in range(max((count for _, count in missing), default=0))
-        ]
-        for position, (mode, count) in enumerate(missing):
-            model, lpt, hints = _pipeline_queue_options(
-                mode, count, lanes, base_transfer, p2p_latency_cycles, p2p_bytes_per_cycle
-            )
-            queue = OutOfOrderQueue(devices=pool[:count], transfer=model, lpt=lpt)
-            cell = _run_pipeline_on_queue(queue, lanes, size, hints)
-            cell.mode = mode
-            _collect(position, cell)
-    else:
-        parallel_map(_run_pipeline_cell_task, tasks, jobs=effective_jobs, on_result=_collect)
+    _run_cells(
+        _run_pipeline_cell_task,
+        tasks,
+        config,
+        CELL_MEMORY_BYTES,
+        max((count for _, count in missing), default=0),
+        effective_jobs,
+        _collect,
+    )
 
     # Bit-exactness across every mode and device count: transfers and hints
     # reshape the schedule, never the simulated kernel cycles.
-    first = table.cell(mode_list[0], min(counts))
-    reference = {label: compute for label, _, _, _, _, compute in first.schedule}
-    for cell in table.cells.values():
-        for label, _, _, _, _, compute in cell.schedule:
-            if reference.get(label) != compute:
-                raise KernelError(
-                    f"launch {label!r} simulated {compute} cycles in mode "
-                    f"{cell.mode!r} at {cell.device_count} devices but "
-                    f"{reference.get(label)} in the reference cell"
-                )
+    _check_launch_cycles(
+        table.cell(mode_list[0], min(counts)),
+        table.cells.values(),
+        lambda cell: f"in mode {cell.mode!r} at {cell.device_count} devices",
+    )
     return table
 
 
@@ -870,8 +911,10 @@ def _topology_queue_options(
     return Topology.preset(topology_name, device_count), scheduler
 
 
-def _run_topology_cell_task(task: tuple) -> TopologyCell:
-    """Worker entry for one ablation cell (module level: picklable)."""
+def _run_topology_cell_task(
+    task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
+) -> TopologyCell:
+    """One ablation cell (module level: picklable)."""
     (
         dag,
         topology_name,
@@ -891,10 +934,12 @@ def _run_topology_cell_task(task: tuple) -> TopologyCell:
     topology, scheduler = _topology_queue_options(
         topology_name, scheduler, device_count
     )
-    queue = OutOfOrderQueue(
-        config=config,
-        num_devices=device_count,
-        memory_bytes=TOPOLOGY_CELL_MEMORY_BYTES,
+    queue = _cell_queue(
+        config,
+        device_count,
+        TOPOLOGY_CELL_MEMORY_BYTES,
+        pool,
+        memo,
         transfer=transfer,
         scheduler=scheduler,
         topology=topology,
@@ -933,8 +978,9 @@ def run_topology_table(
     stealing pays on non-flat fabrics), each run over the named topology
     presets and the LPT / HEFT / work-stealing flush orders at every device
     count.  ``jobs=None`` honours ``REPRO_JOBS``; serial runs recycle one
-    device pool, fanned-out runs build one per worker — the table is
-    bit-identical either way.
+    device pool and simulate each distinct launch once (every other cell of
+    its DAG replays it), fanned-out runs build one pool per worker and
+    simulate every launch — the table is bit-identical either way.
 
     The standing invariant is asserted cell by cell: kernel results are
     verified in every cell, and each launch's simulated cycle count must be
@@ -994,51 +1040,25 @@ def run_topology_table(
     def _collect(position: int, cell: TopologyCell) -> None:
         table.cells[(cell.dag, cell.topology, cell.scheduler, cell.device_count)] = cell
 
-    if effective_jobs == 1 or len(tasks) <= 1:
-        # Shared pool: build the widest cell once, reuse (reset) for the rest.
-        pool = [
-            GGPUSimulator(config, memory_bytes=TOPOLOGY_CELL_MEMORY_BYTES)
-            for _ in range(max(counts, default=0))
-        ]
-        for position, task in enumerate(tasks):
-            dag, topology_name, scheduler, count = task[:4]
-            topology, scheduler = _topology_queue_options(
-                topology_name, scheduler, count
-            )
-            queue = OutOfOrderQueue(
-                devices=pool[:count],
-                transfer=transfer,
-                scheduler=scheduler,
-                topology=topology,
-                prefetch_depth=prefetch_depth,
-                steal_seed=steal_seed,
-            )
-            cell = _run_topology_cell_on_queue(
-                queue, dag, width, depth, size, lanes, stages, seed
-            )
-            cell.topology = topology_name
-            _collect(position, cell)
-    else:
-        parallel_map(
-            _run_topology_cell_task, tasks, jobs=effective_jobs, on_result=_collect
-        )
+    _run_cells(
+        _run_topology_cell_task,
+        tasks,
+        config,
+        TOPOLOGY_CELL_MEMORY_BYTES,
+        max(counts),
+        effective_jobs,
+        _collect,
+    )
 
     # The invariant, cell by cell: the same launch simulates the same cycle
     # count in every (topology, scheduler, device count) cell of its DAG.
     for dag in dag_list:
-        reference_cell = table.cell(dag, topology_list[0], scheduler_list[0], min(counts))
-        reference = {
-            label: compute for label, _, _, _, _, compute in reference_cell.schedule
-        }
-        for key, cell in table.cells.items():
-            if key[0] != dag:
-                continue
-            for label, _, _, _, _, compute in cell.schedule:
-                if reference.get(label) != compute:
-                    raise KernelError(
-                        f"launch {label!r} simulated {compute} cycles with "
-                        f"topology {cell.topology!r} / scheduler "
-                        f"{cell.scheduler!r} at {cell.device_count} devices but "
-                        f"{reference.get(label)} in the reference cell"
-                    )
+        _check_launch_cycles(
+            table.cell(dag, topology_list[0], scheduler_list[0], min(counts)),
+            [cell for cell in table.cells.values() if cell.dag == dag],
+            lambda cell: (
+                f"with topology {cell.topology!r} / scheduler {cell.scheduler!r} "
+                f"at {cell.device_count} devices"
+            ),
+        )
     return table

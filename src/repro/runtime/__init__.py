@@ -38,6 +38,7 @@ from repro.runtime.multidevice import (
     SCHEDULERS,
     DeviceBuffer,
     Event,
+    LaunchMemo,
     MultiDeviceQueue,
     OutOfOrderQueue,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultSpec",
+    "LaunchMemo",
     "MultiDeviceQueue",
     "OutOfOrderQueue",
     "SCHEDULERS",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -178,10 +178,15 @@ class FaultPlan:
         """A reproducible plan drawn from ``seed``.
 
         The draw is constrained so recovery can always succeed: at least one
-        device never receives a permanent failure, and no single command
-        index on one device accumulates more transient faults than the retry
-        budget.  Everything else — kinds, devices, trigger indices, stall
-        magnitudes — is uniform from a private :class:`random.Random`.
+        device never receives a permanent failure, and the plan holds at
+        most ``max_retries`` launch faults (device-transient plus
+        device-fail).  Each launch fault fires once and costs the command it
+        hits one dispatch attempt, so even if all of them hit one command it
+        stays within its retry budget.  A per-(device, index) cap would not
+        be enough: ``at_command`` counts dispatch *attempts*, so a retried
+        command walks into the fault of the next index.  Everything else —
+        kinds, devices, trigger indices, stall magnitudes — is uniform from a
+        private :class:`random.Random`.
         """
         if num_devices < 1:
             raise ConfigurationError(f"need at least one device, got {num_devices}")
@@ -190,7 +195,7 @@ class FaultPlan:
         rng = random.Random(seed)
         survivor = rng.randrange(num_devices)
         specs: List[FaultSpec] = []
-        transient_hits: Dict[Tuple[int, int], int] = {}
+        launch_faults = 0
         dead: Set[int] = set()
         for _ in range(num_faults):
             kinds = list(FAULT_KINDS)
@@ -201,11 +206,10 @@ class FaultPlan:
             if kind == DEVICE_FAIL and (device == survivor or device in dead):
                 kind = DEVICE_TRANSIENT
             index = rng.randrange(max_command_index)
-            if kind == DEVICE_TRANSIENT:
-                key = (device, index)
-                if transient_hits.get(key, 0) + 1 >= max_retries:
-                    continue  # keep the command recoverable within budget
-                transient_hits[key] = transient_hits.get(key, 0) + 1
+            if kind in _LAUNCH_KINDS:
+                if launch_faults >= max_retries:
+                    continue  # keep every command recoverable within budget
+                launch_faults += 1
             if kind == DEVICE_FAIL:
                 dead.add(device)
             specs.append(

@@ -74,10 +74,19 @@ slice.  With no fault plan every schedule is bit-identical to a queue built
 without one; with any plan and at least one surviving device, kernel results
 are bit-exact versus the fault-free run — only the schedule and makespan may
 change (``tests/test_runtime_faults.py`` fuzzes exactly that contract).
+
+**Launch memo.**  Because a launch's results and cycles never depend on the
+schedule, the queues of one sweep can share a :class:`LaunchMemo`
+(``memo=``): a launch whose kernel, geometry, argument values, device model
+and input contents match one the memo has already seen is not simulated
+again — the stored post-launch buffer images are written back to the device
+and the stored :class:`~repro.simt.gpu.LaunchResult` is returned.  Only host
+time changes; every simulated number, schedule and statistic is identical.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -242,6 +251,94 @@ class Event:
             raise self.error
 
 
+class LaunchMemo:
+    """Content-addressed launch results shared by the queues of one sweep.
+
+    The key of a launch has seven parts: the kernel (name, instruction
+    tuple, argument signature, ``local_words``), the :class:`NDRange`, the
+    ordered argument values (buffer addresses and scalars), the device's
+    :class:`~repro.arch.config.GGPUConfig`, its
+    :class:`~repro.simt.timing.TimingModel`, its memory size, and a digest of
+    every buffer argument's device contents just before the launch.  The
+    value is the :class:`~repro.simt.gpu.LaunchResult` plus the post-launch
+    image of every buffer argument — all of them, because a launch's
+    ``writes=`` is a scheduling hint, not a guarantee.
+
+    The memo rests on one premise, the same one the sweeps' cross-cell
+    cycle assertions rest on: a launch reads and writes only its buffer
+    arguments (every launch starts from a cold cache and memory
+    controller).  The stored result is shared by every hit, so callers must
+    treat it as read-only, as they already treat the result of a simulated
+    launch.
+    """
+
+    def __init__(self) -> None:
+        # id(kernel) -> (kernel, token).  The strong reference keeps a
+        # recycled id from aliasing another kernel (as
+        # ``GGPUSimulator._decode_cache`` does); the token interns the
+        # kernel's content, so equal kernels rebuilt per sweep cell share it
+        # and a lookup never rehashes an instruction tuple.
+        self._kernels: Dict[int, Tuple[Kernel, int]] = {}
+        self._tokens: Dict[tuple, int] = {}
+        self._entries: Dict[tuple, Tuple[LaunchResult, Tuple[np.ndarray, ...]]] = {}
+
+    def _kernel_token(self, kernel: Kernel) -> int:
+        entry = self._kernels.get(id(kernel))
+        if entry is None or entry[0] is not kernel:
+            content = (
+                kernel.name,
+                kernel.program.instructions,
+                kernel.args,
+                kernel.local_words,
+            )
+            entry = (kernel, self._tokens.setdefault(content, len(self._tokens)))
+            self._kernels[id(kernel)] = entry
+        return entry[1]
+
+    def launch(
+        self,
+        simulator: GGPUSimulator,
+        kernel: Kernel,
+        ndrange: NDRange,
+        args: Dict[str, int],
+        buffers: Sequence["DeviceBuffer"],
+    ) -> LaunchResult:
+        """``simulator.launch(kernel, ndrange, args)``, simulated at most once.
+
+        ``buffers`` are the launch's buffer arguments, already resident on
+        ``simulator``; on a hit their stored post-launch images are written
+        back through :meth:`~repro.simt.memory.GlobalMemory.write_buffer`.
+        """
+        memory = simulator.memory
+        key = (
+            self._kernel_token(kernel),
+            ndrange,
+            tuple(args[arg.name] for arg in kernel.args),
+            simulator.config,
+            simulator.timing,
+            memory.size_bytes,
+            tuple(
+                hashlib.blake2b(
+                    memory.read_buffer(buffer.address, buffer.num_words).tobytes(),
+                    digest_size=16,
+                ).digest()
+                for buffer in buffers
+            ),
+        )
+        entry = self._entries.get(key)
+        if entry is None:
+            result = simulator.launch(kernel, ndrange, args)
+            images = tuple(
+                memory.read_buffer(buffer.address, buffer.num_words) for buffer in buffers
+            )
+            self._entries[key] = (result, images)
+            return result
+        result, images = entry
+        for buffer, image in zip(buffers, images, strict=True):
+            memory.write_buffer(buffer.address, image)
+        return result
+
+
 @dataclass
 class _Command:
     """One enqueued command (launch or transfer) waiting for the next flush."""
@@ -278,6 +375,10 @@ class MultiDeviceQueue:
     the queue then recovers from injected device and transfer faults at the
     schedule layer (see the module docstring).  ``faults=None`` and an
     empty plan are bit-identical.
+
+    ``memo`` optionally shares a :class:`LaunchMemo` with other queues (the
+    serial sweeps pass one per sweep call): a launch the memo has seen is
+    replayed instead of simulated, bit-identically.
     """
 
     in_order = True
@@ -291,6 +392,7 @@ class MultiDeviceQueue:
         devices: Optional[Sequence[GGPUSimulator]] = None,
         faults: Optional[FaultPlan] = None,
         topology: Optional[Topology] = None,
+        memo: Optional[LaunchMemo] = None,
     ) -> None:
         if devices is not None:
             if config is not None:
@@ -327,6 +429,7 @@ class MultiDeviceQueue:
         else:
             self.transfer = self.config.transfer
         self.faults = faults
+        self.memo = memo
         self._injector = (
             FaultInjector(faults, len(self.devices)) if faults is not None else None
         )
@@ -1461,7 +1564,17 @@ class MultiDeviceQueue:
             name: value.address if isinstance(value, DeviceBuffer) else value
             for name, value in command.args.items()
         }
-        result = self.devices[device].launch(command.kernel, command.ndrange, launch_args)
+        simulator = self.devices[device]
+        if self.memo is None:
+            result = simulator.launch(command.kernel, command.ndrange, launch_args)
+        else:
+            result = self.memo.launch(
+                simulator,
+                command.kernel,
+                command.ndrange,
+                launch_args,
+                self._command_inputs(command),
+            )
         end = start + result.cycles
         self._compute_available[device] = end
 
@@ -1607,6 +1720,7 @@ class OutOfOrderQueue(MultiDeviceQueue):
         topology: Optional[Topology] = None,
         prefetch_depth: int = 0,
         steal_seed: int = 0,
+        memo: Optional[LaunchMemo] = None,
     ) -> None:
         super().__init__(
             config=config,
@@ -1616,6 +1730,7 @@ class OutOfOrderQueue(MultiDeviceQueue):
             devices=devices,
             faults=faults,
             topology=topology,
+            memo=memo,
         )
         if scheduler is None:
             scheduler = "lpt" if lpt else "fifo"

@@ -9,7 +9,7 @@ words; the simulator keeps data in numpy arrays for speed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class GlobalMemory:
         self.size_bytes = size_bytes
         self._words = np.zeros(size_bytes // WORD_BYTES, dtype=np.int64)
         self._next_alloc = WORD_BYTES  # keep address 0 unused to catch null pointers
+        # One past the highest word index ever written: every word at or
+        # above it is still zero, so ``reset`` clears only the prefix below.
+        self._dirty_words = 0
 
     # ------------------------------------------------------------------ #
     # Host-side buffer management (the OpenCL-like API uses this)
@@ -38,12 +41,14 @@ class GlobalMemory:
     def reset(self) -> None:
         """Return the memory to its post-construction state.
 
-        Zeroes the backing store and rewinds the bump allocator, so a reused
-        memory hands out the same addresses — and the same initial contents —
-        as a freshly built one.  The multi-device runtime relies on this to
-        recycle simulator instances between sweep cells.
+        Zeroes the written prefix of the backing store and rewinds the bump
+        allocator, so a reused memory hands out the same addresses — and the
+        same initial contents — as a freshly built one.  The multi-device
+        runtime relies on this to recycle simulator instances between sweep
+        cells.
         """
-        self._words.fill(0)
+        self._words[: self._dirty_words] = 0
+        self._dirty_words = 0
         self._next_alloc = WORD_BYTES
 
     def allocate(self, num_words: int, align_bytes: int = 64) -> int:
@@ -65,9 +70,12 @@ class GlobalMemory:
         """Copy host data into global memory starting at ``base_addr``."""
         data = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
         index = self._word_index(base_addr)
-        if index + data.size > self._words.size:
+        end = index + data.size
+        if end > self._words.size:
             raise SimulationError(f"write of {data.size} words at {base_addr:#x} overflows memory")
-        self._words[index : index + data.size] = data
+        self._words[index:end] = data
+        if end > self._dirty_words:
+            self._dirty_words = end
 
     def read_buffer(self, base_addr: int, num_words: int) -> np.ndarray:
         """Copy ``num_words`` words starting at ``base_addr`` back to the host."""
@@ -81,11 +89,14 @@ class GlobalMemory:
     # ------------------------------------------------------------------ #
     def load_words(self, byte_addresses: np.ndarray) -> np.ndarray:
         """Load one word per lane from the given byte addresses."""
-        return self._words[self._word_indices(byte_addresses)]
+        return self._words[self._word_indices(byte_addresses)[0]]
 
     def store_words(self, byte_addresses: np.ndarray, values: np.ndarray) -> None:
         """Store one word per lane to the given byte addresses."""
-        self._words[self._word_indices(byte_addresses)] = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
+        indices, top = self._word_indices(byte_addresses)
+        self._words[indices] = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
+        if top >= self._dirty_words:
+            self._dirty_words = top + 1
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -97,8 +108,9 @@ class GlobalMemory:
             raise SimulationError(f"global memory access out of range: {byte_addr:#x}")
         return byte_addr // WORD_BYTES
 
-    def _word_indices(self, byte_addresses: np.ndarray) -> np.ndarray:
-        """Validate a vector of byte addresses and return their word indices.
+    def _word_indices(self, byte_addresses: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Validate a vector of byte addresses; return their word indices and
+        the highest one (-1 for an empty vector).
 
         The alignment and range checks run once per wavefront memory access,
         so they are phrased as scalar reductions (one pass each) instead of
@@ -106,7 +118,7 @@ class GlobalMemory:
         """
         addresses = np.asarray(byte_addresses, dtype=np.int64)
         if addresses.size == 0:
-            return addresses
+            return addresses, -1
         # The bitwise OR of all addresses exposes both misalignment (a set
         # low bit) and negativity (the sign bit) in one reduction without an
         # intermediate boolean array; only the upper bound needs a second.
@@ -114,10 +126,11 @@ class GlobalMemory:
         if combined & (WORD_BYTES - 1):
             bad = addresses[addresses % WORD_BYTES != 0][0]
             raise SimulationError(f"unaligned word access at byte address {int(bad):#x}")
-        if combined < 0 or int(addresses.max()) >= self.size_bytes:
+        top = int(addresses.max())
+        if combined < 0 or top >= self.size_bytes:
             bad = addresses[(addresses < 0) | (addresses >= self.size_bytes)][0]
             raise SimulationError(f"global memory access out of range: {int(bad):#x}")
-        return addresses >> 2
+        return addresses >> 2, top >> 2
 
 
 class RuntimeMemory:

@@ -42,3 +42,17 @@ def simulator(single_cu_config: GGPUConfig) -> GGPUSimulator:
 def dual_cu_simulator(dual_cu_config: GGPUConfig) -> GGPUSimulator:
     """A 2-CU simulator with a small global memory."""
     return GGPUSimulator(dual_cu_config, memory_bytes=8 * 1024 * 1024)
+
+
+@pytest.fixture
+def simulated_launches(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Names of the kernels whose launches reach a simulator, in order."""
+    calls: list = []
+    original = GGPUSimulator.launch
+
+    def counting(self, kernel, ndrange, args, **kwargs):
+        calls.append(kernel.name)
+        return original(self, kernel, ndrange, args, **kwargs)
+
+    monkeypatch.setattr(GGPUSimulator, "launch", counting)
+    return calls

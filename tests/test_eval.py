@@ -4,6 +4,8 @@ All simulation here runs at strongly reduced input sizes so the suite stays
 fast; the full paper-sized regeneration lives in ``benchmarks/``.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.errors import KernelError
@@ -114,7 +116,8 @@ def test_multidevice_table_structure_and_rendering():
 
 
 def test_multidevice_table_identical_serial_vs_fanned_out():
-    """jobs=1 (shared, reset pool) and jobs=2 (fresh pools) agree bit-exactly."""
+    """jobs=1 (shared, reset pool, launch memo) and jobs=2 (fresh pools,
+    every launch simulated) agree bit-exactly, cell for cell."""
     serial = run_multidevice_table(
         device_counts=(1, 2), kernels=["copy", "dot"], scale=0.125, jobs=1
     )
@@ -122,9 +125,7 @@ def test_multidevice_table_identical_serial_vs_fanned_out():
         device_counts=(1, 2), kernels=["copy", "dot"], scale=0.125, jobs=2
     )
     for count in (1, 2):
-        assert serial.cell(count).schedule == fanned.cell(count).schedule
-        assert serial.cell(count).makespan == fanned.cell(count).makespan
-        assert serial.cell(count).utilization == fanned.cell(count).utilization
+        assert asdict(serial.cell(count)) == asdict(fanned.cell(count))
 
 
 def test_pipeline_table_modes_structure_and_rendering():
@@ -166,8 +167,7 @@ def test_pipeline_table_identical_serial_vs_fanned_out():
     fanned = run_pipeline_table(device_counts=(1, 2), lanes=4, size=128, jobs=2)
     assert set(serial.cells) == set(fanned.cells)
     for key in serial.cells:
-        assert serial.cells[key].schedule == fanned.cells[key].schedule
-        assert serial.cells[key].makespan == fanned.cells[key].makespan
+        assert asdict(serial.cells[key]) == asdict(fanned.cells[key])
 
 
 def test_speedup_computation_uses_input_ratio(small_table3):
@@ -277,22 +277,36 @@ def test_topology_table_structure_and_rendering():
     assert markdown.startswith("| dag |")
 
 
+SMALL_TOPOLOGY = {
+    "device_counts": (2, 4),
+    "topologies": ("flat", "ring"),
+    "width": 8,
+    "depth": 4,
+    "size": 128,
+    "lanes": 4,
+    "stages": 2,
+}
+
+
 def test_topology_table_identical_serial_vs_fanned_out():
+    """The memoized serial sweep equals the fully simulated fan-out, for
+    both DAGs, cell for cell."""
     from repro.eval.multidevice import run_topology_table
 
-    kwargs = dict(
-        device_counts=(2, 4),
-        dags=("shuffle",),
-        topologies=("flat", "ring"),
-        width=8,
-        depth=4,
-        size=128,
-        lanes=4,
-        stages=2,
-    )
-    serial = run_topology_table(jobs=1, **kwargs)
-    fanned = run_topology_table(jobs=2, **kwargs)
+    serial = run_topology_table(jobs=1, **SMALL_TOPOLOGY)
+    fanned = run_topology_table(jobs=2, **SMALL_TOPOLOGY)
+    assert serial.dags == ["layered", "shuffle"]
     assert set(serial.cells) == set(fanned.cells)
     for key in serial.cells:
-        assert serial.cells[key].schedule == fanned.cells[key].schedule
-        assert serial.cells[key].makespan == fanned.cells[key].makespan
+        assert asdict(serial.cells[key]) == asdict(fanned.cells[key])
+
+
+def test_topology_table_simulates_each_distinct_launch_once(simulated_launches):
+    from repro.eval.multidevice import run_topology_table
+
+    table = run_topology_table(jobs=1, **SMALL_TOPOLOGY)
+    distinct = {
+        (cell.dag, entry[0]) for cell in table.cells.values() for entry in cell.schedule
+    }
+    assert len(simulated_launches) == len(distinct)
+    assert sum(len(cell.schedule) for cell in table.cells.values()) > len(distinct)

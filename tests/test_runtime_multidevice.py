@@ -17,7 +17,7 @@ from repro.arch.config import GGPUConfig, Topology, TransferConfig
 from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.kernels import get_kernel_spec
-from repro.runtime.multidevice import MultiDeviceQueue, OutOfOrderQueue
+from repro.runtime.multidevice import LaunchMemo, MultiDeviceQueue, OutOfOrderQueue
 from repro.runtime.queue import QueueStats
 from repro.simt.gpu import GGPUSimulator
 
@@ -684,3 +684,78 @@ def test_prefetch_depth_retargets_input_writes():
             memory_bytes=MEM,
             prefetch_depth=-1,
         )
+
+
+# --------------------------------------------------------------------------- #
+# Launch memo: queues sharing one LaunchMemo simulate each launch once
+# --------------------------------------------------------------------------- #
+MASK = 0xFFFFFFFF
+
+
+def _memo_queue(memo, num_cus=1):
+    return OutOfOrderQueue(
+        config=GGPUConfig(num_cus=num_cus), num_devices=1, memory_bytes=MEM, memo=memo
+    )
+
+
+def _enqueue_saxpy(queue, x, y, out, alpha, ndrange=None, wait_for=()):
+    # spec.build() makes a new Kernel object per call, as the sweeps do.
+    return queue.enqueue(
+        get_kernel_spec("saxpy").build(),
+        ndrange or NDRange(N, 64),
+        {"x": x, "y": y, "out": out, "alpha": alpha, "n": N},
+        wait_for=wait_for,
+        writes=("out",),
+    )
+
+
+def test_memo_hit_skips_the_simulator_and_replays_the_outputs(simulated_launches):
+    memo = LaunchMemo()
+    values = np.arange(N) * 7 + 11
+    first = _memo_queue(memo)
+    src = first.create_buffer(values)
+    mid = first.allocate_buffer(N)
+    _enqueue_copy(first, src, mid)
+    first.finish()
+    assert simulated_launches == ["copy"]
+
+    second = _memo_queue(memo)
+    src = second.create_buffer(values)
+    mid = second.allocate_buffer(N)
+    out = second.allocate_buffer(N)
+    produce = _enqueue_copy(second, src, mid)
+    _enqueue_saxpy(second, mid, mid, out, alpha=2, wait_for=(produce,))
+    second.finish()
+    # The copy is a hit; the dependent saxpy is new, so it is simulated and
+    # reads the copy's memoized output from the device.
+    assert simulated_launches == ["copy", "saxpy"]
+    assert second.schedule[0].result is first.schedule[0].result
+    assert second.schedule[0].compute_cycles == first.schedule[0].compute_cycles
+    assert np.array_equal(second.enqueue_read(mid).astype(np.int64), values)
+    assert np.array_equal(second.enqueue_read(out).astype(np.int64), (3 * values) & MASK)
+
+
+@pytest.mark.parametrize("change", ["none", "input word", "scalar", "ndrange", "num_cus"])
+def test_memo_hits_only_identical_launches(simulated_launches, change):
+    memo = LaunchMemo()
+    values = np.arange(N) * 3 + 1
+    first = _memo_queue(memo)
+    x = first.create_buffer(values)
+    out = first.allocate_buffer(N)
+    _enqueue_saxpy(first, x, x, out, alpha=3)
+    first.finish()
+
+    if change == "input word":
+        values = values.copy()
+        values[5] += 1
+    alpha = 4 if change == "scalar" else 3
+    ndrange = NDRange(N, 128) if change == "ndrange" else None
+    second = _memo_queue(memo, num_cus=2 if change == "num_cus" else 1)
+    x = second.create_buffer(values)
+    out = second.allocate_buffer(N)
+    _enqueue_saxpy(second, x, x, out, alpha=alpha, ndrange=ndrange)
+    second.finish()
+    # A kernel rebuilt by spec.build() still hits; any change misses.
+    assert len(simulated_launches) == (1 if change == "none" else 2)
+    expected = ((alpha + 1) * values) & MASK
+    assert np.array_equal(second.enqueue_read(out).astype(np.int64), expected)

@@ -38,6 +38,19 @@ def test_vector_load_store():
     assert list(memory.load_words(addresses)) == list(range(8))
 
 
+def test_reset_matches_a_fresh_memory_after_host_and_device_writes():
+    size = 64 * 1024
+    memory = GlobalMemory(size)
+    base = memory.allocate(16)
+    memory.write_buffer(base, np.arange(1, 17))
+    # A device store beyond the last allocation must be cleared as well.
+    memory.store_words(np.array([base + 8, size - 4]), np.array([7, 9]))
+    memory.reset()
+    fresh = GlobalMemory(size)
+    assert not memory.read_buffer(0, size // 4).any()
+    assert memory.allocate(16) == fresh.allocate(16) == base
+
+
 def test_unaligned_and_out_of_range_accesses_raise():
     memory = GlobalMemory(4096)
     with pytest.raises(SimulationError):

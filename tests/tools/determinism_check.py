@@ -19,7 +19,11 @@ schedule and its cycle statistics must be identical across repeated runs and
 across the serial (shared device pool, recycled via ``GGPUSimulator.reset``)
 and fanned-out (fresh pool per worker process) sweep paths — for the default
 transfer model, for every P2P/prefetch/LPT mode, and for every topology ×
-scheduler cell (including the seeded work-stealing tie-breaks).
+scheduler cell (including the seeded work-stealing tie-breaks).  The serial
+path shares one ``LaunchMemo`` per sweep and simulates each distinct launch
+once, while the fanned-out path simulates every launch, so the
+``REPRO_JOBS=1`` vs ``4`` diff compares the memoized sweep against full
+re-simulation.
 
     PYTHONPATH=src python tests/tools/determinism_check.py --output run_a.json
     PYTHONPATH=src REPRO_JOBS=4 python tests/tools/determinism_check.py --output run_b.json
