@@ -2,10 +2,9 @@
 
 Measures the three dense 2-D kernels — the ``__local``-tiled GEMM
 (``matmul2d``), the 3x3 stencil (``conv2d``), and the in-LRAM bitonic
-sorting network (``bitonic_sort``) — at 1/2/4/8 CUs, asserting the
-vectorized and scalar issue engines bit-identical on every cell, then
-times the full 16-kernel Table III sweep (the 13 flat kernels plus the
-dense trio) through the production ``run_table3`` path.  The honest
+sorting network (``bitonic_sort``) — at 1/2/4/8 CUs, then times the full
+16-kernel Table III sweep (the 13 flat kernels plus the dense trio)
+through the production ``run_table3`` path.  The honest
 numbers land in ``BENCH_PR10.json`` in the repository root for the
 trajectory table (``tests/tools/bench_trajectory.py``).
 
@@ -56,10 +55,7 @@ def _record(section: str, payload: dict) -> None:
 @pytest.mark.benchmark(group="dense")
 def test_dense_rank2_workloads(benchmark):
     # Per-kernel cells at every CU count.  check=True inside
-    # measure_gpu_kernel verifies results against the numpy reference, and
-    # each cell is run on both issue engines with cycles asserted identical
-    # — re-checking, at bench scale, what the golden and differential
-    # suites pin for the rank-2 machinery.
+    # measure_gpu_kernel verifies results against the numpy reference.
     cells: dict = {}
     cu_scaling: dict = {}
     for name in DENSE_KERNEL_NAMES:
@@ -67,12 +63,10 @@ def test_dense_rank2_workloads(benchmark):
         per_cu: dict = {}
         for num_cus in CU_COUNTS:
             start = time.perf_counter()
-            vec = measure_gpu_kernel(name, num_cus, size, SEED, True, True)
+            measurement = measure_gpu_kernel(name, num_cus, size, SEED, True)
             wall = time.perf_counter() - start
-            scalar = measure_gpu_kernel(name, num_cus, size, SEED, True, False)
-            assert vec.cycles == scalar.cycles, (name, num_cus)
             per_cu[f"{num_cus}cu"] = {
-                "kcycles": vec.kcycles,
+                "kcycles": measurement.kcycles,
                 "wall_seconds": round(wall, 4),
             }
         cells[name] = {"gpu_size": size, "per_cu": per_cu}

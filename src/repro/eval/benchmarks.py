@@ -130,18 +130,12 @@ def measure_gpu_kernel(
     input_size: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     check: bool = True,
-    vectorized: bool = True,
 ) -> GpuMeasurement:
-    """Run one kernel on a G-GPU with ``num_cus`` CUs and measure its cycles.
-
-    ``vectorized`` selects between the batched cross-wavefront issue engine
-    (the default) and the scalar reference path; both produce identical
-    results and cycle counts (see ``tests/test_simt_golden.py``).
-    """
+    """Run one kernel on a G-GPU with ``num_cus`` CUs and measure its cycles."""
     spec = get_kernel_spec(kernel_name)
     size = input_size if input_size is not None else spec.paper_gpu_size
     workload = spec.workload(size, seed)
-    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), vectorized=vectorized)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
     result, _ = run_workload(simulator, spec.build(), workload, check=check)
     return GpuMeasurement(
         kernel=kernel_name,
@@ -168,10 +162,10 @@ def measure_riscv_program(
 
 def _run_table3_task(task: tuple):
     """Worker entry for one Table III measurement (module level: picklable)."""
-    kind, kernel, size, seed, check, num_cus, vectorized = task
+    kind, kernel, size, seed, check, num_cus = task
     if kind == "riscv":
         return measure_riscv_program(kernel, size, seed, check)
-    return measure_gpu_kernel(kernel, num_cus, size, seed, check, vectorized)
+    return measure_gpu_kernel(kernel, num_cus, size, seed, check)
 
 
 # --------------------------------------------------------------------------- #
@@ -212,7 +206,6 @@ def run_table3(
     check: bool = True,
     jobs: Optional[int] = None,
     journal: Union[None, PathLike, SweepJournal] = None,
-    vectorized: bool = True,
 ) -> Table3Data:
     """Measure every kernel on the RISC-V and on G-GPUs with ``cu_counts`` CUs.
 
@@ -237,9 +230,9 @@ def run_table3(
         sizes = BenchmarkSizes.paper(name)
         if scale != 1.0:
             sizes = sizes.scaled(scale)
-        tasks.append(("riscv", name, sizes.riscv_size, seed, check, 0, vectorized))
+        tasks.append(("riscv", name, sizes.riscv_size, seed, check, 0))
         for num_cus in cu_counts:
-            tasks.append(("gpu", name, sizes.gpu_size, seed, check, num_cus, vectorized))
+            tasks.append(("gpu", name, sizes.gpu_size, seed, check, num_cus))
     book = open_journal(
         journal,
         meta={
@@ -256,12 +249,11 @@ def run_table3(
     keys: List[str] = []
     if book is not None:
         keys = [
-            # ``vectorized`` is deliberately not part of the key: both issue
-            # engines produce bit-identical measurements, so a journal
-            # written by either mode resumes the other (and digests stay
-            # comparable across engine revisions).
+            # The key holds every input that can change a measurement and
+            # nothing else, so host-speed changes to the simulators (an
+            # issue-engine revision, say) keep existing journals valid.
             cell_key(kind=kind, kernel=kernel, size=size, seed=s, check=c, num_cus=n)
-            for kind, kernel, size, s, c, n, _vec in tasks
+            for kind, kernel, size, s, c, n in tasks
         ]
         missing = []
         for index, key in enumerate(keys):

@@ -28,9 +28,11 @@ instructions never touch the shared cache or the AXI ports) could have issued
 in between, so batching the whole run into one scheduling event is
 cycle-for-cycle identical to issuing one instruction per event, while
 skipping the per-instruction trips through the scheduler and the simulator's
-event heap.  Setting :attr:`ComputeUnit.macro_step` to ``False`` disables the
-batching; the regression tests assert both modes produce identical cycle
-counts and results.
+event heap.  Every statistic except ``issue_events`` is charged per
+instruction at issue, so it does not depend on how instructions were folded
+into events.  Setting :attr:`ComputeUnit.macro_step` to ``False`` disables
+the batching; the regression tests assert both modes produce identical
+results, cycle counts, and per-CU statistics.
 
 Posted stores
 -------------
@@ -136,13 +138,6 @@ class ComputeUnit:
         self.array_free_time = 0.0
         self.stats = ComputeUnitStats(cu_id, wavefront_size=config.wavefront_size)
         self.macro_step = True
-        # Cross-wavefront batched issue (see _step_batch): the simulator
-        # wires every CU to its shared BatchExecutor and sets the toggle; a
-        # bare CU stays on the scalar path.
-        self.vectorized = False
-        self._executor = None
-        # Pooled per-resident record lists for _step_batch (see there).
-        self._batch_records: List[list] = []
         self._program: Optional[DecodedProgram] = None
         self._rtm: Optional[RuntimeMemory] = None
         self._barrier_waiters: Dict[int, List[Wavefront]] = {}
@@ -285,23 +280,6 @@ class ComputeUnit:
         wavefront = self.scheduler.select(now)
         if wavefront is None:
             raise SimulationError(f"CU {self.cu_id} found no schedulable wavefront at {now}")
-
-        if self.vectorized and self.macro_step and self._executor is not None:
-            pc0 = wavefront.pc
-            batch_end = program.batch_end
-            if (
-                pc0 < len(batch_end)
-                and batch_end[pc0] > pc0 + 1
-                and self.scheduler.active_count() > 1
-            ):
-                return self._step_batch(program, wavefront, now)
-        executor = self._executor
-        if executor is not None and executor._pending:
-            # The scalar path below reads (and writes) only the selected
-            # wavefront's register and mask state, so just its deferred
-            # window (plus the same-start group it belongs to) must
-            # materialize; other wavefronts' windows keep accumulating.
-            executor.flush_wavefront(wavefront)
 
         ops = program.ops
         packed = program.packed
@@ -472,156 +450,6 @@ class ComputeUnit:
             ready = wavefront.ready_time
             self.scheduler.set_earliest(ready if ready < others_ready else others_ready)
         return retired
-
-    def _step_batch(self, program: DecodedProgram, wavefront: Wavefront, now: float) -> List[Wavefront]:
-        """Batched scheduling events over batch-safe instruction runs.
-
-        This is the scalar event loop of :meth:`step`, replayed in pure
-        Python over *timing state only*, for as many consecutive scheduling
-        events as stay inside batch-safe instruction runs (``DecodedProgram.
-        batch_end``).  Batch-safe instructions have data-independent timing
-        and touch only wavefront-private state, so the replay reproduces the
-        scalar engine's issue times, PE-array occupancy, round-robin
-        rotations, and macro-stepping decisions bit-for-bit without executing
-        anything — the functional effects are deferred to the shared
-        :class:`~repro.simt.issue.BatchExecutor`, which later executes each
-        pc window stacked across every participating wavefront (of every CU)
-        in a handful of numpy operations.
-
-        The batch ends when the earliest-ready wavefront's next instruction
-        is not batch-safe (loads/stores, LRAM, branches, barriers, RET): that
-        wavefront is deliberately *not* selected or rotated here, so the next
-        real :meth:`step` selects it exactly like the scalar engine would
-        have, flushing the executor before touching shared state.  Splitting
-        one scalar macro-run at such a boundary is cycle-neutral: the
-        follow-up event issues at the same ``now`` with the same ready time,
-        PE-array state, and deque order (a full rotation is the identity), so
-        only ``issue_events`` can differ from the scalar path — the same
-        accounting freedom macro-stepping itself already has.
-        """
-        scheduler = self.scheduler
-        batch_end = program.batch_end
-        latencies = program.op_latency
-        uses_pe_flags = program.op_uses_pe
-        num_ops = len(latencies)
-        occupancy_rounds = self._occupancy
-        array_free = self.array_free_time
-        infinity = _INFINITY
-        # [ready_time, pc, window_end, start_pc, wavefront] per resident, in
-        # deque order; select() already rotated the issuing wavefront to the
-        # back, exactly as the scalar path sees it.  The round-robin order is
-        # tracked with a circular ``head`` index instead of rotating the
-        # list, so one scheduling event costs two scans (a fused min /
-        # second-min pass and the deque-order selection scan).  The record
-        # lists themselves are pooled on the CU and refilled in place, so a
-        # batch invocation allocates nothing per resident.
-        records = self._batch_records
-        count = 0
-        for resident in scheduler._order:
-            pc = resident.pc
-            end = batch_end[pc] if pc < num_ops else pc
-            if count < len(records):
-                entry = records[count]
-                entry[0] = resident.ready_time
-                entry[1] = pc
-                entry[2] = end
-                entry[3] = pc
-                entry[4] = resident
-            else:
-                records.append([resident.ready_time, pc, end, pc, resident])
-            count += 1
-        head = 0
-        selected = count - 1
-        record = records[selected]
-        events = 0
-        best = infinity
-        while True:
-            ready = record[0]
-            pc = record[1]
-            end = record[2]
-            events += 1
-            # Fused pass: the minimum ready time over the *other* residents
-            # (the macro-stepping bound) falls out of a best/second-best
-            # scan keyed on the selected slot.
-            low = infinity
-            low_slot = -1
-            second = infinity
-            for slot in range(count):
-                value = records[slot][0]
-                if value < low:
-                    second = low
-                    low = value
-                    low_slot = slot
-                elif value < second:
-                    second = value
-            others = second if low_slot == selected else low
-            while True:
-                issue = ready if ready > now else now
-                if uses_pe_flags[pc]:
-                    if array_free > issue:
-                        issue = array_free
-                    array_free = issue + occupancy_rounds
-                    completion = issue + occupancy_rounds + latencies[pc]
-                else:
-                    completion = issue + 1 + latencies[pc]
-                pc += 1
-                ready = completion
-                if completion >= others:
-                    break
-                if pc >= end:
-                    break
-                now = completion
-            record[0] = ready
-            record[1] = pc
-            best = others if others < ready else ready
-            # Deque-order selection: first resident (from head) whose ready
-            # time has arrived, exactly like WavefrontScheduler.select.
-            index = head
-            for _ in range(count):
-                if records[index][0] <= best:
-                    break
-                index += 1
-                if index == count:
-                    index = 0
-            nxt = records[index]
-            now = best
-            if nxt[1] >= nxt[2]:
-                # The next selection's instruction is not batch-safe: stop
-                # without rotating, so the real step selects it identically.
-                break
-            head = index + 1 if index + 1 < count else 0
-            record = nxt
-            selected = index
-
-        self.array_free_time = array_free
-        stats = self.stats
-        mix_counts = stats.mix.counts
-        executor = self._executor
-        issued_total = 0
-        order = []
-        for offset in range(count):
-            entry = records[head + offset - count if head + offset >= count else head + offset]
-            issuer = entry[4]
-            entry[4] = None  # don't pin wavefronts in the pool past the batch
-            order.append(issuer)
-            end_pc = entry[1]
-            start_pc = entry[3]
-            if end_pc > start_pc:
-                issued = end_pc - start_pc
-                issued_total += issued
-                issuer.pc = end_pc
-                issuer.ready_time = entry[0]
-                issuer.instructions_issued += issued
-                plan = program.region_plan(start_pc, end_pc)
-                stats.busy_cycles += plan.pe_ops * occupancy_rounds + plan.plain_ops
-                for key, mix_count in plan.mix_counts.items():
-                    mix_counts[key] = mix_counts.get(key, 0) + mix_count
-                executor.defer(issuer, program, self, start_pc, end_pc)
-        stats.instructions_issued += issued_total
-        stats.issue_events += events
-        scheduler.install_order(order)
-        scheduler.set_earliest(best)
-        return []
 
     # ------------------------------------------------------------------ #
     # Functional helpers per instruction class

@@ -61,11 +61,6 @@ K_RET = 17
 # Branch comparison codes for K_BCOND.
 B_EQ, B_NE, B_LT, B_GE = 0, 1, 2, 3
 
-# Region-plan step marker for instructions with no functional effect (ALU or
-# SPECIAL writes to the hard-wired r0): they still occupy an issue slot, so
-# they keep their position in the plan, but the batch executor skips them.
-K_SKIP = -1
-
 _BCOND_CODES = {
     Opcode.BEQ: B_EQ,
     Opcode.BNE: B_NE,
@@ -87,33 +82,6 @@ _MACRO_SAFE_CLASSES = frozenset(
     )
 )
 
-# Kinds whose functional effect is confined to *wavefront-private* state
-# (registers and the execution-mask stack) and whose timing is independent of
-# the data they compute.  These are the instructions the cross-wavefront
-# batch engine may defer: their issue timing can be replayed exactly without
-# executing them, and their execution can be stacked across wavefronts later.
-# LOCAL loads/stores are macro-safe but NOT batch-safe: LRAM is shared by the
-# co-resident workgroups of a CU, so their execution order must follow issue
-# order exactly.
-_BATCH_SAFE_KINDS = frozenset(
-    (
-        K_ALU_BIN,
-        K_ALU_IMM,
-        K_ALU_CONST,
-        K_SPECIAL,
-        K_PARAM,
-        K_PUSHM,
-        K_CMASK,
-        K_INVM,
-        K_POPM,
-    )
-)
-
-# Step kinds that write a destination register.
-_REG_WRITE_KINDS = frozenset((K_ALU_BIN, K_ALU_IMM, K_ALU_CONST, K_SPECIAL, K_PARAM))
-_MASK_KINDS = frozenset((K_PUSHM, K_CMASK, K_INVM, K_POPM))
-
-
 class DecodedOp:
     """One fully resolved instruction of a bound kernel program."""
 
@@ -129,7 +97,6 @@ class DecodedOp:
         "latency",
         "uses_pe",
         "macro_safe",
-        "batch_safe",
         "fn",
         "const",
         "instruction",
@@ -153,7 +120,6 @@ class DecodedOp:
         self.latency = latency
         self.uses_pe = uses_pe
         self.macro_safe = self.opclass in _MACRO_SAFE_CLASSES
-        self.batch_safe = kind in _BATCH_SAFE_KINDS
         self.fn = None  # lane-arithmetic callable (K_ALU_BIN / K_ALU_IMM)
         self.const = None  # broadcast immediate lanes (K_ALU_IMM / K_ALU_CONST)
         self.instruction = instruction
@@ -176,94 +142,6 @@ P_CONST = 9
 P_CLASS_KEY = 10
 
 
-class RegionPlan:
-    """Execution plan of one batch-safe region ``[start, end)`` of a program.
-
-    Computed once per distinct region and cached on the
-    :class:`DecodedProgram` (see :meth:`DecodedProgram.region_plan`): the
-    cross-wavefront batch executor replays a region's functional effect for a
-    whole *stack* of wavefronts at once, and everything about that replay
-    that does not depend on wavefront data lives here.
-
-    * ``steps`` — one tuple ``(kind, rd, rs, rt, fn, const, imm, opcode)``
-      per instruction of the region, in order.  Instructions whose only
-      effect would be a write to the hard-wired-zero ``r0`` are marked
-      :data:`K_SKIP` (they keep their slot so per-position lane accounting
-      stays exact).
-    * ``live_in`` — registers read before they are written in the region (the
-      minimal gather set when every lane of every wavefront is active).
-    * ``touched`` — ``live_in`` plus every written register (the gather set
-      when masked merges need the old destination values).
-    * ``writes`` — registers written by the region (``r0`` excluded).
-    * ``pe_ops`` / ``plain_ops`` — instruction counts by PE-array usage, from
-      which the compute unit derives the region's busy cycles.
-    * ``mix_counts`` — instruction-mix increments by opcode class key.
-    * ``has_mask_ops`` — whether the region manipulates the execution mask
-      (forces the general masked execution path).
-    """
-
-    __slots__ = (
-        "steps",
-        "live_in",
-        "touched",
-        "writes",
-        "pe_ops",
-        "plain_ops",
-        "mix_counts",
-        "has_mask_ops",
-        "length",
-    )
-
-    def __init__(self, ops: List[DecodedOp]) -> None:
-        steps = []
-        live_in: List[int] = []
-        seen_reads = set()
-        written = set()
-        writes: List[int] = []
-        pe_ops = 0
-        plain_ops = 0
-        mix: dict = {}
-        has_mask = False
-        for op in ops:
-            kind = op.kind
-            mix[op.class_key] = mix.get(op.class_key, 0) + 1
-            if op.uses_pe:
-                pe_ops += 1
-            else:
-                plain_ops += 1
-            rd = op.rd
-            step_kind = kind
-            if kind in _MASK_KINDS:
-                has_mask = True
-            dead = kind in _REG_WRITE_KINDS and rd == 0 and kind != K_PARAM
-            if dead:
-                step_kind = K_SKIP
-            else:
-                if kind == K_ALU_BIN:
-                    reads = (op.rs, op.rt)
-                elif kind == K_ALU_IMM or kind == K_CMASK:
-                    reads = (op.rs,)
-                else:
-                    reads = ()
-                for reg in reads:
-                    if reg not in written and reg not in seen_reads:
-                        seen_reads.add(reg)
-                        live_in.append(reg)
-                if kind in _REG_WRITE_KINDS and rd and rd not in written:
-                    written.add(rd)
-                    writes.append(rd)
-            steps.append((step_kind, rd, op.rs, op.rt, op.fn, op.const, op.imm, op.opcode))
-        self.steps = steps
-        self.live_in = tuple(live_in)
-        self.writes = tuple(writes)
-        self.touched = tuple(live_in + [reg for reg in writes if reg not in seen_reads])
-        self.pe_ops = pe_ops
-        self.plain_ops = plain_ops
-        self.mix_counts = mix
-        self.has_mask_ops = has_mask
-        self.length = len(ops)
-
-
 class DecodedProgram:
     """A kernel program resolved for execution (shared by all CUs).
 
@@ -275,26 +153,9 @@ class DecodedProgram:
     register-file depth when the program is bound, which lets the issue loop
     index the register storage directly instead of bounds-checking every
     operand of every issue.
-
-    For the cross-wavefront batch engine the program additionally carries the
-    per-pc timing facts as parallel lists (``op_latency``, ``op_uses_pe``)
-    and ``batch_end``: for each pc, the end (exclusive) of the maximal run of
-    batch-safe instructions starting there (``batch_end[pc] == pc`` when the
-    instruction at ``pc`` is not batch-safe).  Region execution plans are
-    built lazily per distinct ``(start, end)`` window and cached for the
-    lifetime of the decoded program.
     """
 
-    __slots__ = (
-        "name",
-        "ops",
-        "packed",
-        "max_register",
-        "op_latency",
-        "op_uses_pe",
-        "batch_end",
-        "_region_plans",
-    )
+    __slots__ = ("name", "ops", "packed", "max_register")
 
     def __init__(self, name: str, ops: List[DecodedOp]) -> None:
         self.name = name
@@ -318,29 +179,6 @@ class DecodedProgram:
         self.max_register = max(
             (max(op.rd, op.rs, op.rt) for op in ops), default=0
         )
-        self.op_latency = [op.latency for op in ops]
-        self.op_uses_pe = [op.uses_pe for op in ops]
-        num_ops = len(ops)
-        batch_end = [0] * num_ops
-        for index in range(num_ops - 1, -1, -1):
-            if ops[index].batch_safe:
-                if index + 1 < num_ops and ops[index + 1].batch_safe:
-                    batch_end[index] = batch_end[index + 1]
-                else:
-                    batch_end[index] = index + 1
-            else:
-                batch_end[index] = index
-        self.batch_end = batch_end
-        self._region_plans: dict = {}
-
-    def region_plan(self, start: int, end: int) -> RegionPlan:
-        """Execution plan of the batch-safe region ``[start, end)`` (cached)."""
-        key = (start, end)
-        plan = self._region_plans.get(key)
-        if plan is None:
-            plan = RegionPlan(self.ops[start:end])
-            self._region_plans[key] = plan
-        return plan
 
     def __len__(self) -> int:
         return len(self.ops)

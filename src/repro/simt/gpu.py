@@ -34,7 +34,6 @@ from repro.simt.cache import DataCache
 from repro.simt.cu import ComputeUnit, lram_slot_geometry
 from repro.simt.decode import DecodedProgram, predecode_program
 from repro.simt.dispatcher import WorkgroupDispatcher
-from repro.simt.issue import BatchExecutor
 from repro.simt.memory import GlobalMemory, RuntimeMemory
 from repro.simt.timing import TimingModel
 from repro.simt.trace import KernelRunStats
@@ -68,11 +67,9 @@ class GGPUSimulator:
         config: Optional[GGPUConfig] = None,
         memory_bytes: int = 64 * 1024 * 1024,
         timing: Optional[TimingModel] = None,
-        vectorized: bool = True,
     ) -> None:
         self.config = config or GGPUConfig()
         self.timing = timing or TimingModel()
-        self.vectorized = vectorized
         self.memory = GlobalMemory(memory_bytes)
         self.cache = DataCache(self.config.cache)
         self.memory_controller = GlobalMemoryController(self.config.axi, self.config.cache)
@@ -96,14 +93,6 @@ class GGPUSimulator:
             )
             for index in range(self.config.num_cus)
         ]
-        # Cross-wavefront batched issue (see repro.simt.issue): one executor
-        # shared by every CU so deferred windows stack across the whole
-        # device; the toggle selects the per-CU fast path and is bit-exact in
-        # results and cycle counts either way.
-        self.batch_executor = BatchExecutor()
-        for cu in self.compute_units:
-            cu._executor = self.batch_executor
-            cu.vectorized = vectorized
 
     # ------------------------------------------------------------------ #
     # Host API (OpenCL flavoured)
@@ -176,9 +165,6 @@ class GGPUSimulator:
         self.rtm.write_descriptor(ndrange.global_size, ndrange.workgroup_size, ordered_args)
         self.cache.reset()
         self.memory_controller.reset()
-        # A launch that died mid-flight may have left deferred windows for
-        # wavefronts that no longer exist; they must not leak into this one.
-        self.batch_executor.clear()
         decoded = self._decoded_program(kernel)
         for cu in self.compute_units:
             cu.bind(kernel.program, self.rtm, decoded=decoded, local_words=kernel.local_words)
@@ -295,7 +281,6 @@ class GGPUSimulator:
             current = event_times[index]()
             if current != infinity:
                 heapq.heappush(heap, (current, index))
-        self.batch_executor.flush()
         return last_completion
 
     def _run_single_cu(self, dispatcher: WorkgroupDispatcher, max_steps: int) -> float:
@@ -331,7 +316,6 @@ class GGPUSimulator:
                 refill = dispatcher.refill(cu.resident_wavefronts, wavefront.completion_time)
                 if refill is not None:
                     cu.admit(refill)
-        self.batch_executor.flush()
         return last_completion
 
     def _refill_idle_cus(

@@ -9,6 +9,7 @@ words; the simulator keeps data in numpy arrays for speed.
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +30,13 @@ class GlobalMemory:
         if size_bytes <= 0 or size_bytes % WORD_BYTES != 0:
             raise SimulationError(f"memory size must be a positive multiple of 4, got {size_bytes}")
         self.size_bytes = size_bytes
-        self._words = np.zeros(size_bytes // WORD_BYTES, dtype=np.int64)
+        # An anonymous mapping instead of np.zeros: the OS supplies it
+        # zero-filled and unmaps it as soon as the array dies.  Through
+        # malloc, freeing one large device array raises glibc's mmap
+        # threshold, later devices come from the heap through a zero-filling
+        # calloc, and their pages stay resident after they are freed.
+        words = size_bytes // WORD_BYTES
+        self._words = np.frombuffer(mmap.mmap(-1, words * 8), dtype=np.int64)  # int64 words
         self._next_alloc = WORD_BYTES  # keep address 0 unused to catch null pointers
         # One past the highest word index ever written: every word at or
         # above it is still zero, so ``reset`` clears only the prefix below.

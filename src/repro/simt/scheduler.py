@@ -91,18 +91,6 @@ class WavefrontScheduler:
             self._active_valid = True
         return self._active
 
-    def install_order(self, wavefronts: Iterable[Wavefront]) -> None:
-        """Install a new round-robin order over the *same* resident set.
-
-        The compute unit's batched issue path replays the scheduler's
-        selection rotations on a local snapshot of the order (see
-        ``ComputeUnit._step_batch``) and installs the result here in one
-        assignment.  The resident set is unchanged — only the rotation state
-        moves — so the cached active count stays valid; the caller follows up
-        with :meth:`set_earliest` for the ready-time cache.
-        """
-        self._order = deque(wavefronts)
-
     def set_earliest(self, value: float) -> None:
         """Install an exactly-known earliest-ready time.
 

@@ -7,13 +7,16 @@ and checks three things:
   (rank mismatch, non-divisible extents, non-positive extents) raises
   ``KernelError`` with the offending dimension in the message;
 * the per-dimension work-item ids a compiled CL kernel observes on the G-GPU
-  match the row-major (dimension 0 fastest) reference on both issue engines;
+  match the row-major (dimension 0 fastest) reference with macro-stepped and
+  single-stepped issue, and both modes report the same per-CU statistics;
 * rank-mismatched ``get_*_id(dim)`` queries fail loudly on every backend:
-  the SIMT engines (scalar and vectorized), the RISC-V code generator, and
-  the dynamic race oracle.
+  the SIMT issue loop (macro-stepped and single-stepped), the RISC-V code
+  generator, and the dynamic race oracle.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -117,28 +120,34 @@ def test_rank_mismatch_and_nonpositive_extents_are_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Per-dimension ids on the G-GPU, fuzzed over geometry and both engines
+# Per-dimension ids on the G-GPU, fuzzed over geometry and both issue modes
 # --------------------------------------------------------------------- #
+def _simulator(num_cus: int, macro_step: bool, **kwargs) -> GGPUSimulator:
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), **kwargs)
+    for cu in simulator.compute_units:
+        cu.macro_step = macro_step
+    return simulator
+
+
+def _cu_stats(result) -> list:
+    """Per-CU statistics except ``issue_events`` (the one macro-stepping may change)."""
+    rows = [asdict(stats) for stats in result.stats.cu_stats]
+    for row in rows:
+        del row["issue_events"]
+    return rows
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     ws=st.sampled_from(WG_SHAPES_2D),
     nwg0=st.integers(min_value=1, max_value=3),
     nwg1=st.integers(min_value=1, max_value=3),
     num_cus=st.sampled_from([1, 2, 4]),
-    vectorized=st.booleans(),
 )
-def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus, vectorized):
+def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus):
     gs = (ws[0] * nwg0, ws[1] * nwg1)
     total = gs[0] * gs[1]
     kernel = compile_source(IDS2D_CL).to_ggpu_kernel()
-    simulator = GGPUSimulator(
-        GGPUConfig(num_cus=num_cus),
-        memory_bytes=8 * 1024 * 1024,
-        vectorized=vectorized,
-    )
-    buffers = {name: simulator.allocate_buffer(total) for name in
-               ("g0", "g1", "l0", "l1", "w0", "w1")}
-    simulator.launch(kernel, NDRange(gs, ws), dict(buffers))
     xs, ys = np.meshgrid(np.arange(gs[0]), np.arange(gs[1]))
     expected = {
         "g0": xs,
@@ -148,14 +157,22 @@ def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus, vectorized
         "w0": xs // ws[0],
         "w1": ys // ws[1],
     }
-    for name, want in expected.items():
-        got = np.asarray(simulator.read_buffer(buffers[name], total)).reshape(
-            gs[1], gs[0]
-        )
-        assert np.array_equal(got, want), (
-            f"{name} wrong for global {gs} workgroup {ws} on {num_cus} CU(s) "
-            f"(vectorized={vectorized})"
-        )
+    stats = {}
+    for macro_step in (True, False):
+        simulator = _simulator(num_cus, macro_step, memory_bytes=8 * 1024 * 1024)
+        buffers = {name: simulator.allocate_buffer(total) for name in
+                   ("g0", "g1", "l0", "l1", "w0", "w1")}
+        result = simulator.launch(kernel, NDRange(gs, ws), dict(buffers))
+        stats[macro_step] = (result.cycles, _cu_stats(result))
+        for name, want in expected.items():
+            got = np.asarray(simulator.read_buffer(buffers[name], total)).reshape(
+                gs[1], gs[0]
+            )
+            assert np.array_equal(got, want), (
+                f"{name} wrong for global {gs} workgroup {ws} on {num_cus} CU(s) "
+                f"(macro_step={macro_step})"
+            )
+    assert stats[True] == stats[False]
 
 
 # --------------------------------------------------------------------- #
@@ -174,10 +191,10 @@ def _dim1_gpu_kernel():
     return builder.build()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(vectorized):
+@pytest.mark.parametrize("macro_step", [True, False])
+def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(macro_step):
     kernel = _dim1_gpu_kernel()
-    simulator = GGPUSimulator(GGPUConfig(num_cus=1), vectorized=vectorized)
+    simulator = _simulator(1, macro_step)
     out = simulator.allocate_buffer(64)
     with pytest.raises(SimulationError, match="dimension 1 of a rank-1"):
         simulator.launch(kernel, NDRange(64, 64), {"out": out})

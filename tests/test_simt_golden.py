@@ -10,7 +10,8 @@ serialization fix, which shifts only ``xcorr`` — the one kernel whose
 accesses scatter across more lines than the cache has ports — by under 1%).
 
 Also covered here: equivalence of the macro-stepping fast path against
-single-instruction stepping, barrier edge cases (multi-wavefront workgroups
+single-instruction stepping (results, cycles, and every per-CU statistic
+except the event count), barrier edge cases (multi-wavefront workgroups
 parked at the barrier), divergence-mask edge cases, posted-store semantics,
 the end-of-kernel flush traffic, and the round-robin idle-CU refill.
 """
@@ -74,11 +75,28 @@ ALL_GOLDEN = {**GOLDEN, **EXTENDED_GOLDEN, **DENSE_GOLDEN}
 SEED = 2022
 
 
-def _run(name: str, num_cus: int, size: int, **sim_kwargs):
+def _cu_stats(result) -> list:
+    """Every per-CU statistic of a launch except ``issue_events``.
+
+    Macro-stepping exists to fold several instructions into one scheduling
+    event, so the event count is the one statistic it may change; the
+    instruction mix, active lanes (SIMD efficiency), and busy cycles may not.
+    """
+    rows = []
+    for stats in result.stats.cu_stats:
+        row = asdict(stats)
+        del row["issue_events"]
+        rows.append(row)
+    return rows
+
+
+def _run(name: str, num_cus: int, size: int, macro_step: bool = True, **sim_kwargs):
     spec = get_kernel_spec(name)
     workload = spec.workload(size, SEED)
     config = sim_kwargs.pop("config", GGPUConfig().with_cus(num_cus))
     simulator = GGPUSimulator(config, **sim_kwargs)
+    for cu in simulator.compute_units:
+        cu.macro_step = macro_step
     # run_workload checks the outputs against the numpy reference, so every
     # golden run also verifies functional correctness.
     result, _ = run_workload(simulator, spec.build(), workload)
@@ -111,10 +129,25 @@ def test_macro_stepping_is_cycle_exact(name):
         result, outputs = run_workload(simulator, spec.build(), workload)
         outcomes[macro] = (
             result.cycles,
-            result.stats.instructions_issued,
+            _cu_stats(result),
             {key: value.tolist() for key, value in outputs.items()},
         )
     assert outcomes[True] == outcomes[False]
+
+
+def test_default_issue_statistics_match_the_single_step_reference():
+    """div_int at 2 CUs: the default path counts active lanes like the reference.
+
+    A mask instruction (CMASK/INVM/POPM) is charged the lanes active when it
+    issues, not the lanes it leaves active; div_int's divergent divide loop
+    makes any other accounting visible in ``active_lane_issues``.
+    """
+    size, cycles_by_cu, _ = ALL_GOLDEN["div_int"]
+    default = _run("div_int", 2, size)
+    reference = _run("div_int", 2, size, macro_step=False)
+    assert _cu_stats(default) == _cu_stats(reference)
+    assert default.cycles == reference.cycles == cycles_by_cu[2]
+    assert sum(stats.active_lane_issues for stats in default.stats.cu_stats) == 222_712
 
 
 def test_macro_stepping_batches_uncontended_runs():
@@ -413,20 +446,26 @@ def test_cache_ports_serialize_scattered_accesses():
 
 
 # --------------------------------------------------------------------- #
-# Vectorized cross-wavefront issue: on/off equivalence axis
+# Macro-stepping on/off: whole-statistics equivalence axis
 # --------------------------------------------------------------------- #
+# The tests below keep the ``vectorized_issue`` names of the batched issue
+# engine they used to pin, so their ids stay stable across the history; the
+# axis they sweep now is ``ComputeUnit.macro_step`` against single-step
+# issue, comparing results, cycles, and whole per-CU statistics.
 def _launch_modes(kernel: Kernel, global_size: int, workgroup_size: int, num_cus: int):
-    """Run ``kernel`` with the vectorized engine on and off; return both outcomes."""
+    """Run ``kernel`` macro-stepped and single-stepped; return both outcomes."""
     outcomes = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), vectorized=vectorized)
+    for macro in (True, False):
+        simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
+        for cu in simulator.compute_units:
+            cu.macro_step = macro
         out = simulator.allocate_buffer(global_size)
         result = simulator.launch(
             kernel, NDRange(global_size, workgroup_size), {"out": out}
         )
-        outcomes[vectorized] = (
+        outcomes[macro] = (
             result.cycles,
-            result.stats.instructions_issued,
+            _cu_stats(result),
             list(simulator.read_buffer(out, global_size)),
         )
     return outcomes
@@ -434,50 +473,46 @@ def _launch_modes(kernel: Kernel, global_size: int, workgroup_size: int, num_cus
 
 @pytest.mark.parametrize("num_cus", [1, 2, 8])
 def test_vectorized_issue_matches_scalar_on_nested_divergence(num_cus):
-    """Divergence masks force the batched engine onto its masked replay path."""
+    """Nested mask pushes/pops: active-lane accounting must not depend on batching."""
     outcomes = _launch_modes(_nested_divergence_kernel(), 256, 64, num_cus)
     assert outcomes[True] == outcomes[False]
 
 
 @pytest.mark.parametrize("workgroup_size", [64, 256, 512])
 def test_vectorized_issue_matches_scalar_across_barriers(workgroup_size):
-    """Barriers park wavefronts mid-batch; both engines must agree exactly."""
+    """Barriers end macro runs and park wavefronts; both modes must agree exactly."""
     outcomes = _launch_modes(_barrier_kernel(rounds=2), 1024, workgroup_size, 2)
     assert outcomes[True] == outcomes[False]
 
 
 @pytest.mark.parametrize("ports", [1, 4, 64])
 def test_vectorized_issue_matches_scalar_under_port_contention(ports):
-    """Cache-port serialization happens on the scalar path in both engines."""
-    cycles = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(
-            GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)),
-            vectorized=vectorized,
-        )
+    """Cache-port serialization is charged identically in both modes."""
+    outcomes = {}
+    for macro in (True, False):
+        simulator = GGPUSimulator(GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)))
+        for cu in simulator.compute_units:
+            cu.macro_step = macro
         buf = simulator.create_buffer(range(64 * 16))
         out = simulator.allocate_buffer(64)
         result = simulator.launch(
             _strided_double_load_kernel(), NDRange(64, 64), {"buf": buf, "out": out}
         )
         assert list(simulator.read_buffer(out, 64)) == [gid * 16 for gid in range(64)]
-        cycles[vectorized] = result.cycles
-    assert cycles[True] == cycles[False]
+        outcomes[macro] = (result.cycles, _cu_stats(result))
+    assert outcomes[True] == outcomes[False]
 
 
 @pytest.mark.parametrize("name", ["div_int", "parallel_sel", "xcorr", "histogram"])
 def test_vectorized_issue_matches_goldens_with_engine_off(name):
-    """The pinned goldens hold with the batched engine disabled too."""
+    """The pinned goldens hold with macro-stepping disabled too."""
     size, cycles_by_cu, instructions = ALL_GOLDEN[name]
     for num_cus in (1, 8):
-        result = _run(name, num_cus, size, vectorized=False)
+        result = _run(name, num_cus, size, macro_step=False)
         assert result.cycles == cycles_by_cu[num_cus]
         assert result.stats.instructions_issued == instructions
 
 
-# --------------------------------------------------------------------- #
-# Vectorized issue: property test over random compiled kernels
-# --------------------------------------------------------------------- #
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rounds=st.integers(min_value=1, max_value=3),
@@ -488,9 +523,9 @@ def test_vectorized_issue_matches_goldens_with_engine_off(name):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op, seed):
-    """Random compiled kernels (divergence + barriers + loops): results,
-    cycles, and the command queue's ``QueueStats`` must be bit-equal between
-    the batched and the scalar issue engines."""
+    """Random compiled kernels (divergence + barriers + loops): results, the
+    command queue's ``QueueStats``, and per-CU statistics must be bit-equal
+    between macro-stepped and single-stepped issue."""
     source = f"""
     __kernel void fuzz_vec(__global int *a, __global int *out, int n) {{
         int gid = get_global_id(0);
@@ -516,16 +551,17 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
     a = rng.integers(0, 1 << 16, size=n, dtype=np.int64)
 
     outcomes = {}
-    for vectorized in (True, False):
-        simulator = GGPUSimulator(
-            GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024, vectorized=vectorized
-        )
+    for macro in (True, False):
+        simulator = GGPUSimulator(GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024)
+        for cu in simulator.compute_units:
+            cu.macro_step = macro
         queue = CommandQueue(simulator=simulator)
         a_addr = queue.create_buffer(a)
         out_addr = queue.allocate_buffer(n)
         queue.enqueue(kernel, NDRange(n, 64), {"a": a_addr, "out": out_addr, "n": n})
         values = queue.read_buffer(out_addr, n)
-        outcomes[vectorized] = (list(values), asdict(queue.stats))
+        (result,) = queue.finish()
+        outcomes[macro] = (list(values), asdict(queue.stats), _cu_stats(result))
     assert outcomes[True] == outcomes[False]
     # QueueStats carries the launch cycle totals, so the tuple comparison
     # above pins cycles; make the intent explicit anyway.

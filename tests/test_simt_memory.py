@@ -1,8 +1,15 @@
 """Global memory, runtime memory, and LRAM models."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.simt.memory import GlobalMemory, LocalMemory, RuntimeMemory
 
@@ -86,3 +93,54 @@ def test_local_memory_round_trip_and_bounds():
         lram.load_words(np.array([64]))
     with pytest.raises(SimulationError):
         LocalMemory(0)
+
+
+# Builds, touches and drops six 16-device pools of 4 MiB devices (the
+# topology sweeps' pool shape), keeping a small read-back per device the way
+# a sweep keeps its results, and prints the resident set after each round.
+_POOL_ROUNDS = """
+import gc, json, os
+import numpy as np
+from repro.arch.config import GGPUConfig
+from repro.simt.gpu import GGPUSimulator
+
+def resident_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+kept, samples = [], []
+for _ in range(6):
+    pool = []
+    for _ in range(16):
+        device = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=4 * 1024 * 1024)
+        base = device.create_buffer(np.arange(1 << 16))
+        kept.append(device.read_buffer(base, 1 << 13))
+        pool.append(device)
+    del pool, device
+    gc.collect()
+    samples.append(resident_mb())
+print(json.dumps(samples))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_freed_device_pools_give_their_pages_back():
+    """Dropping a device pool returns its memory to the OS, round after round.
+
+    Runs in a fresh interpreter: the C allocator's state is process-wide
+    (glibc raises its mmap threshold once a large block is freed, after which
+    large arrays come from the heap and stay resident when freed), so only a
+    new process starts from a known state.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _POOL_ROUNDS],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    samples = json.loads(done.stdout)
+    # The kept read-backs add about 0.5 MB a round; one retained pool is 128 MB.
+    assert max(samples) - samples[0] < 32, samples

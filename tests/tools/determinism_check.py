@@ -28,6 +28,14 @@ re-simulation.
     PYTHONPATH=src python tests/tools/determinism_check.py --output run_a.json
     PYTHONPATH=src REPRO_JOBS=4 python tests/tools/determinism_check.py --output run_b.json
     diff run_a.json run_b.json
+
+The job also checks the output against the sha256 committed in
+``tests/tools/determinism_digest.sha256``, so a change to any schedule or
+cycle statistic fails between commits too.  After an *intended* change,
+regenerate the pin from the repository root and commit it with the change::
+
+    PYTHONPATH=src python tests/tools/determinism_check.py --output digests/run_a.json
+    sha256sum digests/run_a.json > tests/tools/determinism_digest.sha256
 """
 
 from __future__ import annotations

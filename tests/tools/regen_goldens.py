@@ -18,6 +18,10 @@ CI (and anyone bisecting a drift) runs the check mode, which recomputes
 every pinned value and exits non-zero on any mismatch::
 
     PYTHONPATH=src python tests/tools/regen_goldens.py --check
+
+The multi-device schedules are pinned the same way, by the sha256 of
+``determinism_check.py``'s output in ``tests/tools/determinism_digest.sha256``;
+that tool's docstring says how to regenerate it.
 """
 
 from __future__ import annotations
