@@ -7,31 +7,21 @@ by the ``REPRO_BENCH_SCALE`` environment variable (1.0 = the paper's sizes,
 default 0.5 keeps a full benchmark run to a couple of minutes) and its
 process fan-out by ``REPRO_JOBS`` (see :mod:`repro.runtime.parallel`).
 
-Performance trajectory
-----------------------
-The engine-facing benchmarks (simulator engine, RISC-V ISS, the Table III
-sweep) additionally write their wall-clock numbers to ``BENCH_PR2.json`` in
-the repository root through :func:`record_bench` -- one JSON object per
-section, overwritten in place -- so future performance work has a
-machine-readable baseline to regress against.
+The benches assert and print; they write no files.  Host-time measurements
+live in ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.eval.benchmarks import Table3Data, run_table3
 from repro.eval.tables import build_physical_versions
-from repro.runtime.checkpoint import atomic_write_json
-from repro.runtime.parallel import default_jobs
 from repro.tech.technology import Technology, default_65nm
 
-BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
 BENCH_DIR = Path(__file__).resolve().parent
 
 
@@ -55,41 +45,10 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 
 
-def record_bench(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_PR2.json``.
-
-    The file accumulates sections across one (or several) harness runs, and
-    sections recorded in different runs may have used different
-    configurations, so every section carries its own ``meta`` block with the
-    scale and job count that produced it.
-    """
-    data = {}
-    if BENCH_RECORD_PATH.exists():
-        try:
-            data = json.loads(BENCH_RECORD_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {
-        "meta": {
-            "bench_scale": bench_scale(),
-            "repro_jobs": default_jobs(),
-        },
-        **payload,
-    }
-    # Atomic: a crashed or killed harness run never leaves a torn JSON file.
-    atomic_write_json(BENCH_RECORD_PATH, data)
-
-
 @pytest.fixture(scope="session")
 def input_scale() -> float:
     """The effective ``REPRO_BENCH_SCALE`` (fixture so benches need no conftest import)."""
     return bench_scale()
-
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    """The ``BENCH_PR2.json`` recorder (fixture so benches need no conftest import)."""
-    return record_bench
 
 
 @pytest.fixture(scope="session")
@@ -99,30 +58,8 @@ def tech() -> Technology:
 
 @pytest.fixture(scope="session")
 def table3_measurements() -> Table3Data:
-    """One shared Table III measurement reused by the Table III / Fig. 5 / Fig. 6 benches.
-
-    The sweep is timed here (it is the dominant cost of a harness run) and
-    recorded to ``BENCH_PR2.json`` together with the effective job count.
-    """
-    start = time.perf_counter()
-    table = run_table3(scale=bench_scale())
-    elapsed = time.perf_counter() - start
-    record_bench(
-        "table3_sweep",
-        {
-            "wall_seconds": round(elapsed, 3),
-            "kernels": len(table.rows),
-            "cu_counts": list(table.cu_counts),
-            "kcycles": {
-                kernel: {
-                    "riscv": row.riscv.kcycles,
-                    **{f"gpu_{num_cus}cu": row.gpu_kcycles(num_cus) for num_cus in table.cu_counts},
-                }
-                for kernel, row in table.rows.items()
-            },
-        },
-    )
-    return table
+    """One shared Table III measurement reused by the Table III / Fig. 5 / Fig. 6 benches."""
+    return run_table3(scale=bench_scale())
 
 
 @pytest.fixture(scope="session")

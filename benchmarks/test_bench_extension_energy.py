@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.energy import build_energy_comparison, format_energy_table
+from repro.eval.energy import build_energy_comparison
+from repro.eval.reports import energy_report
 from repro.eval.figures import format_speedup_chart
 
 
@@ -26,7 +27,7 @@ def test_energy_efficiency_over_riscv(benchmark, tech, table3_measurements):
     )
 
     print("\n=== Energy per benchmark run and gain over the RISC-V ===")
-    print(format_energy_table(comparison))
+    print(energy_report(comparison).text())
     print("\n=== Energy-efficiency gain (bar series) ===")
     print(format_speedup_chart(comparison.gain_series(), width=30))
 

@@ -1,7 +1,6 @@
 """Benchmark: overhead of the fault-tolerance machinery (PR 7).
 
-Two acceptance measurements for the fault-tolerant runtime, recorded to
-``BENCH_PR7.json`` in the repository root:
+Two acceptance measurements for the fault-tolerant runtime:
 
 * **Fault-path overhead** — the 16-kernel multi-device batch scheduled with
   no fault plan, with an *armed but empty* plan (the injector is consulted
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
@@ -29,7 +27,7 @@ import pytest
 from repro.arch.config import GGPUConfig
 from repro.eval.benchmarks import BenchmarkSizes, run_table3
 from repro.kernels import all_kernel_names, get_kernel_spec
-from repro.runtime.checkpoint import SweepJournal, atomic_write_json
+from repro.runtime.checkpoint import SweepJournal
 from repro.runtime.faults import (
     DEVICE_FAIL,
     DEVICE_TRANSIENT,
@@ -38,12 +36,9 @@ from repro.runtime.faults import (
     FaultSpec,
 )
 from repro.runtime.multidevice import OutOfOrderQueue
-from repro.runtime.parallel import default_jobs
-
-BENCH_PR7_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
 # As with the other schedule-layer benches, REPRO_BENCH_SCALE is deliberately
-# not applied: the recorded overheads should be comparable between runs.
+# not applied: the overheads should be comparable between runs.
 SCALE = 0.125
 NUM_DEVICES = 2
 MEMORY_BYTES = 64 * 1024 * 1024
@@ -51,17 +46,6 @@ MEMORY_BYTES = 64 * 1024 * 1024
 # to a pure-python cycle-accurate simulation; anything past this bound means
 # the no-fault path grew real work.
 MAX_ARMED_IDLE_OVERHEAD = 0.25
-
-
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_PR7_PATH.exists():
-        try:
-            data = json.loads(BENCH_PR7_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {"meta": {"repro_jobs": default_jobs(), "scale": SCALE}, **payload}
-    atomic_write_json(BENCH_PR7_PATH, data)
 
 
 def _run_suite_batch(faults: Optional[FaultPlan]) -> Dict[str, object]:
@@ -92,9 +76,7 @@ def _run_suite_batch(faults: Optional[FaultPlan]) -> Dict[str, object]:
             (event.label, event.device, event.start_cycle, event.end_cycle)
             for event in queue.schedule
         ],
-        "total_retries": queue.stats.total_retries,
         "devices_lost": queue.stats.devices_lost,
-        "degraded_fraction": queue.stats.degraded_fraction,
     }
 
 
@@ -114,23 +96,6 @@ def test_fault_injection_overhead(benchmark):
     faulted = _run_suite_batch(faults=mixed_plan)
 
     overhead = armed["wall"] / baseline["wall"] - 1.0
-    _record(
-        "fault_injection_overhead",
-        {
-            "kernels": len(all_kernel_names()),
-            "num_devices": NUM_DEVICES,
-            "baseline_wall_seconds": round(baseline["wall"], 3),
-            "armed_idle_wall_seconds": round(armed["wall"], 3),
-            "armed_idle_overhead": round(overhead, 4),
-            "faulted_wall_seconds": round(faulted["wall"], 3),
-            "faulted_makespan_ratio": round(
-                faulted["makespan"] / baseline["makespan"], 4
-            ),
-            "faulted_retries": faulted["total_retries"],
-            "faulted_devices_lost": faulted["devices_lost"],
-            "faulted_degraded_fraction": round(faulted["degraded_fraction"], 4),
-        },
-    )
 
     # An armed-but-idle injector must not perturb the schedule at all...
     assert armed["schedule"] == baseline["schedule"]
@@ -151,9 +116,7 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     bare = run_table3(**kwargs)
     bare_wall = time.perf_counter() - start
 
-    start = time.perf_counter()
     cold = run_table3(journal=path, **kwargs)
-    cold_wall = time.perf_counter() - start
 
     meta = json.loads(path.read_text(encoding="utf-8"))["meta"]
     journal = SweepJournal(path, meta=meta)
@@ -164,17 +127,6 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     warm_wall = time.perf_counter() - start
 
     total_cells = len(all_kernel_names()) * 2
-    _record(
-        "checkpoint_journal_overhead",
-        {
-            "cells": total_cells,
-            "bare_wall_seconds": round(bare_wall, 3),
-            "cold_journal_wall_seconds": round(cold_wall, 3),
-            "cold_journal_overhead": round(cold_wall / bare_wall - 1.0, 4),
-            "warm_resume_wall_seconds": round(warm_wall, 3),
-            "warm_resume_speedup": round(bare_wall / warm_wall, 2),
-        },
-    )
 
     # The warm resume simulated nothing: every cell came from the journal.
     assert journal.hits == total_cells

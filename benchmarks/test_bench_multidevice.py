@@ -4,78 +4,35 @@ Acceptance measurement for the multi-device runtime: scheduling the
 16-kernel suite (one independent launch per kernel, host↔device transfers
 charged) across 4 G-GPU devices must improve the batch makespan by at least
 1.5x over a single device, with bit-identical kernel results and per-launch
-cycle counts at every device count (the sweep itself asserts both).  The
-numbers are recorded to ``BENCH_PR4.json`` in the repository root.
+cycle counts at every device count (the sweep itself asserts both).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.eval.multidevice import run_multidevice_table
-from repro.eval.tables import format_multidevice_table
-from repro.runtime.checkpoint import atomic_write_json
-from repro.runtime.parallel import default_jobs
-
-BENCH_PR4_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
+from repro.eval.reports import multidevice_report
 
 DEVICE_COUNTS = (1, 2, 4)
 # The makespan ratio is a property of the simulated schedule, not of host
 # wall time, so a moderate scale keeps the bench quick without changing the
 # conclusion; REPRO_BENCH_SCALE is deliberately not applied here because the
-# recorded speedups should be comparable between runs.
+# speedups should be comparable between runs.
 SCALE = 0.25
 MIN_SPEEDUP_AT_4 = 1.5
 
 
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_PR4_PATH.exists():
-        try:
-            data = json.loads(BENCH_PR4_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {"meta": {"repro_jobs": default_jobs(), "scale": SCALE}, **payload}
-    atomic_write_json(BENCH_PR4_PATH, data)
-
-
 @pytest.mark.benchmark(group="multidevice")
 def test_multidevice_makespan_scaling(benchmark):
-    start = time.perf_counter()
     table = benchmark.pedantic(
         lambda: run_multidevice_table(device_counts=DEVICE_COUNTS, scale=SCALE),
         rounds=1,
         iterations=1,
     )
-    wall = time.perf_counter() - start
 
-    print("\n" + format_multidevice_table(table))
+    print("\n" + multidevice_report(table).text())
     speedups = {count: table.speedup(count) for count in table.device_counts}
-    _record(
-        "multidevice_makespan",
-        {
-            "kernels": len(table.kernels),
-            "device_counts": list(table.device_counts),
-            "wall_seconds": round(wall, 3),
-            "makespan_kcycles": {
-                str(count): round(table.cell(count).makespan_kcycles, 2)
-                for count in table.device_counts
-            },
-            "speedup": {str(count): round(value, 3) for count, value in speedups.items()},
-            "transfer_fraction": {
-                str(count): round(table.cell(count).transfer_fraction, 4)
-                for count in table.device_counts
-            },
-            "mean_utilization": {
-                str(count): round(table.cell(count).mean_utilization, 4)
-                for count in table.device_counts
-            },
-        },
-    )
 
     # Makespan must shrink monotonically with more devices...
     makespans = [table.cell(count).makespan for count in sorted(table.device_counts)]

@@ -7,24 +7,15 @@ hints must improve the makespan by at least 10% over the PR 4 host-hop path
 at the same device count, with bit-identical kernel results and per-launch
 cycle counts in every (mode, device count) cell (the sweep itself asserts
 both).  The LPT flush order is measured on the mixed-size 16-kernel
-independent batch, where it tightens the 4-device makespan.  The numbers are
-recorded to ``BENCH_PR5.json`` in the repository root.
+independent batch, where it tightens the 4-device makespan.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.eval.multidevice import run_multidevice_table, run_pipeline_table
-from repro.eval.tables import format_pipeline_table
-from repro.runtime.checkpoint import atomic_write_json
-from repro.runtime.parallel import default_jobs
-
-BENCH_PR5_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+from repro.eval.reports import pipeline_report
 
 DEVICE_COUNTS = (1, 2, 4)
 LANES = 8
@@ -37,58 +28,15 @@ MIN_IMPROVEMENT_AT_4 = 1.10
 BATCH_SCALE = 0.25
 
 
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_PR5_PATH.exists():
-        try:
-            data = json.loads(BENCH_PR5_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {"meta": {"repro_jobs": default_jobs()}, **payload}
-    atomic_write_json(BENCH_PR5_PATH, data)
-
-
 @pytest.mark.benchmark(group="multidevice")
 def test_pipeline_transfer_modes(benchmark):
-    start = time.perf_counter()
     table = benchmark.pedantic(
         lambda: run_pipeline_table(device_counts=DEVICE_COUNTS, lanes=LANES, size=SIZE),
         rounds=1,
         iterations=1,
     )
-    wall = time.perf_counter() - start
 
-    print("\n" + format_pipeline_table(table))
-    _record(
-        "pipeline_transfer_modes",
-        {
-            "lanes": LANES,
-            "size": SIZE,
-            "device_counts": list(table.device_counts),
-            "wall_seconds": round(wall, 3),
-            "makespan_kcycles": {
-                mode: {
-                    str(count): round(table.cell(mode, count).makespan_kcycles, 2)
-                    for count in table.device_counts
-                }
-                for mode in table.modes
-            },
-            "improvement_vs_host": {
-                mode: {
-                    str(count): round(table.improvement(mode, count), 3)
-                    for count in table.device_counts
-                }
-                for mode in table.modes
-            },
-            "p2p_transfers": {
-                mode: {
-                    str(count): table.cell(mode, count).transfers_p2p
-                    for count in table.device_counts
-                }
-                for mode in table.modes
-            },
-        },
-    )
+    print("\n" + pipeline_report(table).text())
 
     # The P2P modes can never lose to the host bounce at any device count...
     for mode in ("p2p", "p2p-prefetch"):
@@ -105,7 +53,6 @@ def test_pipeline_transfer_modes(benchmark):
 
 @pytest.mark.benchmark(group="multidevice")
 def test_lpt_batch_scheduling(benchmark):
-    start = time.perf_counter()
     tables = benchmark.pedantic(
         lambda: (
             run_multidevice_table(device_counts=DEVICE_COUNTS, scale=BATCH_SCALE),
@@ -116,33 +63,12 @@ def test_lpt_batch_scheduling(benchmark):
         rounds=1,
         iterations=1,
     )
-    wall = time.perf_counter() - start
     enqueue_order, lpt_order = tables
 
     ratios = {
         count: enqueue_order.cell(count).makespan / lpt_order.cell(count).makespan
         for count in enqueue_order.device_counts
     }
-    _record(
-        "lpt_batch_scheduling",
-        {
-            "scale": BATCH_SCALE,
-            "kernels": len(enqueue_order.kernels),
-            "device_counts": list(enqueue_order.device_counts),
-            "wall_seconds": round(wall, 3),
-            "makespan_kcycles": {
-                "enqueue_order": {
-                    str(count): round(enqueue_order.cell(count).makespan_kcycles, 2)
-                    for count in enqueue_order.device_counts
-                },
-                "lpt": {
-                    str(count): round(lpt_order.cell(count).makespan_kcycles, 2)
-                    for count in lpt_order.device_counts
-                },
-            },
-            "lpt_ratio": {str(count): round(value, 4) for count, value in ratios.items()},
-        },
-    )
 
     # LPT must tighten the mixed-size batch at the 4-device design point (the
     # ROADMAP's "better 4+-device utilization" target)...

@@ -4,26 +4,19 @@ Acceptance measurement for the queue runtime: enqueueing N repeated launches
 through one :class:`repro.runtime.queue.CommandQueue` must be measurably
 faster than N independent ``GGPUSimulator`` runs — the queue amortizes
 simulator construction and program pre-decode — while producing identical
-results and cycle statistics.  The numbers are recorded to
-``BENCH_PR3.json`` in the repository root.
+results and cycle statistics.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.arch.config import GGPUConfig
 from repro.kernels import get_kernel_spec, run_workload
-from repro.runtime.checkpoint import atomic_write_json
-from repro.runtime.parallel import default_jobs
 from repro.runtime.queue import CommandQueue
 from repro.simt.gpu import GGPUSimulator
-
-BENCH_PR3_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 
 # Many cheap launches: the regime the queue exists for.  At this size the
 # per-launch host overhead (simulator construction, kernel build, pre-decode)
@@ -32,17 +25,6 @@ KERNEL = "copy"
 SIZE = 64
 LAUNCHES = 64
 SEED = 2022
-
-
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_PR3_PATH.exists():
-        try:
-            data = json.loads(BENCH_PR3_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {"meta": {"repro_jobs": default_jobs()}, **payload}
-    atomic_write_json(BENCH_PR3_PATH, data)
 
 
 @pytest.mark.benchmark(group="queue")
@@ -88,18 +70,6 @@ def test_queue_amortizes_setup_over_repeated_launches(benchmark):
             assert (q_outputs[name] == values).all()
 
     speedup = independent_wall / queued_wall
-    _record(
-        "queue_vs_independent",
-        {
-            "kernel": KERNEL,
-            "input_size": SIZE,
-            "launches": LAUNCHES,
-            "num_cus": 2,
-            "independent_wall_seconds": round(independent_wall, 4),
-            "queued_wall_seconds": round(queued_wall, 4),
-            "speedup": round(speedup, 3),
-        },
-    )
     print(
         f"\n{LAUNCHES} launches of {KERNEL}@{SIZE}: independent {independent_wall:.3f}s, "
         f"queued {queued_wall:.3f}s, speedup {speedup:.2f}x"

@@ -4,8 +4,8 @@ The pre-decoded interpreter (:mod:`repro.riscv.decode`) replaces the seed
 path's per-instruction enum lookups, chained ``if opcode is ...`` dispatch,
 and mnemonic dict updates with handler closures resolved once per program.
 This benchmark runs the seven Table III programs (at ``REPRO_BENCH_SCALE``
-input sizes) on both paths, prints the per-program wall times next to the
-decoded-vs-seed speedup, and records the numbers to ``BENCH_PR2.json``.
+input sizes) on both paths and prints the per-program wall times next to the
+decoded-vs-seed speedup.
 
 On the reference machine the decoded path sustains ~600k instructions/s
 against the seed interpreter's ~60k (~10x); the floors asserted here sit far
@@ -46,7 +46,7 @@ def _run_program(name: str, scale: float, predecode: bool):
 
 
 @pytest.mark.benchmark(group="riscv-iss")
-def test_iss_throughput_and_speedup(benchmark, input_scale, bench_recorder):
+def test_iss_throughput_and_speedup(benchmark, input_scale):
     def _measure():
         rows = {}
         for name in all_riscv_program_names():
@@ -55,7 +55,6 @@ def test_iss_throughput_and_speedup(benchmark, input_scale, bench_recorder):
             assert (instructions, cycles) == (seed_instructions, seed_cycles)
             rows[name] = {
                 "instructions": instructions,
-                "kcycles": cycles / 1e3,
                 "decoded_wall_seconds": decoded_wall,
                 "seed_wall_seconds": seed_wall,
             }
@@ -85,26 +84,6 @@ def test_iss_throughput_and_speedup(benchmark, input_scale, bench_recorder):
     print(
         f"total: {total_instructions} instructions, decoded {throughput:,.0f} instr/s, "
         f"seed {seed_throughput:,.0f} instr/s, speedup {seed_total / decoded_total:.2f}x"
-    )
-
-    bench_recorder(
-        "riscv_iss",
-        {
-            "instructions": total_instructions,
-            "decoded_wall_seconds": round(decoded_total, 4),
-            "seed_wall_seconds": round(seed_total, 4),
-            "decoded_instr_per_second": round(throughput),
-            "speedup_vs_seed": round(seed_total / decoded_total, 2),
-            "programs": {
-                name: {
-                    "instructions": row["instructions"],
-                    "kcycles": row["kcycles"],
-                    "decoded_wall_seconds": round(row["decoded_wall_seconds"], 4),
-                    "seed_wall_seconds": round(row["seed_wall_seconds"], 4),
-                }
-                for name, row in rows.items()
-            },
-        },
     )
 
     # Floors ~5x under what the decoded path achieves: regression tripwires,

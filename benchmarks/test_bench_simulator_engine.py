@@ -8,7 +8,7 @@ reference machine the seed engine simulated the scale-0.25 Table III sweep in
 bit-for-bit identical results and cycle counts (see
 ``tests/test_simt_golden.py``).
 
-This benchmark records the engine's simulation throughput in
+This benchmark measures the engine's simulation throughput in
 wavefront-instructions per wall-clock second over a representative kernel
 mix, and the macro-stepping batching factor.  The throughput floor asserted
 here is ~5x below what the rewritten engine achieves, so it only catches
@@ -49,7 +49,7 @@ def _simulate_mix(num_cus: int = 4):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_engine_simulation_throughput(benchmark, bench_recorder):
+def test_engine_simulation_throughput(benchmark):
     instructions, events, elapsed = benchmark.pedantic(
         _simulate_mix, rounds=1, iterations=1
     )
@@ -58,16 +58,6 @@ def test_engine_simulation_throughput(benchmark, bench_recorder):
         f"\nSIMT engine: {instructions} wavefront-instructions in {elapsed:.2f}s "
         f"({throughput:,.0f} instr/s), {events} scheduling events "
         f"(batching {instructions / events:.2f})"
-    )
-    bench_recorder(
-        "engine",
-        {
-            "wavefront_instructions": instructions,
-            "wall_seconds": round(elapsed, 3),
-            "instructions_per_second": round(throughput),
-            "scheduling_events": events,
-            "macro_batching": round(instructions / events, 2),
-        },
     )
     # The rewritten engine sustains ~40-60k instr/s on this mix (the PR-2
     # memory-path work pushed it further); the seed engine managed ~11k.

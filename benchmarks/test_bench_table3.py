@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.paper_data import PAPER_TABLE3
-from repro.eval.tables import format_table3
+from repro.eval.reports import table3_report
 from repro.kernels import EXTENDED_KERNEL_NAMES
 
 
@@ -19,7 +19,7 @@ def test_table3_benchmark_cycle_counts(benchmark, table3_measurements):
     table = benchmark.pedantic(lambda: table3_measurements, rounds=1, iterations=1)
 
     print("\n=== Reproduced Table III (k-cycles) ===")
-    print(format_table3(table))
+    print(table3_report(table).text())
     print("\n=== Paper Table III (k-cycles) ===")
     for kernel, (riscv_size, gpu_size, riscv_kc, gpu_kc) in PAPER_TABLE3.items():
         print(f"{kernel:14s} sizes {riscv_size}/{gpu_size}  riscv {riscv_kc}  gpu {gpu_kc}")

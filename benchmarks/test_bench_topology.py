@@ -6,26 +6,17 @@ independent heads — the classic LPT trap), the HEFT and work-stealing flush
 orders must beat LPT by at least 1.15x makespan at 8, 16, and 64 devices,
 with bit-identical kernel results and per-launch cycle counts in every
 (DAG, topology, scheduler, device count) cell (the sweep itself asserts
-both).  The multi-stage shuffle DAG is recorded alongside as the
+both).  The multi-stage shuffle DAG runs alongside as the
 topology-sensitivity story: its cross-lane traffic crosses progressively
-farther links on the two-switch and ring fabrics.  The numbers are recorded
-to ``BENCH_PR8.json`` in the repository root.
+farther links on the two-switch and ring fabrics.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.eval.multidevice import run_topology_table
-from repro.eval.tables import format_topology_table
-from repro.runtime.checkpoint import atomic_write_json
-from repro.runtime.parallel import default_jobs
-
-BENCH_PR8_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
+from repro.eval.reports import topology_report
 
 DEVICE_COUNTS = (8, 16, 64)
 # Acceptance: HEFT or stealing must beat LPT by >= 1.15x at 8+ devices on
@@ -35,59 +26,15 @@ DEVICE_COUNTS = (8, 16, 64)
 MIN_SPEEDUP_VS_LPT = 1.15
 
 
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_PR8_PATH.exists():
-        try:
-            data = json.loads(BENCH_PR8_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = {"meta": {"repro_jobs": default_jobs()}, **payload}
-    atomic_write_json(BENCH_PR8_PATH, data)
-
-
 @pytest.mark.benchmark(group="multidevice")
 def test_topology_scheduler_ablation(benchmark):
-    start = time.perf_counter()
     table = benchmark.pedantic(
         lambda: run_topology_table(device_counts=DEVICE_COUNTS),
         rounds=1,
         iterations=1,
     )
-    wall = time.perf_counter() - start
 
-    print("\n" + format_topology_table(table))
-    _record(
-        "topology_scheduler_ablation",
-        {
-            "layered": {"width": table.width, "depth": table.depth, "size": table.size},
-            "shuffle": {"lanes": table.lanes, "stages": table.stages, "size": table.size},
-            "device_counts": list(table.device_counts),
-            "wall_seconds": round(wall, 3),
-            "makespan_kcycles": {
-                f"{dag}/{topo}/{scheduler}": {
-                    str(count): round(
-                        table.cell(dag, topo, scheduler, count).makespan_kcycles, 2
-                    )
-                    for count in table.device_counts
-                }
-                for dag in table.dags
-                for topo in table.topologies
-                for scheduler in table.schedulers
-            },
-            "speedup_vs_lpt": {
-                f"{dag}/{topo}/{scheduler}": {
-                    str(count): round(
-                        table.speedup_vs_lpt(dag, topo, scheduler, count), 3
-                    )
-                    for count in table.device_counts
-                }
-                for dag in table.dags
-                for topo in table.topologies
-                for scheduler in ("heft", "stealing")
-            },
-        },
-    )
+    print("\n" + topology_report(table).text())
 
     # Acceptance: HEFT and stealing beat LPT by the margin at every device
     # count on the layered DAG, on every topology.

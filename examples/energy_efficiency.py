@@ -8,7 +8,7 @@ baseline, at equal work.  It finishes by writing every table/figure it
 computed as CSV/Markdown into ``./ggpu_reports/``.
 
 The benchmark inputs are scaled down (factor 0.25) so the example runs in
-about a minute; pass the paper's sizes through ``repro.eval.tables.build_table3``
+about a minute; measure with ``repro.eval.benchmarks.run_table3(scale=1.0)``
 for the full experiment.
 
 Run with:  python examples/energy_efficiency.py
@@ -16,10 +16,9 @@ Run with:  python examples/energy_efficiency.py
 
 from repro.eval.benchmarks import run_table3
 from repro.eval.comparison import compute_area_ratios, compute_speedups, derate_by_area
-from repro.eval.energy import build_energy_comparison, format_energy_table
+from repro.eval.energy import build_energy_comparison
 from repro.eval.figures import format_speedup_chart
-from repro.eval.reports import write_report_bundle
-from repro.eval.tables import format_table3
+from repro.eval.reports import energy_report, table3_report, write_report_bundle
 from repro.tech.technology import default_65nm
 
 SCALE = 0.25
@@ -32,7 +31,7 @@ def main() -> None:
     print(f"measuring the seven benchmarks at scale {SCALE} for {CU_COUNTS} CUs ...")
     table3 = run_table3(cu_counts=CU_COUNTS, scale=SCALE)
     print("\n=== Cycle counts (Table III protocol, scaled) ===")
-    print(format_table3(table3))
+    print(table3_report(table3).text())
 
     speedups = compute_speedups(table3)
     ratios = compute_area_ratios(tech, cu_counts=CU_COUNTS)
@@ -43,7 +42,7 @@ def main() -> None:
     print("\nsynthesizing the versions to get their power ...")
     energy = build_energy_comparison(table3, tech, frequency_mhz=667.0, cu_counts=CU_COUNTS)
     print("\n=== Energy per run and energy-efficiency gain (extension) ===")
-    print(format_energy_table(energy))
+    print(energy_report(energy).text())
     best_kernel = energy.gain_series().best_kernel()
     print(
         f"\nbest energy-efficiency gain: {energy.best():.1f}x on {best_kernel!r}; "

@@ -15,7 +15,7 @@ from repro import default_65nm
 from repro.eval.benchmarks import run_table3
 from repro.eval.comparison import compute_area_ratios, compute_speedups, derate_by_area
 from repro.eval.figures import format_speedup_chart
-from repro.eval.tables import format_table3
+from repro.eval.reports import table3_report
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     table3 = run_table3(kernels=kernels, cu_counts=(1, 2, 4, 8), scale=scale)
     print("\n=== Cycle counts (Table III style) ===")
-    print(format_table3(table3))
+    print(table3_report(table3).text())
 
     speedups = compute_speedups(table3)
     print("\n=== Raw speed-up over RISC-V (Fig. 5 style) ===")

@@ -14,7 +14,8 @@ devices):
 3. **p2p+prefetch** — additionally pins each lane to a device
    (``enqueue(..., device=...)``), prefetches its inputs there at
    ``enqueue_write`` time (``create_buffer(..., device=...)``), and drains
-   the queue longest-projected-time first (``OutOfOrderQueue(lpt=True)``).
+   the queue longest-projected-time first
+   (``OutOfOrderQueue(scheduler="lpt")``).
 
 Results are bit-identical in every mode — the transfer model moves data and
 placement, never the simulated kernels — but the makespan is not.
@@ -84,12 +85,12 @@ def build_shuffle_dag(queue, hints=None):
     return checks
 
 
-def run_mode(name, transfer, lpt=False, hints=None):
+def run_mode(name, transfer, scheduler="fifo", hints=None):
     queue = OutOfOrderQueue(
         config=GGPUConfig(num_cus=2),
         num_devices=DEVICES,
         transfer=transfer,
-        lpt=lpt,
+        scheduler=scheduler,
     )
     checks = build_shuffle_dag(queue, hints)
     queue.finish()
@@ -115,7 +116,7 @@ def main() -> None:
     print(f"Two-stage shuffle DAG: {LANES} lanes x {N} words on {DEVICES} devices\n")
     host = run_mode("host-hop", host_link)
     p2p = run_mode("p2p", p2p_link)
-    prefetch = run_mode("p2p+prefetch", p2p_link, lpt=True, hints=hints)
+    prefetch = run_mode("p2p+prefetch", p2p_link, scheduler="lpt", hints=hints)
 
     print(
         f"\nP2P shaves the host bounce: {host / p2p:.2f}x; with prefetch + "

@@ -6,9 +6,12 @@
   speed-up-per-area metrics of Figs. 5 and 6 using the paper's methodology
   (RISC-V cycles scaled by the input-size ratio, speed-up derated by the
   G-GPU/RISC-V area ratio).
-* :mod:`repro.eval.tables` -- Table I (12 synthesized versions), Table II
-  (wirelength per metal layer), Table III (benchmark cycle counts).
+* :mod:`repro.eval.tables` -- Table I (12 synthesized versions) and Table II
+  (wirelength per metal layer).
 * :mod:`repro.eval.figures` -- Figs. 3-4 (layouts) and Figs. 5-6 (speed-ups).
+* :mod:`repro.eval.reports` -- one :class:`~repro.eval.reports.Report` per
+  table (a builder each), rendered as terminal text, CSV, or Markdown
+  (imported on use: it pulls in the energy model and ``csv``).
 * :mod:`repro.eval.paper_data` -- the numbers printed in the paper, used to
   compare shapes in EXPERIMENTS.md and in the benchmark harness output.
 * :mod:`repro.eval.multidevice` -- the beyond-the-paper multi-device sweeps:
@@ -43,14 +46,7 @@ from repro.eval.multidevice import (
     run_multidevice_table,
     run_topology_table,
 )
-from repro.eval.tables import (
-    build_table1,
-    build_table2,
-    build_table3,
-    format_multidevice_table,
-    format_table3,
-    format_topology_table,
-)
+from repro.eval.tables import build_table1, build_table2
 from repro.eval.figures import (
     build_figure3,
     build_figure4,
@@ -81,10 +77,6 @@ __all__ = [
     "run_topology_table",
     "build_table1",
     "build_table2",
-    "build_table3",
-    "format_multidevice_table",
-    "format_table3",
-    "format_topology_table",
     "build_figure3",
     "build_figure4",
     "build_figure5",

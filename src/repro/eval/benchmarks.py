@@ -19,7 +19,13 @@ from repro.arch.config import GGPUConfig
 from repro.errors import KernelError
 from repro.kernels import all_kernel_names, get_kernel_spec, run_workload
 from repro.riscv.programs import get_riscv_program_spec
-from repro.runtime.checkpoint import PathLike, SweepJournal, cell_key, open_journal
+from repro.runtime.checkpoint import (
+    PathLike,
+    SweepJournal,
+    cell_key,
+    open_journal,
+    run_journaled,
+)
 from repro.runtime.parallel import parallel_map
 from repro.simt.axi import MemoryTrafficStats
 from repro.simt.cache import CacheStats
@@ -160,6 +166,10 @@ def measure_riscv_program(
     return RiscvMeasurement(kernel=kernel_name, input_size=size, cycles=stats.cycles, stats=stats)
 
 
+# The fields of a Table III task tuple, in order; their values key its journal cell.
+_TABLE3_KEY_FIELDS = ("kind", "kernel", "size", "seed", "check", "num_cus")
+
+
 def _run_table3_task(task: tuple):
     """Worker entry for one Table III measurement (module level: picklable)."""
     kind, kernel, size, seed, check, num_cus = task
@@ -244,36 +254,18 @@ def run_table3(
             "check": check,
         },
     )
-    measurements: List[Any] = [None] * len(tasks)
-    missing = list(range(len(tasks)))
-    keys: List[str] = []
-    if book is not None:
-        keys = [
-            # The key holds every input that can change a measurement and
-            # nothing else, so host-speed changes to the simulators (an
-            # issue-engine revision, say) keep existing journals valid.
-            cell_key(kind=kind, kernel=kernel, size=size, seed=s, check=c, num_cus=n)
-            for kind, kernel, size, s, c, n in tasks
-        ]
-        missing = []
-        for index, key in enumerate(keys):
-            cached = book.get(key)
-            if cached is not None:
-                measurements[index] = _measurement_from_json(cached)
-            else:
-                missing.append(index)
-
-    def _collect(position: int, result: Any) -> None:
-        index = missing[position]
-        measurements[index] = result
-        if book is not None:
-            book.record(keys[index], _measurement_to_json(result))
-
-    parallel_map(
-        _run_table3_task,
-        [tasks[index] for index in missing],
-        jobs=jobs,
-        on_result=_collect,
+    measurements = run_journaled(
+        book,
+        tasks,
+        # The key holds every input that can change a measurement and nothing
+        # else, so host-speed changes to the simulators (an issue-engine
+        # revision, say) keep existing journals valid.
+        key=lambda task: cell_key(**dict(zip(_TABLE3_KEY_FIELDS, task, strict=True))),
+        run=lambda todo, on_result: parallel_map(
+            _run_table3_task, todo, jobs=jobs, on_result=on_result
+        ),
+        encode=_measurement_to_json,
+        decode=_measurement_from_json,
     )
     stride = 1 + len(cu_counts)
     for position, name in enumerate(names):

@@ -157,21 +157,3 @@ def build_energy_comparison(
             for num_cus in counts
         }
     return comparison
-
-
-def format_energy_table(comparison: EnergyComparison) -> str:
-    """Fixed-width text table of energy per run and gain over the RISC-V."""
-    cu_counts = comparison.cu_counts
-    header_cells = ["Kernel".ljust(14), "RISC-V (mJ)".rjust(12)]
-    for num_cus in cu_counts:
-        header_cells.append(f"{num_cus}CU (mJ)".rjust(12))
-        header_cells.append(f"{num_cus}CU gain".rjust(10))
-    header = " ".join(header_cells)
-    lines = [header, "-" * len(header)]
-    for kernel in comparison.kernels:
-        cells = [kernel.ljust(14), f"{comparison.riscv[kernel].energy_mj:.3f}".rjust(12)]
-        for num_cus in cu_counts:
-            cells.append(f"{comparison.gpu[kernel][num_cus].energy_mj:.3f}".rjust(12))
-            cells.append(f"{comparison.gain(kernel, num_cus):.1f}x".rjust(10))
-        lines.append(" ".join(cells))
-    return "\n".join(lines)

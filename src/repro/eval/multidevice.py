@@ -1,4 +1,4 @@
-"""Multi-device sweeps: makespan vs device count, and transfer-mode ablation.
+"""Multi-device sweeps: device count, transfer mode, topology × scheduler.
 
 The paper evaluates one simulated G-GPU at a time; these sweeps ask the
 platform question instead.  :func:`run_multidevice_table` measures how the
@@ -24,12 +24,23 @@ buffers between devices — under three transfer modes:
   prefetch and per-launch ``device=`` affinity hints (lane → device
   round-robin) with the LPT flush order.
 
+:func:`run_topology_table` (PR 8) runs two DAGs under every topology preset
+× flush order × device count.
+
+The three sweeps share one cell loop, ``_run_sweep``.  A sweep hands it a
+grid of coordinate tuples and a module-level cell function; the cell
+function builds the cell's one queue, enqueues the DAG, and passes the
+outputs to check to ``_finish_cell``, which snapshots the cell's fields by
+name from the queue's statistics and verifies every output.  The loop
+serves journaled cells, runs the missing ones, and asserts the cross-cell
+cycle invariant.
+
 Determinism and bit-exactness are part of the protocol:
 
 * buffer addresses are identical across device counts (the queue allocates
   eagerly on every device), so each launch's simulated cycle count is the
-  same in every cell — both table builders assert it, the pipeline table
-  across transfer modes too;
+  same in every cell of a sweep (of a DAG, in the topology ablation) —
+  the shared loop asserts it;
 * with ``jobs == 1`` the cells share one device pool, recycled through
   :meth:`~repro.simt.gpu.GGPUSimulator.reset`, and one
   :class:`~repro.runtime.multidevice.LaunchMemo`, so each distinct launch is
@@ -42,8 +53,8 @@ Determinism and bit-exactness are part of the protocol:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +63,13 @@ from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.eval.benchmarks import DEFAULT_SEED, BenchmarkSizes
 from repro.kernels import all_kernel_names, get_kernel_spec
-from repro.runtime.checkpoint import PathLike, SweepJournal, cell_key, open_journal
+from repro.runtime.checkpoint import (
+    PathLike,
+    SweepJournal,
+    cell_key,
+    open_journal,
+    run_journaled,
+)
 from repro.runtime.multidevice import LaunchMemo, OutOfOrderQueue
 from repro.runtime.parallel import default_jobs, parallel_map
 from repro.simt.gpu import GGPUSimulator
@@ -61,6 +78,29 @@ from repro.simt.gpu import GGPUSimulator
 CELL_MEMORY_BYTES = 32 * 1024 * 1024
 
 Pool = Optional[List[GGPUSimulator]]
+# (label, buffer, expected values) of one output a cell verifies.
+Check = Tuple[str, Any, Any]
+
+
+# --------------------------------------------------------------------------- #
+# The cell loop every sweep shares
+# --------------------------------------------------------------------------- #
+def _device_counts(device_counts: Sequence[int]) -> List[int]:
+    """The sweep's device counts: at least one, none repeated."""
+    counts = list(device_counts)
+    if not counts:
+        raise KernelError("need at least one device count")
+    if len(set(counts)) != len(counts):
+        raise KernelError(f"duplicate device counts: {counts}")
+    return counts
+
+
+def _known(kind: str, names: Sequence[str], known: Sequence[str]) -> List[str]:
+    """``names`` as a list, each checked to be one of ``known``."""
+    for name in names:
+        if name not in known:
+            raise KernelError(f"unknown {kind} {name!r}: pick from {tuple(known)}")
+    return list(names)
 
 
 def _cell_queue(
@@ -81,48 +121,155 @@ def _cell_queue(
     return OutOfOrderQueue(devices=pool[:device_count], memo=memo, **options)
 
 
-def _run_cells(
-    run_cell: Callable[..., Any],
-    tasks: Sequence[tuple],
-    config: GGPUConfig,
-    memory_bytes: int,
-    widest: int,
-    jobs: int,
-    on_result: Callable[[int, Any], None],
-) -> None:
-    """Run ``run_cell(task, pool, memo)`` for every task, in task order.
+def _schedule_entries(
+    queue: OutOfOrderQueue,
+) -> List[Tuple[str, int, float, float, float, float]]:
+    """The executed launches as JSON-friendly schedule tuples."""
+    return [
+        (
+            event.label,
+            int(event.device if event.device is not None else -1),
+            float(event.start_cycle),
+            float(event.end_cycle),
+            float(event.transfer_cycles),
+            float(event.compute_cycles),
+        )
+        for event in queue.schedule
+    ]
 
-    Serially (``jobs == 1``), the widest pool is built once and recycled by
-    every cell's queue, and one :class:`LaunchMemo` created here serves the
-    whole call — it dies when the call returns, so repeated calls do the same
-    work.  Otherwise the tasks fan out through ``parallel_map`` and each
-    worker calls ``run_cell(task)`` on a fresh pool without a memo.
+
+# Cell fields that are not the QueueStats attribute of the same name.
+_QUEUE_FIELDS: Dict[str, Callable[[OutOfOrderQueue], Any]] = {
+    "device_count": lambda queue: queue.num_devices,
+    "utilization": lambda queue: queue.stats.device_utilization(),
+    "mean_utilization": lambda queue: queue.stats.utilization,
+    "schedule": _schedule_entries,
+}
+
+
+def _finish_cell(
+    cell_class: type, queue: OutOfOrderQueue, checks: Sequence[Check], **coordinates: Any
+) -> Any:
+    """Run the queue, snapshot one ``cell_class`` from it, verify the outputs.
+
+    Every field comes from ``coordinates`` when named there, else from
+    ``_QUEUE_FIELDS``, else from the ``queue.stats`` attribute of the same
+    name.  The snapshot precedes the read-backs, whose transfers would
+    otherwise count toward the makespan.
     """
-    if jobs == 1 or len(tasks) <= 1:
-        pool = [GGPUSimulator(config, memory_bytes=memory_bytes) for _ in range(widest)]
-        memo = LaunchMemo()
-        for position, task in enumerate(tasks):
-            on_result(position, run_cell(task, pool, memo))
-    else:
-        parallel_map(run_cell, tasks, jobs=jobs, on_result=on_result)
+    queue.finish()
+    values = {}
+    for name in (item.name for item in fields(cell_class)):
+        if name in coordinates:
+            values[name] = coordinates[name]
+        elif name in _QUEUE_FIELDS:
+            values[name] = _QUEUE_FIELDS[name](queue)
+        else:
+            values[name] = getattr(queue.stats, name)
+    cell = cell_class(**values)
+    for label, buffer, expected in checks:
+        observed = queue.enqueue_read(buffer).astype(np.int64)
+        if not np.array_equal(observed, np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF):
+            raise KernelError(
+                f"{label} produced wrong values on {queue.num_devices} devices "
+                f"with the {queue.scheduler!r} flush order"
+            )
+    return cell
+
+
+def _cell_from_json(cls: type, payload: Dict[str, Any]) -> Any:
+    """Rebuild a table cell from its journal payload (JSON round-trip safe).
+
+    JSON turns the schedule tuples into lists and integer dict keys into
+    strings; this restores both so a resumed cell compares equal to a
+    recomputed one.
+    """
+    data = dict(payload)
+    data["schedule"] = [tuple(entry) for entry in data["schedule"]]
+    if "utilization" in data:
+        data["utilization"] = {
+            int(device): value for device, value in data["utilization"].items()
+        }
+    return cls(**data)
 
 
 def _check_launch_cycles(
-    reference_cell: Any, cells: Iterable[Any], where: Callable[[Any], str]
+    grid: Sequence[tuple], cells: Sequence[Any], group: Callable[[tuple], Any]
 ) -> None:
     """The cross-cell invariant: each launch (by label) simulates the same
-    cycle count in every cell as in ``reference_cell``; ``where(cell)``
-    names a mismatching cell in the error."""
-    reference = {label: compute for label, *_, compute in reference_cell.schedule}
-    for cell in cells:
+    cycle count in every cell of a ``group`` as in the group's first cell."""
+    first: Dict[Any, Tuple[tuple, Dict[str, float]]] = {}
+    for coordinates, cell in zip(grid, cells, strict=True):
+        where, reference = first.setdefault(
+            group(coordinates),
+            (coordinates, {label: compute for label, *_, compute in cell.schedule}),
+        )
         for label, *_, compute in cell.schedule:
             if reference.get(label) != compute:
                 raise KernelError(
-                    f"launch {label!r} simulated {compute} cycles {where(cell)} "
-                    f"but {reference.get(label)} in the reference cell"
+                    f"launch {label!r} simulated {compute} cycles in cell "
+                    f"{coordinates} but {reference.get(label)} in cell {where}"
                 )
 
 
+def _run_sweep(
+    run_cell: Callable[..., Any],
+    cell_class: type,
+    grid: Sequence[tuple],
+    params: tuple,
+    config: GGPUConfig,
+    memory_bytes: int,
+    jobs: Optional[int],
+    group: Callable[[tuple], Any] = lambda coordinates: None,
+    book: Optional[SweepJournal] = None,
+    key: Callable[[tuple], str] = repr,
+) -> List[Any]:
+    """Run one cell per ``grid`` coordinate tuple; the cells, in grid order.
+
+    Each coordinate tuple ends with the cell's device count, and
+    ``run_cell((coordinates, params), pool, memo)`` — module level, so fan-out
+    workers can unpickle it — builds the cell's one queue and runs it.
+    Serially (``jobs == 1``), the widest pool the missing cells need is built
+    once and recycled by every cell's queue, and one :class:`LaunchMemo`
+    serves the whole call — it dies when the call returns, so repeated calls
+    do the same work.  Otherwise the cells fan out through ``parallel_map``
+    and each worker calls ``run_cell(task)`` on a fresh pool without a memo.
+
+    With a journal ``book``, cells recorded under ``key(coordinates)`` (by
+    default the coordinates' ``repr``; the journal's meta pins the rest of
+    the sweep) are served from it and only the missing ones run (see
+    :func:`~repro.runtime.checkpoint.run_journaled`).  Served or run, every
+    cell goes through the cross-cell cycle check within its
+    ``group(coordinates)``.
+    """
+    effective_jobs = jobs if jobs is not None else default_jobs()
+
+    def _run(todo: List[tuple], on_result: Callable[[int, Any], None]) -> None:
+        tasks = [(coordinates, params) for coordinates in todo]
+        if effective_jobs == 1 or len(tasks) <= 1:
+            widest = max((coordinates[-1] for coordinates in todo), default=0)
+            pool = [GGPUSimulator(config, memory_bytes=memory_bytes) for _ in range(widest)]
+            memo = LaunchMemo()
+            for position, task in enumerate(tasks):
+                on_result(position, run_cell(task, pool, memo))
+        else:
+            parallel_map(run_cell, tasks, jobs=effective_jobs, on_result=on_result)
+
+    cells = run_journaled(
+        book,
+        grid,
+        key,
+        _run,
+        encode=asdict,
+        decode=lambda payload: _cell_from_json(cell_class, payload),
+    )
+    _check_launch_cycles(grid, cells, group)
+    return cells
+
+
+# --------------------------------------------------------------------------- #
+# Independent-launch batch vs device count (PR 4)
+# --------------------------------------------------------------------------- #
 @dataclass
 class MultiDeviceCell:
     """One device-count cell of the multi-device table."""
@@ -178,30 +325,10 @@ class MultiDeviceTable:
         return baseline.makespan / cell.makespan
 
 
-def _schedule_entries(
-    queue: OutOfOrderQueue,
-) -> List[Tuple[str, int, float, float, float, float]]:
-    """The executed launches as JSON-friendly schedule tuples."""
-    return [
-        (
-            event.label,
-            int(event.device if event.device is not None else -1),
-            float(event.start_cycle),
-            float(event.end_cycle),
-            float(event.transfer_cycles),
-            float(event.compute_cycles),
-        )
-        for event in queue.schedule
-    ]
-
-
-def _run_cell_on_queue(
-    queue: OutOfOrderQueue,
-    kernels: Sequence[str],
-    scale: float,
-    seed: int,
-) -> MultiDeviceCell:
-    """Enqueue every kernel once (independent launches), verify, measure."""
+def _enqueue_suite(
+    queue: OutOfOrderQueue, kernels: Sequence[str], scale: float, seed: int
+) -> List[Check]:
+    """Enqueue every kernel once (independent launches); the outputs to check."""
     checks = []
     for name in kernels:
         spec = get_kernel_spec(name)
@@ -218,70 +345,26 @@ def _run_cell_on_queue(
             args[buffer_name] = buffers[buffer_name]
         queue.enqueue(spec.build(), workload.ndrange, args, label=name)
         for buffer_name, expected in workload.expected.items():
-            checks.append((name, buffer_name, buffers[buffer_name], expected))
-    queue.finish()
-    stats = queue.stats
-    makespan = stats.makespan  # before read-back charges: the batch makespan
-    cell = MultiDeviceCell(
-        device_count=queue.num_devices,
-        kernels=list(kernels),
-        makespan=makespan,
-        compute_cycles=stats.compute_cycles,
-        transfer_cycles=stats.transfer_cycles,
-        critical_path_cycles=stats.critical_path_cycles,
-        utilization=stats.device_utilization(),
-        mean_utilization=stats.utilization,
-        transfer_fraction=stats.transfer_fraction,
-        launches=stats.launches,
-        transfers_skipped=stats.transfers_skipped,
-        schedule=_schedule_entries(queue),
-    )
-    for kernel_name, buffer_name, buffer, expected in checks:
-        observed = queue.enqueue_read(buffer).astype(np.int64)
-        expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
-        if not np.array_equal(observed, expected_u32):
-            raise KernelError(
-                f"multi-device launch of {kernel_name!r} produced wrong values "
-                f"in {buffer_name!r} on {queue.num_devices} devices"
-            )
-    return cell
+            checks.append((f"{name}.{buffer_name}", buffers[buffer_name], expected))
+    return checks
 
 
-def _multidevice_cell_key(
-    count: int, names: Sequence[str], scale: float, seed: int, lpt: bool
-) -> str:
-    """Determinism digest of one multi-device cell (config/transfer live in
-    the journal meta, so the key only needs the per-cell coordinates)."""
-    return cell_key(
-        device_count=count, kernels=list(names), scale=scale, seed=seed, lpt=lpt
-    )
-
-
-def _cell_from_json(cls: type, payload: Dict[str, Any]) -> Any:
-    """Rebuild a table cell from its journal payload (JSON round-trip safe).
-
-    JSON turns the schedule tuples into lists and integer dict keys into
-    strings; this restores both so a resumed cell compares equal to a
-    recomputed one.
-    """
-    data = dict(payload)
-    data["schedule"] = [tuple(entry) for entry in data["schedule"]]
-    if "utilization" in data:
-        data["utilization"] = {
-            int(device): value for device, value in data["utilization"].items()
-        }
-    return cls(**data)
-
-
-def _run_cell_task(
+def _multidevice_cell(
     task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
 ) -> MultiDeviceCell:
-    """One cell (module level: picklable for the fan-out workers)."""
-    device_count, kernels, scale, seed, config, transfer, lpt = task
+    """One device-count cell (module level: picklable for the fan-out workers)."""
+    (device_count,), (kernels, scale, seed, config, transfer, lpt) = task
     queue = _cell_queue(
-        config, device_count, CELL_MEMORY_BYTES, pool, memo, transfer=transfer, lpt=lpt
+        config,
+        device_count,
+        CELL_MEMORY_BYTES,
+        pool,
+        memo,
+        transfer=transfer,
+        scheduler="lpt" if lpt else "fifo",
     )
-    return _run_cell_on_queue(queue, kernels, scale, seed)
+    checks = _enqueue_suite(queue, kernels, scale, seed)
+    return _finish_cell(MultiDeviceCell, queue, checks, kernels=list(kernels))
 
 
 def run_multidevice_table(
@@ -303,23 +386,18 @@ def run_multidevice_table(
     worker and simulate every launch.  The resulting table is
     bit-identical either way, and every launch's simulated cycle count is
     asserted identical across cells.  ``lpt=True`` drains each queue
-    longest-projected-time first, which tightens the makespan of this
-    mixed-size batch at 4+ devices.
+    longest-projected-time first (``scheduler="lpt"``), which tightens the
+    makespan of this mixed-size batch at 4+ devices.
 
     ``journal`` makes the sweep resumable (see
     :mod:`repro.runtime.checkpoint`): finished cells are persisted
     atomically as they complete, and a re-run recomputes only the missing
     ones.  Resumed cells still go through the cross-cell bit-exactness
-    assertion below.
+    assertion.
     """
-    if not device_counts:
-        raise KernelError("need at least one device count")
-    counts = list(device_counts)
-    if len(set(counts)) != len(counts):
-        raise KernelError(f"duplicate device counts: {counts}")
+    counts = _device_counts(device_counts)
     names = list(kernels) if kernels is not None else all_kernel_names()
     config = config or GGPUConfig()
-    effective_jobs = jobs if jobs is not None else default_jobs()
     transfer_model = transfer if transfer is not None else config.transfer
     book = open_journal(
         journal,
@@ -333,45 +411,23 @@ def run_multidevice_table(
             "transfer": asdict(transfer_model),
         },
     )
-
-    table = MultiDeviceTable(kernels=names, scale=scale)
-    missing = list(counts)
-    if book is not None:
-        missing = []
-        for count in counts:
-            cached = book.get(_multidevice_cell_key(count, names, scale, seed, lpt))
-            if cached is not None:
-                table.cells[count] = _cell_from_json(MultiDeviceCell, cached)
-            else:
-                missing.append(count)
-
-    def _collect(position: int, cell: MultiDeviceCell) -> None:
-        table.cells[cell.device_count] = cell
-        if book is not None:
-            key = _multidevice_cell_key(cell.device_count, names, scale, seed, lpt)
-            book.record(key, asdict(cell))
-
-    tasks = [
-        (count, tuple(names), scale, seed, config, transfer, lpt) for count in missing
-    ]
-    _run_cells(
-        _run_cell_task,
-        tasks,
+    grid = [(count,) for count in counts]
+    cells = _run_sweep(
+        _multidevice_cell,
+        MultiDeviceCell,
+        grid,
+        (tuple(names), scale, seed, config, transfer, lpt),
         config,
         CELL_MEMORY_BYTES,
-        max(missing, default=0),
-        effective_jobs,
-        _collect,
+        jobs,
+        book=book,
+        key=lambda coordinates: cell_key(
+            device_count=coordinates[0], kernels=names, scale=scale, seed=seed, lpt=lpt
+        ),
     )
-
-    # Bit-exactness across cells: the same launch simulates the same cycle
-    # count whatever the device count (addresses are allocated in lock-step).
-    _check_launch_cycles(
-        table.cell(min(table.cells)),
-        table.cells.values(),
-        lambda cell: f"on {cell.device_count} devices",
+    return MultiDeviceTable(
+        cells=dict(zip(counts, cells, strict=True)), kernels=names, scale=scale
     )
-    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -440,10 +496,10 @@ class PipelineTable:
         return self.cell("host", device_count).makespan / cell.makespan
 
 
-def _run_pipeline_on_queue(
+def _build_pipeline_dag(
     queue: OutOfOrderQueue, lanes: int, size: int, hints: Optional[Dict[int, int]]
-) -> PipelineCell:
-    """Build, run, and verify the two-stage shuffle DAG on one queue.
+) -> List[Check]:
+    """Enqueue the two-stage shuffle DAG; the outputs to check.
 
     Stage 1 runs one ``saxpy`` per lane; stage 2 runs one ``saxpy`` per lane
     whose ``y`` input is the *next* lane's stage-1 output, so at two or more
@@ -478,7 +534,7 @@ def _run_pipeline_on_queue(
         stage1_outs.append(out)
         stage1_hosts.append((alpha * x_host + y_host) & mask)
 
-    checks = []
+    checks: List[Check] = []
     for lane in range(lanes):
         peer = (lane + 1) % lanes
         device = hints.get(lane) if hints is not None else None
@@ -499,68 +555,35 @@ def _run_pipeline_on_queue(
             device=device,
         )
         expected = (beta * stage1_hosts[lane] + stage1_hosts[peer]) & mask
-        checks.append((lane, out, expected))
-    queue.finish()
-
-    stats = queue.stats
-    makespan = stats.makespan  # before read-back charges: the DAG makespan
-    cell = PipelineCell(
-        mode="",  # filled by the caller
-        device_count=queue.num_devices,
-        makespan=makespan,
-        compute_cycles=stats.compute_cycles,
-        transfer_cycles=stats.transfer_cycles,
-        critical_path_cycles=stats.critical_path_cycles,
-        transfers_to_device=stats.transfers_to_device,
-        transfers_from_device=stats.transfers_from_device,
-        transfers_p2p=stats.transfers_p2p,
-        transfers_skipped=stats.transfers_skipped,
-        schedule=_schedule_entries(queue),
-    )
-    for lane, buffer, expected in checks:
-        observed = queue.enqueue_read(buffer).astype(np.int64)
-        if not np.array_equal(observed, expected):
-            raise KernelError(
-                f"two-stage DAG lane {lane} produced wrong values on "
-                f"{queue.num_devices} devices"
-            )
-    return cell
+        checks.append((f"stage2[{lane}]", out, expected))
+    return checks
 
 
-def _pipeline_queue_options(
-    mode: str,
-    device_count: int,
-    lanes: int,
-    transfer: TransferConfig,
-    p2p_latency_cycles: int,
-    p2p_bytes_per_cycle: float,
-) -> Tuple[TransferConfig, bool, Optional[Dict[int, int]]]:
-    """(transfer model, LPT flag, lane→device hints) of one sweep mode."""
-    if mode == "host":
-        return transfer, False, None
-    p2p = transfer.with_p2p(p2p_latency_cycles, p2p_bytes_per_cycle)
-    if mode == "p2p":
-        return p2p, False, None
-    if mode == "p2p-prefetch":
-        hints = {lane: lane % device_count for lane in range(lanes)}
-        return p2p, True, hints
-    raise KernelError(f"unknown pipeline mode {mode!r}: pick from {PIPELINE_MODES}")
-
-
-def _run_pipeline_cell_task(
+def _pipeline_cell(
     task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
 ) -> PipelineCell:
-    """One (mode, device count) cell (module level: picklable)."""
-    mode, device_count, lanes, size, config, transfer, p2p_latency, p2p_bw = task
-    model, lpt, hints = _pipeline_queue_options(
-        mode, device_count, lanes, transfer, p2p_latency, p2p_bw
-    )
+    """One (mode, device count) cell (module level: picklable).
+
+    ``p2p`` and ``p2p-prefetch`` add the direct device↔device link;
+    ``p2p-prefetch`` also pins lane ``l`` to device ``l % device_count`` and
+    drains the queue longest-projected-time first.
+    """
+    (mode, device_count), (lanes, size, config, transfer) = task
+    if mode != "host":
+        transfer = transfer.with_p2p(P2P_LINK_LATENCY_CYCLES, P2P_LINK_BYTES_PER_CYCLE)
+    prefetch = mode == "p2p-prefetch"
     queue = _cell_queue(
-        config, device_count, CELL_MEMORY_BYTES, pool, memo, transfer=model, lpt=lpt
+        config,
+        device_count,
+        CELL_MEMORY_BYTES,
+        pool,
+        memo,
+        transfer=transfer,
+        scheduler="lpt" if prefetch else "fifo",
     )
-    cell = _run_pipeline_on_queue(queue, lanes, size, hints)
-    cell.mode = mode
-    return cell
+    hints = {lane: lane % device_count for lane in range(lanes)} if prefetch else None
+    checks = _build_pipeline_dag(queue, lanes, size, hints)
+    return _finish_cell(PipelineCell, queue, checks, mode=mode)
 
 
 def run_pipeline_table(
@@ -569,8 +592,6 @@ def run_pipeline_table(
     size: int = 512,
     config: Optional[GGPUConfig] = None,
     transfer: Optional[TransferConfig] = None,
-    p2p_latency_cycles: int = P2P_LINK_LATENCY_CYCLES,
-    p2p_bytes_per_cycle: float = P2P_LINK_BYTES_PER_CYCLE,
     modes: Sequence[str] = PIPELINE_MODES,
     jobs: Optional[int] = None,
     journal: Union[None, PathLike, SweepJournal] = None,
@@ -589,19 +610,14 @@ def run_pipeline_table(
     :mod:`repro.runtime.checkpoint`): a killed run recomputes only the
     (mode, device count) cells the journal has not recorded.
     """
-    if not device_counts:
-        raise KernelError("need at least one device count")
-    counts = list(device_counts)
-    if len(set(counts)) != len(counts):
-        raise KernelError(f"duplicate device counts: {counts}")
+    counts = _device_counts(device_counts)
     if lanes < 2:
         raise KernelError(f"the shuffle DAG needs at least two lanes, got {lanes}")
-    mode_list = list(modes)
+    mode_list = _known("pipeline mode", modes, PIPELINE_MODES)
     if "host" not in mode_list:
         raise KernelError("the pipeline sweep needs the 'host' baseline mode")
     config = config or GGPUConfig()
     base_transfer = transfer if transfer is not None else config.transfer
-    effective_jobs = jobs if jobs is not None else default_jobs()
     book = open_journal(
         journal,
         meta={
@@ -611,61 +627,27 @@ def run_pipeline_table(
             "modes": mode_list,
             "config": asdict(config),
             "transfer": asdict(base_transfer),
-            "p2p_latency_cycles": p2p_latency_cycles,
-            "p2p_bytes_per_cycle": p2p_bytes_per_cycle,
+            "p2p_latency_cycles": P2P_LINK_LATENCY_CYCLES,
+            "p2p_bytes_per_cycle": P2P_LINK_BYTES_PER_CYCLE,
         },
     )
-
-    table = PipelineTable(modes=mode_list, lanes=lanes, size=size)
     grid = [(mode, count) for mode in mode_list for count in counts]
-    missing = list(grid)
-    if book is not None:
-        missing = []
-        for mode, count in grid:
-            cached = book.get(cell_key(mode=mode, device_count=count))
-            if cached is not None:
-                table.cells[(mode, count)] = _cell_from_json(PipelineCell, cached)
-            else:
-                missing.append((mode, count))
-
-    def _collect(position: int, cell: PipelineCell) -> None:
-        table.cells[(cell.mode, cell.device_count)] = cell
-        if book is not None:
-            book.record(
-                cell_key(mode=cell.mode, device_count=cell.device_count), asdict(cell)
-            )
-
-    tasks = [
-        (
-            mode,
-            count,
-            lanes,
-            size,
-            config,
-            base_transfer,
-            p2p_latency_cycles,
-            p2p_bytes_per_cycle,
-        )
-        for mode, count in missing
-    ]
-    _run_cells(
-        _run_pipeline_cell_task,
-        tasks,
+    cells = _run_sweep(
+        _pipeline_cell,
+        PipelineCell,
+        grid,
+        (lanes, size, config, base_transfer),
         config,
         CELL_MEMORY_BYTES,
-        max((count for _, count in missing), default=0),
-        effective_jobs,
-        _collect,
+        jobs,
+        book=book,
+        key=lambda coordinates: cell_key(
+            mode=coordinates[0], device_count=coordinates[1]
+        ),
     )
-
-    # Bit-exactness across every mode and device count: transfers and hints
-    # reshape the schedule, never the simulated kernel cycles.
-    _check_launch_cycles(
-        table.cell(mode_list[0], min(counts)),
-        table.cells.values(),
-        lambda cell: f"in mode {cell.mode!r} at {cell.device_count} devices",
+    return PipelineTable(
+        cells=dict(zip(grid, cells, strict=True)), modes=mode_list, lanes=lanes, size=size
     )
-    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -748,7 +730,7 @@ class TopologyTable:
 
 def _build_layered_dag(
     queue: OutOfOrderQueue, width: int, depth: int, size: int, seed: int
-) -> List[Tuple[str, Any, np.ndarray]]:
+) -> List[Check]:
     """A layered inference-style DAG: a deep backbone next to wide heads.
 
     The *backbone* is a ``depth``-long chain of medium ``copy`` layers (each
@@ -762,7 +744,7 @@ def _build_layered_dag(
     """
     mask = 0xFFFFFFFF
     copy = get_kernel_spec("copy").build()
-    checks: List[Tuple[str, Any, np.ndarray]] = []
+    checks: List[Check] = []
     backbone_host = (np.arange(size, dtype=np.int64) * 7 + seed) & mask
     previous = queue.create_buffer(backbone_host)
     for layer in range(depth):
@@ -794,7 +776,7 @@ def _build_layered_dag(
 
 def _build_shuffle_dag(
     queue: OutOfOrderQueue, lanes: int, stages: int, size: int, seed: int
-) -> List[Tuple[str, Any, np.ndarray]]:
+) -> List[Check]:
     """A multi-stage shuffle: every stage mixes each lane with a shifted peer.
 
     Stage ``s`` of lane ``l`` runs ``saxpy`` over the stage ``s-1`` outputs of
@@ -852,88 +834,12 @@ def _build_shuffle_dag(
     ]
 
 
-def _run_topology_cell_on_queue(
-    queue: OutOfOrderQueue,
-    dag: str,
-    width: int,
-    depth: int,
-    size: int,
-    lanes: int,
-    stages: int,
-    seed: int,
-) -> TopologyCell:
-    """Build, run, and verify one DAG on one queue; snapshot the stats."""
-    if dag == "layered":
-        checks = _build_layered_dag(queue, width, depth, size, seed)
-    elif dag == "shuffle":
-        checks = _build_shuffle_dag(queue, lanes, stages, size, seed)
-    else:
-        raise KernelError(f"unknown topology DAG {dag!r}: pick from {TOPOLOGY_DAGS}")
-    queue.finish()
-    stats = queue.stats
-    makespan = stats.makespan  # before read-back charges: the DAG makespan
-    cell = TopologyCell(
-        dag=dag,
-        topology="",  # filled by the caller
-        scheduler=queue.scheduler,
-        device_count=queue.num_devices,
-        makespan=makespan,
-        compute_cycles=stats.compute_cycles,
-        transfer_cycles=stats.transfer_cycles,
-        critical_path_cycles=stats.critical_path_cycles,
-        mean_utilization=stats.utilization,
-        transfers_to_device=stats.transfers_to_device,
-        transfers_from_device=stats.transfers_from_device,
-        transfers_p2p=stats.transfers_p2p,
-        transfers_skipped=stats.transfers_skipped,
-        schedule=_schedule_entries(queue),
-    )
-    for label, buffer, expected in checks:
-        observed = queue.enqueue_read(buffer).astype(np.int64)
-        expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
-        if not np.array_equal(observed, expected_u32):
-            raise KernelError(
-                f"topology DAG {dag!r} produced wrong values in {label!r} with "
-                f"scheduler {queue.scheduler!r} on {queue.num_devices} devices"
-            )
-    return cell
-
-
-def _topology_queue_options(
-    topology_name: str, scheduler: str, device_count: int
-) -> Tuple[Topology, str]:
-    """(topology, scheduler) of one ablation cell, both validated."""
-    if scheduler not in TOPOLOGY_SCHEDULERS:
-        raise KernelError(
-            f"unknown ablation scheduler {scheduler!r}: pick from "
-            f"{TOPOLOGY_SCHEDULERS}"
-        )
-    return Topology.preset(topology_name, device_count), scheduler
-
-
-def _run_topology_cell_task(
+def _topology_cell(
     task: tuple, pool: Pool = None, memo: Optional[LaunchMemo] = None
 ) -> TopologyCell:
     """One ablation cell (module level: picklable)."""
-    (
-        dag,
-        topology_name,
-        scheduler,
-        device_count,
-        width,
-        depth,
-        size,
-        lanes,
-        stages,
-        seed,
-        config,
-        transfer,
-        prefetch_depth,
-        steal_seed,
-    ) = task
-    topology, scheduler = _topology_queue_options(
-        topology_name, scheduler, device_count
-    )
+    (dag, topology, scheduler, device_count), params = task
+    width, depth, size, lanes, stages, seed, config, transfer = params
     queue = _cell_queue(
         config,
         device_count,
@@ -942,15 +848,15 @@ def _run_topology_cell_task(
         memo,
         transfer=transfer,
         scheduler=scheduler,
-        topology=topology,
-        prefetch_depth=prefetch_depth,
-        steal_seed=steal_seed,
+        topology=Topology.preset(topology, device_count),
     )
-    cell = _run_topology_cell_on_queue(
-        queue, dag, width, depth, size, lanes, stages, seed
+    if dag == "layered":
+        checks = _build_layered_dag(queue, width, depth, size, seed)
+    else:
+        checks = _build_shuffle_dag(queue, lanes, stages, size, seed)
+    return _finish_cell(
+        TopologyCell, queue, checks, dag=dag, topology=topology, scheduler=scheduler
     )
-    cell.topology = topology_name
-    return cell
 
 
 def run_topology_table(
@@ -966,8 +872,6 @@ def run_topology_table(
     seed: int = DEFAULT_SEED,
     config: Optional[GGPUConfig] = None,
     transfer: Optional[TransferConfig] = None,
-    prefetch_depth: int = 0,
-    steal_seed: int = 0,
     jobs: Optional[int] = None,
 ) -> TopologyTable:
     """Measure the topology DAGs under every topology × scheduler cell.
@@ -987,20 +891,32 @@ def run_topology_table(
     bit-identical across every (topology, scheduler, device count) cell of
     its DAG — topology and scheduler choice reshape the schedule only.
     """
-    if not device_counts:
-        raise KernelError("need at least one device count")
-    counts = list(device_counts)
-    if len(set(counts)) != len(counts):
-        raise KernelError(f"duplicate device counts: {counts}")
-    dag_list = list(dags)
-    topology_list = list(topologies)
-    scheduler_list = list(schedulers)
+    counts = _device_counts(device_counts)
+    dag_list = _known("topology DAG", dags, TOPOLOGY_DAGS)
+    topology_list = _known("topology preset", topologies, TOPOLOGY_PRESETS)
+    scheduler_list = _known("ablation scheduler", schedulers, TOPOLOGY_SCHEDULERS)
     if "lpt" not in scheduler_list:
         raise KernelError("the topology ablation needs the 'lpt' baseline scheduler")
     config = config or GGPUConfig()
-    effective_jobs = jobs if jobs is not None else default_jobs()
-
-    table = TopologyTable(
+    grid = [
+        (dag, topology, scheduler, count)
+        for dag in dag_list
+        for topology in topology_list
+        for scheduler in scheduler_list
+        for count in counts
+    ]
+    cells = _run_sweep(
+        _topology_cell,
+        TopologyCell,
+        grid,
+        (width, depth, size, lanes, stages, seed, config, transfer),
+        config,
+        TOPOLOGY_CELL_MEMORY_BYTES,
+        jobs,
+        group=lambda coordinates: coordinates[0],  # one group per DAG
+    )
+    return TopologyTable(
+        cells=dict(zip(grid, cells, strict=True)),
         dags=dag_list,
         topologies=topology_list,
         schedulers=scheduler_list,
@@ -1010,55 +926,3 @@ def run_topology_table(
         lanes=lanes,
         stages=stages,
     )
-    grid = [
-        (dag, topology, scheduler, count)
-        for dag in dag_list
-        for topology in topology_list
-        for scheduler in scheduler_list
-        for count in counts
-    ]
-    tasks = [
-        (
-            dag,
-            topology,
-            scheduler,
-            count,
-            width,
-            depth,
-            size,
-            lanes,
-            stages,
-            seed,
-            config,
-            transfer,
-            prefetch_depth,
-            steal_seed,
-        )
-        for dag, topology, scheduler, count in grid
-    ]
-
-    def _collect(position: int, cell: TopologyCell) -> None:
-        table.cells[(cell.dag, cell.topology, cell.scheduler, cell.device_count)] = cell
-
-    _run_cells(
-        _run_topology_cell_task,
-        tasks,
-        config,
-        TOPOLOGY_CELL_MEMORY_BYTES,
-        max(counts),
-        effective_jobs,
-        _collect,
-    )
-
-    # The invariant, cell by cell: the same launch simulates the same cycle
-    # count in every (topology, scheduler, device count) cell of its DAG.
-    for dag in dag_list:
-        _check_launch_cycles(
-            table.cell(dag, topology_list[0], scheduler_list[0], min(counts)),
-            [cell for cell in table.cells.values() if cell.dag == dag],
-            lambda cell: (
-                f"with topology {cell.topology!r} / scheduler {cell.scheduler!r} "
-                f"at {cell.device_count} devices"
-            ),
-        )
-    return table

@@ -1,19 +1,21 @@
-"""CSV and Markdown exporters for every regenerated table and figure.
+"""One report type for every regenerated table and figure.
 
-The benchmark harness prints its tables to the terminal; this module writes
-the same data as files so results can be archived, diffed between runs, or
-dropped into a paper.  Every exporter takes the already-computed data object
-(synthesis results, routing estimates, Table-III measurements, speed-up
-series) -- nothing is recomputed here -- and :func:`write_report_bundle`
-writes one directory with everything it is given.
+Each table is described once, by a builder that turns the already-computed
+data object (synthesis results, routing estimates, Table-III measurements,
+speed-up series, sweep tables) into a :class:`Report` -- nothing is
+recomputed here.  A report renders as fixed-width text for the terminal, or
+as CSV and Markdown for archiving, diffing between runs, or dropping into a
+paper; all three share the report's header.  :func:`write_report_bundle`
+writes the CSV and Markdown of everything it is given into one directory.
 """
 
 from __future__ import annotations
 
-import csv
+import csv as csvlib
 import io
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.eval.benchmarks import Table3Data
 from repro.eval.comparison import SpeedupSeries
@@ -27,42 +29,74 @@ from repro.synth.report import SynthesisReportRow
 METAL_LAYERS = ("M2", "M3", "M4", "M5", "M6", "M7")
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _is_number(cell: Any) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
-def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [
-        "| " + " | ".join(str(cell) for cell in header) + " |",
-        "|" + "|".join("---" for _ in header) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class Report:
+    """One table: a title, a header, and rows of cells.
+
+    The title heads the terminal text only; the CSV and Markdown renderings
+    hold the header and the rows.
+    """
+
+    title: str
+    header: Sequence[str]
+    rows: Sequence[Sequence[Any]]
+
+    def csv(self) -> str:
+        """The table as CSV text."""
+        buffer = io.StringIO()
+        writer = csvlib.writer(buffer)
+        writer.writerow(self.header)
+        writer.writerows(self.rows)
+        return buffer.getvalue()
+
+    def markdown(self) -> str:
+        """The table as a Markdown table."""
+        lines = [
+            "| " + " | ".join(str(cell) for cell in self.header) + " |",
+            "|" + "|".join("---" for _ in self.header) + "|",
+        ]
+        for row in self.rows:
+            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        return "\n".join(lines) + "\n"
+
+    def text(self) -> str:
+        """The title, then the table as fixed-width text.
+
+        Columns of numbers are right-aligned, columns of labels left-aligned.
+        """
+        cells = [[str(cell) for cell in line] for line in [self.header, *self.rows]]
+        widths = [max(len(line[column]) for line in cells) for column in range(len(self.header))]
+        numeric = [
+            all(_is_number(line[column]) for line in cells[1:])
+            for column in range(len(self.header))
+        ]
+
+        def _line(line: List[str]) -> str:
+            padded = (
+                cell.rjust(width) if right else cell.ljust(width)
+                for cell, width, right in zip(line, widths, numeric, strict=True)
+            )
+            return " ".join(padded).rstrip()
+
+        header = _line(cells[0])
+        return "\n".join(
+            [self.title, header, "-" * len(header)] + [_line(line) for line in cells[1:]]
+        )
 
 
 # --------------------------------------------------------------------------- #
-# Table I
+# The paper's tables and figures
 # --------------------------------------------------------------------------- #
-_TABLE1_HEADER = (
-    "version",
-    "total_area_mm2",
-    "memory_area_mm2",
-    "num_ff",
-    "num_comb",
-    "num_memory",
-    "leakage_mw",
-    "dynamic_w",
-    "total_w",
-)
-
-
-def _table1_rows(results: Iterable[SynthesisResult]) -> List[Sequence]:
+def table1_report(results: Iterable[SynthesisResult]) -> Report:
+    """Table I: area, cell counts and power of every synthesized version."""
     rows = []
     for result in results:
         row = SynthesisReportRow.from_result(result)
@@ -79,92 +113,85 @@ def _table1_rows(results: Iterable[SynthesisResult]) -> List[Sequence]:
                 f"{row.total_w:.3f}",
             )
         )
-    return rows
+    header = (
+        "version",
+        "total_area_mm2",
+        "memory_area_mm2",
+        "num_ff",
+        "num_comb",
+        "num_memory",
+        "leakage_mw",
+        "dynamic_w",
+        "total_w",
+    )
+    return Report("Table I: logic synthesis of every version", header, rows)
 
 
-def table1_to_csv(results: Iterable[SynthesisResult]) -> str:
-    """Table I as CSV text."""
-    return _csv_text(_TABLE1_HEADER, _table1_rows(results))
-
-
-def table1_to_markdown(results: Iterable[SynthesisResult]) -> str:
-    """Table I as a Markdown table."""
-    return _markdown_table(_TABLE1_HEADER, _table1_rows(results))
-
-
-# --------------------------------------------------------------------------- #
-# Table II
-# --------------------------------------------------------------------------- #
-def _table2_rows(estimates: Sequence[RoutingEstimate]) -> List[Sequence]:
-    rows = []
-    for layer in METAL_LAYERS:
-        row: List = [layer]
-        for estimate in estimates:
-            row.append(f"{estimate.layer(layer):.0f}")
-        rows.append(row)
-    return rows
-
-
-def _table2_header(estimates: Sequence[RoutingEstimate]) -> List[str]:
-    return ["metal_layer"] + [
+def table2_report(estimates: Sequence[RoutingEstimate]) -> Report:
+    """Table II: routed wirelength per metal layer (um) of each layout."""
+    header = ["metal_layer"] + [
         f"{estimate.design}@{estimate.frequency_mhz:.0f}MHz_um" for estimate in estimates
     ]
+    rows = [
+        [layer] + [f"{estimate.layer(layer):.0f}" for estimate in estimates]
+        for layer in METAL_LAYERS
+    ]
+    return Report("Table II: wirelength per metal layer", header, rows)
 
 
-def table2_to_csv(estimates: Sequence[RoutingEstimate]) -> str:
-    """Table II (wirelength per metal layer) as CSV text."""
-    return _csv_text(_table2_header(estimates), _table2_rows(estimates))
-
-
-def table2_to_markdown(estimates: Sequence[RoutingEstimate]) -> str:
-    """Table II as a Markdown table."""
-    return _markdown_table(_table2_header(estimates), _table2_rows(estimates))
-
-
-# --------------------------------------------------------------------------- #
-# Table III
-# --------------------------------------------------------------------------- #
-def _table3_header(table: Table3Data) -> List[str]:
-    return (
-        ["kernel", "riscv_size", "gpu_size", "riscv_kcycles"]
-        + [f"gpu_{num_cus}cu_kcycles" for num_cus in table.cu_counts]
-    )
-
-
-def _table3_rows(table: Table3Data) -> List[Sequence]:
+def table3_report(table: Table3Data) -> Report:
+    """Table III: input sizes and cycle counts (k-cycles)."""
+    header = ["kernel", "riscv_size", "gpu_size", "riscv_kcycles"] + [
+        f"gpu_{num_cus}cu_kcycles" for num_cus in table.cu_counts
+    ]
     rows = []
     for kernel, row in table.rows.items():
-        cells: List = [kernel, row.riscv_size, row.gpu_size, f"{row.riscv.kcycles:.1f}"]
+        cells: List[Any] = [kernel, row.riscv_size, row.gpu_size, f"{row.riscv.kcycles:.1f}"]
         cells.extend(f"{row.gpu_kcycles(num_cus):.1f}" for num_cus in table.cu_counts)
         rows.append(cells)
-    return rows
+    return Report("Table III: input sizes and cycle counts", header, rows)
 
 
-def table3_to_csv(table: Table3Data) -> str:
-    """Table III (input sizes and cycle counts) as CSV text."""
-    return _csv_text(_table3_header(table), _table3_rows(table))
+def speedup_report(series: SpeedupSeries) -> Report:
+    """A speed-up (or energy-gain) series: Fig. 5, Fig. 6, or the energy gains."""
+    header = ["kernel"] + [f"{num_cus}cu" for num_cus in series.cu_counts]
+    rows = [
+        [kernel] + [f"{series.value(kernel, num_cus):.2f}" for num_cus in series.cu_counts]
+        for kernel in series.kernels
+    ]
+    return Report(f"{series.metric} over the RISC-V", header, rows)
 
 
-def table3_to_markdown(table: Table3Data) -> str:
-    """Table III as a Markdown table."""
-    return _markdown_table(_table3_header(table), _table3_rows(table))
+def energy_report(comparison: EnergyComparison) -> Report:
+    """Energy per run (mJ) and the energy-efficiency gain over the RISC-V."""
+    header = ["kernel", "riscv_energy_mj"]
+    for num_cus in comparison.cu_counts:
+        header.extend([f"gpu_{num_cus}cu_energy_mj", f"gpu_{num_cus}cu_gain"])
+    rows = []
+    for kernel in comparison.kernels:
+        cells: List[Any] = [kernel, f"{comparison.riscv[kernel].energy_mj:.4f}"]
+        for num_cus in comparison.cu_counts:
+            cells.append(f"{comparison.gpu[kernel][num_cus].energy_mj:.4f}")
+            cells.append(f"{comparison.gain(kernel, num_cus):.2f}")
+        rows.append(cells)
+    title = f"Energy per run at {comparison.frequency_mhz:.0f} MHz and gain over the RISC-V"
+    return Report(title, header, rows)
 
 
 # --------------------------------------------------------------------------- #
-# Multi-device makespan sweep (PR 4)
+# Multi-device sweeps (PRs 4, 5 and 8)
 # --------------------------------------------------------------------------- #
-_MULTIDEVICE_HEADER = (
-    "devices",
-    "makespan_kcycles",
-    "speedup",
-    "compute_kcycles",
-    "transfer_kcycles",
-    "transfer_fraction",
-    "mean_utilization",
-)
-
-
-def _multidevice_rows(table: MultiDeviceTable) -> List[Sequence]:
+def multidevice_report(table: MultiDeviceTable) -> Report:
+    """Makespan vs device count, with the speed-up over the smallest cell."""
+    header = (
+        "devices",
+        "makespan_kcycles",
+        "speedup",
+        "compute_kcycles",
+        "transfer_kcycles",
+        "transfer_fraction",
+        "mean_utilization",
+    )
     rows = []
     for count in table.device_counts:
         cell = table.cell(count)
@@ -179,34 +206,21 @@ def _multidevice_rows(table: MultiDeviceTable) -> List[Sequence]:
                 f"{cell.mean_utilization:.3f}",
             )
         )
-    return rows
+    title = f"Independent-launch batch: {len(table.kernels)} kernels at scale {table.scale}"
+    return Report(title, header, rows)
 
 
-def multidevice_to_csv(table: MultiDeviceTable) -> str:
-    """The makespan-vs-device-count sweep as CSV text."""
-    return _csv_text(_MULTIDEVICE_HEADER, _multidevice_rows(table))
-
-
-def multidevice_to_markdown(table: MultiDeviceTable) -> str:
-    """The makespan-vs-device-count sweep as a Markdown table."""
-    return _markdown_table(_MULTIDEVICE_HEADER, _multidevice_rows(table))
-
-
-# --------------------------------------------------------------------------- #
-# Two-stage-DAG transfer-mode sweep (PR 5)
-# --------------------------------------------------------------------------- #
-_PIPELINE_HEADER = (
-    "mode",
-    "devices",
-    "makespan_kcycles",
-    "improvement_vs_host",
-    "transfer_kcycles",
-    "p2p_transfers",
-    "readback_transfers",
-)
-
-
-def _pipeline_rows(table: PipelineTable) -> List[Sequence]:
+def pipeline_report(table: PipelineTable) -> Report:
+    """The two-stage DAG per transfer mode and device count."""
+    header = (
+        "mode",
+        "devices",
+        "makespan_kcycles",
+        "improvement_vs_host",
+        "transfer_kcycles",
+        "p2p_transfers",
+        "readback_transfers",
+    )
     rows = []
     for mode in table.modes:
         for count in table.device_counts:
@@ -222,36 +236,23 @@ def _pipeline_rows(table: PipelineTable) -> List[Sequence]:
                     cell.transfers_from_device,
                 )
             )
-    return rows
+    title = f"Two-stage shuffle DAG: {table.lanes} lanes of {table.size} words"
+    return Report(title, header, rows)
 
 
-def pipeline_to_csv(table: PipelineTable) -> str:
-    """The two-stage-DAG transfer-mode sweep as CSV text."""
-    return _csv_text(_PIPELINE_HEADER, _pipeline_rows(table))
-
-
-def pipeline_to_markdown(table: PipelineTable) -> str:
-    """The two-stage-DAG transfer-mode sweep as a Markdown table."""
-    return _markdown_table(_PIPELINE_HEADER, _pipeline_rows(table))
-
-
-# --------------------------------------------------------------------------- #
-# Topology × scheduler ablation (PR 8)
-# --------------------------------------------------------------------------- #
-_TOPOLOGY_HEADER = (
-    "dag",
-    "topology",
-    "scheduler",
-    "devices",
-    "makespan_kcycles",
-    "speedup_vs_lpt",
-    "transfer_kcycles",
-    "p2p_transfers",
-    "mean_utilization",
-)
-
-
-def _topology_rows(table: TopologyTable) -> List[Sequence]:
+def topology_report(table: TopologyTable) -> Report:
+    """The topology × scheduler ablation, with the speed-up over LPT."""
+    header = (
+        "dag",
+        "topology",
+        "scheduler",
+        "devices",
+        "makespan_kcycles",
+        "speedup_vs_lpt",
+        "transfer_kcycles",
+        "p2p_transfers",
+        "mean_utilization",
+    )
     rows = []
     for dag in table.dags:
         for topology in table.topologies:
@@ -271,57 +272,11 @@ def _topology_rows(table: TopologyTable) -> List[Sequence]:
                             f"{cell.mean_utilization:.3f}",
                         )
                     )
-    return rows
-
-
-def topology_to_csv(table: TopologyTable) -> str:
-    """The topology × scheduler ablation as CSV text."""
-    return _csv_text(_TOPOLOGY_HEADER, _topology_rows(table))
-
-
-def topology_to_markdown(table: TopologyTable) -> str:
-    """The topology × scheduler ablation as a Markdown table."""
-    return _markdown_table(_TOPOLOGY_HEADER, _topology_rows(table))
-
-
-# --------------------------------------------------------------------------- #
-# Figs. 5 / 6 and the energy extension
-# --------------------------------------------------------------------------- #
-def speedups_to_csv(series: SpeedupSeries) -> str:
-    """A speed-up (or energy-gain) series as CSV text."""
-    header = ["kernel"] + [f"{num_cus}cu" for num_cus in series.cu_counts]
-    rows = []
-    for kernel in series.kernels:
-        rows.append(
-            [kernel] + [f"{series.value(kernel, num_cus):.2f}" for num_cus in series.cu_counts]
-        )
-    return _csv_text(header, rows)
-
-
-def speedups_to_markdown(series: SpeedupSeries) -> str:
-    """A speed-up (or energy-gain) series as a Markdown table."""
-    header = ["kernel"] + [f"{num_cus} CU" for num_cus in series.cu_counts]
-    rows = []
-    for kernel in series.kernels:
-        rows.append(
-            [kernel] + [f"{series.value(kernel, num_cus):.2f}" for num_cus in series.cu_counts]
-        )
-    return _markdown_table(header, rows)
-
-
-def energy_to_csv(comparison: EnergyComparison) -> str:
-    """The energy comparison (per-run energy and gain) as CSV text."""
-    header = ["kernel", "riscv_energy_mj"]
-    for num_cus in comparison.cu_counts:
-        header.extend([f"gpu_{num_cus}cu_energy_mj", f"gpu_{num_cus}cu_gain"])
-    rows = []
-    for kernel in comparison.kernels:
-        cells: List = [kernel, f"{comparison.riscv[kernel].energy_mj:.4f}"]
-        for num_cus in comparison.cu_counts:
-            cells.append(f"{comparison.gpu[kernel][num_cus].energy_mj:.4f}")
-            cells.append(f"{comparison.gain(kernel, num_cus):.2f}")
-        rows.append(cells)
-    return _csv_text(header, rows)
+    title = (
+        f"Topology ablation: layered {table.width}x{table.depth}@{table.size}, "
+        f"shuffle {table.lanes}x{table.stages}@{table.size}"
+    )
+    return Report(title, header, rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -339,47 +294,32 @@ def write_report_bundle(
     pipeline: Optional[PipelineTable] = None,
     topology: Optional[TopologyTable] = None,
 ) -> Dict[str, str]:
-    """Write every provided table/figure as CSV (and Markdown) into ``directory``.
+    """Write every provided table/figure as CSV and Markdown into ``directory``.
 
     Returns the mapping from artifact name to file path; artifacts whose data
     was not provided are simply skipped.
     """
     os.makedirs(directory, exist_ok=True)
+    reports: List[Tuple[str, Any, Callable[[Any], Report]]] = [
+        ("table1", table1, table1_report),
+        ("table2", table2, table2_report),
+        ("table3", table3, table3_report),
+        ("figure5_speedup", figure5, speedup_report),
+        ("figure6_speedup_per_area", figure6, speedup_report),
+        ("energy_extension", energy, energy_report),
+        ("multidevice_makespan", multidevice, multidevice_report),
+        ("pipeline_transfer_modes", pipeline, pipeline_report),
+        ("topology_schedulers", topology, topology_report),
+    ]
     written: Dict[str, str] = {}
-
-    def _write(name: str, text: str) -> None:
-        # Atomic (temp + rename): a reader or a crashed run never sees a
-        # truncated artifact, only the previous or the new complete file.
-        path = os.path.join(directory, name)
-        atomic_write_text(path, text)
-        written[name] = path
-
-    if table1 is not None:
-        results = list(table1)
-        _write("table1.csv", table1_to_csv(results))
-        _write("table1.md", table1_to_markdown(results))
-    if table2 is not None:
-        _write("table2.csv", table2_to_csv(table2))
-        _write("table2.md", table2_to_markdown(table2))
-    if table3 is not None:
-        _write("table3.csv", table3_to_csv(table3))
-        _write("table3.md", table3_to_markdown(table3))
-    if figure5 is not None:
-        _write("figure5_speedup.csv", speedups_to_csv(figure5))
-        _write("figure5_speedup.md", speedups_to_markdown(figure5))
-    if figure6 is not None:
-        _write("figure6_speedup_per_area.csv", speedups_to_csv(figure6))
-        _write("figure6_speedup_per_area.md", speedups_to_markdown(figure6))
-    if energy is not None:
-        _write("energy_extension.csv", energy_to_csv(energy))
-        _write("energy_extension.md", speedups_to_markdown(energy.gain_series()))
-    if multidevice is not None:
-        _write("multidevice_makespan.csv", multidevice_to_csv(multidevice))
-        _write("multidevice_makespan.md", multidevice_to_markdown(multidevice))
-    if pipeline is not None:
-        _write("pipeline_transfer_modes.csv", pipeline_to_csv(pipeline))
-        _write("pipeline_transfer_modes.md", pipeline_to_markdown(pipeline))
-    if topology is not None:
-        _write("topology_schedulers.csv", topology_to_csv(topology))
-        _write("topology_schedulers.md", topology_to_markdown(topology))
+    for stem, data, build in reports:
+        if data is None:
+            continue
+        report = build(data)
+        for name, text in ((f"{stem}.csv", report.csv()), (f"{stem}.md", report.markdown())):
+            # Atomic (temp + rename): a reader or a crashed run never sees a
+            # truncated artifact, only the previous or the new complete file.
+            path = os.path.join(directory, name)
+            atomic_write_text(path, text)
+            written[name] = path
     return written

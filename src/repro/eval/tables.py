@@ -1,18 +1,18 @@
-"""Regeneration of the paper's three tables.
+"""Regeneration of the paper's synthesis and layout tables.
 
 * Table I -- the 12 versions after logic synthesis.
 * Table II -- wirelength per metal layer for the 4 physically implemented
   versions (the 8-CU 667 MHz target is reported at its achieved 600 MHz).
-* Table III -- benchmark input sizes and cycle counts for the RISC-V and the
-  G-GPU with 1/2/4/8 CUs.
+
+Table III (benchmark input sizes and cycle counts) is measured by
+:func:`repro.eval.benchmarks.run_table3`; every table renders through
+:mod:`repro.eval.reports`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.eval.benchmarks import Table3Data, run_table3
-from repro.eval.multidevice import MultiDeviceTable, PipelineTable, TopologyTable
 from repro.physical.layout import LayoutResult, PhysicalSynthesis
 from repro.physical.routing import RoutingEstimate
 from repro.planner.dse import DesignPoint, DesignSpaceExplorer
@@ -78,162 +78,3 @@ def build_table2(tech: Technology, layouts: Optional[List[LayoutResult]] = None)
         estimate.frequency_mhz = layout.achieved_frequency_mhz
         estimates.append(estimate)
     return estimates
-
-
-# --------------------------------------------------------------------------- #
-# Table III
-# --------------------------------------------------------------------------- #
-def build_table3(scale: float = 1.0, cu_counts: Sequence[int] = (1, 2, 4, 8)) -> Table3Data:
-    """Measure the benchmark cycle counts (``scale`` < 1 shrinks the inputs)."""
-    return run_table3(cu_counts=cu_counts, scale=scale)
-
-
-def format_multidevice_table(table: MultiDeviceTable) -> str:
-    """Render the makespan-vs-device-count sweep as fixed-width text.
-
-    One row per device count: makespan (k-cycles), speed-up over the smallest
-    cell, compute and transfer cycle totals, transfer share of busy cycles,
-    and mean device utilization.
-    """
-    header_cells = [
-        "Devices".rjust(7),
-        "Makespan k".rjust(11),
-        "Speedup".rjust(8),
-        "Compute k".rjust(10),
-        "Transfer k".rjust(11),
-        "Xfer %".rjust(7),
-        "Util %".rjust(7),
-    ]
-    header = " ".join(header_cells)
-    lines = [
-        f"Independent-launch batch: {len(table.kernels)} kernels at scale {table.scale}",
-        header,
-        "-" * len(header),
-    ]
-    for count in table.device_counts:
-        cell = table.cell(count)
-        lines.append(
-            " ".join(
-                [
-                    f"{count}".rjust(7),
-                    f"{cell.makespan_kcycles:.1f}".rjust(11),
-                    f"{table.speedup(count):.2f}x".rjust(8),
-                    f"{cell.compute_cycles / 1e3:.1f}".rjust(10),
-                    f"{cell.transfer_cycles / 1e3:.1f}".rjust(11),
-                    f"{100 * cell.transfer_fraction:.1f}".rjust(7),
-                    f"{100 * cell.mean_utilization:.1f}".rjust(7),
-                ]
-            )
-        )
-    return "\n".join(lines)
-
-
-def format_pipeline_table(table: PipelineTable) -> str:
-    """Render the two-stage-DAG transfer-mode sweep as fixed-width text.
-
-    One row per (transfer mode, device count): makespan (k-cycles), the
-    improvement over the host-hop baseline at the same device count, the
-    transfer cycle total, and the P2P / read-back copy counts.
-    """
-    header_cells = [
-        "Mode".ljust(13),
-        "Devices".rjust(7),
-        "Makespan k".rjust(11),
-        "vs host".rjust(8),
-        "Transfer k".rjust(11),
-        "P2P".rjust(5),
-        "Readback".rjust(9),
-    ]
-    header = " ".join(header_cells)
-    lines = [
-        f"Two-stage shuffle DAG: {table.lanes} lanes of {table.size} words",
-        header,
-        "-" * len(header),
-    ]
-    for mode in table.modes:
-        for count in table.device_counts:
-            cell = table.cell(mode, count)
-            lines.append(
-                " ".join(
-                    [
-                        mode.ljust(13),
-                        f"{count}".rjust(7),
-                        f"{cell.makespan_kcycles:.1f}".rjust(11),
-                        f"{table.improvement(mode, count):.2f}x".rjust(8),
-                        f"{cell.transfer_cycles / 1e3:.1f}".rjust(11),
-                        f"{cell.transfers_p2p}".rjust(5),
-                        f"{cell.transfers_from_device}".rjust(9),
-                    ]
-                )
-            )
-    return "\n".join(lines)
-
-
-def format_topology_table(table: TopologyTable) -> str:
-    """Render the topology × scheduler ablation as fixed-width text.
-
-    One row per (DAG, topology, scheduler, device count): makespan
-    (k-cycles), the improvement over LPT in the same (DAG, topology, device
-    count) cell, the transfer cycle total, the P2P copy count, and the mean
-    device utilization.
-    """
-    header_cells = [
-        "DAG".ljust(8),
-        "Topology".ljust(11),
-        "Scheduler".ljust(9),
-        "Devices".rjust(7),
-        "Makespan k".rjust(11),
-        "vs LPT".rjust(7),
-        "Transfer k".rjust(11),
-        "P2P".rjust(5),
-        "Util %".rjust(7),
-    ]
-    header = " ".join(header_cells)
-    lines = [
-        (
-            f"Topology ablation: layered {table.width}x{table.depth}@{table.size}, "
-            f"shuffle {table.lanes}x{table.stages}@{table.size}"
-        ),
-        header,
-        "-" * len(header),
-    ]
-    for dag in table.dags:
-        for topology in table.topologies:
-            for scheduler in table.schedulers:
-                for count in table.device_counts:
-                    cell = table.cell(dag, topology, scheduler, count)
-                    lines.append(
-                        " ".join(
-                            [
-                                dag.ljust(8),
-                                topology.ljust(11),
-                                scheduler.ljust(9),
-                                f"{count}".rjust(7),
-                                f"{cell.makespan_kcycles:.1f}".rjust(11),
-                                f"{table.speedup_vs_lpt(dag, topology, scheduler, count):.2f}x".rjust(7),
-                                f"{cell.transfer_cycles / 1e3:.1f}".rjust(11),
-                                f"{cell.transfers_p2p}".rjust(5),
-                                f"{100 * cell.mean_utilization:.1f}".rjust(7),
-                            ]
-                        )
-                    )
-    return "\n".join(lines)
-
-
-def format_table3(table: Table3Data) -> str:
-    """Render Table III as fixed-width text (cycle counts in k-cycles)."""
-    cu_counts = list(table.cu_counts)
-    header_cells = ["Kernel".ljust(14), "RISC-V size".rjust(12), "G-GPU size".rjust(12), "RISC-V".rjust(10)]
-    header_cells += [f"{num_cus}CU".rjust(10) for num_cus in cu_counts]
-    header = " ".join(header_cells)
-    lines = [header, "-" * len(header)]
-    for kernel, row in table.rows.items():
-        cells = [
-            kernel.ljust(14),
-            f"{row.riscv_size}".rjust(12),
-            f"{row.gpu_size}".rjust(12),
-            f"{row.riscv.kcycles:.0f}".rjust(10),
-        ]
-        cells += [f"{row.gpu_kcycles(num_cus):.0f}".rjust(10) for num_cus in cu_counts]
-        lines.append(" ".join(cells))
-    return "\n".join(lines)

@@ -199,7 +199,7 @@ class DesignSpaceExplorer:
         # Import here: the queue depends on the kernel library, which this
         # module must not pull in at import time for the pure-PPA flows.
         from repro.eval.benchmarks import BenchmarkSizes
-        from repro.runtime.checkpoint import cell_key, open_journal
+        from repro.runtime.checkpoint import cell_key, open_journal, run_journaled
         from repro.runtime.queue import BatchItem, BatchResult, QueueBatch, run_batch
 
         batches = []
@@ -220,37 +220,19 @@ class DesignSpaceExplorer:
                 "seed": seed,
             },
         )
-        measured: List[Optional[BatchResult]] = [None] * len(batches)
-        missing: List[int] = list(range(len(batches)))
-        keys: List[str] = []
-        if book is not None:
-            keys = [cell_key(num_cus=int(count)) for count in cu_counts]
-            missing = []
-            for index, key in enumerate(keys):
-                cached = book.get(key)
-                if cached is not None:
-                    measured[index] = BatchResult(**cached)
-                else:
-                    missing.append(index)
-
-        def _collect(position: int, result: BatchResult) -> None:
-            index = missing[position]
-            measured[index] = result
-            if book is not None:
-                book.record(
-                    keys[index],
-                    {
-                        "num_cus": result.num_cus,
-                        "cycles": [float(c) for c in result.cycles],
-                        "kernels": list(result.kernels),
-                    },
-                )
-
-        parallel_map(
-            run_batch,
-            [batches[index] for index in missing],
-            jobs=jobs,
-            on_result=_collect,
+        measured = run_journaled(
+            book,
+            batches,
+            key=lambda batch: cell_key(num_cus=int(batch.num_cus)),
+            run=lambda todo, on_result: parallel_map(
+                run_batch, todo, jobs=jobs, on_result=on_result
+            ),
+            encode=lambda result: {
+                "num_cus": result.num_cus,
+                "cycles": [float(c) for c in result.cycles],
+                "kernels": list(result.kernels),
+            },
+            decode=lambda payload: BatchResult(**payload),
         )
         # The PPA side is the same grid explore() already fans out.
         designs = self.explore(cu_counts, frequencies_mhz, jobs=jobs)

@@ -6,16 +6,18 @@ Two building blocks toward the ROADMAP's sweep-results service:
   ``os.replace`` file writes.  ``os.replace`` is atomic on POSIX and
   Windows, so a reader (or a re-run after a crash) sees either the old
   complete file or the new complete file, never a truncated hybrid.  Every
-  artifact writer in the repository (``BENCH_*.json``, the CSV/MD report
-  bundle, the smoke-sweep table, the determinism digests) routes through
-  these helpers.
+  artifact writer in the repository (the CSV/MD report bundle, the
+  smoke-sweep table, the determinism digests) routes through these
+  helpers.
 * :class:`SweepJournal` — a persistent record of completed sweep cells,
   keyed by a determinism digest of each cell's full configuration
   (:func:`cell_key`).  A sweep that is killed mid-run — including
   ``SIGKILL``, which no ``finally:`` survives — resumes by loading the
   journal and computing only the missing cells.  The journal file itself is
   rewritten atomically on every record, so at any kill point it holds a
-  complete, loadable set of finished cells.
+  complete, loadable set of finished cells.  :func:`run_journaled` is the
+  loop every journaled sweep shares: serve the recorded cells, run the
+  missing ones, record each as it lands.
 
 A journal is only valid for the exact sweep it was started for: the caller
 passes a ``meta`` mapping describing the sweep configuration, and a journal
@@ -33,11 +35,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
 
 PathLike = Union[str, Path]
+
+_TaskT = TypeVar("_TaskT")
+_ResultT = TypeVar("_ResultT")
 
 JOURNAL_FORMAT = "repro-sweep-journal-v1"
 
@@ -185,3 +190,43 @@ def open_journal(
             )
         return journal
     return SweepJournal(journal, meta=meta)
+
+
+def run_journaled(
+    book: Optional[SweepJournal],
+    tasks: Sequence[_TaskT],
+    key: Callable[[_TaskT], str],
+    run: Callable[[List[_TaskT], Callable[[int, _ResultT], None]], Any],
+    encode: Callable[[_ResultT], Any],
+    decode: Callable[[Any], _ResultT],
+) -> List[_ResultT]:
+    """Every task's result, in task order, computing only what ``book`` lacks.
+
+    Without a journal (``book is None``) every task runs.  Otherwise the
+    cells recorded under ``key(task)`` are served through ``decode`` and only
+    the others go to ``run(missing, on_result)``, which must call
+    ``on_result(position, result)`` once per missing task.  Each result is
+    recorded through ``encode`` the moment it lands, so a kill loses at most
+    the cells still in flight.
+    """
+    results: List[Any] = [None] * len(tasks)
+    missing = list(range(len(tasks)))
+    keys: List[str] = []
+    if book is not None:
+        keys = [key(task) for task in tasks]
+        missing = []
+        for index, task_key in enumerate(keys):
+            cached = book.get(task_key)
+            if cached is None:
+                missing.append(index)
+            else:
+                results[index] = decode(cached)
+
+    def _collect(position: int, result: _ResultT) -> None:
+        index = missing[position]
+        results[index] = result
+        if book is not None:
+            book.record(keys[index], encode(result))
+
+    run([tasks[index] for index in missing], _collect)
+    return results

@@ -15,8 +15,8 @@ one simulated G-GPU.  This module scales the same OpenCL execution model to
   whose dependencies are met overlap across devices.  The scheduler is
   deterministic (earliest projected start wins, ties break toward the lower
   device index), so repeated runs produce the same event-graph schedule and
-  cycle statistics.  An optional LPT flush order
-  (``OutOfOrderQueue(lpt=True)``) drains ready launches
+  cycle statistics.  ``scheduler=`` picks another flush order, e.g.
+  ``OutOfOrderQueue(scheduler="lpt")`` drains ready launches
   longest-projected-time first instead of enqueue order.
 * :class:`DeviceBuffer` — one logical buffer with a host image and per-device
   copies.  Residency tracking re-transfers a buffer to a device only when the
@@ -493,11 +493,6 @@ class MultiDeviceQueue:
         """Every root permanent failure this queue has recorded, in order."""
         return list(self._failures)
 
-    @property
-    def lpt(self) -> bool:
-        """Whether the LPT flush order is active (``scheduler == "lpt"``)."""
-        return self.scheduler == "lpt"
-
     # ------------------------------------------------------------------ #
     # Link costs (topology-aware when a Topology is attached)
     # ------------------------------------------------------------------ #
@@ -797,8 +792,8 @@ class MultiDeviceQueue:
 
         Commands are processed in enqueue order (a valid topological order of
         the event graph, since an event can only be waited on after it was
-        created) — or, with ``lpt=True``, longest-projected-time first among
-        the ready commands; each launch lands on its hinted device or the
+        created) — or, under another ``scheduler``, in that scheduler's
+        order among the ready commands; each launch lands on its hinted device or the
         one with the earliest projected start.  On an empty queue this is a
         cheap no-op.
 
@@ -1686,7 +1681,7 @@ class OutOfOrderQueue(MultiDeviceQueue):
     * ``"fifo"`` (default) — enqueue order.
     * ``"lpt"`` — longest-projected-time first: big launches grab devices
       before small ones, which tightens makespans for mixed independent
-      batches at 4+ devices.  ``lpt=True`` is the backward-compatible spelling.
+      batches at 4+ devices.
     * ``"heft"`` — HEFT upward-rank order over the event graph with per-link
       communication costs: the critical chain runs eagerly, which beats LPT
       on layered DAGs (a deep chain next to wide independent work) at 8+
@@ -1714,9 +1709,8 @@ class OutOfOrderQueue(MultiDeviceQueue):
         memory_bytes: int = 64 * 1024 * 1024,
         transfer: Optional[TransferConfig] = None,
         devices: Optional[Sequence[GGPUSimulator]] = None,
-        lpt: bool = False,
         faults: Optional[FaultPlan] = None,
-        scheduler: Optional[str] = None,
+        scheduler: str = "fifo",
         topology: Optional[Topology] = None,
         prefetch_depth: int = 0,
         steal_seed: int = 0,
@@ -1732,12 +1726,6 @@ class OutOfOrderQueue(MultiDeviceQueue):
             topology=topology,
             memo=memo,
         )
-        if scheduler is None:
-            scheduler = "lpt" if lpt else "fifo"
-        elif lpt and scheduler != "lpt":
-            raise KernelError(
-                f"conflicting flush orders: lpt=True but scheduler={scheduler!r}"
-            )
         if scheduler not in SCHEDULERS:
             raise KernelError(
                 f"unknown scheduler {scheduler!r}; choose from {', '.join(SCHEDULERS)}"

@@ -18,7 +18,7 @@ Every launch still starts from a cold cache and memory controller (the
 launch are bit-identical to the same launch on a fresh simulator — the queue
 saves host-side setup work, never simulated cycles.  ``tests/test_runtime_queue.py``
 pins that equivalence; ``benchmarks/test_bench_queue.py`` measures the
-speed-up and records it in ``BENCH_PR3.json``.
+speed-up and asserts it.
 
 For sweep-shaped work, :class:`QueueBatch` describes a whole queue's worth of
 library-kernel launches by name, and :func:`run_batches` fans a list of

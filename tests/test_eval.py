@@ -30,20 +30,13 @@ from repro.eval.paper_data import (
     paper_speedup,
     paper_speedup_per_area,
 )
-from repro.eval.multidevice import run_multidevice_table, run_pipeline_table
-from repro.eval.reports import (
-    multidevice_to_csv,
-    multidevice_to_markdown,
-    pipeline_to_csv,
-    pipeline_to_markdown,
+from repro.eval.multidevice import (
+    run_multidevice_table,
+    run_pipeline_table,
+    run_topology_table,
 )
-from repro.eval.tables import (
-    build_physical_versions,
-    build_table2,
-    format_multidevice_table,
-    format_pipeline_table,
-    format_table3,
-)
+from repro.eval.reports import multidevice_report, pipeline_report, table3_report
+from repro.eval.tables import build_physical_versions, build_table2
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +70,8 @@ def test_table3_structure(small_table3):
     assert row.gpu_kcycles(1) >= row.gpu_kcycles(2) * 0.9
     with pytest.raises(KernelError):
         small_table3.row("missing")
-    text = format_table3(small_table3)
-    assert "copy" in text and "RISC-V" in text
+    text = table3_report(small_table3).text()
+    assert "copy" in text and "riscv_kcycles" in text
 
 
 def test_multidevice_table_structure_and_rendering():
@@ -106,12 +99,13 @@ def test_multidevice_table_structure_and_rendering():
     with pytest.raises(KernelError):
         run_multidevice_table(device_counts=(2, 2))
 
-    text = format_multidevice_table(table)
-    assert "Devices" in text and "Makespan" in text and "2 kernels" in text
-    csv_text = multidevice_to_csv(table)
+    report = multidevice_report(table)
+    text = report.text()
+    assert "devices" in text and "makespan_kcycles" in text and "2 kernels" in text
+    csv_text = report.csv()
     assert csv_text.splitlines()[0].startswith("devices,makespan_kcycles,speedup")
     assert len(csv_text.strip().splitlines()) == 3
-    markdown = multidevice_to_markdown(table)
+    markdown = report.markdown()
     assert markdown.startswith("| devices |")
 
 
@@ -153,12 +147,13 @@ def test_pipeline_table_modes_structure_and_rendering():
     with pytest.raises(KernelError):
         run_pipeline_table(device_counts=(1,), lanes=4, size=128, modes=("p2p",))
 
-    text = format_pipeline_table(table)
-    assert "Mode" in text and "p2p-prefetch" in text and "4 lanes" in text
-    csv_text = pipeline_to_csv(table)
+    report = pipeline_report(table)
+    text = report.text()
+    assert "mode" in text and "p2p-prefetch" in text and "4 lanes" in text
+    csv_text = report.csv()
     assert csv_text.splitlines()[0].startswith("mode,devices,makespan_kcycles")
     assert len(csv_text.strip().splitlines()) == 1 + 3 * 2
-    markdown = pipeline_to_markdown(table)
+    markdown = report.markdown()
     assert markdown.startswith("| mode |")
 
 
@@ -232,8 +227,7 @@ def test_paper_data_consistency():
 
 def test_topology_table_structure_and_rendering():
     from repro.eval.multidevice import run_topology_table
-    from repro.eval.reports import topology_to_csv, topology_to_markdown
-    from repro.eval.tables import format_topology_table
+    from repro.eval.reports import topology_report
 
     table = run_topology_table(
         device_counts=(2, 4),
@@ -268,12 +262,13 @@ def test_topology_table_structure_and_rendering():
     with pytest.raises(KernelError):
         run_topology_table(device_counts=(2,), schedulers=("heft",))
 
-    text = format_topology_table(table)
-    assert "Topology" in text and "stealing" in text and "vs LPT" in text
-    csv_text = topology_to_csv(table)
+    report = topology_report(table)
+    text = report.text()
+    assert "topology" in text and "stealing" in text and "speedup_vs_lpt" in text
+    csv_text = report.csv()
     assert csv_text.splitlines()[0].startswith("dag,topology,scheduler,devices")
     assert len(csv_text.strip().splitlines()) == 1 + 2 * 3 * 3 * 2
-    markdown = topology_to_markdown(table)
+    markdown = report.markdown()
     assert markdown.startswith("| dag |")
 
 
@@ -310,3 +305,19 @@ def test_topology_table_simulates_each_distinct_launch_once(simulated_launches):
     }
     assert len(simulated_launches) == len(distinct)
     assert sum(len(cell.schedule) for cell in table.cells.values()) > len(distinct)
+
+
+@pytest.mark.parametrize(
+    "sweep, options",
+    [
+        (run_pipeline_table, {"lanes": 4, "size": 128, "modes": ("host", "bogus")}),
+        (run_topology_table, {**SMALL_TOPOLOGY, "schedulers": ("lpt", "bogus")}),
+        (run_topology_table, {**SMALL_TOPOLOGY, "dags": ("layered", "bogus")}),
+        (run_topology_table, {**SMALL_TOPOLOGY, "topologies": ("flat", "bogus")}),
+    ],
+    ids=["pipeline-mode", "scheduler", "dag", "topology"],
+)
+def test_unknown_grid_coordinates_fail_before_any_cell_runs(simulated_launches, sweep, options):
+    with pytest.raises(KernelError):
+        sweep(jobs=1, **{"device_counts": (1, 2), **options})
+    assert simulated_launches == []

@@ -13,19 +13,15 @@ from repro.eval.comparison import compute_area_ratios, compute_speedups, derate_
 from repro.eval.energy import (
     EnergyFigures,
     build_energy_comparison,
-    format_energy_table,
     riscv_power_w,
     synthesized_power_w,
 )
 from repro.eval.reports import (
-    energy_to_csv,
-    speedups_to_csv,
-    speedups_to_markdown,
-    table1_to_csv,
-    table1_to_markdown,
-    table2_to_csv,
-    table3_to_csv,
-    table3_to_markdown,
+    energy_report,
+    speedup_report,
+    table1_report,
+    table2_report,
+    table3_report,
     write_report_bundle,
 )
 from repro.eval.tables import build_table1, build_table2
@@ -86,8 +82,8 @@ def test_energy_gain_series_and_text_table(energy_comparison):
     series = energy_comparison.gain_series()
     assert series.metric == "energy_gain"
     assert series.value("copy", 2) == pytest.approx(energy_comparison.gain("copy", 2))
-    text = format_energy_table(energy_comparison)
-    assert "Kernel" in text and "copy" in text and "gain" in text
+    text = energy_report(energy_comparison).text()
+    assert "kernel" in text and "copy" in text and "gain" in text
 
 
 # --------------------------------------------------------------------------- #
@@ -99,42 +95,43 @@ def _parse_csv(text: str):
 
 def test_table1_exports(tech):
     results = build_table1(tech, cu_counts=(1,), frequencies_mhz=(500.0,))
-    rows = _parse_csv(table1_to_csv(results))
+    report = table1_report(results)
+    rows = _parse_csv(report.csv())
     assert rows[0][0] == "version"
     assert rows[1][0] == "1@500MHz"
     assert len(rows) == 2
-    markdown = table1_to_markdown(results)
+    markdown = report.markdown()
     assert markdown.count("|") > 10
     assert "1@500MHz" in markdown
 
 
 def test_table2_export_lists_six_metal_layers(tech):
     estimates = build_table2(tech)
-    rows = _parse_csv(table2_to_csv(estimates))
+    rows = _parse_csv(table2_report(estimates).csv())
     assert [row[0] for row in rows[1:]] == ["M2", "M3", "M4", "M5", "M6", "M7"]
     assert len(rows[0]) == 1 + len(estimates)
 
 
 def test_table3_and_speedup_exports(small_table3, tech):
-    rows = _parse_csv(table3_to_csv(small_table3))
+    rows = _parse_csv(table3_report(small_table3).csv())
     assert rows[0][:3] == ["kernel", "riscv_size", "gpu_size"]
     assert {row[0] for row in rows[1:]} == {"copy", "div_int"}
-    assert "copy" in table3_to_markdown(small_table3)
+    assert "copy" in table3_report(small_table3).markdown()
 
     speedups = compute_speedups(small_table3)
-    csv_rows = _parse_csv(speedups_to_csv(speedups))
+    csv_rows = _parse_csv(speedup_report(speedups).csv())
     assert csv_rows[0] == ["kernel", "1cu", "2cu"]
-    markdown = speedups_to_markdown(speedups)
+    markdown = speedup_report(speedups).markdown()
     assert "| kernel |" in markdown
 
     ratios = compute_area_ratios(tech, cu_counts=(1, 2))
     derated = derate_by_area(speedups, ratios)
-    derated_rows = _parse_csv(speedups_to_csv(derated))
+    derated_rows = _parse_csv(speedup_report(derated).csv())
     assert float(derated_rows[1][1]) < float(csv_rows[1][1])
 
 
 def test_energy_csv_export(energy_comparison):
-    rows = _parse_csv(energy_to_csv(energy_comparison))
+    rows = _parse_csv(energy_report(energy_comparison).csv())
     assert rows[0][0] == "kernel"
     assert len(rows) == 1 + len(energy_comparison.kernels)
     assert all(len(row) == len(rows[0]) for row in rows)

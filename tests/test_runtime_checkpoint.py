@@ -2,20 +2,26 @@
 
 Covers :mod:`repro.runtime.checkpoint` directly — atomic writes, cell keys,
 journal round-trips, meta validation, corruption handling — and then the
-end-to-end resume contract on a real sweep: a journaled
-:func:`repro.eval.benchmarks.run_table3` interrupted after some cells
-recomputes only the missing ones and reproduces the uninterrupted table
-bit-exactly.
+end-to-end resume contract on real sweeps: a journaled
+:func:`repro.eval.benchmarks.run_table3`, :func:`run_multidevice_table` or
+:func:`run_pipeline_table` interrupted after some cells recomputes only the
+missing ones and reproduces the uninterrupted table bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eval.benchmarks import run_table3
+from repro.eval.benchmarks import DEFAULT_SEED, run_table3
+from repro.eval.multidevice import (
+    PIPELINE_MODES,
+    run_multidevice_table,
+    run_pipeline_table,
+)
 from repro.runtime.checkpoint import (
     JOURNAL_FORMAT,
     SweepJournal,
@@ -230,3 +236,60 @@ def test_table3_journal_rejects_mismatched_sweep_config(tmp_path):
     # At least one key differs (saxpy's input size changes with the scale),
     # so a merge would have left more than one sweep's worth of cells.
     assert set(after["cells"]) != set(before["cells"])
+
+
+# Each multi-device sweep, its journal keys, the index of the key to drop,
+# and how many launches the one missing cell simulates on resume.
+MULTIDEVICE_RESUME = (
+    run_multidevice_table,
+    {"device_counts": (1, 2), "kernels": ["copy", "dot"], "scale": 0.125, "jobs": 1},
+    [
+        cell_key(
+            device_count=count,
+            kernels=["copy", "dot"],
+            scale=0.125,
+            seed=DEFAULT_SEED,
+            lpt=False,
+        )
+        for count in (1, 2)
+    ],
+    1,
+    2,
+)
+PIPELINE_RESUME = (
+    run_pipeline_table,
+    {"device_counts": (1, 2), "lanes": 4, "size": 128, "jobs": 1},
+    [
+        cell_key(mode=mode, device_count=count)
+        for mode in PIPELINE_MODES
+        for count in (1, 2)
+    ],
+    3,
+    8,
+)
+
+
+@pytest.mark.parametrize(
+    "sweep", [MULTIDEVICE_RESUME, PIPELINE_RESUME], ids=["multidevice", "pipeline"]
+)
+def test_multidevice_sweeps_resume_only_missing_cells(tmp_path, simulated_launches, sweep):
+    run, kwargs, keys, dropped, launches = sweep
+    path = tmp_path / "journal.json"
+    reference = run(**kwargs)
+    run(journal=path, **kwargs)
+    on_disk = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(on_disk["cells"]) == sorted(keys)
+
+    # Lose one cell, then resume: only that cell's launches are simulated.
+    dropped_payload = on_disk["cells"].pop(keys[dropped])
+    atomic_write_json(path, on_disk)
+    journal = open_journal(path, meta=on_disk["meta"])
+    simulated_launches.clear()
+    resumed = run(journal=journal, **kwargs)
+    assert journal.hits == len(keys) - 1 and journal.misses == 1
+    assert len(simulated_launches) == launches
+    assert json.loads(path.read_text(encoding="utf-8"))["cells"][keys[dropped]] == dropped_payload
+
+    assert set(resumed.cells) == set(reference.cells)
+    for key in reference.cells:
+        assert asdict(resumed.cells[key]) == asdict(reference.cells[key])

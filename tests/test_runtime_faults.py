@@ -52,7 +52,7 @@ def _queue(num_devices=2, faults=None, cls=OutOfOrderQueue, lpt=False):
         "faults": faults,
     }
     if cls is OutOfOrderQueue:
-        kwargs["lpt"] = lpt
+        kwargs["scheduler"] = "lpt" if lpt else "fifo"
     return cls(**kwargs)
 
 

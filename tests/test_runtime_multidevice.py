@@ -464,7 +464,10 @@ def test_lpt_flush_order_runs_long_launches_first():
     results = {}
     for lpt in (False, True):
         queue = OutOfOrderQueue(
-            config=GGPUConfig(num_cus=1), num_devices=1, memory_bytes=MEM, lpt=lpt
+            config=GGPUConfig(num_cus=1),
+            num_devices=1,
+            memory_bytes=MEM,
+            scheduler="lpt" if lpt else "fifo",
         )
         kernel = get_kernel_spec("copy").build()
         small_src = queue.create_buffer(np.arange(N))
@@ -499,7 +502,7 @@ def test_lpt_flush_order_runs_long_launches_first():
 
 def test_lpt_respects_event_dependencies():
     queue = OutOfOrderQueue(
-        config=GGPUConfig(num_cus=1), num_devices=2, memory_bytes=MEM, lpt=True
+        config=GGPUConfig(num_cus=1), num_devices=2, memory_bytes=MEM, scheduler="lpt"
     )
     kernel = get_kernel_spec("copy").build()
     big_n = 4 * N

@@ -438,20 +438,12 @@ def test_scheduler_name_validation_and_lpt_compat():
             memory_bytes=8 * 1024 * 1024,
             scheduler="random",
         )
-    with pytest.raises(KernelError):  # conflicting flush orders
-        OutOfOrderQueue(
-            config=GGPUConfig(num_cus=1),
-            num_devices=2,
-            memory_bytes=8 * 1024 * 1024,
-            lpt=True,
-            scheduler="heft",
-        )
-    # The legacy boolean still works and maps onto the scheduler name.
+    # LPT has one spelling, the scheduler name; the default is enqueue order.
     queue = OutOfOrderQueue(
         config=GGPUConfig(num_cus=1),
         num_devices=2,
         memory_bytes=8 * 1024 * 1024,
-        lpt=True,
+        scheduler="lpt",
     )
     assert queue.scheduler == "lpt"
-    assert queue.lpt is True
+    assert OutOfOrderQueue(config=GGPUConfig(num_cus=1)).scheduler == "fifo"

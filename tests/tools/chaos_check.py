@@ -57,7 +57,7 @@ def run_batch(
     seed: int,
     faults: Optional[FaultPlan],
     topology_name: Optional[str] = None,
-    scheduler: Optional[str] = None,
+    scheduler: str = "fifo",
 ) -> Dict[str, object]:
     """Run the whole kernel suite once; verify outputs; return the metrics."""
     topology = (

@@ -29,7 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.eval.benchmarks import run_table3  # noqa: E402
-from repro.eval.tables import format_table3  # noqa: E402
+from repro.eval.reports import table3_report  # noqa: E402
 from repro.kernels import all_kernel_names  # noqa: E402
 from repro.runtime.checkpoint import atomic_write_text  # noqa: E402
 
@@ -76,7 +76,7 @@ def main() -> int:
             if not gpu.cycles > 0:
                 raise SystemExit(f"non-positive G-GPU cycles for {kernel} at {num_cus} CUs")
 
-    rendered = format_table3(table)
+    rendered = table3_report(table).text()
     header = (
         f"smoke sweep ok: {len(table.rows)} kernels x (RISC-V + "
         f"{len(cu_counts)} CU counts) at scale {args.scale} in {elapsed:.1f}s"
