@@ -11,10 +11,11 @@ multi-cycle serial divider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
-from repro.riscv.decode import RvDecodedProgram, predecode_riscv_program
+from repro.riscv.decode import BlockFault, RvDecodedProgram, predecode_riscv_program
 from repro.riscv.isa import RvFormat, RvInstruction, RvOpcode
 from repro.riscv.assembler import RvProgram
 from repro.riscv.memory import RvMemory
@@ -96,9 +97,9 @@ class RiscvCpu:
     Two execution paths produce bit-identical results, cycle counts, and
     statistics:
 
-    * the *pre-decoded* path (default): the program is resolved once into
-      per-instruction handler closures (:mod:`repro.riscv.decode`) and the
-      run loop is a tight threaded dispatch with flat-array opcode counters,
+    * the *pre-decoded* path (default): each basic block is translated into
+      a Python function the first time it runs (:mod:`repro.riscv.decode`),
+      and the run loop does one lookup and one call per block,
     * the *interpreted* path (``predecode = False``): the seed interpreter,
       which re-derives the opcode class and cycle cost per executed
       instruction.  It is kept as the reference for the equivalence tests,
@@ -143,10 +144,11 @@ class RiscvCpu:
     ) -> CpuStats:
         """Execute ``program`` until EBREAK; returns the statistics.
 
-        ``decoded`` lets callers reuse one :class:`RvDecodedProgram` across
-        runs (it must have been decoded against this CPU's cycle model); when
-        omitted the program is decoded on entry, which is microseconds of
-        work for the benchmark-sized programs.
+        ``decoded`` lets callers reuse one :class:`RvDecodedProgram`, and the
+        blocks it has translated, across runs.  It must have been decoded
+        from ``program`` against this CPU's cycle model, or the run raises
+        :class:`SimulationError`.  When omitted the program is decoded on
+        entry, and each block is translated when it first runs.
         """
         self.pc = entry_pc
         self.halted = False
@@ -161,67 +163,87 @@ class RiscvCpu:
         entry_pc: int,
         decoded: Optional[RvDecodedProgram],
     ) -> CpuStats:
-        """Threaded-dispatch run loop over the pre-decoded handler table."""
+        """Run loop over the translated blocks of :mod:`repro.riscv.decode`."""
         if decoded is None:
             decoded = predecode_riscv_program(program, self.cycle_model)
-        # The handlers assume masked register values (they skip the seed
+        elif decoded.instructions != program.instructions or (
+            decoded.cycle_model != self.cycle_model
+        ):
+            raise SimulationError(
+                f"decoded program {decoded.name!r} was decoded from other instructions "
+                "or for another cycle model"
+            )
+        # Blocks assume masked register values (they skip the seed
         # interpreter's per-read ``& WORD_MASK``); normalize any externally
-        # poked state once.  x0 is folded to 0 at decode time and never read
-        # or written through the register list.
+        # poked state once.
         regs = self.registers
         for index in range(32):
             regs[index] &= WORD_MASK
         memory = self.memory
-        handlers = decoded.handlers
-        mnemonic_indices = decoded.mnemonic_indices
-        counts = [0] * len(decoded.mnemonics)
+        words, size = memory._words, memory.size_bytes
+        blocks = decoded.blocks
+        counts = [0] * (2 * len(decoded))
         limit = self.max_instructions
-        size_bytes = 4 * len(handlers)
         pc = entry_pc
-        instructions = 0
-        cycles = 0
-        taken_branches = 0
+        partial = 0  # instructions up to ``pc`` that a block stopped part-way ran
+        fault_address = None
         try:
             while True:
-                if instructions >= limit:
+                # One checked step, in the seed interpreter's order: the
+                # instruction limit, then the PC, then a block that the limit
+                # would cut.
+                room = limit - decoded.retired(counts)
+                if room <= 0:
                     raise SimulationError("RISC-V simulation exceeded the instruction limit")
-                if not 0 <= pc < size_bytes:
-                    raise SimulationError(f"PC {pc:#x} is outside the program")
-                if pc & 3:
-                    raise SimulationError(
-                        f"misaligned PC {pc:#x}: instruction addresses must be 4-byte aligned"
-                    )
-                index = pc >> 2
-                handler = handlers[index]
-                if handler is None:  # EBREAK: halt
-                    counts[mnemonic_indices[index]] += 1
-                    instructions += 1
-                    cycles += decoded.ebreak_cost
-                    pc += 4
+                if pc not in blocks:
+                    if not 0 <= pc < 4 * len(decoded):
+                        raise SimulationError(f"PC {pc:#x} is outside the program")
+                    if pc & 3:
+                        raise SimulationError(
+                            f"misaligned PC {pc:#x}: instruction addresses must be 4-byte aligned"
+                        )
+                length = decoded.block_length(pc)
+                if length > room:
+                    partial = room
+                    decoded.compile_block(pc, room, counted=False)(regs, words, counts, size)
+                    pc += 4 * room
+                    raise SimulationError("RISC-V simulation exceeded the instruction limit")
+                pc = decoded.translate(pc)(regs, words, counts, size)
+                # Then whole blocks that cannot reach the limit, one lookup and
+                # one call each, until a PC without a translated block: the
+                # complement an EBREAK returns, a new block or a bad PC.
+                try:
+                    for _ in repeat(None, (room - length) // decoded.longest_block):
+                        pc = blocks[pc](regs, words, counts, size)
+                except KeyError:
+                    pass
+                if pc < 0:
+                    pc = ~pc
                     self.halted = True
                     break
-                next_pc, cost, taken = handler(regs, memory)
-                counts[mnemonic_indices[index]] += 1
-                instructions += 1
-                cycles += cost
-                taken_branches += taken
-                pc = next_pc
+        except BlockFault as fault:
+            partial, fault_address = fault.args
+            pc += 4 * partial
         finally:
-            # Materialize the statistics exactly once (also on errors, so the
-            # partial counts match what the interpreted path would have
-            # accumulated instruction by instruction).
-            mnemonics = decoded.mnemonics
+            # Fold the counts into statistics exactly once, also on errors, so
+            # the partial counts match what the seed interpreter accumulates
+            # instruction by instruction.
+            instructions, cycles, taken_branches, mnemonic_counts = decoded.fold(
+                counts, pc - 4 * partial, partial
+            )
             self.stats = CpuStats(
                 instructions=instructions,
                 cycles=cycles,
-                loads=counts[decoded.load_index] if decoded.load_index >= 0 else 0,
-                stores=counts[decoded.store_index] if decoded.store_index >= 0 else 0,
+                loads=mnemonic_counts.get("lw", 0),
+                stores=mnemonic_counts.get("sw", 0),
                 taken_branches=taken_branches,
-                mnemonic_counts={
-                    mnemonics[slot]: count for slot, count in enumerate(counts) if count
-                },
+                mnemonic_counts=mnemonic_counts,
             )
             self.pc = pc
+        if fault_address is not None:
+            # The block's inlined address check failed, so the memory's own
+            # check raises its error for the same address.
+            memory.word_index(fault_address)
         return self.stats
 
     def _run_interpreted(self, program: RvProgram) -> CpuStats:

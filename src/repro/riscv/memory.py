@@ -25,7 +25,9 @@ class RvMemory:
         if size_bytes <= 0 or size_bytes % WORD_BYTES:
             raise SimulationError(f"memory size must be a positive multiple of 4, got {size_bytes}")
         self.size_bytes = size_bytes
-        self._words = np.zeros(size_bytes // WORD_BYTES, dtype=np.int64)
+        # A list of unsigned 32-bit values, which the ISS's translated blocks
+        # index directly.
+        self._words = [0] * (size_bytes // WORD_BYTES)
         self._next_alloc = WORD_BYTES
 
     def allocate(self, num_words: int, align_bytes: int = 4) -> int:
@@ -47,27 +49,28 @@ class RvMemory:
     def write_buffer(self, base_addr: int, values: Sequence[int]) -> None:
         """Initialize a buffer from host data."""
         data = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
-        index = self._index(base_addr)
-        if index + data.size > self._words.size:
+        index = self.word_index(base_addr)
+        if index + data.size > len(self._words):
             raise SimulationError(f"write of {data.size} words at {base_addr:#x} overflows memory")
-        self._words[index : index + data.size] = data
+        self._words[index : index + data.size] = data.ravel().tolist()
 
     def read_buffer(self, base_addr: int, num_words: int) -> np.ndarray:
         """Read a buffer back as unsigned 32-bit words."""
-        index = self._index(base_addr)
-        if index + num_words > self._words.size:
+        index = self.word_index(base_addr)
+        if index + num_words > len(self._words):
             raise SimulationError(f"read of {num_words} words at {base_addr:#x} overflows memory")
-        return self._words[index : index + num_words].astype(np.uint32)
+        return np.array(self._words[index : index + num_words], dtype=np.uint32)
 
     def load_word(self, byte_addr: int) -> int:
         """Load one word (unsigned value)."""
-        return int(self._words[self._index(byte_addr)])
+        return self._words[self.word_index(byte_addr)]
 
     def store_word(self, byte_addr: int, value: int) -> None:
         """Store one word."""
-        self._words[self._index(byte_addr)] = int(value) & 0xFFFFFFFF
+        self._words[self.word_index(byte_addr)] = int(value) & 0xFFFFFFFF
 
-    def _index(self, byte_addr: int) -> int:
+    def word_index(self, byte_addr: int) -> int:
+        """Word index of ``byte_addr``; raises on an unaligned or out-of-range address."""
         if byte_addr % WORD_BYTES:
             raise SimulationError(f"unaligned word access at {byte_addr:#x}")
         if not 0 <= byte_addr < self.size_bytes:

@@ -4,17 +4,21 @@ The decoded path must be bit-exact versus the interpreted path on every
 observable: cycle count, full :class:`CpuStats` (including the mnemonic
 histogram), architectural registers, the data-memory image, the final PC and
 halt flag -- and, when a program faults, the error and the partial state at
-the fault.  The property test drives randomized RV32IM programs (random ALU
-soup, memory traffic, branches and jumps with arbitrary targets, randomized
-cycle models); the golden test pins the kcycle counts of the seven Table III
-programs on both paths.
+the fault.  The first property test drives randomized RV32IM programs (random
+ALU soup, memory traffic, branches and jumps with arbitrary targets,
+randomized cycle models); the second adds what stops a translated block
+part-way: loads and stores at any address, JALRs to arbitrary targets, random
+entry PCs and small instruction limits.  The golden test pins the kcycle
+counts of the benchmark programs on both paths.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import repro.riscv.programs  # noqa: F401  (registers the benchmark programs)
 from repro.errors import SimulationError
@@ -123,14 +127,16 @@ def _run_path(
     init_words,
     predecode: bool,
     model: CpuCycleModel,
+    entry_pc: int = 0,
+    max_instructions: int = 2000,
 ):
     memory = RvMemory(MEMORY_BYTES)
     memory.write_buffer(0, init_words)
-    cpu = RiscvCpu(memory, cycle_model=model, max_instructions=2000)
+    cpu = RiscvCpu(memory, cycle_model=model, max_instructions=max_instructions)
     cpu.predecode = predecode
     error = None
     try:
-        cpu.run(program)
+        cpu.run(program, entry_pc=entry_pc)
     except SimulationError as exc:
         error = str(exc)
     return cpu, error
@@ -156,6 +162,74 @@ def test_decoded_path_matches_seed_interpreter(program, init, model):
     decoded_image = decoded_cpu.memory.read_buffer(0, MEMORY_WORDS)
     seed_image = seed_cpu.memory.read_buffer(0, MEMORY_WORDS)
     assert np.array_equal(decoded_image, seed_image)
+
+
+# Offsets that leave the data memory or a word boundary from any base.
+ANY_OFFSET = st.one_of(
+    MEM_OFFSET, IMM12, st.integers(min_value=-512, max_value=-1).map(lambda w: w * 4)
+)
+
+
+@st.composite
+def _wide_instruction(draw) -> RvInstruction:
+    choice = draw(st.integers(min_value=0, max_value=9))
+    if choice == 0:
+        return RvInstruction(RvOpcode.LW, rd=draw(REG), rs1=draw(REG), imm=draw(ANY_OFFSET))
+    if choice == 1:
+        return RvInstruction(RvOpcode.SW, rs1=draw(REG), rs2=draw(REG), imm=draw(ANY_OFFSET))
+    if choice == 2:
+        # Targets land mid-block, between instructions or outside the program;
+        # with rd == rs1 the link must not clobber the base before it is read.
+        rs1 = draw(REG)
+        return RvInstruction(
+            RvOpcode.JALR,
+            rd=draw(st.one_of(st.just(rs1), REG)),
+            rs1=rs1,
+            imm=draw(st.integers(-8, 120)),
+        )
+    if choice == 3:
+        return RvInstruction(RvOpcode.EBREAK)
+    return draw(_instruction())
+
+
+@given(
+    data=st.data(),
+    body=st.lists(_wide_instruction(), min_size=1, max_size=24),
+    init=st.lists(WORD, max_size=64),
+    model=_cycle_model(),
+    max_instructions=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=600, deadline=None)
+def test_decoded_path_matches_seed_interpreter_at_every_exit(
+    data, body, init, model, max_instructions
+):
+    """Faults, JALRs and the instruction limit stop blocks part-way."""
+    program = RvProgram("wide", tuple(body) + (RvInstruction(RvOpcode.EBREAK),))
+    entry_pc = data.draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=len(program) - 1).map(lambda k: k * 4),
+            st.integers(min_value=-8, max_value=4 * len(program) + 8),
+        )
+    )
+    runs = [
+        _run_path(program, init, predecode, model, entry_pc, max_instructions)
+        for predecode in (True, False)
+    ]
+    (decoded_cpu, decoded_error), (seed_cpu, seed_error) = runs
+    event(re.sub(r"-?0x[0-9a-f]+", "X", seed_error or "halted"))
+    if seed_cpu.stats.mnemonic_counts.get("jalr"):
+        event("jalr executed")
+
+    assert decoded_error == seed_error
+    assert decoded_cpu.stats == seed_cpu.stats
+    assert (decoded_cpu.pc, decoded_cpu.halted) == (seed_cpu.pc, seed_cpu.halted)
+    assert [decoded_cpu.read_reg(i) for i in range(32)] == [
+        seed_cpu.read_reg(i) for i in range(32)
+    ]
+    assert np.array_equal(
+        decoded_cpu.memory.read_buffer(0, MEMORY_WORDS),
+        seed_cpu.memory.read_buffer(0, MEMORY_WORDS),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -210,16 +284,21 @@ def test_seed_interpreter_golden_kcycles(name):
 # --------------------------------------------------------------------------- #
 # Decode reuse and structure
 # --------------------------------------------------------------------------- #
-def test_predecoded_program_is_reusable_across_runs():
-    asm = RvAssembler("reuse")
-    asm.li(T0, 3)
+def _sum_loop(iterations: int) -> RvProgram:
+    """t1 = iterations + ... + 1, by a count-down loop."""
+    asm = RvAssembler(f"sum-{iterations}")
+    asm.li(T0, iterations)
     asm.li(T1, 0)
     asm.label("head")
     asm.emit(RvOpcode.ADD, rd=T1, rs1=T1, rs2=T0)
     asm.emit(RvOpcode.ADDI, rd=T0, rs1=T0, imm=-1)
     asm.emit(RvOpcode.BNE, rs1=T0, rs2=ZERO, label="head")
     asm.halt()
-    program = asm.assemble()
+    return asm.assemble()
+
+
+def test_predecoded_program_is_reusable_across_runs():
+    program = _sum_loop(3)
     cpu = RiscvCpu(RvMemory())
     decoded = predecode_riscv_program(program, cpu.cycle_model)
     first = cpu.run(program, decoded=decoded)
@@ -230,6 +309,27 @@ def test_predecoded_program_is_reusable_across_runs():
     assert cpu.read_reg(T1) == 6
 
 
+def test_decode_of_other_instructions_is_rejected():
+    cpu = RiscvCpu(RvMemory())
+    decoded = predecode_riscv_program(_sum_loop(3), cpu.cycle_model)
+    with pytest.raises(SimulationError, match="other instructions"):
+        cpu.run(_sum_loop(5), decoded=decoded)
+    assert cpu.read_reg(T1) == 0  # nothing ran (it would leave 6, not 15)
+
+
+def test_decode_for_another_cycle_model_is_rejected():
+    program = _sum_loop(3)
+    model = CpuCycleModel()
+    decoded = predecode_riscv_program(program, CpuCycleModel(branch_taken_cycles=40))
+    with pytest.raises(SimulationError, match="another cycle model"):
+        RiscvCpu(RvMemory(), cycle_model=model).run(program, decoded=decoded)
+    # The decode keeps the model it was built for, even if that model changes.
+    decoded = predecode_riscv_program(program, model)
+    model.branch_taken_cycles = 40
+    with pytest.raises(SimulationError, match="another cycle model"):
+        RiscvCpu(RvMemory(), cycle_model=model).run(program, decoded=decoded)
+
+
 def test_decoded_program_shape():
     asm = RvAssembler("shape")
     asm.li(T0, 1)
@@ -237,8 +337,13 @@ def test_decoded_program_shape():
     asm.emit(RvOpcode.LW, rd=T1, rs1=ZERO, imm=4)
     asm.halt()
     program = asm.assemble()
-    decoded = predecode_riscv_program(program, CpuCycleModel())
+    model = CpuCycleModel(alu_cycles=7, load_cycles=2, store_cycles=3)
+    decoded = predecode_riscv_program(program, model)
     assert len(decoded) == len(program)
-    assert decoded.handlers[-1] is None  # EBREAK is the halt sentinel
-    assert decoded.mnemonics[decoded.load_index] == "lw"
-    assert decoded.mnemonics[decoded.store_index] == "sw"
+    cpu = RiscvCpu(RvMemory(), cycle_model=model)
+    stats = cpu.run(program, decoded=decoded)
+    # EBREAK halts and is charged its ALU cost like every non-memory instruction.
+    assert cpu.halted and cpu.pc == 4 * len(program)
+    assert stats.cycles == 7 * (len(program) - 2) + 3 + 2
+    assert stats.loads == stats.mnemonic_counts["lw"] == 1
+    assert stats.stores == stats.mnemonic_counts["sw"] == 1
