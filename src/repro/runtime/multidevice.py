@@ -88,7 +88,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -203,6 +205,10 @@ class Event:
     ``error`` holds the structured :class:`~repro.errors.DeviceFailureError`
     (cascaded failures chain the root cause as ``error.__cause__``), and
     ``attempts`` counts the dispatch attempts the command consumed.
+
+    An event refers to its queue only until it settles, so that
+    :meth:`wait` can drive the queue; a queue whose events have all settled
+    is freed as soon as its caller drops it.
     """
 
     sequence: int
@@ -339,7 +345,7 @@ class LaunchMemo:
         return result
 
 
-@dataclass
+@dataclass(eq=False)
 class _Command:
     """One enqueued command (launch or transfer) waiting for the next flush."""
 
@@ -348,7 +354,8 @@ class _Command:
     kernel: Optional[Kernel] = None
     ndrange: Optional[NDRange] = None
     args: Dict[str, ArgValue] = field(default_factory=dict)
-    writes: Tuple[str, ...] = ()
+    inputs: Tuple[DeviceBuffer, ...] = ()  # consumed: a launch's buffer args, a read's buffer
+    outputs: Tuple[DeviceBuffer, ...] = ()  # (re)defined: a launch's writes, a write's buffer
     buffer: Optional[DeviceBuffer] = None
     data: Optional[np.ndarray] = None
     device: Optional[int] = None  # affinity hint (launch) / prefetch target (write)
@@ -437,6 +444,10 @@ class MultiDeviceQueue:
         self.scheduler = "fifo"
         self.prefetch_depth = 0
         self._steal_rng = random.Random(0)
+        # Transfer prices by bytes and by (src, dst, bytes): ``transfer`` and
+        # ``topology`` are frozen and set only here, so the caches are exact.
+        self._host_prices: Dict[int, float] = {}
+        self._link_prices: Dict[Tuple[int, int, int], float] = {}
         self._comm_cache: Dict[int, float] = {}
         self.stats = QueueStats(
             device_compute_cycles={index: 0.0 for index in range(len(self.devices))},
@@ -505,11 +516,23 @@ class MultiDeviceQueue:
         """
         return self.topology is not None or self.transfer.p2p_enabled
 
+    def _host_cycles(self, num_bytes: int) -> float:
+        """Cycle cost of one host↔device copy of ``num_bytes``."""
+        cycles = self._host_prices.get(num_bytes)
+        if cycles is None:
+            cycles = self._host_prices[num_bytes] = self.transfer.cycles(num_bytes)
+        return cycles
+
     def _p2p_link_cycles(self, src: int, dst: int, num_bytes: int) -> float:
         """Cycle cost of one direct ``src``→``dst`` copy on this fabric."""
-        if self.topology is not None:
-            return self.topology.p2p_cycles(src, dst, num_bytes)
-        return self.transfer.p2p_cycles(num_bytes)
+        cycles = self._link_prices.get((src, dst, num_bytes))
+        if cycles is None:
+            if self.topology is not None:
+                cycles = self.topology.p2p_cycles(src, dst, num_bytes)
+            else:
+                cycles = self.transfer.p2p_cycles(num_bytes)
+            self._link_prices[src, dst, num_bytes] = cycles
+        return cycles
 
     def _nearest_source(self, buffer: DeviceBuffer, device: int) -> int:
         """The valid device cheapest to copy ``buffer`` to ``device`` from.
@@ -623,7 +646,7 @@ class MultiDeviceQueue:
         )
         self._events.append(event)
         self._pending.append(
-            _Command(event=event, waits=waits, buffer=buffer, data=data, device=device)
+            _Command(event, waits, outputs=(buffer,), buffer=buffer, data=data, device=device)
         )
         self._last_event = event
         buffer.last_writer = event
@@ -659,7 +682,7 @@ class MultiDeviceQueue:
             _queue=self,
         )
         self._events.append(event)
-        self._pending.append(_Command(event=event, waits=waits, buffer=buffer))
+        self._pending.append(_Command(event, waits, inputs=(buffer,), buffer=buffer))
         self._last_event = event
         buffer.readers.append(event)
         self.flush()
@@ -768,7 +791,8 @@ class MultiDeviceQueue:
                 kernel=kernel,
                 ndrange=ndrange,
                 args=resolved,
-                writes=write_names,
+                inputs=tuple(resolved[name] for name in buffer_names),
+                outputs=tuple(resolved[name] for name in write_names),
                 device=device,
             )
         )
@@ -803,26 +827,44 @@ class MultiDeviceQueue:
         :class:`~repro.errors.DeviceFailureError` of this flush is raised
         once the whole schedule has been driven — the queue state stays
         consistent, so callers that catch it can keep enqueueing.
+
+        A command that raises (a :class:`~repro.errors.SimulationError`
+        from its simulator, say) becomes a root failure chaining the
+        exception as ``__cause__``, the commands after it go back to
+        :attr:`pending` in enqueue order, and the exception propagates; the
+        next flush fails its dependents fast and runs the rest.
         """
         if not self._pending:
             return []
-        pending, self._pending = self._pending, []
-        executed: List[LaunchResult] = []
+        order = self._flush_order(self._pending)
+        self._pending = []
+        results_before = len(self._results)
         failures_before = len(self._failures)
-        for command in self._flush_order(pending):
-            if command.kind == "launch":
-                result = self._execute(command)
-                if result is not None:
-                    executed.append(result)
-            elif command.kind == "write":
-                self._execute_write(command)
-            else:
-                self._execute_read(command)
-        self._results.extend(executed)
+        for index, command in enumerate(order):
+            try:
+                if command.kind == "launch":
+                    result = self._execute(command)
+                    if result is not None:
+                        self._results.append(result)
+                elif command.kind == "write":
+                    self._execute_write(command)
+                else:
+                    self._execute_read(command)
+            except Exception as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                self._fail_root(command, None, command.event.attempts, reason)
+                command.event.error.__cause__ = exc
+                self._pending = sorted(order[index + 1 :], key=attrgetter("event.sequence"))
+                raise
+            finally:
+                # A settled event never reads its queue again; dropping the
+                # reference frees a finished queue without the cyclic GC.
+                if command.event.settled:
+                    command.event._queue = None
         new_failures = self._failures[failures_before:]
         if new_failures:
             raise new_failures[0]
-        return executed
+        return self._results[results_before:]
 
     def finish(self) -> List[LaunchResult]:
         """Flush and return the results of *all* launches this queue has run.
@@ -912,38 +954,62 @@ class MultiDeviceQueue:
             self._apply_prefetch_depth(order)
         return order
 
+    @staticmethod
+    def _successors(pending: List[_Command]) -> Dict[int, List[_Command]]:
+        """The flush's event edges: unsettled wait's sequence -> its waiters."""
+        successors: Dict[int, List[_Command]] = {c.event.sequence: [] for c in pending}
+        for command in pending:
+            for wait in command.waits:
+                if not wait.settled:
+                    successors.setdefault(wait.sequence, []).append(command)
+        return successors
+
     def _ready_order(
         self,
         pending: List[_Command],
         pick: Callable[[List[_Command]], _Command],
+        on_transfer: Optional[Callable[[_Command], None]] = None,
+        successors: Optional[Dict[int, List[_Command]]] = None,
     ) -> List[_Command]:
         """Drain ``pending`` respecting event edges; ``pick`` breaks the tie.
 
-        Repeatedly collects the commands whose dependencies are met.  Ready
-        transfer commands always go first (lowest sequence) — they are host
-        bookkeeping and DMA setup that should never wait behind compute;
-        among ready launches, ``pick`` chooses (LPT weight, HEFT rank, or a
-        stealing claim).
+        One Kahn pass (Kahn, CACM 1962): each command counts its unsettled
+        waits, and placing one releases its successors into two ready lists
+        kept in sequence order (stealing breaks exact ties with its seeded RNG
+        in list order).  Ready transfers go first, lowest sequence first, and
+        ``on_transfer`` sees each: they are host bookkeeping and DMA setup
+        that should never wait behind compute.  Among the ready launches,
+        ``pick`` chooses (LPT weight, HEFT rank, or a stealing claim).
         """
-        remaining = list(pending)
-        placed: set = set()
+        if successors is None:
+            successors = self._successors(pending)
+        sequence = attrgetter("event.sequence")
+        waiting = {c.event.sequence: sum(not w.settled for w in c.waits) for c in pending}
+        transfers: List[_Command] = []
+        launches: List[_Command] = []
+        for command in pending:  # pending is in sequence order
+            if not waiting[command.event.sequence]:
+                (launches if command.kind == "launch" else transfers).append(command)
         order: List[_Command] = []
-        while remaining:
-            ready = [
-                command
-                for command in remaining
-                if all(w.settled or w.sequence in placed for w in command.waits)
-            ]
-            if not ready:  # pragma: no cover - the event graph is acyclic
-                raise KernelError("event graph deadlock: no ready command")
-            transfers = [command for command in ready if command.kind != "launch"]
+        while transfers or launches:
             if transfers:
-                choice = min(transfers, key=lambda c: c.event.sequence)
+                choice = transfers.pop(0)
+                if on_transfer is not None:
+                    on_transfer(choice)
             else:
-                choice = pick(ready)
-            remaining.remove(choice)
-            placed.add(choice.event.sequence)
+                choice = pick(launches)
+                launches.remove(choice)
             order.append(choice)
+            for successor in successors[choice.event.sequence]:
+                waiting[successor.event.sequence] -= 1
+                if not waiting[successor.event.sequence]:
+                    insort(
+                        launches if successor.kind == "launch" else transfers,
+                        successor,
+                        key=sequence,
+                    )
+        if len(order) != len(pending):  # pragma: no cover - the event graph is acyclic
+            raise KernelError("event graph deadlock: no ready command")
         return order
 
     def _lpt_order(self, pending: List[_Command]) -> List[_Command]:
@@ -959,26 +1025,6 @@ class MultiDeviceQueue:
                 ready, key=lambda c: (c.ndrange.total_items, -c.event.sequence)
             ),
         )
-
-    def _command_inputs(self, command: _Command) -> List[DeviceBuffer]:
-        """Buffers the command consumes (all buffer args of a launch)."""
-        if command.kind == "launch":
-            return [buffer for _, buffer in self._command_buffers(command)]
-        if command.kind == "read":
-            return [command.buffer]
-        return []
-
-    def _command_outputs(self, command: _Command) -> List[DeviceBuffer]:
-        """Buffers the command (re)defines."""
-        if command.kind == "launch":
-            return [
-                command.args[name]
-                for name in command.writes
-                if isinstance(command.args.get(name), DeviceBuffer)
-            ]
-        if command.kind == "write":
-            return [command.buffer]
-        return []
 
     def _compute_estimate(self, command: _Command) -> float:
         """Deterministic projected compute cycles of one command."""
@@ -998,24 +1044,17 @@ class MultiDeviceQueue:
         Ties break toward the earlier sequence, so the order is fully
         deterministic.
         """
-        by_sequence = {command.event.sequence: command for command in pending}
-        successors: Dict[int, List[_Command]] = {
-            sequence: [] for sequence in by_sequence
-        }
-        for command in pending:
-            for wait in command.waits:
-                if wait.sequence in by_sequence:
-                    successors[wait.sequence].append(command)
+        successors = self._successors(pending)
         rank: Dict[int, float] = {}
         # Enqueue order is topological, so reversed sequence order visits
         # every successor before its producers.
-        for command in sorted(pending, key=lambda c: -c.event.sequence):
-            outputs = {id(buffer) for buffer in self._command_outputs(command)}
+        for command in reversed(pending):
+            outputs = {id(buffer) for buffer in command.outputs}
             downstream = 0.0
             for successor in successors[command.event.sequence]:
                 comm_bytes = sum(
                     buffer.num_bytes
-                    for buffer in self._command_inputs(successor)
+                    for buffer in successor.inputs
                     if id(buffer) in outputs
                 )
                 downstream = max(
@@ -1031,6 +1070,7 @@ class MultiDeviceQueue:
             lambda ready: max(
                 ready, key=lambda c: (rank[c.event.sequence], -c.event.sequence)
             ),
+            successors=successors,
         )
 
     def _stealing_order(self, pending: List[_Command]) -> List[_Command]:
@@ -1074,21 +1114,17 @@ class MultiDeviceQueue:
 
         def claim_cost(command: _Command, thief: int) -> float:
             cost = 0.0
-            for buffer in self._command_inputs(command):
+            for buffer in command.inputs:
                 host_valid, owners = spot(buffer)
                 if thief in owners:
                     continue
                 if not host_valid and owners:
-                    source = min(
-                        owners,
-                        key=lambda s: (
-                            self._p2p_link_cycles(s, thief, buffer.num_bytes),
-                            s,
-                        ),
+                    cost += min(
+                        self._p2p_link_cycles(source, thief, buffer.num_bytes)
+                        for source in owners
                     )
-                    cost += self._p2p_link_cycles(source, thief, buffer.num_bytes)
                 else:
-                    cost += self.transfer.cycles(buffer.num_bytes)
+                    cost += self._host_cycles(buffer.num_bytes)
             return cost
 
         def settle(command: _Command, device: Optional[int]) -> None:
@@ -1100,11 +1136,11 @@ class MultiDeviceQueue:
                 host_valid, owners = spot(command.buffer)
                 location[command.buffer.handle] = (True, owners)
                 return
-            for buffer in self._command_inputs(command):
+            for buffer in command.inputs:
                 host_valid, owners = spot(buffer)
                 if device is not None:
                     location[buffer.handle] = (host_valid, owners | {device})
-            for buffer in self._command_outputs(command):
+            for buffer in command.outputs:
                 owners = frozenset() if device is None else frozenset({device})
                 location[buffer.handle] = (False, owners)
 
@@ -1135,27 +1171,9 @@ class MultiDeviceQueue:
             settle(choice, target)
             return choice
 
-        order: List[_Command] = []
-        remaining = list(pending)
-        placed: set = set()
-        while remaining:
-            ready = [
-                command
-                for command in remaining
-                if all(w.settled or w.sequence in placed for w in command.waits)
-            ]
-            if not ready:  # pragma: no cover - the event graph is acyclic
-                raise KernelError("event graph deadlock: no ready command")
-            transfers = [command for command in ready if command.kind != "launch"]
-            if transfers:
-                choice = min(transfers, key=lambda c: c.event.sequence)
-                settle(choice, choice.device)
-            else:
-                choice = pick(ready)
-            remaining.remove(choice)
-            placed.add(choice.event.sequence)
-            order.append(choice)
-        return order
+        return self._ready_order(
+            pending, pick, on_transfer=lambda command: settle(command, command.device)
+        )
 
     def _apply_prefetch_depth(self, order: List[_Command]) -> None:
         """Retarget input writes as prefetches to their consumer's device.
@@ -1175,19 +1193,10 @@ class MultiDeviceQueue:
                 if later.kind != "launch" or later.device is None:
                     continue
                 if command.event in later.waits and any(
-                    buffer is command.buffer
-                    for buffer in self._command_inputs(later)
+                    buffer is command.buffer for buffer in later.inputs
                 ):
                     command.device = later.device
                     break
-
-    def _command_buffers(self, command: _Command) -> List[Tuple[str, DeviceBuffer]]:
-        """The command's buffer arguments in kernel-signature order."""
-        return [
-            (arg.name, command.args[arg.name])
-            for arg in command.kernel.args
-            if arg.kind == "buffer" and isinstance(command.args.get(arg.name), DeviceBuffer)
-        ]
 
     def _projected_start(self, command: _Command, device: int, ready: float) -> float:
         """Earliest compute start of ``command`` on ``device`` (no mutation).
@@ -1197,7 +1206,7 @@ class MultiDeviceQueue:
         """
         arrival = ready
         dma = self._dma_available[device]
-        for _, buffer in self._command_buffers(command):
+        for buffer in command.inputs:
             if device in buffer.valid_on:
                 arrival = max(
                     arrival, buffer.ready_cycle, buffer.device_ready.get(device, 0.0)
@@ -1214,10 +1223,10 @@ class MultiDeviceQueue:
                 source = min(buffer.valid_on)
                 host_ready = max(
                     self._dma_available[source], buffer.ready_cycle
-                ) + self.transfer.cycles(buffer.num_bytes)
+                ) + self._host_cycles(buffer.num_bytes)
             else:
                 host_ready = buffer.ready_cycle
-            dma = max(dma, host_ready) + self.transfer.cycles(buffer.num_bytes)
+            dma = max(dma, host_ready) + self._host_cycles(buffer.num_bytes)
             arrival = max(arrival, dma)
         return max(self._compute_available[device], arrival)
 
@@ -1235,7 +1244,7 @@ class MultiDeviceQueue:
             # ``transfers_skipped`` measures launch-side residency hits only).
             return buffer.ready_cycle, 0.0
         source = min(buffer.valid_on)
-        cycles = self.transfer.cycles(buffer.num_bytes)
+        cycles = self._host_cycles(buffer.num_bytes)
         buffer.host = (
             self.devices[source]
             .read_buffer(buffer.address, buffer.num_words)
@@ -1262,7 +1271,7 @@ class MultiDeviceQueue:
         launch-side path and the prefetch path of :meth:`_execute_write` so
         host→device accounting stays in one place.
         """
-        cycles = self.transfer.cycles(buffer.num_bytes)
+        cycles = self._host_cycles(buffer.num_bytes)
         self.devices[device].write_buffer(buffer.address, buffer.host)
         start = max(self._dma_available[device], host_ready)
         cycles = self._faulted_transfer_cycles(
@@ -1294,7 +1303,7 @@ class MultiDeviceQueue:
         arrival = ready
         charged = 0.0
         readback = 0.0
-        for _, buffer in self._command_buffers(command):
+        for buffer in command.inputs:
             if device in buffer.valid_on:
                 self.stats.transfers_skipped += 1
                 arrival = max(
@@ -1338,19 +1347,19 @@ class MultiDeviceQueue:
             arrival = max(arrival, end)
         return max(self._compute_available[device], arrival), charged, readback
 
-    def _prefetched_inputs(self, command: _Command, device: int) -> int:
-        """How many of the command's buffers were prefetched/P2P-copied here.
+    def _prefetched_inputs(self, command: _Command) -> Dict[int, int]:
+        """Per device, how many of the command's buffers were prefetched there.
 
         Used as a tie-break on device selection so a prefetched copy is not
         wasted when projected starts tie.  Only the new transfer paths
         populate ``device_ready``, so default (PR 4) schedules see every
         count as zero and are unaffected.
         """
-        return sum(
-            1
-            for _, buffer in self._command_buffers(command)
-            if device in buffer.device_ready
-        )
+        counts: Dict[int, int] = {}
+        for buffer in command.inputs:
+            for device in buffer.device_ready:
+                counts[device] = counts.get(device, 0) + 1
+        return counts
 
     # ------------------------------------------------------------------ #
     # Fault handling
@@ -1498,11 +1507,12 @@ class MultiDeviceQueue:
             if hint is not None:
                 device = hint
             else:
+                prefetched = self._prefetched_inputs(command)
                 device = min(
                     candidates,
                     key=lambda index: (
                         self._projected_start(command, index, ready),
-                        -self._prefetched_inputs(command, index),
+                        -prefetched.get(index, 0),
                         index,
                     ),
                 )
@@ -1568,13 +1578,12 @@ class MultiDeviceQueue:
                 command.kernel,
                 command.ndrange,
                 launch_args,
-                self._command_inputs(command),
+                command.inputs,
             )
         end = start + result.cycles
         self._compute_available[device] = end
 
-        for name in command.writes:
-            buffer = command.args[name]
+        for buffer in command.outputs:
             buffer.host_valid = False
             buffer.valid_on = {device}
             buffer.device_ready = {}

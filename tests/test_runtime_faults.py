@@ -16,6 +16,9 @@ The contract under test, from the module docstrings of
   (or with every device dead) raises :class:`DeviceFailureError` with the
   failed event-graph slice; dependents cascade with the root chained as
   ``__cause__``; waiting on a failed event raises immediately.
+* **A raising command strands nothing.**  An exception escaping a flush
+  (a simulator error) makes its command a root failure; the commands after
+  it stay pending, so dependents fail fast and independent work still runs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.arch.config import GGPUConfig
-from repro.arch.kernel import NDRange
-from repro.errors import ConfigurationError, DeviceFailureError
+from repro.arch.kernel import KernelArg, KernelBuilder, NDRange
+from repro.errors import ConfigurationError, DeviceFailureError, SimulationError
 from repro.kernels import get_kernel_spec
 from repro.runtime.faults import (
     DEVICE_FAIL,
@@ -38,7 +41,7 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.runtime.multidevice import MultiDeviceQueue, OutOfOrderQueue
+from repro.runtime.multidevice import SCHEDULERS, MultiDeviceQueue, OutOfOrderQueue
 
 MEM = 8 * 1024 * 1024
 N = 128
@@ -451,6 +454,47 @@ def test_flush_completes_independent_work_despite_a_failure():
     assert doomed.failed
     assert ok.done and not ok.failed
     assert np.array_equal(queue.enqueue_read(ok_dst), np.arange(N, dtype=np.uint32))
+
+
+def _raising_kernel():
+    """A kernel the simulator rejects mid-run: dimension 1 of a rank-1 launch."""
+    builder = KernelBuilder("wants_dim1", args=(KernelArg("out"),))
+    builder.global_id(builder.alloc("gid1"), dim=1)
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_a_raising_launch_fails_its_dependents_and_strands_nothing(scheduler):
+    queue = OutOfOrderQueue(
+        config=GGPUConfig(num_cus=1), num_devices=2, memory_bytes=MEM, scheduler=scheduler
+    )
+    src = queue.create_buffer(np.arange(N))
+    mid, out, before_dst, after_dst = (queue.allocate_buffer(N) for _ in range(4))
+    before = _enqueue_copy(queue, src, before_dst, label="before")
+    boom = queue.enqueue(_raising_kernel(), NDRange(N, 64), {"out": mid}, label="boom")
+    dependent = _enqueue_copy(queue, mid, out, label="dependent", wait_for=(boom,))
+    after = _enqueue_copy(queue, src, after_dst, label="after")
+    with pytest.raises(SimulationError) as raised:
+        queue.finish()
+    # The raising launch is a root failure chaining the simulator's error.
+    assert boom.failed and boom.error.__cause__ is raised.value
+    assert queue.failures == [boom.error]
+    # Its dependent was not dropped: waiting runs it, and it fails fast.
+    with pytest.raises(DeviceFailureError) as waited:
+        dependent.wait()
+    assert waited.value.__cause__ is boom.error
+    # A later command on the dependent's output fails too instead of
+    # running on stale data.
+    later = _enqueue_copy(queue, out, queue.allocate_buffer(N), label="later")
+    with pytest.raises(DeviceFailureError):
+        later.wait()
+    # Independent work on either side of the failure ran.
+    assert queue.pending == 0
+    for event, dst in ((before, before_dst), (after, after_dst)):
+        assert event.done and not event.failed
+        assert np.array_equal(queue.enqueue_read(dst), np.arange(N, dtype=np.uint32))
+    assert queue.stats.commands_failed == 3
 
 
 # --------------------------------------------------------------------------- #

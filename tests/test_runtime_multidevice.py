@@ -10,6 +10,9 @@ in-order execution live in ``tests/test_runtime_queue.py``.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,45 @@ def test_independent_launches_spread_across_devices():
     assert {event.device for event in queue.schedule} == {0, 1, 2, 3}
     assert queue.stats.makespan >= queue.stats.critical_path_cycles
     assert queue.stats.makespan < queue.stats.total_cycles + queue.stats.transfer_cycles
+
+
+# --------------------------------------------------------------------------- #
+# Queue lifetime: settled events let go of their queue
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("scheduler", ["fifo", "stealing"])
+def test_a_finished_queue_is_freed_without_the_cyclic_gc(scheduler):
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        queue = OutOfOrderQueue(
+            config=GGPUConfig(num_cus=1), num_devices=2, memory_bytes=MEM, scheduler=scheduler
+        )
+        src = queue.create_buffer(np.arange(N))
+        dst = queue.allocate_buffer(N)
+        event = _enqueue_copy(queue, src, dst)
+        queue.finish()
+        assert np.array_equal(queue.enqueue_read(dst), np.arange(N, dtype=np.uint32))
+        alive = weakref.ref(queue)
+        del queue
+        # The caller keeps the event and the buffers, never the queue.
+        assert alive() is None
+        assert event.done
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def test_an_unsettled_event_keeps_its_queue_until_it_runs():
+    queue = _queue(cls=OutOfOrderQueue, num_devices=2)
+    src = queue.create_buffer(np.arange(N))
+    event = _enqueue_copy(queue, src, queue.allocate_buffer(N))
+    alive = weakref.ref(queue)
+    del queue
+    gc.collect()
+    assert alive() is not None
+    event.wait()
+    assert event.done and event.result.cycles > 0
+    assert alive() is None
 
 
 # --------------------------------------------------------------------------- #

@@ -8,14 +8,18 @@ freshly built simulator, because the queue only amortizes host-side setup
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.arch.config import GGPUConfig, TransferConfig
+from repro.arch.config import GGPUConfig, Topology, TransferConfig
 from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.kernels import get_kernel_spec, run_workload
-from repro.runtime.multidevice import MultiDeviceQueue, OutOfOrderQueue
+from repro.runtime.multidevice import Event, LaunchMemo, MultiDeviceQueue, OutOfOrderQueue
 from repro.runtime.queue import (
     BatchItem,
     CommandQueue,
@@ -447,3 +451,149 @@ def test_scheduler_name_validation_and_lpt_compat():
     )
     assert queue.scheduler == "lpt"
     assert OutOfOrderQueue(config=GGPUConfig(num_cus=1)).scheduler == "fifo"
+
+
+# --------------------------------------------------------------------------- #
+# The one-pass flush drain against the rescanning loop it replaced
+# --------------------------------------------------------------------------- #
+def _rescanning_ready_order(queue, pending, pick, on_transfer=None, successors=None):
+    """Reference drain: rescan every remaining command for each placement.
+
+    The quadratic loop that ordered LPT, HEFT and stealing flushes before the
+    one-pass drain, kept as the drain's oracle.  ``successors`` (the drain's
+    own edge lists) is ignored.
+    """
+    remaining = list(pending)
+    placed = set()
+    order = []
+    while remaining:
+        ready = [
+            command
+            for command in remaining
+            if all(wait.settled or wait.sequence in placed for wait in command.waits)
+        ]
+        assert ready, "event graph deadlock"
+        transfers = [command for command in ready if command.kind != "launch"]
+        if transfers:
+            choice = min(transfers, key=lambda command: command.event.sequence)
+            if on_transfer is not None:
+                on_transfer(choice)
+        else:
+            choice = pick(ready)
+        remaining.remove(choice)
+        placed.add(choice.event.sequence)
+        order.append(choice)
+    return order
+
+
+ORACLE_BUFFERS = 4
+ORACLE_WORDS = 128
+EVENT_FIELDS = tuple(f.name for f in fields(Event) if f.compare and f.name != "result")
+
+
+@st.composite
+def _command_dags(draw):
+    """A queue shape and a random DAG of writes interleaved with copies.
+
+    Copies come in two sizes only, so the stealing scheduler meets exact
+    ties; ``wait_for`` edges point at any earlier command, so placing one
+    command can release a later one before an earlier one.
+    """
+    num_devices = draw(st.integers(2, 4))
+    shape = (
+        num_devices,
+        draw(st.sampled_from((None, "ring", "two-switch"))),
+        draw(st.sampled_from((0, 2))),  # prefetch depth
+        draw(st.integers(0, 3)),  # steal seed
+    )
+    hints = st.sampled_from((None, None, None) + tuple(range(num_devices)))
+    steps = []
+    for index in range(draw(st.integers(2, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            steps.append(("write", draw(st.integers(0, ORACLE_BUFFERS - 1)), draw(hints)))
+            continue
+        src, dst = draw(st.permutations(range(ORACLE_BUFFERS)))[:2]
+        waits = draw(st.sets(st.integers(0, index - 1), max_size=3)) if index else set()
+        size = draw(st.sampled_from((64, 128)))
+        steps.append(("copy", src, dst, size, tuple(sorted(waits)), draw(hints)))
+    return shape, tuple(steps)
+
+
+def _run_dag(dag, scheduler, memo):
+    """Run one drawn DAG; returns every observable of the schedule."""
+    (num_devices, topology, prefetch_depth, steal_seed), steps = dag
+    queue = OutOfOrderQueue(
+        config=GGPUConfig(num_cus=1),
+        num_devices=num_devices,
+        memory_bytes=1024 * 1024,
+        scheduler=scheduler,
+        topology=None if topology is None else Topology.preset(topology, num_devices),
+        prefetch_depth=prefetch_depth,
+        steal_seed=steal_seed,
+        memo=memo,
+    )
+    copy_kernel = get_kernel_spec("copy").build()
+    words = np.arange(ORACLE_WORDS)
+    buffers = [queue.create_buffer(words + 1000 * index) for index in range(ORACLE_BUFFERS)]
+    events = []
+    for step in steps:
+        if step[0] == "write":
+            _, target, hint = step
+            values = words * (len(events) + 2)
+            events.append(queue.enqueue_write(buffers[target], values, device=hint))
+            continue
+        _, src, dst, size, waits, hint = step
+        events.append(
+            queue.enqueue(
+                copy_kernel,
+                NDRange(size, 64),
+                {"src": buffers[src], "dst": buffers[dst], "n": size},
+                wait_for=tuple(events[index] for index in waits),
+                writes=("dst",),
+                device=hint,
+            )
+        )
+    queue.finish()
+    contents = [queue.enqueue_read(buffer).tolist() for buffer in buffers]
+    return (
+        [event.sequence for event in queue.schedule],
+        [tuple(getattr(event, name) for name in EVENT_FIELDS) for event in queue.events],
+        asdict(queue.stats),
+        contents,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(dag=_command_dags())
+# Placing a write releases a launch ahead of one already ready, so the
+# ready launches leave sequence order unless inserted in it; stealing's
+# seeded tie-break then claims another launch.
+@example(
+    dag=(
+        (2, None, 0, 0),
+        (
+            ("write", 0, None),
+            ("copy", 0, 2, 64, (), None),
+            ("write", 0, None),
+            ("write", 0, None),
+            ("copy", 3, 1, 64, (), None),
+        ),
+    )
+)
+# Placing the first write to buffer 0 releases the second one ahead of the
+# already-ready write to buffer 1; all three prefetch to device 0, so their
+# DMA order shows in the event cycles.
+@example(
+    dag=(
+        (2, None, 0, 0),
+        (("copy", 0, 1, 64, (), None), ("write", 0, 0), ("write", 0, 0), ("write", 1, 0)),
+    )
+)
+def test_flush_drain_matches_the_rescanning_reference(dag):
+    """LPT, HEFT and stealing give the same schedule under either drain."""
+    memo = LaunchMemo()
+    for scheduler in ("lpt", "heft", "stealing"):
+        drained = _run_dag(dag, scheduler, memo)
+        with mock.patch.object(MultiDeviceQueue, "_ready_order", _rescanning_ready_order):
+            rescanned = _run_dag(dag, scheduler, memo)
+        assert drained == rescanned, scheduler
