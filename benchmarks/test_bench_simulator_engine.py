@@ -1,19 +1,19 @@
 """Benchmark the SIMT engine itself: simulation throughput, not kernel cycles.
 
-The event-heap engine rewrite (pre-decoded programs, cached scheduler state,
-vectorized cache tag probes, macro-stepped straight-line runs) targets the
-wall-clock cost of the Table III / Fig. 5 / Fig. 6 measurement loop.  On the
-reference machine the seed engine simulated the scale-0.25 Table III sweep in
-~33 s; the event-heap engine runs the same sweep in ~7.3 s (≈4.5x), with
-bit-for-bit identical results and cycle counts (see
-``tests/test_simt_golden.py``).
+The Table III / Fig. 5 / Fig. 6 measurement loop spends its time in the SIMT
+issue loop: pre-decoded programs, cached scheduler state, macro-stepped
+straight-line runs, and wavefront-uniform registers kept as one Python int
+instead of a 64-lane vector.  ``perfbench/run.py --workload table3_sweep``
+measures that loop end to end; this bench is the quick check CI runs.
 
-This benchmark measures the engine's simulation throughput in
-wavefront-instructions per wall-clock second over a representative kernel
-mix, and the macro-stepping batching factor.  The throughput floor asserted
-here is ~5x below what the rewritten engine achieves, so it only catches
-gross regressions (e.g. re-introducing per-issue decode or per-line Python
-cache probes), not machine noise.
+It measures the engine's simulation throughput in wavefront-instructions per
+wall-clock second over a representative kernel mix, and the macro-stepping
+batching factor.  On a 2-vCPU container running at about half the
+benchmark's reference speed the mix runs at ~100k instr/s (~70k before
+uniform registers).  The floor asserted here is 5x below that, so it only
+catches gross regressions (e.g. re-introducing per-issue decode, per-line
+Python cache probes, or 64-lane numpy work for every uniform register), not
+machine noise.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ def test_engine_simulation_throughput(benchmark):
         f"({throughput:,.0f} instr/s), {events} scheduling events "
         f"(batching {instructions / events:.2f})"
     )
-    # The rewritten engine sustains ~40-60k instr/s on this mix (the PR-2
-    # memory-path work pushed it further); the seed engine managed ~11k.
-    # Only gross regressions should trip this.
-    assert throughput > 8_000
+    # ~100k instr/s on the slow container named in the module docstring;
+    # the seed engine managed ~11k.  Only gross regressions should trip this.
+    assert throughput > 20_000
     # Macro-stepping must actually batch: strictly fewer scheduling events
     # than instructions.
     assert events < instructions

@@ -12,9 +12,10 @@ misses and write-backs into AXI traffic and latency.
 The tag and dirty state is held in numpy arrays so a whole coalesced
 wavefront access (up to ``wavefront_size`` distinct lines for fully scattered
 addresses) is probed in a handful of vector operations
-(:meth:`DataCache.access_lines`); the scalar :meth:`DataCache.access_line`
-remains for single-line probes and as the replay path when one access maps
-two different lines onto the same direct-mapped set.
+(:meth:`DataCache.access_sorted_lines`); the scalar
+:meth:`DataCache.access_line` is the probe of a wavefront-uniform load (one
+line) and the replay path when one access maps two different lines onto the
+same direct-mapped set.
 
 The cache serves at most ``CacheConfig.ports`` distinct lines per cycle: the
 compute unit's timing model serializes wider accesses into one
@@ -93,7 +94,7 @@ class DataCache:
         self._num_lines = self.config.num_lines
         # Any set of distinct line addresses spanning less than the cache
         # size maps to pairwise-distinct direct-mapped sets, so the aliasing
-        # probe of access_lines reduces to one span comparison.
+        # probe of access_sorted_lines reduces to one span comparison.
         self._span_bytes = self._line_bytes * self._num_lines
         # Power-of-two line sizes (the overwhelmingly common configuration)
         # turn the per-access floor/divide/modulo address math into single
@@ -154,96 +155,42 @@ class DataCache:
     # ------------------------------------------------------------------ #
     def access_line(self, line_address: int, is_write: bool) -> LineAccess:
         """Access one line, updating tags, dirty bits, and statistics."""
-        if line_address < 0 or line_address % self.config.line_bytes:
+        if line_address < 0 or line_address % self._line_bytes:
             raise SimulationError(f"bad cache line address {line_address:#x}")
         index = self._index(line_address)
-        hit = self._tags[index] == line_address
-        write_back = False
+        stats = self.stats
         if is_write:
-            self.stats.write_accesses += 1
+            stats.write_accesses += 1
         else:
-            self.stats.read_accesses += 1
-        if not hit:
+            stats.read_accesses += 1
+        tag = int(self._tags[index])
+        if tag == line_address:
             if is_write:
-                self.stats.write_misses += 1
-            else:
-                self.stats.read_misses += 1
-            if self._tags[index] != _NO_TAG and self._dirty[index]:
-                write_back = True
-                self.stats.write_backs += 1
-            self._tags[index] = line_address
-            self._dirty[index] = False
+                self._dirty[index] = True
+            return LineAccess(line_address, True, False)
         if is_write:
-            self._dirty[index] = True
-        return LineAccess(line_address, bool(hit), write_back)
-
-    def access_lines(
-        self, line_addresses: np.ndarray, is_write: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Access a batch of *distinct* lines (one coalesced wavefront access).
-
-        Returns ``(hits, write_backs)`` boolean arrays aligned with
-        ``line_addresses``.  Equivalent to calling :meth:`access_line` on each
-        line in order; the vector path requires the lines to map to distinct
-        direct-mapped sets (always true for contiguous accesses, and for any
-        access narrower than the cache) and falls back to the sequential
-        replay when two lines of one access collide on a set.
-        """
-        lines = np.asarray(line_addresses, dtype=np.int64)
-        count = lines.size
-        if count == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-        if self._line_shift >= 0:
-            indices = (lines >> self._line_shift) & self._index_mask
+            stats.write_misses += 1
         else:
-            indices = (lines // self._line_bytes) % self._num_lines
-        # Distinct lines alias the same direct-mapped set only when the
-        # access spans at least the whole cache, so the common case needs a
-        # span comparison, not a sorted-uniqueness probe.
-        if (
-            count > 1
-            and int(lines.max() - lines.min()) >= self._span_bytes
-            and np.unique(indices).size != count
-        ):
-            # Two lines of the same access alias the same set: replay them
-            # sequentially so eviction order stays exact.
-            hits = np.zeros(count, dtype=bool)
-            write_backs = np.zeros(count, dtype=bool)
-            for position, line in enumerate(lines):
-                outcome = self.access_line(int(line), is_write)
-                hits[position] = outcome.hit
-                write_backs[position] = outcome.write_back
-            return hits, write_backs
-        tags = self._tags[indices]
-        hits = tags == lines
-        misses = ~hits
-        write_backs = misses & (tags != _NO_TAG) & self._dirty[indices]
-        num_misses = int(misses.sum())
-        if is_write:
-            self.stats.write_accesses += count
-            self.stats.write_misses += num_misses
-        else:
-            self.stats.read_accesses += count
-            self.stats.read_misses += num_misses
-        self.stats.write_backs += int(write_backs.sum())
-        if num_misses:
-            miss_indices = indices[misses]
-            self._tags[miss_indices] = lines[misses]
-            self._dirty[miss_indices] = False
-        if is_write:
-            self._dirty[indices] = True
-        return hits, write_backs
+            stats.read_misses += 1
+        write_back = tag != _NO_TAG and bool(self._dirty[index])
+        if write_back:
+            stats.write_backs += 1
+        self._tags[index] = line_address
+        self._dirty[index] = is_write
+        return LineAccess(line_address, False, write_back)
 
     def access_sorted_lines(
         self, lines: np.ndarray, is_write: bool
     ) -> Tuple[Optional[List[bool]], Optional[List[bool]], int]:
         """Probe one coalesced access whose lines are ascending and distinct.
 
-        The compute unit's memory path counterpart of :meth:`access_lines`
-        (same tag/dirty/statistics updates, same sequential replay when two
-        lines alias one direct-mapped set), shaped for the consumer: it
-        returns ``(hit_list, write_back_list, num_misses)`` with the outcomes
-        as plain Python lists -- which the port-contention walk needs anyway
+        Equivalent to calling :meth:`access_line` on each line in order.
+        The lines are probed in a handful of vector operations, because
+        distinct lines can alias one direct-mapped set only when the access
+        spans the whole cache; when two lines do alias, they are replayed
+        one by one so the eviction order stays exact.  Returns
+        ``(hit_list, write_back_list, num_misses)`` with the outcomes as
+        plain Python lists -- which the port-contention walk needs anyway
         -- and skips building them entirely for the all-hit case, returning
         ``(None, None, 0)``.  ``lines`` must come from
         :meth:`coalesce_lines` (ascending, distinct).
@@ -298,11 +245,11 @@ class DataCache:
     ) -> List[LineAccess]:
         """Access all lines touched by one wavefront memory instruction."""
         lines = self.coalesce_lines(byte_addresses)
-        hits, write_backs = self.access_lines(lines, is_write)
-        return [
-            LineAccess(int(line), bool(hit), bool(write_back))
-            for line, hit, write_back in zip(lines, hits, write_backs, strict=True)
-        ]
+        hits, write_backs, _ = self.access_sorted_lines(lines, is_write)
+        addresses = lines.tolist()
+        if hits is None:
+            return [LineAccess(line, True, False) for line in addresses]
+        return [LineAccess(*outcome) for outcome in zip(addresses, hits, write_backs, strict=True)]
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -4,8 +4,10 @@ The CU is both the functional and the timing heart of the simulator.  Each
 call to :meth:`ComputeUnit.step` is one *scheduling event*: the CU selects
 one ready resident wavefront and issues at least one instruction for it:
 
-* the instruction executes functionally for the active lanes (vectorized in
-  :mod:`repro.simt.pe`),
+* the instruction executes functionally for the active lanes
+  (:mod:`repro.simt.pe`); a register whose lanes all hold one value is kept
+  as one Python int (:mod:`repro.simt.registers`), so uniform work costs
+  scalar arithmetic instead of 64-lane numpy operations,
 * vector instructions occupy the shared PE array for
   ``wavefront_size / pes_per_cu`` cycles (8 cycles for the default 64-lane
   wavefront on 8 PEs),
@@ -92,6 +94,7 @@ from repro.simt.decode import (
 )
 from repro.arch.isa import Opcode
 from repro.simt.memory import GlobalMemory, LocalMemory, RuntimeMemory
+from repro.simt.registers import WORD_MASK, RegisterValue, lane_vector, merge_lanes
 from repro.simt.scheduler import WavefrontScheduler
 from repro.simt.timing import TimingModel
 from repro.simt.trace import ComputeUnitStats
@@ -172,7 +175,7 @@ class ComputeUnit:
         addressing.
         """
         if decoded is None:
-            decoded = predecode_program(program, self.timing, self.config.wavefront_size)
+            decoded = predecode_program(program, self.timing)
         if decoded.max_register >= self.config.num_registers:
             raise SimulationError(
                 f"kernel {decoded.name!r} uses register r{decoded.max_register} but the "
@@ -299,9 +302,11 @@ class ComputeUnit:
         ended_at_sync = False
         num_active = wavefront.num_active
         # Register indices were bounds-checked against the register file once
-        # at bind time, so the issue loop indexes the lane storage directly;
-        # writes to r0 are dropped (hardwired zero) and partially active
-        # wavefronts merge through the execution mask.
+        # at bind time, so the issue loop indexes the register storage
+        # directly; writes to r0 are dropped (hardwired zero) and partially
+        # active wavefronts merge through the execution mask.  An entry is an
+        # int when every lane holds that value; ALU operations whose sources
+        # are all ints run their scalar form and produce an int.
         reg_rows = wavefront.registers._values
         lanes = wavefront.wavefront_size
 
@@ -312,7 +317,7 @@ class ComputeUnit:
                     f"wavefront {wavefront.wavefront_id} ran past the end of {program.name}"
                 )
             op = packed[pc]
-            kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, const, key = op
+            kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key = op
 
             # --- timing: issue slot and PE-array occupancy ---------------- #
             issue_start = wavefront.ready_time
@@ -336,45 +341,33 @@ class ComputeUnit:
 
             # --- functional execution ------------------------------------- #
             next_pc = pc + 1
-            if kind == K_ALU_BIN:
+            if kind <= K_ALU_CONST:  # K_ALU_BIN, K_ALU_IMM, K_ALU_CONST
                 if rd:
-                    result = fn(reg_rows[rs], reg_rows[rt])
+                    if kind == K_ALU_BIN:
+                        a = reg_rows[rs]
+                        b = reg_rows[rt]
+                        if type(a) is int and type(b) is int:
+                            result = scalar_fn(a, b)
+                        else:
+                            result = fn(a, b)
+                    elif kind == K_ALU_IMM:
+                        a = reg_rows[rs]
+                        if type(a) is int:
+                            result = scalar_fn(a, const)
+                        else:
+                            result = fn(a, const)
+                    else:
+                        result = const
                     if num_active == lanes:
                         reg_rows[rd] = result
                     else:
-                        reg_rows[rd] = np.where(
+                        reg_rows[rd] = merge_lanes(
                             wavefront.active_mask, result, reg_rows[rd]
-                        )
-                else:
-                    fn(reg_rows[rs], reg_rows[rt])
-            elif kind == K_ALU_IMM:
-                if rd:
-                    result = fn(reg_rows[rs], const)
-                    if num_active == lanes:
-                        reg_rows[rd] = result
-                    else:
-                        reg_rows[rd] = np.where(
-                            wavefront.active_mask, result, reg_rows[rd]
-                        )
-                else:
-                    fn(reg_rows[rs], const)
-            elif kind == K_ALU_CONST:
-                if rd:
-                    if num_active == lanes:
-                        reg_rows[rd] = const
-                    else:
-                        reg_rows[rd] = np.where(
-                            wavefront.active_mask, const, reg_rows[rd]
                         )
             elif kind == K_SPECIAL:
                 self._execute_special(wavefront, ops[pc])
             elif kind == K_PARAM:
-                value = self._rtm.read_arg(imm)
-                self._write_register(
-                    wavefront,
-                    rd,
-                    np.full(wavefront.wavefront_size, value, dtype=np.int64),
-                )
+                self._write_register(wavefront, rd, self._rtm.read_arg(imm))
             elif kind == K_LOAD:
                 completion = self._execute_load(wavefront, op, issue_start + occupancy)
             elif kind == K_STORE:
@@ -454,13 +447,13 @@ class ComputeUnit:
     # ------------------------------------------------------------------ #
     # Functional helpers per instruction class
     # ------------------------------------------------------------------ #
-    def _write_register(self, wavefront: Wavefront, index: int, values: np.ndarray) -> None:
+    def _write_register(self, wavefront: Wavefront, index: int, values: RegisterValue) -> None:
         """Masked register write with a fast path for fully active wavefronts.
 
-        Every value produced by the issue loop is an already-masked int64
-        lane vector, so both paths take the premasked register-file writes;
-        with every lane active the masked merge degenerates to a plain row
-        assignment.
+        Every value produced by the issue loop is an already-masked int or
+        int64 lane vector, so both paths take the premasked register-file
+        writes; with every lane active the masked merge degenerates to a
+        plain assignment.
         """
         if wavefront.num_active == wavefront.wavefront_size:
             wavefront.registers.set_row(index, values)
@@ -469,36 +462,41 @@ class ComputeUnit:
 
     def _execute_special(self, wavefront: Wavefront, op) -> None:
         opcode = op.opcode
-        lanes = wavefront.wavefront_size
         dim = op.imm
         if dim:
             wavefront.check_dim(dim, opcode.mnemonic)
+        # Local and global ids differ per lane; the workgroup id and the
+        # launch geometry are one value for the whole wavefront.
         if opcode is Opcode.LID:
             values = wavefront.local_id_dims[dim]
         elif opcode is Opcode.WGID:
-            values = np.full(lanes, wavefront.workgroup_id_dims[dim], dtype=np.int64)
+            values = int(wavefront.workgroup_id_dims[dim])
         elif opcode is Opcode.WGSIZE:
-            values = np.full(lanes, wavefront.workgroup_shape[dim], dtype=np.int64)
+            values = int(wavefront.workgroup_shape[dim])
         elif opcode is Opcode.GID:
             values = wavefront.global_id_dims[dim]
         elif opcode is Opcode.GSIZE:
-            values = np.full(lanes, wavefront.global_shape[dim], dtype=np.int64)
+            values = int(wavefront.global_shape[dim])
         elif opcode is Opcode.NWG:
-            values = np.full(lanes, wavefront.groups_shape[dim], dtype=np.int64)
+            values = int(wavefront.groups_shape[dim])
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled special opcode {opcode.mnemonic}")
         self._write_register(wavefront, op.rd, values)
 
-    def _lane_addresses(self, wavefront: Wavefront, rs: int, imm: int) -> np.ndarray:
-        base = wavefront.registers._values[rs]
+    def _address(self, wavefront: Wavefront, op: tuple) -> RegisterValue:
+        """Byte address ``rs + imm`` of a memory instruction: an int or lanes."""
+        base = wavefront.registers._values[op[P_RS]]
+        imm = op[P_IMM]
         if imm == 0:
             # Register values are stored masked, so the 32-bit wrap of the
             # pointer arithmetic only matters once an offset is added.
             return base
-        return (base + imm) & 0xFFFFFFFF
+        return (base + imm) & WORD_MASK
 
     def _execute_load(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        addresses = self._address(wavefront, op)
+        if type(addresses) is int:
+            return self._execute_uniform_load(wavefront, op[P_RD], addresses, access_time)
         num_active = wavefront.num_active
         if num_active == wavefront.wavefront_size:
             # Fully active wavefront (the common case): no masked gather or
@@ -518,11 +516,34 @@ class ComputeUnit:
         wavefront.registers.merge_row(op[P_RD], result, mask)
         return completion
 
+    def _execute_uniform_load(
+        self, wavefront: Wavefront, rd: int, address: int, access_time: float
+    ) -> float:
+        """Load through a wavefront-uniform address: one word, one line.
+
+        Every active lane reads the same word, so the access coalesces to one
+        cache line: a single-line probe and, on a miss, one line fill give the
+        same timing, statistics and errors as the lane-vector path.
+        """
+        cache = self.cache
+        completion = access_time + cache.hit_latency_cycles
+        if not wavefront.num_active:
+            return completion
+        value = self.global_memory.load_word(address)
+        outcome = cache.access_line(cache.line_address(address), False)
+        if not outcome.hit:
+            completion, _ = self.memory_controller.miss_burst(
+                access_time, self._cache_ports, [False], [outcome.write_back], completion
+            )
+        self._write_register(wavefront, rd, value)
+        return completion
+
     def _execute_store(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        lanes = wavefront.wavefront_size
+        addresses = lane_vector(self._address(wavefront, op), lanes)
         num_active = wavefront.num_active
         if num_active:
-            values = wavefront.registers._values[op[P_RT]]
+            values = lane_vector(wavefront.registers._values[op[P_RT]], lanes)
             if num_active != wavefront.wavefront_size:
                 mask = wavefront.active_mask
                 addresses = addresses[mask]
@@ -574,7 +595,7 @@ class ComputeUnit:
         return completion
 
     def _execute_local(self, wavefront: Wavefront, op: tuple, kind: int) -> None:
-        addresses = self._lane_addresses(wavefront, op[P_RS], op[P_IMM])
+        addresses = lane_vector(self._address(wavefront, op), wavefront.wavefront_size)
         mask = wavefront.active_mask
         if self._use_lram_windows:
             # Each workgroup addresses its private LRAM window: accesses wrap
@@ -590,7 +611,9 @@ class ComputeUnit:
             wavefront.registers.merge_row(op[P_RD], result, mask)
         else:
             if wavefront.any_active:
-                values = wavefront.registers._values[op[P_RT]][mask]
+                values = lane_vector(
+                    wavefront.registers._values[op[P_RT]], wavefront.wavefront_size
+                )[mask]
                 self.local_memory.store_words(word_indices[mask], values)
 
     def _execute_branch(self, wavefront: Wavefront, op: tuple, fallthrough: int) -> int:

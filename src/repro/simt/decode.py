@@ -10,8 +10,9 @@ carrying
 * a small integer ``kind`` the compute unit switches on,
 * plain-int operand fields (``rd``/``rs``/``rt``/``imm``),
 * the timing facts (``latency``, ``uses_pe``) already looked up, and
-* per-kind pre-resolved data: the lane-arithmetic callable for register ALU
-  forms, the broadcast immediate vector for immediate forms, and the branch
+* per-kind pre-resolved data: the lane and scalar forms of the arithmetic
+  for ALU forms (:mod:`repro.simt.pe`), the immediate or constant as one
+  unsigned 32-bit ``int`` for immediate forms and LI/LUI, and the branch
   comparison for conditional branches.
 
 ``macro_safe`` marks instructions (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
@@ -21,16 +22,13 @@ run of them in one scheduling event without any other wavefront being able
 to observe the difference; the compute unit's macro-stepping fast path
 checks this flag per instruction.
 
-The decoded program is immutable and depends only on the program, the timing
-model, and the wavefront geometry, so one decode is shared by every compute
-unit of a launch.
+The decoded program is immutable and depends only on the program and the
+timing model, so one decode is shared by every compute unit of a launch.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from repro.arch.assembler import Program
 from repro.arch.isa import Instruction, OpClass, Opcode
@@ -38,10 +36,11 @@ from repro.errors import SimulationError
 from repro.simt import pe
 from repro.simt.timing import TimingModel
 
-# Instruction kinds (dense ints the compute unit dispatches on).
+# Instruction kinds (dense ints the compute unit dispatches on).  The three
+# ALU kinds come first: the issue loop tests ``kind <= K_ALU_CONST``.
 K_ALU_BIN = 0  # three-register ALU/MUL/DIV
 K_ALU_IMM = 1  # immediate ALU with a register source
-K_ALU_CONST = 2  # LI/LUI: result is a pre-broadcast constant
+K_ALU_CONST = 2  # LI/LUI: result is a decoded int constant
 K_SPECIAL = 3  # work-item identification
 K_PARAM = 4  # kernel-parameter load from the RTM
 K_LOAD = 5  # global-memory load
@@ -98,6 +97,7 @@ class DecodedOp:
         "uses_pe",
         "macro_safe",
         "fn",
+        "scalar_fn",
         "const",
         "instruction",
     )
@@ -120,8 +120,9 @@ class DecodedOp:
         self.latency = latency
         self.uses_pe = uses_pe
         self.macro_safe = self.opclass in _MACRO_SAFE_CLASSES
-        self.fn = None  # lane-arithmetic callable (K_ALU_BIN / K_ALU_IMM)
-        self.const = None  # broadcast immediate lanes (K_ALU_IMM / K_ALU_CONST)
+        self.fn = None  # lane form (K_ALU_BIN / K_ALU_IMM), branch code (K_BCOND)
+        self.scalar_fn = None  # scalar form for int operands (K_ALU_BIN / K_ALU_IMM)
+        self.const = None  # unsigned 32-bit int (K_ALU_IMM / K_ALU_CONST)
         self.instruction = instruction
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -138,8 +139,9 @@ P_LATENCY = 5
 P_USES_PE = 6
 P_MACRO_SAFE = 7
 P_FN = 8
-P_CONST = 9
-P_CLASS_KEY = 10
+P_SCALAR_FN = 9
+P_CONST = 10
+P_CLASS_KEY = 11
 
 
 class DecodedProgram:
@@ -171,6 +173,7 @@ class DecodedProgram:
                 op.uses_pe,
                 op.macro_safe,
                 op.fn,
+                op.scalar_fn,
                 op.const,
                 op.class_key,
             )
@@ -229,7 +232,6 @@ def _classify(instruction: Instruction) -> int:
 def predecode_program(
     program: Program,
     timing: Optional[TimingModel] = None,
-    wavefront_size: int = 64,
 ) -> DecodedProgram:
     """Resolve ``program`` into a :class:`DecodedProgram` for execution."""
     timing = timing or TimingModel()
@@ -244,13 +246,13 @@ def predecode_program(
         )
         kind = op.kind
         if kind == K_ALU_BIN:
-            op.fn = pe.binary_operation(op.opcode)
+            op.fn, op.scalar_fn = pe.binary_operation(op.opcode)
         elif kind == K_ALU_IMM:
-            op.fn = pe.binary_operation(pe.immediate_base(op.opcode))
-            op.const = np.full(wavefront_size, op.imm, dtype=np.int64) & pe.WORD_MASK
+            op.fn, op.scalar_fn = pe.binary_operation(pe.immediate_base(op.opcode))
+            op.const = op.imm & pe.WORD_MASK
         elif kind == K_ALU_CONST:
             value = op.imm if op.opcode is Opcode.LI else op.imm << 14
-            op.const = np.full(wavefront_size, value & pe.WORD_MASK, dtype=np.int64)
+            op.const = value & pe.WORD_MASK
         elif kind == K_BCOND:
             op.fn = _BCOND_CODES[op.opcode]
         ops.append(op)

@@ -111,8 +111,10 @@ class GGPUSimulator:
 
     def create_buffer(self, values: Sequence[int]) -> int:
         """Allocate a buffer sized for ``values`` and initialize it."""
-        values = list(values)
-        base = self.allocate_buffer(len(values))
+        if not isinstance(values, np.ndarray):
+            # Materialize generators and ranges once; ndarrays skip the list.
+            values = np.asarray(list(values), dtype=np.int64)
+        base = self.allocate_buffer(values.size)
         self.write_buffer(base, values)
         return base
 
@@ -208,7 +210,7 @@ class GGPUSimulator:
         if entry is not None and entry[0] is kernel.program:
             self.decode_cache_hits += 1
             return entry[1]
-        decoded = predecode_program(kernel.program, self.timing, self.config.wavefront_size)
+        decoded = predecode_program(kernel.program, self.timing)
         self._decode_cache[key] = (kernel.program, decoded)
         self.decode_cache_misses += 1
         return decoded

@@ -98,6 +98,13 @@ class GlobalMemory:
         """Load one word per lane from the given byte addresses."""
         return self._words[self._word_indices(byte_addresses)[0]]
 
+    def load_word(self, byte_address: int) -> int:
+        """Load the one word a wavefront-uniform address reads for every lane.
+
+        Same alignment and range errors as :meth:`load_words`.
+        """
+        return int(self._words[self._word_index(byte_address)])
+
     def store_words(self, byte_addresses: np.ndarray, values: np.ndarray) -> None:
         """Store one word per lane to the given byte addresses."""
         indices, top = self._word_indices(byte_addresses)

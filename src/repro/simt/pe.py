@@ -1,16 +1,28 @@
-"""Processing-element ALU: vectorized lane arithmetic.
+"""Processing-element ALU: lane arithmetic in a vector and a scalar form.
 
 The 8 PEs of a CU execute one instruction for 8 lanes per cycle; functionally
 the whole 64-lane wavefront sees the same operation.  This module implements
-the arithmetic of every ALU/MUL/DIV opcode as a numpy operation over the lane
-vectors, with 32-bit wrap-around semantics and RISC-style division behaviour
-(divide by zero yields -1 for the quotient and the dividend for the
-remainder).
+the arithmetic of every ALU/MUL/DIV opcode with 32-bit wrap-around semantics
+and RISC-style division behaviour (divide by zero yields -1 for the quotient
+and the dividend for the remainder).
+
+A wavefront register holds either an int64 lane vector or, when every lane
+holds the same value, one Python ``int`` (see :mod:`repro.simt.registers`).
+Each opcode therefore has two forms:
+
+* the *lane form* takes lane vectors and Python ints in any mix and, with at
+  least one vector operand, returns a lane vector through numpy broadcasting;
+* the *scalar form* takes two unsigned 32-bit ints and returns an int equal
+  to every lane of the lane form applied to the broadcast operands.
+
+Where one expression is exact for both (ADD, the shifts, MUL, ...) the two
+forms are the same function; SLT/SLTU, MIN/MAX and DIV/REM need numpy, and
+their scalar form applies the lane form to int64 scalars.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -21,12 +33,18 @@ WORD_MASK = 0xFFFFFFFF
 SIGN_BIT = 0x80000000
 
 
+def _signed(values):
+    """Two's-complement fold of unsigned 32-bit values (ints or lane vectors).
+
+    Branch-free: equivalent to subtracting 2**32 where the sign bit is set,
+    without materializing a boolean mask.
+    """
+    return ((values + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+
+
 def to_signed(values: np.ndarray) -> np.ndarray:
     """Reinterpret unsigned 32-bit lane values as signed."""
-    values = np.asarray(values, dtype=np.int64)
-    # Branch-free two's-complement fold: equivalent to subtracting 2**32
-    # where the sign bit is set, without materializing the boolean mask.
-    return ((values + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+    return _signed(np.asarray(values, dtype=np.int64))
 
 
 def to_unsigned(values: np.ndarray) -> np.ndarray:
@@ -34,67 +52,67 @@ def to_unsigned(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.int64) & WORD_MASK
 
 
-def _shift_amount(b: np.ndarray) -> np.ndarray:
-    return np.asarray(b, dtype=np.int64) & 0x1F
-
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+# Forms exact for ints, lane vectors, and any mix of the two.
+def _add(a, b):
     return (a + b) & WORD_MASK
 
 
-def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sub(a, b):
     return (a - b) & WORD_MASK
 
 
-def _and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _and(a, b):
     return a & b
 
 
-def _or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _or(a, b):
     return a | b
 
 
-def _xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _xor(a, b):
     return a ^ b
 
 
-def _sll(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a << _shift_amount(b)) & WORD_MASK
+def _sll(a, b):
+    return (a << (b & 0x1F)) & WORD_MASK
 
 
-def _srl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a & WORD_MASK) >> _shift_amount(b)
+def _srl(a, b):
+    return (a & WORD_MASK) >> (b & 0x1F)
 
 
-def _sra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return to_unsigned(to_signed(a) >> _shift_amount(b))
+def _sra(a, b):
+    return (_signed(a) >> (b & 0x1F)) & WORD_MASK
 
 
-def _slt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mul(a, b):
+    # An int64 product of two 32-bit lanes may wrap, but modulo 2**64, which
+    # keeps the low 32 bits exact.
+    return (a * b) & WORD_MASK
+
+
+def _mulh(a, b):
+    return ((_signed(a) * _signed(b)) >> 32) & WORD_MASK
+
+
+# Lane forms that need numpy; _on_ints derives their scalar forms.
+def _slt(a, b):
     return (to_signed(a) < to_signed(b)).astype(np.int64)
 
 
-def _sltu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sltu(a, b):
     return ((a & WORD_MASK) < (b & WORD_MASK)).astype(np.int64)
 
 
-def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _min(a, b):
     return to_unsigned(np.minimum(to_signed(a), to_signed(b)))
 
 
-def _max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _max(a, b):
     return to_unsigned(np.maximum(to_signed(a), to_signed(b)))
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (to_signed(a) * to_signed(b)) & WORD_MASK
-
-
-def _mulh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return to_unsigned((to_signed(a) * to_signed(b)) >> 32)
-
-
-def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _div(a, b):
     sa, sb = to_signed(a), to_signed(b)
     safe_b = np.where(sb == 0, 1, sb)
     quotient = np.abs(sa) // np.abs(safe_b)
@@ -103,7 +121,7 @@ def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return to_unsigned(quotient)
 
 
-def _rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rem(a, b):
     sa, sb = to_signed(a), to_signed(b)
     safe_b = np.where(sb == 0, 1, sb)
     quotient = np.abs(sa) // np.abs(safe_b)
@@ -113,23 +131,29 @@ def _rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return to_unsigned(remainder)
 
 
-_BINARY_OPS: Dict[Opcode, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    Opcode.ADD: _add,
-    Opcode.SUB: _sub,
-    Opcode.AND: _and,
-    Opcode.OR: _or,
-    Opcode.XOR: _xor,
-    Opcode.SLL: _sll,
-    Opcode.SRL: _srl,
-    Opcode.SRA: _sra,
-    Opcode.SLT: _slt,
-    Opcode.SLTU: _sltu,
-    Opcode.MIN: _min,
-    Opcode.MAX: _max,
-    Opcode.MUL: _mul,
-    Opcode.MULH: _mulh,
-    Opcode.DIV: _div,
-    Opcode.REM: _rem,
+def _on_ints(lane_form: Callable) -> Callable:
+    """Scalar form of a numpy lane form: the lane form applied to int64 scalars."""
+    return lambda a, b: int(lane_form(np.int64(a), np.int64(b)))
+
+
+# opcode -> (lane form, scalar form)
+_BINARY_OPS: Dict[Opcode, Tuple[Callable, Callable]] = {
+    Opcode.ADD: (_add, _add),
+    Opcode.SUB: (_sub, _sub),
+    Opcode.AND: (_and, _and),
+    Opcode.OR: (_or, _or),
+    Opcode.XOR: (_xor, _xor),
+    Opcode.SLL: (_sll, _sll),
+    Opcode.SRL: (_srl, _srl),
+    Opcode.SRA: (_sra, _sra),
+    Opcode.SLT: (_slt, _on_ints(_slt)),
+    Opcode.SLTU: (_sltu, _on_ints(_sltu)),
+    Opcode.MIN: (_min, _on_ints(_min)),
+    Opcode.MAX: (_max, _on_ints(_max)),
+    Opcode.MUL: (_mul, _mul),
+    Opcode.MULH: (_mulh, _mulh),
+    Opcode.DIV: (_div, _on_ints(_div)),
+    Opcode.REM: (_rem, _on_ints(_rem)),
 }
 
 # Immediate forms share the arithmetic of their register forms.
@@ -148,11 +172,8 @@ _IMMEDIATE_TO_BINARY: Dict[Opcode, Opcode] = {
 
 def execute_binary(opcode: Opcode, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Execute a three-register ALU/MUL/DIV operation over the lane vectors."""
-    try:
-        operation = _BINARY_OPS[opcode]
-    except KeyError as exc:
-        raise SimulationError(f"{opcode.mnemonic} is not a binary ALU operation") from exc
-    return operation(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    lane_form, _ = binary_operation(opcode)
+    return lane_form(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
 
 def execute_immediate(opcode: Opcode, a: np.ndarray, imm: int, lanes: int) -> np.ndarray:
@@ -169,12 +190,11 @@ def execute_immediate(opcode: Opcode, a: np.ndarray, imm: int, lanes: int) -> np
     return execute_binary(base, a, broadcast)
 
 
-def binary_operation(opcode: Opcode) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Resolve the lane-arithmetic callable of a three-register opcode.
+def binary_operation(opcode: Opcode) -> Tuple[Callable, Callable]:
+    """Resolve the ``(lane form, scalar form)`` of a three-register opcode.
 
-    Used by the instruction pre-decoder so the per-issue path can call the
-    operation directly instead of going through the dict lookup in
-    :func:`execute_binary`.
+    The instruction pre-decoder stores the pair on each ``DecodedOp`` so the
+    per-issue path calls the operation directly.
     """
     try:
         return _BINARY_OPS[opcode]

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simt.registers import WavefrontRegisterFile
+from repro.simt.registers import RegisterValue, WavefrontRegisterFile
 
 
 class Wavefront:
@@ -136,8 +136,16 @@ class Wavefront:
         """Save the current execution mask (PUSHM)."""
         self._mask_stack.append(self.active_mask.copy())
 
-    def constrain_mask(self, condition: np.ndarray) -> None:
-        """AND the execution mask with a per-lane condition (CMASK)."""
+    def constrain_mask(self, condition: RegisterValue) -> None:
+        """AND the execution mask with a per-lane condition (CMASK).
+
+        A wavefront-uniform condition (an int) keeps the mask or clears it.
+        """
+        if type(condition) is int:
+            if not condition:
+                self.active_mask = np.zeros_like(self.active_mask)
+                self._active_count = 0
+            return
         condition = np.asarray(condition)
         if condition.shape != self.active_mask.shape:
             raise SimulationError("condition vector has the wrong number of lanes")
@@ -161,16 +169,19 @@ class Wavefront:
     # ------------------------------------------------------------------ #
     # Uniform values
     # ------------------------------------------------------------------ #
-    def uniform_lane_value(self, values: np.ndarray, strict: bool = True) -> int:
+    def uniform_lane_value(self, values: RegisterValue, strict: bool = True) -> int:
         """Value of the first active lane, checking wavefront uniformity.
 
         Uniform branches (BEQ/BNE/BLT/BGE) require their operands to be equal
         across active lanes; with ``strict`` the simulator verifies this and
         raises, which catches kernels that should have used the mask
-        instructions instead.
+        instructions instead.  An int register value is uniform by
+        construction and needs no lane reduction.
         """
         if not self.any_active:
             raise SimulationError("no active lane to read a uniform value from")
+        if type(values) is int:
+            return values
         active_values = np.asarray(values)
         if self._active_count != active_values.size:
             active_values = active_values[self.active_mask]

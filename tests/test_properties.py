@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.arch.assembler import Assembler, decode_instruction, encode_instruction
+from repro.arch.assembler import IMM_MAX, IMM_MIN, Assembler, decode_instruction, encode_instruction
 from repro.arch.isa import Opcode
 from repro.arch.kernel import KernelArg, KernelBuilder, NDRange
 from repro.riscv.isa import RvInstruction, RvOpcode, decode_rv, encode_rv
@@ -11,6 +12,7 @@ from repro.simt import pe
 from repro.simt.cache import DataCache
 from repro.arch.config import CacheConfig
 from repro.tech.sram import SramCompiler, SramMacroSpec
+from repro.simt.decode import predecode_program
 from repro.simt.gpu import GGPUSimulator
 from repro.arch.config import GGPUConfig
 
@@ -66,6 +68,62 @@ def test_shift_identities(values, amount):
     assert list(left) == [(value << amount) & 0xFFFFFFFF for value in values]
     right = pe.execute_binary(Opcode.SRL, a, shift)
     assert list(right) == [value >> amount for value in values]
+
+
+# --------------------------------------------------------------------------- #
+# Scalar ALU forms (int registers) match every lane of the lane operation
+# --------------------------------------------------------------------------- #
+# Word edges, plus the shift amounts on both sides of the 5-bit shift field.
+EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 31, 32, 33)
+OPERAND = st.one_of(st.sampled_from(EDGE_WORDS), WORD)
+IMMEDIATE = st.one_of(
+    st.sampled_from((0, 1, -1, 31, 32, 33, IMM_MIN, IMM_MAX)), st.integers(IMM_MIN, IMM_MAX)
+)
+REGISTER_OPCODES = [opcode for opcode in Opcode if pe.is_binary_alu(opcode)]
+IMMEDIATE_OPCODES = [
+    opcode
+    for opcode in Opcode
+    if pe.is_immediate_alu(opcode) and opcode not in (Opcode.LI, Opcode.LUI)
+]
+
+
+def test_every_alu_opcode_has_a_scalar_form_under_test():
+    assert len(REGISTER_OPCODES) == 16
+    assert len(IMMEDIATE_OPCODES) == 9
+
+
+@pytest.mark.parametrize("opcode", REGISTER_OPCODES, ids=lambda opcode: opcode.mnemonic)
+@given(a=OPERAND, b=OPERAND)
+@example(a=0x80000000, b=0xFFFFFFFF)  # INT_MIN / -1
+@example(a=7, b=0)  # x / 0 and x % 0
+@example(a=0xFFFFFFF9, b=0x80000000)  # MULH of two negative numbers
+@settings(max_examples=80, deadline=None)
+def test_scalar_register_form_matches_every_lane(opcode, a, b):
+    lane_form, scalar_form = pe.binary_operation(opcode)
+    a_lanes = np.full(LANES, a, dtype=np.int64)
+    b_lanes = np.full(LANES, b, dtype=np.int64)
+    expected = lane_form(a_lanes, b_lanes).tolist()
+    result = scalar_form(a, b)
+    assert type(result) is int
+    assert expected == [result] * LANES
+    # One int operand and one lane vector broadcast to the same lanes.
+    assert lane_form(a, b_lanes).tolist() == expected
+    assert lane_form(a_lanes, b).tolist() == expected
+
+
+@pytest.mark.parametrize("opcode", IMMEDIATE_OPCODES, ids=lambda opcode: opcode.mnemonic)
+@given(a=OPERAND, imm=IMMEDIATE)
+@settings(max_examples=80, deadline=None)
+def test_scalar_immediate_form_matches_every_lane(opcode, a, imm):
+    asm = Assembler("imm")
+    asm.emit(opcode, rd=1, rs=2, imm=imm)
+    (op,) = predecode_program(asm.assemble()).ops
+    a_lanes = np.full(LANES, a, dtype=np.int64)
+    expected = pe.execute_immediate(opcode, a_lanes, imm, LANES).tolist()
+    result = op.scalar_fn(a, op.const)
+    assert type(result) is int
+    assert expected == [result] * LANES
+    assert op.fn(a_lanes, op.const).tolist() == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -144,6 +202,34 @@ def test_cache_accounting_invariants(word_indices):
     assert 0.0 <= stats.hit_rate <= 1.0
     assert stats.write_backs <= stats.misses
     assert len(cache.resident_lines()) <= cache.config.num_lines
+
+
+SMALL_CACHE = CacheConfig(size_bytes=512, line_bytes=64)  # 8 lines
+WORD_INDEX = st.integers(0, 1023)  # 64 lines: accesses alias and evict
+CACHE_ACCESS = st.tuples(
+    st.one_of(WORD_INDEX.map(lambda index: [index]), st.lists(WORD_INDEX, min_size=2, max_size=12)),
+    st.booleans(),
+)
+
+
+@given(st.lists(CACHE_ACCESS, min_size=1, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_single_line_probe_matches_the_sorted_probe(accesses):
+    """A one-line access through ``access_line`` (the wavefront-uniform load
+    probe) and through ``access_sorted_lines`` leaves identical caches."""
+    uniform, reference = DataCache(SMALL_CACHE), DataCache(SMALL_CACHE)
+    for word_indices, is_write in accesses:
+        lines = reference.coalesce_lines([4 * index for index in word_indices])
+        expected = reference.access_sorted_lines(lines, is_write)
+        if lines.size == 1:
+            outcome = uniform.access_line(uniform.line_address(4 * word_indices[0]), is_write)
+            observed = (None, None, 0) if outcome.hit else ([False], [outcome.write_back], 1)
+        else:
+            observed = uniform.access_sorted_lines(lines, is_write)
+        assert observed == expected
+    assert uniform._tags.tolist() == reference._tags.tolist()
+    assert uniform._dirty.tolist() == reference._dirty.tolist()
+    assert uniform.stats == reference.stats
 
 
 # --------------------------------------------------------------------------- #

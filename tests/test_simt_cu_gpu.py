@@ -164,3 +164,22 @@ def test_stats_summary_mentions_kernel(simulator):
     result = simulator.launch(kernel, NDRange(64, 64), {"out": out})
     assert "iota" in result.stats.summary()
     assert result.kcycles == pytest.approx(result.cycles / 1000.0)
+
+
+def test_create_buffer_accepts_lists_tuples_arrays_and_ranges():
+    """Host values are converted once; every container writes the same memory."""
+    values = [0, 1, -1, -(2**31), 2**31, 2**32, 2**32 + 5, 2**40 + 7, 0xFFFFFFFF]
+    expected = [value & 0xFFFFFFFF for value in values]
+    images = []
+    for container in (list(values), tuple(values), np.array(values, dtype=np.int64)):
+        simulator = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=64 * 1024)
+        base = simulator.create_buffer(container)
+        image = simulator.read_buffer(base, len(values))
+        assert list(image) == expected
+        images.append((base, image.tolist()))
+    assert images[0] == images[1] == images[2]
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=64 * 1024)
+    base = simulator.create_buffer(range(0, 40, 4))
+    assert list(simulator.read_buffer(base, 10)) == list(range(0, 40, 4))
+    base = simulator.create_buffer(value for value in values)
+    assert list(simulator.read_buffer(base, len(values))) == expected

@@ -16,7 +16,9 @@ parked at the barrier), divergence-mask edge cases, posted-store semantics,
 the end-of-kernel flush traffic, and the round-robin idle-CU refill.
 """
 
+import contextlib
 from dataclasses import asdict
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -27,9 +29,12 @@ from repro.cl import compile_source
 from repro.runtime.queue import CommandQueue
 from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
+from repro.errors import SimulationError
 from repro.kernels import get_kernel_spec, run_workload
 from repro.simt.dispatcher import WorkgroupDispatcher
 from repro.simt.gpu import GGPUSimulator
+from repro.simt.registers import WavefrontRegisterFile
+from repro.simt.wavefront import Wavefront
 
 CU_COUNTS = (1, 2, 4, 8)
 
@@ -446,43 +451,145 @@ def test_cache_ports_serialize_scattered_accesses():
 
 
 # --------------------------------------------------------------------- #
-# Macro-stepping on/off: whole-statistics equivalence axis
+# Issue modes: macro-stepping on/off x uniform registers or lane vectors
 # --------------------------------------------------------------------- #
 # The tests below keep the ``vectorized_issue`` names of the batched issue
-# engine they used to pin, so their ids stay stable across the history; the
-# axis they sweep now is ``ComputeUnit.macro_step`` against single-step
-# issue, comparing results, cycles, and whole per-CU statistics.
-def _launch_modes(kernel: Kernel, global_size: int, workgroup_size: int, num_cus: int):
-    """Run ``kernel`` macro-stepped and single-stepped; return both outcomes."""
+# engine they used to pin, so their ids stay stable across the history.  The
+# axes they sweep now are ``ComputeUnit.macro_step`` against single-step
+# issue, and uniform registers (an int when every lane holds one value)
+# against the lane-vector reference below.  They compare results, cycles,
+# whole per-CU, cache and AXI statistics, and every wavefront's registers
+# when it retires.
+MODES = [(macro, uniform) for macro in (True, False) for uniform in (True, False)]
+
+
+class _LaneVectorRegisters(list):
+    """Register storage of the lane-vector reference.
+
+    Every int is expanded into a broadcast lane vector before it is stored,
+    so the compute unit only ever sees vectors, as it did before uniform
+    registers.  Only :func:`_register_form` installs it.
+    """
+
+    def __init__(self, values, lanes: int) -> None:
+        self.lanes = lanes
+        super().__init__(self._expand(value) for value in values)
+
+    def _expand(self, value):
+        if type(value) is int:
+            return np.full(self.lanes, value, dtype=np.int64)
+        return value
+
+    def __setitem__(self, index, value) -> None:
+        super().__setitem__(index, self._expand(value))
+
+
+@contextlib.contextmanager
+def _register_form(uniform: bool):
+    """Run launches with uniform registers, or with the lane-vector reference.
+
+    Yields a record of every retiring wavefront's register ``snapshot()`` and
+    of which of its registers were ints, keyed by wavefront id.
+    """
+    record = {"snapshots": {}, "int_registers": {}}
+    retire = Wavefront.retire
+    init = WavefrontRegisterFile.__init__
+
+    def recording_retire(self, time):
+        record["snapshots"][self.wavefront_id] = self.registers.snapshot().tolist()
+        record["int_registers"][self.wavefront_id] = [
+            index for index, value in enumerate(self.registers._values) if type(value) is int
+        ]
+        retire(self, time)
+
+    def lane_vector_init(self, num_registers, wavefront_size):
+        init(self, num_registers, wavefront_size)
+        self._values = _LaneVectorRegisters(self._values, wavefront_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Wavefront, "retire", recording_retire)
+        if not uniform:
+            patch.setattr(WavefrontRegisterFile, "__init__", lane_vector_init)
+        yield record
+
+
+def _launch_modes(num_cus: int, launch) -> dict:
+    """Run ``launch(simulator) -> (result, outputs)`` under every issue mode."""
     outcomes = {}
-    for macro in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        out = simulator.allocate_buffer(global_size)
-        result = simulator.launch(
-            kernel, NDRange(global_size, workgroup_size), {"out": out}
-        )
-        outcomes[macro] = (
-            result.cycles,
-            _cu_stats(result),
-            list(simulator.read_buffer(out, global_size)),
-        )
+    for macro, uniform in MODES:
+        with _register_form(uniform) as record:
+            simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
+            for cu in simulator.compute_units:
+                cu.macro_step = macro
+            result, outputs = launch(simulator)
+        stats = result.stats
+        outcomes[(macro, uniform)] = {
+            "cycles": stats.cycles,
+            "cu_stats": [asdict(cu_stats) for cu_stats in stats.cu_stats],
+            "cache": asdict(stats.cache),
+            "traffic": asdict(stats.traffic),
+            "outputs": outputs,
+            **record,
+        }
     return outcomes
+
+
+def _assert_modes_agree(outcomes: dict) -> None:
+    """Every issue mode reproduces the default mode's outcome.
+
+    Macro-stepping may change ``issue_events`` and nothing else; the register
+    form may change nothing, and the lane-vector reference never holds an int.
+    """
+
+    def compared(outcome, with_events):
+        rows = [
+            row if with_events else {**row, "issue_events": None} for row in outcome["cu_stats"]
+        ]
+        return {**outcome, "cu_stats": rows, "int_registers": None}
+
+    default = compared(outcomes[(True, True)], with_events=False)
+    for (macro, uniform), outcome in outcomes.items():
+        if not uniform:
+            assert not any(outcome["int_registers"].values())
+        assert compared(outcome, True) == compared(outcomes[(macro, True)], True)
+        assert compared(outcome, False) == default
+
+
+def _out_launch(kernel: Kernel, global_size: int, workgroup_size: int, inputs=()):
+    """A launch of ``kernel`` writing ``out``, after creating the ``inputs``."""
+
+    def launch(simulator):
+        args = {name: simulator.create_buffer(values) for name, values in inputs}
+        args["out"] = simulator.allocate_buffer(global_size)
+        result = simulator.launch(kernel, NDRange(global_size, workgroup_size), args)
+        return result, simulator.read_buffer(args["out"], global_size).tolist()
+
+    return launch
+
+
+def _library_launch(name: str):
+    """A checked launch of library kernel ``name`` at its golden size."""
+    spec = get_kernel_spec(name)
+    kernel = spec.build()
+    size = ALL_GOLDEN[name][0]
+
+    def launch(simulator):
+        result, outputs = run_workload(simulator, kernel, spec.workload(size, SEED))
+        return result, {key: value.tolist() for key, value in outputs.items()}
+
+    return launch
 
 
 @pytest.mark.parametrize("num_cus", [1, 2, 8])
 def test_vectorized_issue_matches_scalar_on_nested_divergence(num_cus):
-    """Nested mask pushes/pops: active-lane accounting must not depend on batching."""
-    outcomes = _launch_modes(_nested_divergence_kernel(), 256, 64, num_cus)
-    assert outcomes[True] == outcomes[False]
+    """Nested mask pushes/pops: active-lane accounting must not depend on the mode."""
+    _assert_modes_agree(_launch_modes(num_cus, _out_launch(_nested_divergence_kernel(), 256, 64)))
 
 
 @pytest.mark.parametrize("workgroup_size", [64, 256, 512])
 def test_vectorized_issue_matches_scalar_across_barriers(workgroup_size):
-    """Barriers end macro runs and park wavefronts; both modes must agree exactly."""
-    outcomes = _launch_modes(_barrier_kernel(rounds=2), 1024, workgroup_size, 2)
-    assert outcomes[True] == outcomes[False]
+    """Barriers end macro runs and park wavefronts; every mode must agree exactly."""
+    _assert_modes_agree(_launch_modes(2, _out_launch(_barrier_kernel(rounds=2), 1024, workgroup_size)))
 
 
 @pytest.mark.parametrize("ports", [1, 4, 64])
@@ -524,8 +631,9 @@ def test_vectorized_issue_matches_goldens_with_engine_off(name):
 )
 def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op, seed):
     """Random compiled kernels (divergence + barriers + loops): results, the
-    command queue's ``QueueStats``, and per-CU statistics must be bit-equal
-    between macro-stepped and single-stepped issue."""
+    command queue's ``QueueStats``, and per-CU, cache and AXI statistics must
+    be bit-equal across macro-stepped and single-stepped issue, with uniform
+    registers and with the lane-vector reference."""
     source = f"""
     __kernel void fuzz_vec(__global int *a, __global int *out, int n) {{
         int gid = get_global_id(0);
@@ -551,21 +659,155 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
     a = rng.integers(0, 1 << 16, size=n, dtype=np.int64)
 
     outcomes = {}
-    for macro in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024)
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        queue = CommandQueue(simulator=simulator)
-        a_addr = queue.create_buffer(a)
-        out_addr = queue.allocate_buffer(n)
-        queue.enqueue(kernel, NDRange(n, 64), {"a": a_addr, "out": out_addr, "n": n})
-        values = queue.read_buffer(out_addr, n)
-        (result,) = queue.finish()
-        outcomes[macro] = (list(values), asdict(queue.stats), _cu_stats(result))
-    assert outcomes[True] == outcomes[False]
+    for macro, uniform in MODES:
+        with _register_form(uniform):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024)
+            for cu in simulator.compute_units:
+                cu.macro_step = macro
+            queue = CommandQueue(simulator=simulator)
+            a_addr = queue.create_buffer(a)
+            out_addr = queue.allocate_buffer(n)
+            queue.enqueue(kernel, NDRange(n, 64), {"a": a_addr, "out": out_addr, "n": n})
+            values = queue.read_buffer(out_addr, n)
+            (result,) = queue.finish()
+        outcomes[(macro, uniform)] = (
+            list(values),
+            asdict(queue.stats),
+            _cu_stats(result),
+            asdict(result.stats.cache),
+            asdict(result.stats.traffic),
+        )
+    default = outcomes[(True, True)]
+    assert all(outcome == default for outcome in outcomes.values())
     # QueueStats carries the launch cycle totals, so the tuple comparison
     # above pins cycles; make the intent explicit anyway.
-    assert outcomes[True][1]["total_cycles"] == outcomes[False][1]["total_cycles"]
+    assert outcomes[(False, False)][1]["total_cycles"] == default[1]["total_cycles"]
+
+
+# --------------------------------------------------------------------- #
+# Uniform registers against the lane-vector reference
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+def test_uniform_registers_match_lane_vector_reference_on_library_kernels(name):
+    """Every library kernel at 1, 2 and 8 CUs, macro-stepped and single-stepped."""
+    for num_cus in (1, 2, 8):
+        _assert_modes_agree(_launch_modes(num_cus, _library_launch(name)))
+
+
+UNIFORM_TABLE = [100, 21, 33, 44, 55]
+
+
+def _uniform_edges_kernel() -> Tuple[Kernel, Dict[str, int]]:
+    """Uniform registers at their edges.
+
+    Loads through an int address under a full, a partial and a cleared mask;
+    CMASK on an int that keeps the mask and on one that clears it; partially
+    masked writes of an equal and of a different int; and a branch on a lane
+    vector that is uniform only across the active lanes.
+    """
+    builder = KernelBuilder("uniform_edges", args=(KernelArg("table"), KernelArg("out")))
+    names = "gid table out odd zero one same other loaded kept untouched cleared taken addr acc"
+    r = {name: builder.alloc(name) for name in names.split()}
+    builder.global_id(r["gid"])
+    builder.load_arg(r["table"], "table")
+    builder.load_arg(r["out"], "out")
+    builder.emit(Opcode.ANDI, rd=r["odd"], rs=r["gid"], imm=1)
+    builder.emit(Opcode.LI, rd=r["zero"], imm=0)
+    builder.emit(Opcode.LI, rd=r["one"], imm=1)
+    builder.emit(Opcode.LI, rd=r["same"], imm=5)
+    builder.emit(Opcode.LI, rd=r["other"], imm=3)
+    builder.emit(Opcode.LI, rd=r["loaded"], imm=9)
+    builder.emit(Opcode.LI, rd=r["untouched"], imm=11)
+    builder.emit(Opcode.LI, rd=r["cleared"], imm=2)
+    builder.emit(Opcode.LI, rd=r["taken"], imm=0)
+    builder.emit(Opcode.LW, rd=r["kept"], rs=r["table"], imm=8)  # full mask: table[2]
+    builder.emit(Opcode.PUSHM)
+    builder.emit(Opcode.CMASK, rs=r["one"])  # int: keeps every lane
+    builder.emit(Opcode.CMASK, rs=r["odd"])  # odd lanes only
+    builder.emit(Opcode.LI, rd=r["same"], imm=5)  # equal int: stays an int
+    builder.emit(Opcode.LI, rd=r["other"], imm=7)  # different int: becomes lanes
+    builder.emit(Opcode.LW, rd=r["loaded"], rs=r["table"], imm=4)  # table[1] on odd lanes
+    builder.emit(Opcode.LW, rd=r["kept"], rs=r["table"], imm=8)  # the same word again
+    builder.emit(Opcode.BNE, rs=r["odd"], rt=r["one"], label="skip")  # odd is 1 on every active lane
+    builder.emit(Opcode.LI, rd=r["taken"], imm=1)
+    builder.label("skip")
+    builder.emit(Opcode.CMASK, rs=r["zero"])  # int: clears the mask
+    builder.emit(Opcode.LW, rd=r["untouched"], rs=r["table"], imm=16)  # no lane loads
+    builder.emit(Opcode.LI, rd=r["cleared"], imm=6)  # no lane writes
+    builder.emit(Opcode.POPM)
+    builder.emit(Opcode.LI, rd=r["acc"], imm=0)
+    for name in ("same", "other", "loaded", "kept", "untouched", "cleared", "taken"):
+        builder.emit(Opcode.MULI, rd=r["acc"], rs=r["acc"], imm=131)
+        builder.emit(Opcode.ADD, rd=r["acc"], rs=r["acc"], rt=r[name])
+    builder.address_of_element(r["addr"], r["out"], r["gid"])
+    builder.emit(Opcode.SW, rs=r["addr"], rt=r["acc"], imm=0)
+    builder.ret()
+    return builder.build(), r
+
+
+@pytest.mark.parametrize("num_cus", [1, 2])
+def test_uniform_register_edges_match_lane_vector_reference(num_cus):
+    kernel, registers = _uniform_edges_kernel()
+    outcomes = _launch_modes(
+        num_cus, _out_launch(kernel, 256, 64, inputs=[("table", UNIFORM_TABLE)])
+    )
+    _assert_modes_agree(outcomes)
+    # The uniform paths really ran: which registers end as ints.
+    for int_registers in outcomes[(True, True)]["int_registers"].values():
+        for name in ("table", "same", "kept", "untouched"):
+            assert registers[name] in int_registers, name
+        for name in ("gid", "odd", "other", "loaded", "cleared", "taken"):
+            assert registers[name] not in int_registers, name
+
+
+def _failing_load_kernel(address: int) -> Kernel:
+    """Every lane loads the word at one int ``address``."""
+    builder = KernelBuilder("bad_load", args=(KernelArg("out"),))
+    pointer = builder.alloc("pointer")
+    value = builder.alloc("value")
+    builder.load_constant(pointer, address)
+    builder.emit(Opcode.LW, rd=value, rs=pointer, imm=0)
+    builder.ret()
+    return builder.build()
+
+
+def _failing_branch_kernel(cleared_mask: bool) -> Kernel:
+    """A branch on a per-lane register, or on ints with no lane active."""
+    builder = KernelBuilder("bad_branch", args=(KernelArg("out"),))
+    gid = builder.alloc("gid")
+    zero = builder.alloc("zero")
+    builder.global_id(gid)
+    builder.emit(Opcode.LI, rd=zero, imm=0)
+    if cleared_mask:
+        builder.emit(Opcode.PUSHM)
+        builder.emit(Opcode.CMASK, rs=zero)
+        builder.emit(Opcode.BEQ, rs=zero, rt=zero, label="end")
+    else:
+        builder.emit(Opcode.BEQ, rs=gid, rt=zero, label="end")
+    builder.label("end")
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        (_failing_load_kernel(0x1002), "unaligned word access at byte address 0x1002"),
+        (_failing_load_kernel(0x7FFFFFF0), "global memory access out of range: 0x7ffffff0"),
+        (_failing_branch_kernel(cleared_mask=False), "non-uniform value used in uniform control flow"),
+        (_failing_branch_kernel(cleared_mask=True), "no active lane to read a uniform value from"),
+    ],
+    ids=["misaligned-load", "out-of-range-load", "non-uniform-branch", "no-active-lane-branch"],
+)
+def test_uniform_register_errors_match_lane_vector_reference(kernel, message):
+    """Both register forms fail with the same ``SimulationError`` text."""
+    errors = {}
+    for uniform in (True, False):
+        with _register_form(uniform), pytest.raises(SimulationError) as failure:
+            _out_launch(kernel, 64, 64)(GGPUSimulator(GGPUConfig(num_cus=1)))
+        errors[uniform] = str(failure.value)
+    assert errors[True] == errors[False]
+    assert message in errors[True]
 
 
 # --------------------------------------------------------------------- #
@@ -579,7 +821,7 @@ def test_idle_refill_spreads_workgroups_across_all_cus():
     simulator.rtm.write_descriptor(256 * 8, 256, [simulator.allocate_buffer(2048)])
     from repro.simt.decode import predecode_program
 
-    decoded = predecode_program(kernel.program, simulator.timing, config.wavefront_size)
+    decoded = predecode_program(kernel.program, simulator.timing)
     for cu in simulator.compute_units:
         cu.bind(kernel.program, simulator.rtm, decoded=decoded)
     dispatcher = WorkgroupDispatcher(config, NDRange(256 * 8, 256))
