@@ -11,7 +11,8 @@ import pytest
 
 from repro.eval.paper_data import PAPER_TABLE1
 from repro.eval.tables import build_table1
-from repro.synth.report import SynthesisReportRow, format_table1
+from repro.eval.reports import table1_report
+from repro.synth.report import SynthesisReportRow
 
 
 def _regenerate(tech):
@@ -24,7 +25,7 @@ def test_table1_logic_synthesis_of_12_versions(benchmark, tech):
     assert len(results) == 12
 
     print("\n=== Reproduced Table I ===")
-    print(format_table1(results))
+    print(table1_report(results).text())
     print("\n=== Paper Table I (reference) ===")
     for label, row in PAPER_TABLE1.items():
         print(f"{label:12s} area={row[0]:6.2f} mem={row[1]:6.2f} ff={row[2]:7d} "

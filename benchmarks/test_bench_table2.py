@@ -8,7 +8,8 @@ import pytest
 
 from repro.eval.paper_data import PAPER_TABLE2
 from repro.eval.tables import build_table2
-from repro.physical.report import SIGNAL_LAYERS, format_table2
+from repro.eval.reports import table2_report
+from repro.physical.routing import SIGNAL_LAYERS
 
 
 @pytest.mark.benchmark(group="table2")
@@ -19,7 +20,7 @@ def test_table2_wirelength_per_metal_layer(benchmark, tech, physical_layouts):
     assert len(estimates) == 4
 
     print("\n=== Reproduced Table II (um) ===")
-    print(format_table2(estimates))
+    print(table2_report(estimates).text())
     print("\n=== Paper Table II (um) ===")
     for layer in SIGNAL_LAYERS:
         print(layer, PAPER_TABLE2[layer])

@@ -10,7 +10,7 @@ Run with:  python examples/design_space_exploration.py
 
 from repro import DesignSpaceExplorer, GGPUSpec, default_65nm
 from repro.planner.estimator import PpaMap
-from repro.synth.report import format_table1
+from repro.eval.reports import table1_report
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
 
     print("=== Sweeping 1/2/4/8 CUs x 500/590/667 MHz (the paper's 12 versions) ===")
     points = explorer.explore(cu_counts=(1, 2, 4, 8), frequencies_mhz=(500.0, 590.0, 667.0))
-    print(format_table1([point.synthesis for point in points]))
+    print(table1_report([point.synthesis for point in points]).text())
 
     print("\n=== Feasible points and Pareto frontier (area vs. throughput proxy) ===")
     for point in explorer.pareto_frontier(explorer.feasible_points(points)):

@@ -33,7 +33,6 @@ class CacheConfig:
     line_bytes: int = 64
     ports: int = 4
     hit_latency_cycles: int = 4
-    write_back: bool = True
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_bytes <= 0:

@@ -4,8 +4,9 @@ The generator drives the public :class:`~repro.arch.kernel.KernelBuilder`
 exactly like the hand-written benchmark kernels do, so the compiled code runs
 on the same simulator, through the same host API, with the same workloads.
 
-Control-flow lowering follows the uniformity annotation from
-:mod:`repro.cl.semantics`:
+Statements and expressions are lowered by :class:`~repro.cl.lowering.Lowering`;
+this module supplies the G-GPU hooks and the control flow that follows the
+uniformity annotation from :mod:`repro.cl.semantics`:
 
 * wavefront-uniform conditions become plain ``BEQ``/``JMP`` branches,
 * lane-varying ``if``/``else`` becomes the ``PUSHM``/``CMASK``/``INVM``/``POPM``
@@ -13,9 +14,8 @@ Control-flow lowering follows the uniformity annotation from
 * lane-varying loops become mask-constrained loops that exit when no lane is
   active (``BEMPTY``).
 
-Expressions are evaluated into a small pool of temporary registers with the
-usual strength reductions (immediate operand forms when a constant fits the
-14-bit field, shifted adds for buffer addressing).
+Constants use the immediate operand forms when they fit the 14-bit field
+(``*`` and ``<<`` included), the usual FGPU strength reductions.
 """
 
 from __future__ import annotations
@@ -25,27 +25,8 @@ from typing import Dict, List, Optional
 from repro.arch.assembler import fits_in_immediate
 from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder
-from repro.cl.nodes import (
-    AssignStmt,
-    BarrierStmt,
-    BinaryOp,
-    Call,
-    CType,
-    DeclStmt,
-    Expr,
-    ForStmt,
-    IfStmt,
-    Index,
-    IntLiteral,
-    KernelDecl,
-    LocalDeclStmt,
-    ReturnStmt,
-    Stmt,
-    Symbol,
-    UnaryOp,
-    VarRef,
-    WhileStmt,
-)
+from repro.cl.lowering import Lowering
+from repro.cl.nodes import Call, Expr, IfStmt, Index, IntLiteral, KernelDecl, Stmt
 from repro.errors import CompilationError
 
 # Builtin work-item functions that map 1:1 onto SPECIAL opcodes.
@@ -58,78 +39,20 @@ _BUILTIN_OPCODES: Dict[str, Opcode] = {
     "get_num_groups": Opcode.NWG,
 }
 
-# Binary operators with a direct three-register opcode (signed flavour).
-_DIRECT_BINOPS: Dict[str, Opcode] = {
-    "+": Opcode.ADD,
-    "-": Opcode.SUB,
-    "*": Opcode.MUL,
-    "/": Opcode.DIV,
-    "%": Opcode.REM,
-    "&": Opcode.AND,
-    "|": Opcode.OR,
-    "^": Opcode.XOR,
-    "<<": Opcode.SLL,
-}
 
-# Binary operators that also have an immediate form usable when the right-hand
-# side is a small constant.
-_IMMEDIATE_BINOPS: Dict[str, Opcode] = {
-    "+": Opcode.ADDI,
-    "&": Opcode.ANDI,
-    "|": Opcode.ORI,
-    "^": Opcode.XORI,
-    "*": Opcode.MULI,
-    "<<": Opcode.SLLI,
-}
-
-
-class GGPUCodeGenerator:
+class GGPUCodeGenerator(Lowering):
     """Generates one G-GPU :class:`~repro.arch.kernel.Kernel` from an analyzed AST."""
 
     def __init__(self, kernel: KernelDecl) -> None:
-        self.kernel = kernel
+        super().__init__(kernel)
         args = tuple(
             KernelArg(param.name, "buffer" if param.is_pointer else "scalar")
             for param in kernel.params
         )
         self.builder = KernelBuilder(kernel.name, args=args)
-        self._var_regs: Dict[str, int] = {}
+        self.asm = self.builder.asm
         self._free_temps: List[int] = []
-        self._temp_regs: set = set()
         self._num_temps = 0
-
-    # ------------------------------------------------------------------ #
-    # Register management
-    # ------------------------------------------------------------------ #
-    def _acquire(self) -> int:
-        """Get a scratch register from the pool (allocating one if needed)."""
-        if self._free_temps:
-            return self._free_temps.pop()
-        try:
-            register = self.builder.alloc(f"_t{self._num_temps}")
-        except Exception as exc:
-            raise CompilationError(
-                f"kernel {self.kernel.name!r} needs more registers than the "
-                "32-register file provides"
-            ) from exc
-        self._num_temps += 1
-        self._temp_regs.add(register)
-        return register
-
-    def _release(self, register: Optional[int]) -> None:
-        """Return a scratch register to the pool (variable registers are kept)."""
-        if register is not None and register in self._temp_regs:
-            self._free_temps.append(register)
-
-    def _var_register(self, name: str) -> int:
-        try:
-            return self._var_regs[name]
-        except KeyError as exc:
-            raise CompilationError(f"no register allocated for {name!r}") from exc
-
-    def _move(self, destination: int, source: int) -> None:
-        if destination != source:
-            self.builder.emit(Opcode.ADD, rd=destination, rs=source, rt=0)
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -138,7 +61,8 @@ class GGPUCodeGenerator:
         """Lower the kernel and return the assembled program."""
         try:
             self._allocate_variables()
-            self._load_parameters()
+            for param in self.kernel.params:
+                self.builder.load_arg(self._var_regs[param.name], param.name)
             self._gen_statements(self.kernel.body)
             self.builder.ret()
             return self.builder.build()
@@ -162,190 +86,110 @@ class GGPUCodeGenerator:
             else:
                 self._var_regs[name] = self.builder.alloc(name)
 
-    def _local_symbol(self, name: str) -> Optional[Symbol]:
+    def _is_local(self, name: str) -> bool:
         symbol = self.kernel.symbols.get(name)
-        if symbol is not None and symbol.is_local_array:
-            return symbol
-        return None
-
-    def _load_parameters(self) -> None:
-        for param in self.kernel.params:
-            self.builder.load_arg(self._var_regs[param.name], param.name)
+        return symbol is not None and symbol.is_local_array
 
     # ------------------------------------------------------------------ #
-    # Statements
+    # Lane-varying control flow (execution masks)
     # ------------------------------------------------------------------ #
-    def _gen_statements(self, statements: List[Stmt]) -> None:
-        for statement in statements:
-            self._gen_statement(statement)
-
-    def _gen_statement(self, statement: Stmt) -> None:
-        if isinstance(statement, DeclStmt):
-            for name, init in zip(statement.names, statement.inits, strict=True):
-                if init is not None:
-                    self._gen_assign_to_var(name, init)
-        elif isinstance(statement, AssignStmt):
-            self._gen_assignment(statement)
-        elif isinstance(statement, IfStmt):
-            self._gen_if(statement)
-        elif isinstance(statement, WhileStmt):
-            self._gen_loop(statement.condition, statement.body, step=None)
-        elif isinstance(statement, ForStmt):
-            if statement.init is not None:
-                self._gen_statement(statement.init)
-            self._gen_loop(statement.condition, statement.body, step=statement.step)
-        elif isinstance(statement, BarrierStmt):
-            self.builder.emit(Opcode.BARRIER)
-        elif isinstance(statement, (ReturnStmt, LocalDeclStmt)):
-            pass  # RET is emitted by generate(); local arrays were pre-allocated
-        else:  # pragma: no cover - defensive
-            raise CompilationError(f"unsupported statement {type(statement).__name__}")
-
-    def _gen_assign_to_var(self, name: str, value: Expr) -> None:
-        destination = self._var_register(name)
-        register = self._eval(value, preferred=destination)
-        self._move(destination, register)
-        self._release(register)
-
-    def _gen_assignment(self, statement: AssignStmt) -> None:
-        target = statement.target
-        if isinstance(target, VarRef):
-            if statement.op == "=":
-                self._gen_assign_to_var(target.name, statement.value)
-                return
-            destination = self._var_register(target.name)
-            value = self._eval(statement.value)
-            self._emit_binop(statement.op[:-1], destination, destination, value,
-                             unsigned=self._unsigned(target, statement.value))
-            self._release(value)
-            return
-        if isinstance(target, Index):
-            is_local = self._local_symbol(target.base) is not None
-            load, store = (Opcode.LLW, Opcode.LSW) if is_local else (Opcode.LW, Opcode.SW)
-            address = self._element_address(target)
-            if statement.op == "=":
-                value = self._eval(statement.value)
-            else:
-                current = self._acquire()
-                self.builder.emit(load, rd=current, rs=address, imm=0)
-                rhs = self._eval(statement.value)
-                self._emit_binop(statement.op[:-1], current, current, rhs,
-                                 unsigned=self._unsigned(target, statement.value))
-                self._release(rhs)
-                value = current
-            self.builder.emit(store, rs=address, rt=value, imm=0)
-            self._release(value)
-            self._release(address)
-            return
-        raise CompilationError("assignment target must be a variable or buffer[index]")
-
     def _gen_if(self, statement: IfStmt) -> None:
-        if statement.condition.varying:
-            condition = self._eval(statement.condition, as_bool=True)
-            if statement.has_else:
-                with self.builder.lane_if_else(condition) as branch:
-                    self._release(condition)
-                    self._gen_statements(statement.then_body)
-                    with branch.otherwise():
-                        self._gen_statements(statement.else_body)
-            else:
-                with self.builder.lane_if(condition):
-                    self._release(condition)
-                    self._gen_statements(statement.then_body)
+        if not statement.condition.varying:
+            super()._gen_if(statement)
             return
-        # Wavefront-uniform condition: an ordinary branch.
         condition = self._eval(statement.condition, as_bool=True)
-        else_label = self.builder.asm.unique_label("else")
-        end_label = self.builder.asm.unique_label("endif")
-        self.builder.emit(Opcode.BEQ, rs=condition, rt=0, label=else_label)
-        self._release(condition)
-        self._gen_statements(statement.then_body)
         if statement.has_else:
-            self.builder.emit(Opcode.JMP, label=end_label)
-            self.builder.label(else_label)
-            self._gen_statements(statement.else_body)
-            self.builder.label(end_label)
+            with self.builder.lane_if_else(condition) as branch:
+                self._release(condition)
+                self._gen_statements(statement.then_body)
+                with branch.otherwise():
+                    self._gen_statements(statement.else_body)
         else:
-            self.builder.label(else_label)
+            with self.builder.lane_if(condition):
+                self._release(condition)
+                self._gen_statements(statement.then_body)
 
     def _gen_loop(self, condition: Optional[Expr], body: List[Stmt], step: Optional[Stmt]) -> None:
-        if condition is None:
-            raise CompilationError("loops without a condition are not supported")
-        if condition.varying:
-            with self.builder.divergent_while() as loop:
-                register = self._eval(condition, as_bool=True)
-                loop.check(register)
-                self._release(register)
-                self._gen_statements(body)
-                if step is not None:
-                    self._gen_statement(step)
+        if condition is None or not condition.varying:
+            super()._gen_loop(condition, body, step)
             return
-        start = self.builder.asm.unique_label("loop")
-        end = self.builder.asm.unique_label("loop_end")
-        self.builder.label(start)
-        register = self._eval(condition, as_bool=True)
-        self.builder.emit(Opcode.BEQ, rs=register, rt=0, label=end)
-        self._release(register)
-        self._gen_statements(body)
-        if step is not None:
-            self._gen_statement(step)
-        self.builder.emit(Opcode.JMP, label=start)
-        self.builder.label(end)
+        with self.builder.divergent_while() as loop:
+            register = self._eval(condition, as_bool=True)
+            loop.check(register)
+            self._release(register)
+            self._gen_statements(body)
+            if step is not None:
+                self._gen_statement(step)
 
     # ------------------------------------------------------------------ #
-    # Expressions
+    # Hooks
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _unsigned(*operands: Expr) -> bool:
-        return any(operand is not None and operand.ctype is CType.UINT for operand in operands)
+    def _acquire(self) -> int:
+        """Reuse the last freed scratch register, or allocate a new one."""
+        if self._free_temps:
+            return self._free_temps.pop()
+        try:
+            register = self.builder.alloc(f"_t{self._num_temps}")
+        except Exception as exc:
+            raise CompilationError(
+                f"kernel {self.kernel.name!r} needs more registers than the "
+                "32-register file provides"
+            ) from exc
+        self._num_temps += 1
+        self._temp_regs.add(register)
+        return register
 
-    def _eval(self, expr: Expr, preferred: Optional[int] = None, as_bool: bool = False) -> int:
-        """Evaluate ``expr`` into a register and return it.
+    def _release(self, register: Optional[int]) -> None:
+        if register is not None and register in self._temp_regs:
+            self._free_temps.append(register)
 
-        The returned register is either a variable register (treat as
-        read-only) or a scratch register the caller must release.  With
-        ``as_bool`` the result is already usable as a 0/1 condition (the
-        comparison and logical operators produce that form natively; other
-        values are normalized with an unsigned "!= 0" test).
-        """
-        register = self._eval_value(expr, preferred)
-        if not as_bool:
-            return register
-        if isinstance(expr, BinaryOp) and (
-            expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||")
-        ):
-            return register
-        if isinstance(expr, UnaryOp) and expr.op == "!":
-            return register
-        normalized = self._acquire()
-        self.builder.emit(Opcode.SLTU, rd=normalized, rs=0, rt=register)
-        self._release(register)
-        return normalized
+    def _op(self, mnemonic: str, rd: int, rs: int, rt: int) -> None:
+        self.builder.emit(Opcode[mnemonic], rd=rd, rs=rs, rt=rt)
 
-    def _eval_value(self, expr: Expr, preferred: Optional[int] = None) -> int:
-        if isinstance(expr, IntLiteral):
-            destination = preferred if preferred is not None else self._acquire()
-            self.builder.load_constant(destination, expr.value)
-            return destination
-        if isinstance(expr, VarRef):
-            return self._var_register(expr.name)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, preferred)
-        if isinstance(expr, Index):
-            load = Opcode.LLW if self._local_symbol(expr.base) else Opcode.LW
-            address = self._element_address(expr)
-            destination = preferred if preferred is not None else self._acquire()
-            self.builder.emit(load, rd=destination, rs=address, imm=0)
-            self._release(address)
-            return destination
-        if isinstance(expr, UnaryOp):
-            return self._eval_unary(expr, preferred)
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, preferred)
-        raise CompilationError(f"unsupported expression {type(expr).__name__}")
+    def _op_imm(self, mnemonic: str, rd: int, rs: int, imm: int) -> None:
+        self.builder.emit(Opcode[mnemonic], rd=rd, rs=rs, imm=imm)
+
+    def _move(self, rd: int, rs: int) -> None:
+        self.builder.emit(Opcode.ADD, rd=rd, rs=rs, rt=0)
+
+    def _load_constant(self, rd: int, value: int) -> None:
+        self.builder.load_constant(rd, value)
+
+    def _set_if_zero(self, rd: int, rs: int) -> None:
+        self.builder.emit(Opcode.SLTU, rd=rd, rs=0, rt=rs)
+        self.builder.emit(Opcode.XORI, rd=rd, rs=rd, imm=1)
+
+    def _fits_immediate(self, op: str, value: int) -> bool:
+        if op in ("-", ">>"):
+            return fits_in_immediate(value) and fits_in_immediate(-value)
+        return fits_in_immediate(value)
+
+    def _jump(self, label: str) -> None:
+        self.builder.emit(Opcode.JMP, label=label)
+
+    def _branch_if_zero(self, register: int, label: str) -> None:
+        self.builder.emit(Opcode.BEQ, rs=register, rt=0, label=label)
+
+    def _load(self, rd: int, address: int, element: Index) -> None:
+        load = Opcode.LLW if self._is_local(element.base) else Opcode.LW
+        self.builder.emit(load, rd=rd, rs=address, imm=0)
+
+    def _store(self, address: int, value: int, element: Index) -> None:
+        store = Opcode.LSW if self._is_local(element.base) else Opcode.SW
+        self.builder.emit(store, rs=address, rt=value, imm=0)
+
+    def _add_base(self, address: int, name: str) -> None:
+        """Global buffers add the pointer register; ``__local`` arrays add
+        their static byte offset inside the workgroup's LRAM window."""
+        if self._is_local(name):
+            offset = self.builder.local_offset(name)
+            if offset:
+                self.builder.emit(Opcode.ADDI, rd=address, rs=address, imm=offset)
+        else:
+            self.builder.emit(Opcode.ADD, rd=address, rs=address, rt=self._var_register(name))
 
     def _eval_call(self, expr: Call, preferred: Optional[int]) -> int:
-        destination = preferred if preferred is not None else self._acquire()
+        destination = self._destination(preferred)
         if expr.name in _BUILTIN_OPCODES:
             # Semantic analysis guarantees the dimension argument is a literal
             # 0 or 1; it becomes the SPECIAL instruction's dimension immediate.
@@ -356,128 +200,14 @@ class GGPUCodeGenerator:
         if expr.name in ("min", "max"):
             left = self._eval(expr.args[0])
             right = self._eval(expr.args[1])
-            opcode = Opcode.MIN if expr.name == "min" else Opcode.MAX
-            self.builder.emit(opcode, rd=destination, rs=left, rt=right)
+            self._op(expr.name.upper(), destination, left, right)
             self._release(left)
             self._release(right)
             return destination
         raise CompilationError(f"unknown function {expr.name!r}")
 
-    def _eval_unary(self, expr: UnaryOp, preferred: Optional[int]) -> int:
-        operand = self._eval(expr.operand)
-        destination = preferred if preferred is not None else self._acquire()
-        if expr.op == "-":
-            self.builder.emit(Opcode.SUB, rd=destination, rs=0, rt=operand)
-        elif expr.op == "~":
-            self.builder.emit(Opcode.XORI, rd=destination, rs=operand, imm=-1)
-        elif expr.op == "!":
-            self.builder.emit(Opcode.SLTU, rd=destination, rs=0, rt=operand)
-            self.builder.emit(Opcode.XORI, rd=destination, rs=destination, imm=1)
-        else:  # pragma: no cover - the parser only produces the three above
-            raise CompilationError(f"unsupported unary operator {expr.op!r}")
-        if operand != destination:
-            self._release(operand)
-        return destination
-
-    def _eval_binary(self, expr: BinaryOp, preferred: Optional[int]) -> int:
-        op = expr.op
-        unsigned = self._unsigned(expr.left, expr.right)
-
-        # Immediate forms for small right-hand constants (what the FGPU
-        # compiler's strength reduction produces).
-        if (
-            isinstance(expr.right, IntLiteral)
-            and op in _IMMEDIATE_BINOPS
-            and fits_in_immediate(expr.right.value)
-        ):
-            left = self._eval(expr.left)
-            destination = preferred if preferred is not None else self._acquire()
-            self.builder.emit(_IMMEDIATE_BINOPS[op], rd=destination, rs=left, imm=expr.right.value)
-            if left != destination:
-                self._release(left)
-            return destination
-        if (
-            isinstance(expr.right, IntLiteral)
-            and op in ("-", ">>")
-            and fits_in_immediate(expr.right.value)
-            and fits_in_immediate(-expr.right.value)
-        ):
-            left = self._eval(expr.left)
-            destination = preferred if preferred is not None else self._acquire()
-            if op == "-":
-                self.builder.emit(Opcode.ADDI, rd=destination, rs=left, imm=-expr.right.value)
-            else:
-                shift = Opcode.SRLI if unsigned else Opcode.SRAI
-                self.builder.emit(shift, rd=destination, rs=left, imm=expr.right.value)
-            if left != destination:
-                self._release(left)
-            return destination
-
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        destination = preferred if preferred is not None else self._acquire()
-        self._emit_binop(op, destination, left, right, unsigned)
-        if left != destination:
-            self._release(left)
-        if right != destination:
-            self._release(right)
-        return destination
-
-    def _emit_binop(self, op: str, rd: int, left: int, right: int, unsigned: bool) -> None:
-        """Emit ``rd = left <op> right`` for any supported binary operator."""
-        if op in _DIRECT_BINOPS:
-            self.builder.emit(_DIRECT_BINOPS[op], rd=rd, rs=left, rt=right)
-            return
-        if op == ">>":
-            self.builder.emit(Opcode.SRL if unsigned else Opcode.SRA, rd=rd, rs=left, rt=right)
-            return
-        compare = Opcode.SLTU if unsigned else Opcode.SLT
-        if op == "<":
-            self.builder.emit(compare, rd=rd, rs=left, rt=right)
-        elif op == ">":
-            self.builder.emit(compare, rd=rd, rs=right, rt=left)
-        elif op == "<=":
-            self.builder.emit(compare, rd=rd, rs=right, rt=left)
-            self.builder.emit(Opcode.XORI, rd=rd, rs=rd, imm=1)
-        elif op == ">=":
-            self.builder.emit(compare, rd=rd, rs=left, rt=right)
-            self.builder.emit(Opcode.XORI, rd=rd, rs=rd, imm=1)
-        elif op == "==":
-            self.builder.emit(Opcode.SUB, rd=rd, rs=left, rt=right)
-            self.builder.emit(Opcode.SLTU, rd=rd, rs=0, rt=rd)
-            self.builder.emit(Opcode.XORI, rd=rd, rs=rd, imm=1)
-        elif op == "!=":
-            self.builder.emit(Opcode.SUB, rd=rd, rs=left, rt=right)
-            self.builder.emit(Opcode.SLTU, rd=rd, rs=0, rt=rd)
-        elif op in ("&&", "||"):
-            normalized_left = self._acquire()
-            self.builder.emit(Opcode.SLTU, rd=normalized_left, rs=0, rt=left)
-            self.builder.emit(Opcode.SLTU, rd=rd, rs=0, rt=right)
-            combiner = Opcode.AND if op == "&&" else Opcode.OR
-            self.builder.emit(combiner, rd=rd, rs=normalized_left, rt=rd)
-            self._release(normalized_left)
-        else:  # pragma: no cover - the parser only produces known operators
-            raise CompilationError(f"unsupported binary operator {op!r}")
-
-    def _element_address(self, expr: Index) -> int:
-        """Byte address of ``buffer[index]`` (buffers hold 32-bit words).
-
-        Global buffers add the pointer register; ``__local`` arrays add their
-        static byte offset inside the workgroup's LRAM window.
-        """
-        index = self._eval(expr.index)
-        address = self._acquire()
-        self.builder.emit(Opcode.SLLI, rd=address, rs=index, imm=2)
-        if self._local_symbol(expr.base) is not None:
-            offset = self.builder.local_offset(expr.base)
-            if offset:
-                self.builder.emit(Opcode.ADDI, rd=address, rs=address, imm=offset)
-        else:
-            base = self._var_register(expr.base)
-            self.builder.emit(Opcode.ADD, rd=address, rs=address, rt=base)
-        if index != address:
-            self._release(index)
-        return address
+    def _gen_barrier(self) -> None:
+        self.builder.emit(Opcode.BARRIER)
 
 
 def generate_ggpu_kernel(kernel: KernelDecl) -> Kernel:

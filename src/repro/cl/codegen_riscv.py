@@ -23,6 +23,11 @@ gid-major loop order preserves.  The benchmark sources in
 :mod:`repro.cl.sources` are written in that serialization-safe form; the
 fuzz tests (``tests/test_cl_fuzz.py``) pin the equivalence.
 
+Statements and expressions are lowered by :class:`~repro.cl.lowering.Lowering`;
+this module owns the work-item serialization (the loop or loop nest in
+:meth:`RiscvCodeGenerator.generate`, the builtins in ``_eval_call``, and the
+no-op ``_gen_barrier``) and the RV32IM spelling of the lowering's hooks.
+
 The generated :class:`~repro.riscv.programs.library.RiscvCase` plugs into the
 same evaluation harness as the hand-written scalar programs, so compiled and
 hand-written baselines can be compared cycle for cycle.
@@ -32,26 +37,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cl.nodes import (
-    AssignStmt,
-    BarrierStmt,
-    BinaryOp,
-    Call,
-    CType,
-    DeclStmt,
-    Expr,
-    ForStmt,
-    IfStmt,
-    Index,
-    IntLiteral,
-    KernelDecl,
-    LocalDeclStmt,
-    ReturnStmt,
-    Stmt,
-    UnaryOp,
-    VarRef,
-    WhileStmt,
-)
+from repro.cl.lowering import Lowering
+from repro.cl.nodes import Call, Index, IntLiteral, KernelDecl
 from repro.errors import CompilationError
 from repro.kernels.library import GpuWorkload
 from repro.riscv.assembler import RvAssembler, RvProgram, ZERO
@@ -62,31 +49,21 @@ from repro.riscv.programs.library import RiscvCase, load_workload_into_memory
 # x1-x4 are left for the ABI even though the generated programs never call).
 _AVAILABLE_REGISTERS = tuple(range(5, 32))
 
-_DIRECT_BINOPS: Dict[str, RvOpcode] = {
-    "+": RvOpcode.ADD,
-    "-": RvOpcode.SUB,
-    "*": RvOpcode.MUL,
-    "/": RvOpcode.DIV,
-    "%": RvOpcode.REM,
-    "&": RvOpcode.AND,
-    "|": RvOpcode.OR,
-    "^": RvOpcode.XOR,
-    "<<": RvOpcode.SLL,
-}
-
-_IMMEDIATE_BINOPS: Dict[str, RvOpcode] = {
-    "+": RvOpcode.ADDI,
-    "&": RvOpcode.ANDI,
-    "|": RvOpcode.ORI,
-    "^": RvOpcode.XORI,
-}
+_ID_BUILTINS = (
+    "get_global_id",
+    "get_global_size",
+    "get_local_size",
+    "get_local_id",
+    "get_group_id",
+    "get_num_groups",
+)
 
 
 def _fits_i12(value: int) -> bool:
     return -2048 <= value <= 2047
 
 
-class RiscvCodeGenerator:
+class RiscvCodeGenerator(Lowering):
     """Generates a scalar RV32IM program for one kernel and one launch."""
 
     def __init__(
@@ -98,6 +75,7 @@ class RiscvCodeGenerator:
         name: Optional[str] = None,
         local_addresses: Optional[Dict[str, int]] = None,
     ) -> None:
+        super().__init__(kernel)
         global_shape = self._as_shape(global_size)
         workgroup_shape = self._as_shape(workgroup_size)
         if len(global_shape) != len(workgroup_shape):
@@ -111,7 +89,6 @@ class RiscvCodeGenerator:
                     f"global shape {global_shape} is not divisible by workgroup "
                     f"shape {workgroup_shape}"
                 )
-        self.kernel = kernel
         self.param_values = dict(param_values)
         self.local_addresses = dict(local_addresses or {})
         self.global_shape = global_shape
@@ -121,8 +98,6 @@ class RiscvCodeGenerator:
         self.workgroup_size = workgroup_shape[0] if self.rank == 1 else None
         self.asm = RvAssembler(name or f"{kernel.name}_riscv")
         self._free: List[int] = list(_AVAILABLE_REGISTERS)
-        self._var_regs: Dict[str, int] = {}
-        self._temp_regs: set = set()
         # Loop bookkeeping registers.  The rank-1 trio is reserved in the
         # exact order the 1-D generator always used, keeping its register
         # assignment (and therefore every compiled 1-D program) unchanged.
@@ -151,33 +126,7 @@ class RiscvCodeGenerator:
         return shape
 
     # ------------------------------------------------------------------ #
-    # Register management
-    # ------------------------------------------------------------------ #
-    def _reserve(self) -> int:
-        if not self._free:
-            raise CompilationError(
-                f"kernel {self.kernel.name!r} needs more registers than RV32 provides"
-            )
-        return self._free.pop(0)
-
-    def _acquire(self) -> int:
-        register = self._reserve()
-        self._temp_regs.add(register)
-        return register
-
-    def _release(self, register: Optional[int]) -> None:
-        if register is not None and register in self._temp_regs:
-            self._temp_regs.discard(register)
-            self._free.insert(0, register)
-
-    def _var_register(self, name: str) -> int:
-        try:
-            return self._var_regs[name]
-        except KeyError as exc:
-            raise CompilationError(f"no register allocated for {name!r}") from exc
-
-    # ------------------------------------------------------------------ #
-    # Entry point
+    # Entry point: the work-item loop
     # ------------------------------------------------------------------ #
     def generate(self) -> RvProgram:
         """Emit the work-item loop (or rank-2 loop nest) and the lowered body."""
@@ -195,9 +144,8 @@ class RiscvCodeGenerator:
             self.asm.emit(RvOpcode.ADDI, rd=self._gid_reg, rs1=self._gid_reg, imm=1)
             self.asm.j(loop)
             self.asm.label(end)
-            self.asm.halt()
-            return self.asm.assemble()
-        self._generate_rank2_nest()
+        else:
+            self._generate_rank2_nest()
         self.asm.halt()
         return self.asm.assemble()
 
@@ -211,12 +159,10 @@ class RiscvCodeGenerator:
         with lower local ids of its *own* workgroup.
         """
         ws0, ws1 = self.workgroup_shape
-        nwg0 = self.global_shape[0] // ws0
-        nwg1 = self.global_shape[1] // ws1
         self.asm.li(self._ws_regs[0], ws0)
         self.asm.li(self._ws_regs[1], ws1)
-        self.asm.li(self._nwg_regs[0], nwg0)
-        self.asm.li(self._nwg_regs[1], nwg1)
+        self.asm.li(self._nwg_regs[0], self.global_shape[0] // ws0)
+        self.asm.li(self._nwg_regs[1], self.global_shape[1] // ws1)
         loops = (
             # (counter, bound, label stem) from outermost to innermost.
             (self._wg_regs[1], self._nwg_regs[1], "wg1"),
@@ -232,33 +178,11 @@ class RiscvCodeGenerator:
             self.asm.label(start)
             self.asm.emit(RvOpcode.BGE, rs1=counter, rs2=bound, label=end)
             opened.append((counter, start, end))
-            if stem == "wg1":
-                self.asm.emit(
-                    RvOpcode.MUL,
-                    rd=self._wgbase_regs[1],
-                    rs1=self._wg_regs[1],
-                    rs2=self._ws_regs[1],
-                )
-            elif stem == "wg0":
-                self.asm.emit(
-                    RvOpcode.MUL,
-                    rd=self._wgbase_regs[0],
-                    rs1=self._wg_regs[0],
-                    rs2=self._ws_regs[0],
-                )
-            elif stem == "lid1":
-                self.asm.emit(
-                    RvOpcode.ADD,
-                    rd=self._gid_regs[1],
-                    rs1=self._wgbase_regs[1],
-                    rs2=self._lid_regs[1],
-                )
-        self.asm.emit(
-            RvOpcode.ADD,
-            rd=self._gid_regs[0],
-            rs1=self._wgbase_regs[0],
-            rs2=self._lid_regs[0],
-        )
+            dim = int(stem[-1])
+            if stem.startswith("wg"):
+                self._op("MUL", self._wgbase_regs[dim], self._wg_regs[dim], self._ws_regs[dim])
+            else:
+                self._op("ADD", self._gid_regs[dim], self._wgbase_regs[dim], self._lid_regs[dim])
         self._gen_statements(self.kernel.body)
         for counter, start, end in reversed(opened):
             self.asm.emit(RvOpcode.ADDI, rd=counter, rs1=counter, imm=1)
@@ -291,146 +215,8 @@ class RiscvCodeGenerator:
                 self.asm.li(self._var_regs[name], int(self.local_addresses[name]))
 
     # ------------------------------------------------------------------ #
-    # Statements
+    # Work-item builtins and barriers
     # ------------------------------------------------------------------ #
-    def _gen_statements(self, statements: List[Stmt]) -> None:
-        for statement in statements:
-            self._gen_statement(statement)
-
-    def _gen_statement(self, statement: Stmt) -> None:
-        if isinstance(statement, DeclStmt):
-            for name, init in zip(statement.names, statement.inits, strict=True):
-                if init is not None:
-                    self._gen_assign_to_var(name, init)
-        elif isinstance(statement, AssignStmt):
-            self._gen_assignment(statement)
-        elif isinstance(statement, IfStmt):
-            self._gen_if(statement)
-        elif isinstance(statement, WhileStmt):
-            self._gen_loop(statement.condition, statement.body, step=None)
-        elif isinstance(statement, ForStmt):
-            if statement.init is not None:
-                self._gen_statement(statement.init)
-            self._gen_loop(statement.condition, statement.body, step=statement.step)
-        elif isinstance(statement, (BarrierStmt, ReturnStmt, LocalDeclStmt)):
-            pass  # barriers are no-ops on a single in-order core; local
-            # arrays were materialized as data-memory regions up front
-        else:  # pragma: no cover - defensive
-            raise CompilationError(f"unsupported statement {type(statement).__name__}")
-
-    def _gen_assign_to_var(self, name: str, value: Expr) -> None:
-        destination = self._var_register(name)
-        register = self._eval(value, preferred=destination)
-        if register != destination:
-            self.asm.mv(destination, register)
-        self._release(register)
-
-    def _gen_assignment(self, statement: AssignStmt) -> None:
-        target = statement.target
-        if isinstance(target, VarRef):
-            if statement.op == "=":
-                self._gen_assign_to_var(target.name, statement.value)
-                return
-            destination = self._var_register(target.name)
-            value = self._eval(statement.value)
-            self._emit_binop(statement.op[:-1], destination, destination, value,
-                             unsigned=_unsigned(target, statement.value))
-            self._release(value)
-            return
-        if isinstance(target, Index):
-            address = self._element_address(target)
-            if statement.op == "=":
-                value = self._eval(statement.value)
-            else:
-                current = self._acquire()
-                self.asm.emit(RvOpcode.LW, rd=current, rs1=address, imm=0)
-                rhs = self._eval(statement.value)
-                self._emit_binop(statement.op[:-1], current, current, rhs,
-                                 unsigned=_unsigned(target, statement.value))
-                self._release(rhs)
-                value = current
-            self.asm.emit(RvOpcode.SW, rs1=address, rs2=value, imm=0)
-            self._release(value)
-            self._release(address)
-            return
-        raise CompilationError("assignment target must be a variable or buffer[index]")
-
-    def _gen_if(self, statement: IfStmt) -> None:
-        condition = self._eval(statement.condition, as_bool=True)
-        else_label = self.asm.unique_label("else")
-        end_label = self.asm.unique_label("endif")
-        self.asm.emit(RvOpcode.BEQ, rs1=condition, rs2=ZERO, label=else_label)
-        self._release(condition)
-        self._gen_statements(statement.then_body)
-        if statement.has_else:
-            self.asm.j(end_label)
-            self.asm.label(else_label)
-            self._gen_statements(statement.else_body)
-            self.asm.label(end_label)
-        else:
-            self.asm.label(else_label)
-
-    def _gen_loop(self, condition: Optional[Expr], body: List[Stmt], step: Optional[Stmt]) -> None:
-        if condition is None:
-            raise CompilationError("loops without a condition are not supported")
-        start = self.asm.unique_label("loop")
-        end = self.asm.unique_label("loop_end")
-        self.asm.label(start)
-        register = self._eval(condition, as_bool=True)
-        self.asm.emit(RvOpcode.BEQ, rs1=register, rs2=ZERO, label=end)
-        self._release(register)
-        self._gen_statements(body)
-        if step is not None:
-            self._gen_statement(step)
-        self.asm.j(start)
-        self.asm.label(end)
-
-    # ------------------------------------------------------------------ #
-    # Expressions
-    # ------------------------------------------------------------------ #
-    def _eval(self, expr: Expr, preferred: Optional[int] = None, as_bool: bool = False) -> int:
-        register = self._eval_value(expr, preferred)
-        if not as_bool:
-            return register
-        if isinstance(expr, BinaryOp) and expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            return register
-        if isinstance(expr, UnaryOp) and expr.op == "!":
-            return register
-        normalized = self._acquire()
-        self.asm.emit(RvOpcode.SLTU, rd=normalized, rs1=ZERO, rs2=register)
-        self._release(register)
-        return normalized
-
-    def _eval_value(self, expr: Expr, preferred: Optional[int] = None) -> int:
-        if isinstance(expr, IntLiteral):
-            destination = preferred if preferred is not None else self._acquire()
-            self.asm.li(destination, expr.value)
-            return destination
-        if isinstance(expr, VarRef):
-            return self._var_register(expr.name)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, preferred)
-        if isinstance(expr, Index):
-            address = self._element_address(expr)
-            destination = preferred if preferred is not None else self._acquire()
-            self.asm.emit(RvOpcode.LW, rd=destination, rs1=address, imm=0)
-            self._release(address)
-            return destination
-        if isinstance(expr, UnaryOp):
-            return self._eval_unary(expr, preferred)
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, preferred)
-        raise CompilationError(f"unsupported expression {type(expr).__name__}")
-
-    _ID_BUILTINS = (
-        "get_global_id",
-        "get_global_size",
-        "get_local_size",
-        "get_local_id",
-        "get_group_id",
-        "get_num_groups",
-    )
-
     def _builtin_dim(self, expr: Call) -> int:
         """Literal dimension argument of a work-item builtin, rank-checked."""
         dimension = expr.args[0]
@@ -442,38 +228,9 @@ class RiscvCodeGenerator:
         return dim
 
     def _eval_call(self, expr: Call, preferred: Optional[int]) -> int:
-        destination = preferred if preferred is not None else self._acquire()
+        destination = self._destination(preferred)
         name = expr.name
-        if name in self._ID_BUILTINS and self.rank == 2:
-            dim = self._builtin_dim(expr)
-            if name == "get_global_id":
-                self.asm.mv(destination, self._gid_regs[dim])
-            elif name == "get_global_size":
-                self.asm.li(destination, self.global_shape[dim])
-            elif name == "get_local_size":
-                self.asm.mv(destination, self._ws_regs[dim])
-            elif name == "get_local_id":
-                self.asm.mv(destination, self._lid_regs[dim])
-            elif name == "get_group_id":
-                self.asm.mv(destination, self._wg_regs[dim])
-            else:  # get_num_groups
-                self.asm.mv(destination, self._nwg_regs[dim])
-            return destination
-        if name in self._ID_BUILTINS:
-            self._builtin_dim(expr)
-        if name == "get_global_id":
-            self.asm.mv(destination, self._gid_reg)
-        elif name == "get_global_size":
-            self.asm.mv(destination, self._gsize_reg)
-        elif name == "get_local_size":
-            self.asm.mv(destination, self._wgsize_reg)
-        elif name == "get_local_id":
-            self.asm.emit(RvOpcode.REMU, rd=destination, rs1=self._gid_reg, rs2=self._wgsize_reg)
-        elif name == "get_group_id":
-            self.asm.emit(RvOpcode.DIVU, rd=destination, rs1=self._gid_reg, rs2=self._wgsize_reg)
-        elif name == "get_num_groups":
-            self.asm.emit(RvOpcode.DIVU, rd=destination, rs1=self._gsize_reg, rs2=self._wgsize_reg)
-        elif name in ("min", "max"):
+        if name in ("min", "max"):
             left = self._eval(expr.args[0])
             right = self._eval(expr.args[1])
             skip = self.asm.unique_label("minmax")
@@ -484,122 +241,100 @@ class RiscvCodeGenerator:
             self.asm.label(skip)
             self._release(left)
             self._release(right)
-        else:
+            return destination
+        if name not in _ID_BUILTINS:
             raise CompilationError(f"unknown function {name!r}")
+        dim = self._builtin_dim(expr)
+        if self.rank == 2:
+            if name == "get_global_size":
+                self.asm.li(destination, self.global_shape[dim])
+                return destination
+            registers = {
+                "get_global_id": self._gid_regs,
+                "get_local_size": self._ws_regs,
+                "get_local_id": self._lid_regs,
+                "get_group_id": self._wg_regs,
+                "get_num_groups": self._nwg_regs,
+            }[name]
+            self.asm.mv(destination, registers[dim])
+            return destination
+        # Rank 1: the loop counter is the global id; the rest derive from it.
+        if name == "get_global_id":
+            self.asm.mv(destination, self._gid_reg)
+        elif name == "get_global_size":
+            self.asm.mv(destination, self._gsize_reg)
+        elif name == "get_local_size":
+            self.asm.mv(destination, self._wgsize_reg)
+        elif name == "get_local_id":
+            self._op("REMU", destination, self._gid_reg, self._wgsize_reg)
+        elif name == "get_group_id":
+            self._op("DIVU", destination, self._gid_reg, self._wgsize_reg)
+        else:  # get_num_groups
+            self._op("DIVU", destination, self._gsize_reg, self._wgsize_reg)
         return destination
 
-    def _eval_unary(self, expr: UnaryOp, preferred: Optional[int]) -> int:
-        operand = self._eval(expr.operand)
-        destination = preferred if preferred is not None else self._acquire()
-        if expr.op == "-":
-            self.asm.emit(RvOpcode.SUB, rd=destination, rs1=ZERO, rs2=operand)
-        elif expr.op == "~":
-            self.asm.emit(RvOpcode.XORI, rd=destination, rs1=operand, imm=-1)
-        elif expr.op == "!":
-            self.asm.emit(RvOpcode.SLTIU, rd=destination, rs1=operand, imm=1)
-        else:  # pragma: no cover - the parser only produces the three above
-            raise CompilationError(f"unsupported unary operator {expr.op!r}")
-        if operand != destination:
-            self._release(operand)
-        return destination
+    def _gen_barrier(self) -> None:
+        pass  # a single in-order core is always synchronized
 
-    def _eval_binary(self, expr: BinaryOp, preferred: Optional[int]) -> int:
-        op = expr.op
-        unsigned = _unsigned(expr.left, expr.right)
-        if (
-            isinstance(expr.right, IntLiteral)
-            and op in _IMMEDIATE_BINOPS
-            and _fits_i12(expr.right.value)
-        ):
-            left = self._eval(expr.left)
-            destination = preferred if preferred is not None else self._acquire()
-            self.asm.emit(_IMMEDIATE_BINOPS[op], rd=destination, rs1=left, imm=expr.right.value)
-            if left != destination:
-                self._release(left)
-            return destination
-        if isinstance(expr.right, IntLiteral) and op in ("<<", ">>") and 0 <= expr.right.value < 32:
-            left = self._eval(expr.left)
-            destination = preferred if preferred is not None else self._acquire()
-            if op == "<<":
-                self.asm.emit(RvOpcode.SLLI, rd=destination, rs1=left, imm=expr.right.value)
-            else:
-                shift = RvOpcode.SRLI if unsigned else RvOpcode.SRAI
-                self.asm.emit(shift, rd=destination, rs1=left, imm=expr.right.value)
-            if left != destination:
-                self._release(left)
-            return destination
-        if (
-            isinstance(expr.right, IntLiteral)
-            and op == "-"
-            and _fits_i12(-expr.right.value)
-        ):
-            left = self._eval(expr.left)
-            destination = preferred if preferred is not None else self._acquire()
-            self.asm.emit(RvOpcode.ADDI, rd=destination, rs1=left, imm=-expr.right.value)
-            if left != destination:
-                self._release(left)
-            return destination
+    # ------------------------------------------------------------------ #
+    # Hooks
+    # ------------------------------------------------------------------ #
+    def _reserve(self) -> int:
+        if not self._free:
+            raise CompilationError(
+                f"kernel {self.kernel.name!r} needs more registers than RV32 provides"
+            )
+        return self._free.pop(0)
 
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        destination = preferred if preferred is not None else self._acquire()
-        self._emit_binop(op, destination, left, right, unsigned)
-        if left != destination:
-            self._release(left)
-        if right != destination:
-            self._release(right)
-        return destination
+    def _acquire(self) -> int:
+        """Take the lowest-numbered free register."""
+        register = self._reserve()
+        self._temp_regs.add(register)
+        return register
 
-    def _emit_binop(self, op: str, rd: int, left: int, right: int, unsigned: bool) -> None:
-        if op in _DIRECT_BINOPS:
-            self.asm.emit(_DIRECT_BINOPS[op], rd=rd, rs1=left, rs2=right)
-            return
-        if op == ">>":
-            self.asm.emit(RvOpcode.SRL if unsigned else RvOpcode.SRA, rd=rd, rs1=left, rs2=right)
-            return
-        compare = RvOpcode.SLTU if unsigned else RvOpcode.SLT
-        if op == "<":
-            self.asm.emit(compare, rd=rd, rs1=left, rs2=right)
-        elif op == ">":
-            self.asm.emit(compare, rd=rd, rs1=right, rs2=left)
-        elif op == "<=":
-            self.asm.emit(compare, rd=rd, rs1=right, rs2=left)
-            self.asm.emit(RvOpcode.XORI, rd=rd, rs1=rd, imm=1)
-        elif op == ">=":
-            self.asm.emit(compare, rd=rd, rs1=left, rs2=right)
-            self.asm.emit(RvOpcode.XORI, rd=rd, rs1=rd, imm=1)
-        elif op == "==":
-            self.asm.emit(RvOpcode.SUB, rd=rd, rs1=left, rs2=right)
-            self.asm.emit(RvOpcode.SLTIU, rd=rd, rs1=rd, imm=1)
-        elif op == "!=":
-            self.asm.emit(RvOpcode.SUB, rd=rd, rs1=left, rs2=right)
-            self.asm.emit(RvOpcode.SLTU, rd=rd, rs1=ZERO, rs2=rd)
-        elif op in ("&&", "||"):
-            normalized_left = self._acquire()
-            self.asm.emit(RvOpcode.SLTU, rd=normalized_left, rs1=ZERO, rs2=left)
-            self.asm.emit(RvOpcode.SLTU, rd=rd, rs1=ZERO, rs2=right)
-            combiner = RvOpcode.AND if op == "&&" else RvOpcode.OR
-            self.asm.emit(combiner, rd=rd, rs1=normalized_left, rs2=rd)
-            self._release(normalized_left)
-        else:  # pragma: no cover - the parser only produces known operators
-            raise CompilationError(f"unsupported binary operator {op!r}")
+    def _release(self, register: Optional[int]) -> None:
+        if register is not None and register in self._temp_regs:
+            self._temp_regs.discard(register)
+            self._free.insert(0, register)
 
-    def _element_address(self, expr: Index) -> int:
-        base = self._var_register(expr.base)
-        index = self._eval(expr.index)
-        address = self._acquire()
-        self.asm.emit(RvOpcode.SLLI, rd=address, rs1=index, imm=2)
-        self.asm.emit(RvOpcode.ADD, rd=address, rs1=address, rs2=base)
-        if index != address:
-            self._release(index)
-        return address
+    def _op(self, mnemonic: str, rd: int, rs: int, rt: int) -> None:
+        self.asm.emit(RvOpcode[mnemonic], rd=rd, rs1=rs, rs2=rt)
 
+    def _op_imm(self, mnemonic: str, rd: int, rs: int, imm: int) -> None:
+        self.asm.emit(RvOpcode[mnemonic], rd=rd, rs1=rs, imm=imm)
 
-def _unsigned(*operands) -> bool:
-    return any(
-        operand is not None and getattr(operand, "ctype", None) is CType.UINT
-        for operand in operands
-    )
+    def _move(self, rd: int, rs: int) -> None:
+        self.asm.mv(rd, rs)
+
+    def _load_constant(self, rd: int, value: int) -> None:
+        self.asm.li(rd, value)
+
+    def _set_if_zero(self, rd: int, rs: int) -> None:
+        self.asm.emit(RvOpcode.SLTIU, rd=rd, rs1=rs, imm=1)
+
+    def _fits_immediate(self, op: str, value: int) -> bool:
+        """12-bit signed immediates, shift counts 0-31, and no ``MULI``."""
+        if op in ("<<", ">>"):
+            return 0 <= value < 32
+        if op == "-":
+            return _fits_i12(-value)
+        return op != "*" and _fits_i12(value)
+
+    def _jump(self, label: str) -> None:
+        self.asm.j(label)
+
+    def _branch_if_zero(self, register: int, label: str) -> None:
+        self.asm.emit(RvOpcode.BEQ, rs1=register, rs2=ZERO, label=label)
+
+    def _load(self, rd: int, address: int, element: Index) -> None:
+        self.asm.emit(RvOpcode.LW, rd=rd, rs1=address, imm=0)
+
+    def _store(self, address: int, value: int, element: Index) -> None:
+        self.asm.emit(RvOpcode.SW, rs1=address, rs2=value, imm=0)
+
+    def _add_base(self, address: int, name: str) -> None:
+        """Buffers and ``__local`` arrays alike add their base-address register."""
+        self._op("ADD", address, address, self._var_register(name))
 
 
 def generate_riscv_case(

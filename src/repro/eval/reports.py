@@ -21,12 +21,10 @@ from repro.eval.benchmarks import Table3Data
 from repro.eval.comparison import SpeedupSeries
 from repro.eval.energy import EnergyComparison
 from repro.eval.multidevice import MultiDeviceTable, PipelineTable, TopologyTable
-from repro.physical.routing import RoutingEstimate
+from repro.physical.routing import SIGNAL_LAYERS, RoutingEstimate
 from repro.runtime.checkpoint import atomic_write_text
 from repro.synth.logic import SynthesisResult
 from repro.synth.report import SynthesisReportRow
-
-METAL_LAYERS = ("M2", "M3", "M4", "M5", "M6", "M7")
 
 
 def _is_number(cell: Any) -> bool:
@@ -134,7 +132,7 @@ def table2_report(estimates: Sequence[RoutingEstimate]) -> Report:
     ]
     rows = [
         [layer] + [f"{estimate.layer(layer):.0f}" for estimate in estimates]
-        for layer in METAL_LAYERS
+        for layer in SIGNAL_LAYERS
     ]
     return Report("Table II: wirelength per metal layer", header, rows)
 

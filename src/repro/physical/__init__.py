@@ -15,15 +15,15 @@ This package reproduces those stages with analytical models:
 * :mod:`repro.physical.routing` -- wirelength per metal layer and the wire
   delay annotated onto the cross-partition timing paths,
 * :mod:`repro.physical.layout` -- the final layout artifact (geometry plus
-  post-route timing), exportable as JSON or an ASCII sketch,
-* :mod:`repro.physical.report` -- the Table-II-style wirelength report.
+  post-route timing), exportable as JSON or an ASCII sketch.
+
+Table II itself is rendered by :func:`repro.eval.reports.table2_report`.
 """
 
 from repro.physical.floorplan import Floorplan, Floorplanner, PartitionPlacement, Rect
 from repro.physical.placement import MacroPlacement, place_macros
 from repro.physical.routing import RoutingEstimate, RoutingEstimator
 from repro.physical.layout import LayoutResult, PhysicalSynthesis
-from repro.physical.report import format_table2
 
 __all__ = [
     "Floorplan",
@@ -36,5 +36,4 @@ __all__ = [
     "RoutingEstimator",
     "LayoutResult",
     "PhysicalSynthesis",
-    "format_table2",
 ]

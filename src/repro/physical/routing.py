@@ -17,13 +17,16 @@ Two jobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.errors import PhysicalDesignError
 from repro.physical.floorplan import Floorplan
 from repro.rtl.netlist import Netlist
 from repro.synth.logic import SynthesisResult
 from repro.tech.technology import Technology
+
+#: The signal layers Table II reports, bottom to top.
+SIGNAL_LAYERS: Tuple[str, ...] = ("M2", "M3", "M4", "M5", "M6", "M7")
 
 # Share of the *top-level* wirelength landing on each metal layer: the long
 # inter-partition buses ride the intermediate and upper signal layers.

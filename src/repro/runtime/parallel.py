@@ -22,7 +22,10 @@ The fan-out is hardened against an imperfect pool:
   future broke is identified and retried serially, once, in the parent
   process.  If the retry succeeds the sweep continues; if the task itself is
   the problem, the retry raises the *real* exception with the task index
-  attached.
+  attached.  A worker can die while the parent is still submitting (a
+  loaded host may deschedule the parent between submits); the first submit
+  that finds the pool broken ends submission, and every task left without a
+  future takes the same single serial retry, in task order.
 * an optional **per-task timeout** (``task_timeout`` seconds) turns a hung
   worker into a :class:`~repro.errors.ParallelExecutionError` naming the
   task, instead of blocking the sweep forever.  The surviving worker
@@ -128,10 +131,17 @@ def parallel_map(
         # submit() + indexed result collection (rather than Executor.map)
         # keeps the task <-> future association, so a broken pool or a
         # timeout can name the task instead of poisoning the whole sweep.
-        futures = [pool.submit(fn, task) for task in tasks]
-        for index, future in enumerate(futures):
+        futures = []
+        for task in tasks:
             try:
-                result = future.result(timeout=task_timeout)
+                futures.append(pool.submit(fn, task))
+            except BrokenProcessPool:
+                break  # a worker died mid-submission; the rest retry below
+        for index in range(len(tasks)):
+            try:
+                if index >= len(futures):
+                    raise BrokenProcessPool("the pool broke before this task was submitted")
+                result = futures[index].result(timeout=task_timeout)
             except BrokenProcessPool:
                 # The worker running (or queued for) this task died.  The
                 # task list is explicit and fn is pure, so the cheapest

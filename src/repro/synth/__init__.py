@@ -12,12 +12,11 @@ from repro.synth.logic import (
     PartitionArea,
     SynthesisResult,
 )
-from repro.synth.report import SynthesisReportRow, format_table1
+from repro.synth.report import SynthesisReportRow
 
 __all__ = [
     "LogicSynthesis",
     "PartitionArea",
     "SynthesisResult",
     "SynthesisReportRow",
-    "format_table1",
 ]

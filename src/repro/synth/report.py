@@ -2,15 +2,14 @@
 
 The paper's Table I lists, for each of the 12 generated versions: number of
 CUs and frequency, total area, memory area, #FF, #Comb., #Memory, leakage,
-dynamic power, and total power.  :func:`format_table1` renders exactly those
-columns from a list of :class:`~repro.synth.logic.SynthesisResult` objects so
-the benchmark harness can print the regenerated table.
+dynamic power, and total power.  :class:`SynthesisReportRow` holds exactly
+those columns for one :class:`~repro.synth.logic.SynthesisResult`;
+:func:`repro.eval.reports.table1_report` renders the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
 from repro.synth.logic import SynthesisResult
 
@@ -58,38 +57,3 @@ class SynthesisReportRow:
             self.dynamic_w,
             self.total_w,
         )
-
-
-_HEADER = (
-    "#CU & Freq.",
-    "Total Area (mm2)",
-    "Memory Area (mm2)",
-    "#FF",
-    "#Comb.",
-    "#Memory",
-    "Leakage (mW)",
-    "Dynamic (W)",
-    "Total (W)",
-)
-
-
-def format_table1(results: Iterable[SynthesisResult]) -> str:
-    """Render the regenerated Table I as fixed-width text."""
-    rows: List[SynthesisReportRow] = [SynthesisReportRow.from_result(result) for result in results]
-    widths = [12, 17, 18, 9, 9, 9, 13, 12, 10]
-    header = " | ".join(title.ljust(width) for title, width in zip(_HEADER, widths, strict=True))
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        cells = (
-            row.label.ljust(widths[0]),
-            f"{row.total_area_mm2:.2f}".ljust(widths[1]),
-            f"{row.memory_area_mm2:.2f}".ljust(widths[2]),
-            f"{row.num_ff}".ljust(widths[3]),
-            f"{row.num_comb}".ljust(widths[4]),
-            f"{row.num_memory}".ljust(widths[5]),
-            f"{row.leakage_mw:.2f}".ljust(widths[6]),
-            f"{row.dynamic_w:.2f}".ljust(widths[7]),
-            f"{row.total_w:.3f}".ljust(widths[8]),
-        )
-        lines.append(" | ".join(cells))
-    return "\n".join(lines)

@@ -9,8 +9,8 @@ from repro.errors import PhysicalDesignError
 from repro.physical.floorplan import Floorplanner, Rect
 from repro.physical.layout import PhysicalSynthesis
 from repro.physical.placement import place_macros
-from repro.physical.report import SIGNAL_LAYERS, format_table2, table2_matrix
-from repro.physical.routing import RoutingEstimator
+from repro.eval.reports import table2_report
+from repro.physical.routing import SIGNAL_LAYERS, RoutingEstimator
 from repro.planner.optimizer import TimingOptimizer
 from repro.rtl.generator import generate_ggpu_netlist
 from repro.synth.logic import LogicSynthesis
@@ -144,10 +144,9 @@ def test_layout_export_json_and_ascii(tech, tmp_path):
 def test_table2_report_formatting(tech):
     netlist, synthesis = _synthesized(tech, 1, 500.0)
     layout = PhysicalSynthesis(tech).run(netlist, synthesis, 500.0)
-    text = format_table2([layout.routing])
-    assert "M2" in text and "total" in text
-    matrix = table2_matrix([layout.routing])
-    assert set(matrix) == set(SIGNAL_LAYERS)
+    report = table2_report([layout.routing])
+    assert "M2" in report.text() and "1CU@500MHz_um" in report.text()
+    assert [row[0] for row in report.rows] == list(SIGNAL_LAYERS)
 
 
 def test_floorplanner_validation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 
@@ -91,6 +92,32 @@ def test_dead_worker_falls_back_to_serial_retry():
     assert parallel_map(_die_unless_parent, tasks, jobs=2) == [
         value * value for value in range(5)
     ]
+
+
+def test_pool_broken_during_submission_retries_the_unsubmitted_tasks(monkeypatch):
+    # A loaded host can deschedule the parent between two submits for long
+    # enough that the first task's worker dies.  Make that deterministic:
+    # after the first submit, wait (bounded) until its future is done, so
+    # every later submit finds the pool broken.
+    original_submit = ProcessPoolExecutor.submit
+    first = []
+
+    def submit_then_wait(self, fn, *args, **kwargs):
+        future = original_submit(self, fn, *args, **kwargs)
+        if not first:
+            first.append(future)
+            wait([future], timeout=60.0)
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_wait)
+    tasks = [(os.getpid(), value) for value in range(5)]
+    seen = []
+    result = parallel_map(
+        _die_unless_parent, tasks, jobs=2, on_result=lambda i, r: seen.append((i, r))
+    )
+    assert first and first[0].done()
+    assert result == [value * value for value in range(5)]
+    assert seen == [(value, value * value) for value in range(5)]
 
 
 def test_task_timeout_raises_structured_error():

@@ -8,7 +8,8 @@ from repro.eval.paper_data import PAPER_TABLE1
 from repro.rtl.generator import generate_ggpu_netlist
 from repro.rtl.netlist import Partition
 from repro.synth.logic import LogicSynthesis
-from repro.synth.report import SynthesisReportRow, format_table1
+from repro.eval.reports import table1_report
+from repro.synth.report import SynthesisReportRow
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ def test_table1_report_formatting(synthesis):
     row = SynthesisReportRow.from_result(result)
     assert row.label == "1@500MHz"
     assert len(row.as_tuple()) == 9
-    text = format_table1([result])
+    text = table1_report([result]).text()
     assert "1@500MHz" in text
-    assert "#Memory" in text
+    assert "num_memory" in text
     assert str(result.num_macros) in text

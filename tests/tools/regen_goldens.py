@@ -8,6 +8,10 @@ The golden dictionaries live in two test modules:
 * ``tests/test_riscv_decode.py`` — ``GOLDEN_CYCLES``: RISC-V ISS cycle
   counts per program at the paper input sizes.
 
+The CL code generators are pinned beside them: ``CODEGEN_DIGEST`` in
+``tests/test_cl_codegen_pin.py`` is the sha256 of the listing of every
+program both back ends emit for a fixed corpus.
+
 Engine PRs that *intentionally* change cycle accounting should regenerate
 the dictionaries with this tool and paste the printed literals, instead of
 hand-editing numbers::
@@ -97,6 +101,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    import test_cl_codegen_pin
     import test_riscv_decode
     import test_simt_golden
 
@@ -124,6 +129,14 @@ def main() -> int:
     else:
         print(format_riscv(riscv_measured))
 
+    codegen = test_cl_codegen_pin.codegen_digest()
+    if args.check:
+        if codegen != test_cl_codegen_pin.CODEGEN_DIGEST:
+            drifted.append(f"codegen: {test_cl_codegen_pin.CODEGEN_DIGEST} -> {codegen}")
+    else:
+        print()
+        print(f'CODEGEN_DIGEST = "{codegen}"')
+
     if args.check:
         if drifted:
             print("golden-cycle drift detected:")
@@ -136,7 +149,7 @@ def main() -> int:
             + len(test_simt_golden.DENSE_GOLDEN)
             + len(test_riscv_decode.GOLDEN_CYCLES)
         )
-        print(f"all {total} golden entries match")
+        print(f"all {total} golden entries and the codegen digest match")
     return 0
 
 
