@@ -233,14 +233,20 @@ class RiscvCodeGenerator(Lowering):
         if name in ("min", "max"):
             left = self._eval(expr.args[0])
             right = self._eval(expr.args[1])
+            # The result is written before the comparison, so it must not
+            # clobber an operand (``x = min(x, n)``): use a scratch then.
+            result = self._acquire() if destination in (left, right) else destination
             skip = self.asm.unique_label("minmax")
-            self.asm.mv(destination, right)
+            self.asm.mv(result, right)
             branch = RvOpcode.BGE if name == "min" else RvOpcode.BLT
             self.asm.emit(branch, rs1=left, rs2=right, label=skip)
-            self.asm.mv(destination, left)
+            self.asm.mv(result, left)
             self.asm.label(skip)
             self._release(left)
             self._release(right)
+            if result != destination:
+                self.asm.mv(destination, result)
+                self._release(result)
             return destination
         if name not in _ID_BUILTINS:
             raise CompilationError(f"unknown function {name!r}")

@@ -20,28 +20,27 @@ Simulator internals
 -------------------
 The engine is event driven rather than instruction-at-a-time:
 
-* **Global event heap.**  ``GGPUSimulator._run`` keeps a heap of
-  ``(next_event_time, cu_index)`` entries and always services the compute
-  unit with the earliest pending event, instead of re-scanning every CU and
-  every resident wavefront per issued instruction.  Stale heap entries are
-  re-validated lazily against the CU's current event time.
+* **Ordering only shared events.**  A CU's events touch only its own state
+  unless they start with a global load or store (the central cache and the
+  AXI ports) or a RET (the workgroup dispatcher).  ``GGPUSimulator._run``
+  keeps a heap of ``(next_event_time, cu_index)`` entries, and the popped CU
+  issues its events back to back in one ``ComputeUnit.step`` call: every
+  private event, and each shared one whose ``(time, index)`` comes before
+  the heap top's.  Shared events thus keep the order of one global event
+  heap, bit-exactly (``tests/test_simt_golden.py`` pins it against a
+  reference that orders every event).
 * **Cached scheduler state.**  Each ``WavefrontScheduler`` caches its
-  earliest-ready time and unfinished-resident count, invalidating them on
-  add/remove/ready-time updates, so a CU's ``next_event_time`` is O(1)
-  between mutations.
+  earliest-ready time and unfinished-resident count, and picks a wavefront
+  and the other residents' earliest ready time in one pass.
 * **Pre-decoded programs.**  ``repro.simt.decode`` resolves each instruction
   once per launch into a ``DecodedOp`` (dispatch kind, plain-int operands,
   pre-looked-up latency/occupancy, pre-broadcast immediates, resolved ALU
   callable); all CUs share the decode.
-* **Macro-stepping fast path.**  After issuing the selected instruction, a CU
-  keeps issuing for the same wavefront while the next instruction is
-  *macro-safe* (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, MASK — straight-line work
-  that touches no shared machine state) and the wavefront stays strictly
-  ahead of every other unfinished resident.  Such runs are batched into one
-  scheduling event with bulk timing/stats updates; this is provably
-  cycle-exact and is locked by golden regression tests
-  (``tests/test_simt_golden.py``) that compare against single-instruction
-  stepping and pin the Table III cycle counts.
+* **Macro-stepping.**  An event keeps issuing for the same wavefront while
+  the next instruction is *macro-safe* (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
+  MASK) and the wavefront stays strictly ahead of every other unfinished
+  resident; this is cycle-exact and pinned against single-instruction
+  stepping and the Table III goldens.
 * **Posted stores.**  Global-memory stores never stall the issuing wavefront
   beyond the fixed store pipeline latency; their line traffic still claims
   AXI port time.  See the ``repro.simt.cu`` module docstring for the
@@ -50,7 +49,8 @@ The engine is event driven rather than instruction-at-a-time:
   dirty lines through the global memory controller (posted, so it adds AXI
   traffic but not cycles), cache hit latency and per-cycle port width come
   from ``CacheConfig``, and accesses touching more lines than the cache has
-  ports are serialized one ``ports``-wide wave per cycle.
+  ports are serialized one ``ports``-wide wave per cycle.  The AXI ports are
+  interchangeable, so their free times are kept as a heap.
 """
 
 from repro.simt.memory import GlobalMemory, RuntimeMemory, LocalMemory

@@ -6,10 +6,16 @@ the bandwidth wall the paper observes when scaling to 8 CUs: every cache miss
 or write-back occupies one AXI data port for the duration of the line
 transfer, so once the ports saturate, adding CUs stops helping (and extra
 contention can even hurt, as in the xcorr results of Table III).
+
+The ports are interchangeable: a transaction takes whichever port frees up
+first, and nothing observable depends on which port that is, only on the
+multiset of the ports' free times.  The free times are therefore kept as a
+heap, and a transaction replaces its minimum (``heapq.heapreplace``).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -36,6 +42,7 @@ class GlobalMemoryController:
     def __init__(self, axi: AxiConfig, cache: CacheConfig) -> None:
         self.axi = axi
         self.cache = cache
+        # A heap of the ports' free times (all zero is a valid heap).
         self._port_free: List[float] = [0.0] * axi.data_ports
         # The transfer width and the fill latency are consulted on every one
         # of the hundreds of thousands of misses of a sweep; resolve them
@@ -58,22 +65,11 @@ class GlobalMemoryController:
         self.stats = MemoryTrafficStats()
 
     def _claim_port(self, now: float, occupancy: int) -> float:
-        """Reserve the earliest-free port starting no earlier than ``now``.
-
-        Ties break toward the lower port index, like the ``min`` scan it
-        replaces; the explicit loop avoids a closure call per candidate port
-        on the hottest path of the memory model.
-        """
+        """Reserve the earliest-free port starting no earlier than ``now``."""
         free = self._port_free
-        best = 0
-        best_time = free[0]
-        for index in range(1, len(free)):
-            time = free[index]
-            if time < best_time:
-                best_time = time
-                best = index
-        start = now if now > best_time else best_time
-        free[best] = start + occupancy
+        earliest = free[0]
+        start = now if now > earliest else earliest
+        heapq.heapreplace(free, start + occupancy)
         self.stats.busy_cycles += occupancy
         return start
 
@@ -118,7 +114,7 @@ class GlobalMemoryController:
         from ``completion``) and the position of the last hit (-1 if none).
         """
         free = self._port_free
-        num_ports = len(free)
+        replace = heapq.heapreplace
         transfer = self._transfer_cycles
         fill_latency = self._fill_latency
         fills = 0
@@ -136,25 +132,13 @@ class GlobalMemoryController:
                 last_hit = position
                 continue
             if wb_list[position]:
-                best = 0
-                best_time = free[0]
-                for index in range(1, num_ports):
-                    time = free[index]
-                    if time < best_time:
-                        best_time = time
-                        best = index
-                start = wave_start if wave_start > best_time else best_time
-                free[best] = start + transfer
+                earliest = free[0]
+                start = wave_start if wave_start > earliest else earliest
+                replace(free, start + transfer)
                 write_backs += 1
-            best = 0
-            best_time = free[0]
-            for index in range(1, num_ports):
-                time = free[index]
-                if time < best_time:
-                    best_time = time
-                    best = index
-            start = wave_start if wave_start > best_time else best_time
-            free[best] = start + transfer
+            earliest = free[0]
+            start = wave_start if wave_start > earliest else earliest
+            replace(free, start + transfer)
             fills += 1
             fill_done = start + fill_latency
             if fill_done > completion:
@@ -182,4 +166,4 @@ class GlobalMemoryController:
 
     def earliest_free(self) -> float:
         """Earliest time any port becomes free (used by tests and reports)."""
-        return min(self._port_free)
+        return self._port_free[0]

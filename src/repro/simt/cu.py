@@ -1,8 +1,8 @@
 """Compute Unit: a SIMD machine of 8 Processing Elements.
 
 The CU is both the functional and the timing heart of the simulator.  Each
-call to :meth:`ComputeUnit.step` is one *scheduling event*: the CU selects
-one ready resident wavefront and issues at least one instruction for it:
+*scheduling event* issues at least one instruction of one ready resident
+wavefront:
 
 * the instruction executes functionally for the active lanes
   (:mod:`repro.simt.pe`); a register whose lanes all hold one value is kept
@@ -17,24 +17,27 @@ one ready resident wavefront and issues at least one instruction for it:
 * the issuing wavefront becomes ready again after the instruction's latency,
   so other resident wavefronts can hide that latency.
 
-Macro-stepping fast path
-------------------------
-Programs are bound as pre-decoded instruction streams
-(:mod:`repro.simt.decode`), and after issuing the selected instruction the CU
-keeps issuing for the *same* wavefront as long as (a) the next instruction is
-macro-safe — ALU/MUL/DIV, SPECIAL, PARAM, LOCAL, or MASK, i.e. straight-line
-work that touches no shared machine state — and (b) the wavefront's next
-ready time stays strictly ahead of every other unfinished resident.  Under
-those two conditions no other wavefront (in this CU or any other: macro-safe
-instructions never touch the shared cache or the AXI ports) could have issued
-in between, so batching the whole run into one scheduling event is
-cycle-for-cycle identical to issuing one instruction per event, while
-skipping the per-instruction trips through the scheduler and the simulator's
-event heap.  Every statistic except ``issue_events`` is charged per
-instruction at issue, so it does not depend on how instructions were folded
-into events.  Setting :attr:`ComputeUnit.macro_step` to ``False`` disables
-the batching; the regression tests assert both modes produce identical
-results, cycle counts, and per-CU statistics.
+Private and shared events
+-------------------------
+An event that starts with a global load or store (the central cache and the
+AXI ports) or a RET (the workgroup dispatcher) is *shared*; every other
+event reads and writes only its own CU's wavefronts, PE array, LRAM and
+barrier waiters, and is *private*.  :meth:`ComputeUnit.step` issues one CU's
+events back to back: every private event, and each shared one up to the
+time limit the simulator passes (see :mod:`repro.simt.gpu`).  A CU's event
+times never decrease, so when it stops before a shared event it has issued
+everything that comes earlier.
+
+Macro-stepping
+--------------
+An event keeps issuing for the same wavefront while (a) the next instruction
+is macro-safe (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL or MASK: straight-line
+private work) and (b) the wavefront stays strictly ahead of every other
+unfinished resident, so no other wavefront could have issued in between.
+Every statistic except ``issue_events`` is charged per instruction, so it
+does not depend on how instructions are folded into events; with
+:attr:`ComputeUnit.macro_step` set to ``False`` each event is one
+instruction, and the regression tests assert both modes agree exactly.
 
 Posted stores
 -------------
@@ -43,16 +46,14 @@ fixed ``TimingModel.store_latency`` pipeline latency and never stalls on the
 store's cache outcome, while the store's line traffic (write-allocate fills
 and dirty evictions) still claims AXI port time and therefore delays later
 fills.  This matches the FGPU's write-back data movers, which complete stores
-in the background.  The alternative — stalling the wavefront on store-miss
-port contention — was rejected because no later instruction depends on a
-store result, so the stall would model latency the hardware does not expose.
-The original engine computed that unused store completion time and discarded
-it; the computation is now skipped entirely.
+in the background.  Stalling the wavefront on store-miss port contention was
+rejected because no later instruction depends on a store result, so the
+stall would model latency the hardware does not expose.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +66,7 @@ from repro.simt.decode import (
     DecodedProgram,
     P_FN,
     P_IMM,
+    P_KIND,
     P_MACRO_SAFE,
     P_RD,
     P_RS,
@@ -101,6 +103,10 @@ from repro.simt.trace import ComputeUnitStats
 from repro.simt.wavefront import Wavefront
 
 _INFINITY = float("inf")
+
+#: Instruction kinds that start a shared event: global loads and stores, and
+#: RET, whose refill order decides wavefront ids and workgroup placement.
+SHARED_KINDS = frozenset((K_LOAD, K_STORE, K_RET))
 
 
 def lram_slot_geometry(config: GGPUConfig, workgroup_size: int):
@@ -144,6 +150,7 @@ class ComputeUnit:
         self._program: Optional[DecodedProgram] = None
         self._rtm: Optional[RuntimeMemory] = None
         self._barrier_waiters: Dict[int, List[Wavefront]] = {}
+        self._held: Optional[Tuple[Wavefront, float]] = None  # see step()
         self._occupancy = config.lanes_rounds_per_wavefront
         self._cache_ports = config.cache.ports
         self._lram_words = config.lram_words_per_cu
@@ -187,6 +194,7 @@ class ComputeUnit:
         self.scheduler = WavefrontScheduler()
         self.stats = ComputeUnitStats(self.cu_id, wavefront_size=self.config.wavefront_size)
         self._barrier_waiters = {}
+        self._held = None
         self.local_memory = LocalMemory(self.config.lram_words_per_cu)
         # Per-workgroup LRAM windows (see lram_slot_geometry): slot geometry
         # is fixed by the first admitted workgroup's size, bases are assigned
@@ -266,182 +274,206 @@ class ComputeUnit:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def step(self, now: Optional[float] = None) -> List[Wavefront]:
-        """Run one scheduling event; return the wavefronts retired by it.
+    def step(
+        self,
+        now: Optional[float] = None,
+        limit: float = _INFINITY,
+        max_events: int = 1,
+    ) -> List[Wavefront]:
+        """Issue this CU's events back to back; return the retired wavefronts.
 
-        One event issues one instruction of one ready wavefront, plus — when
-        the macro-stepping conditions hold — the uncontended straight-line
-        macro-safe run that follows it.
+        Events start at the CU's earliest ready time ``now``.  Private events
+        are always issued, a shared one (:data:`SHARED_KINDS`) only at a time
+        ``<= limit``.  The loop stops before a later shared event, after
+        ``max_events`` events, after a retirement, or when no resident is
+        ready.  The defaults issue exactly one event.
         """
         program = self._program
         if program is None or self._rtm is None:
             raise SimulationError("compute unit has no program bound")
+        scheduler = self.scheduler
         if now is None:
-            now = self.scheduler.earliest_ready()
+            now = scheduler.earliest_ready()
         if now == _INFINITY:
             raise SimulationError(f"CU {self.cu_id} stepped with no ready wavefront")
-        wavefront = self.scheduler.select(now)
-        if wavefront is None:
-            raise SimulationError(f"CU {self.cu_id} found no schedulable wavefront at {now}")
-
+        pick = scheduler.pick
+        shared_kinds = SHARED_KINDS
+        macro_step = self.macro_step
         ops = program.ops
         packed = program.packed
         num_ops = len(packed)
-        others_ready = (
-            self.scheduler.earliest_ready_excluding(wavefront)
-            if self.macro_step
-            else -_INFINITY
-        )
         occupancy_rounds = self._occupancy
+        array_free_time = self.array_free_time
         stats = self.stats
         mix_counts = stats.mix.counts
-        issued = 0
-        active_issues = 0
+        lanes = self.config.wavefront_size
+        events = issued = active_issues = 0
         busy_cycles = 0.0
         retired: List[Wavefront] = []
-        ended_at_sync = False
-        num_active = wavefront.num_active
-        # Register indices were bounds-checked against the register file once
-        # at bind time, so the issue loop indexes the register storage
-        # directly; writes to r0 are dropped (hardwired zero) and partially
-        # active wavefronts merge through the execution mask.  An entry is an
-        # int when every lane holds that value; ALU operations whose sources
-        # are all ints run their scalar form and produce an int.
-        reg_rows = wavefront.registers._values
-        lanes = wavefront.wavefront_size
+        # The next event's wavefront (None: the scheduler picks it) and the
+        # other residents' earliest ready time.
+        wavefront: Optional[Wavefront] = None
+        others_ready = _INFINITY
+        if self._held is not None:
+            (wavefront, others_ready), self._held = self._held, None
 
-        while True:
+        while events < max_events:
+            if wavefront is None:
+                wavefront, others_ready = pick(now)
+                if wavefront is None:
+                    raise SimulationError(
+                        f"CU {self.cu_id} found no schedulable wavefront at {now}"
+                    )
             pc = wavefront.pc
             if pc >= num_ops:
                 raise SimulationError(
                     f"wavefront {wavefront.wavefront_id} ran past the end of {program.name}"
                 )
             op = packed[pc]
-            kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key = op
-
-            # --- timing: issue slot and PE-array occupancy ---------------- #
-            issue_start = wavefront.ready_time
-            if now > issue_start:
-                issue_start = now
-            if uses_pe:
-                if self.array_free_time > issue_start:
-                    issue_start = self.array_free_time
-                occupancy = occupancy_rounds
-                self.array_free_time = issue_start + occupancy
-            else:
-                occupancy = 1
-            completion = issue_start + occupancy + latency
-
-            # --- statistics (per-wavefront counters are added once in the
-            # epilogue; the issuing wavefront is fixed for the whole event) - #
-            issued += 1
-            active_issues += num_active
-            busy_cycles += occupancy
-            mix_counts[key] = mix_counts.get(key, 0) + 1
-
-            # --- functional execution ------------------------------------- #
-            next_pc = pc + 1
-            if kind <= K_ALU_CONST:  # K_ALU_BIN, K_ALU_IMM, K_ALU_CONST
-                if rd:
-                    if kind == K_ALU_BIN:
-                        a = reg_rows[rs]
-                        b = reg_rows[rt]
-                        if type(a) is int and type(b) is int:
-                            result = scalar_fn(a, b)
-                        else:
-                            result = fn(a, b)
-                    elif kind == K_ALU_IMM:
-                        a = reg_rows[rs]
-                        if type(a) is int:
-                            result = scalar_fn(a, const)
-                        else:
-                            result = fn(a, const)
-                    else:
-                        result = const
-                    if num_active == lanes:
-                        reg_rows[rd] = result
-                    else:
-                        reg_rows[rd] = merge_lanes(
-                            wavefront.active_mask, result, reg_rows[rd]
-                        )
-            elif kind == K_SPECIAL:
-                self._execute_special(wavefront, ops[pc])
-            elif kind == K_PARAM:
-                self._write_register(wavefront, rd, self._rtm.read_arg(imm))
-            elif kind == K_LOAD:
-                completion = self._execute_load(wavefront, op, issue_start + occupancy)
-            elif kind == K_STORE:
-                completion = self._execute_store(wavefront, op, issue_start + occupancy)
-            elif kind == K_LOCAL_LOAD or kind == K_LOCAL_STORE:
-                self._execute_local(wavefront, op, kind)
-            elif kind == K_PUSHM:
-                wavefront.push_mask()
-            elif kind == K_CMASK:
-                wavefront.constrain_mask(reg_rows[rs])
-                num_active = wavefront.num_active
-            elif kind == K_INVM:
-                wavefront.invert_mask()
-                num_active = wavefront.num_active
-            elif kind == K_POPM:
-                wavefront.pop_mask()
-                num_active = wavefront.num_active
-            elif kind == K_JMP:
-                next_pc = imm
-            elif kind == K_BEMPTY:
-                next_pc = imm if not wavefront.any_active else next_pc
-            elif kind == K_BCOND:
-                next_pc = self._execute_branch(wavefront, op, next_pc)
-            elif kind == K_SYNC:
-                completion, parked = self._execute_barrier(wavefront, issue_start + occupancy)
-                wavefront.pc = next_pc
-                if not parked:
-                    wavefront.ready_time = completion
-                # A released barrier rewrites the other waiters' ready times,
-                # a parked one leaves this wavefront unschedulable: either
-                # way the scheduling state changed, so the event ends here.
-                ended_at_sync = True
+            if now > limit and op[P_KIND] in shared_kinds:
+                # Another CU's event comes first.  The scheduler has rotated
+                # past this pick and nothing else can touch this CU, so the
+                # pick is held for the next call.
+                self._held = wavefront, others_ready
                 break
-            elif kind == K_RET:
-                wavefront.retire(completion)
-                retired.append(wavefront)
+            events += 1
+            # A run continues only while the wavefront stays strictly ahead
+            # of every other resident (never without macro-stepping).
+            run_limit = others_ready if macro_step else -_INFINITY
+            num_active = wavefront.num_active
+            # Register indices were bounds-checked once at bind time, so
+            # registers are indexed directly; writes to r0 are dropped.  An
+            # entry is an int when every lane holds that value, and ALU
+            # operations on ints run their scalar form.
+            reg_rows = wavefront.registers._values
+
+            while True:
+                kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key = op
+
+                # --- timing: the wavefront is ready, so it issues at ``now``
+                # or when the PE array frees up --------------------------- #
+                issue_start = now
+                if uses_pe:
+                    if array_free_time > issue_start:
+                        issue_start = array_free_time
+                    occupancy = occupancy_rounds
+                    array_free_time = issue_start + occupancy
+                else:
+                    occupancy = 1
+                completion = issue_start + occupancy + latency
+
+                # --- statistics (added to the CU once per call) ---------- #
+                issued += 1
+                active_issues += num_active
+                busy_cycles += occupancy
+                mix_counts[key] = mix_counts.get(key, 0) + 1
+
+                # --- functional execution --------------------------------- #
+                next_pc = pc + 1
+                if kind <= K_ALU_CONST:  # K_ALU_BIN, K_ALU_IMM, K_ALU_CONST
+                    if rd:
+                        if kind == K_ALU_BIN:
+                            a = reg_rows[rs]
+                            b = reg_rows[rt]
+                            if type(a) is int and type(b) is int:
+                                result = scalar_fn(a, b)
+                            else:
+                                result = fn(a, b)
+                        elif kind == K_ALU_IMM:
+                            a = reg_rows[rs]
+                            if type(a) is int:
+                                result = scalar_fn(a, const)
+                            else:
+                                result = fn(a, const)
+                        else:
+                            result = const
+                        if num_active == lanes:
+                            reg_rows[rd] = result
+                        else:
+                            reg_rows[rd] = merge_lanes(
+                                wavefront.active_mask, result, reg_rows[rd]
+                            )
+                elif kind == K_SPECIAL:
+                    self._execute_special(wavefront, ops[pc])
+                elif kind == K_PARAM:
+                    self._write_register(wavefront, rd, self._rtm.read_arg(imm))
+                elif kind == K_LOAD:
+                    completion = self._execute_load(wavefront, op, issue_start + occupancy)
+                elif kind == K_STORE:
+                    completion = self._execute_store(wavefront, op, issue_start + occupancy)
+                elif kind == K_LOCAL_LOAD or kind == K_LOCAL_STORE:
+                    self._execute_local(wavefront, op, kind)
+                elif kind == K_PUSHM:
+                    wavefront.push_mask()
+                elif kind == K_CMASK:
+                    wavefront.constrain_mask(reg_rows[rs])
+                    num_active = wavefront.num_active
+                elif kind == K_INVM:
+                    wavefront.invert_mask()
+                    num_active = wavefront.num_active
+                elif kind == K_POPM:
+                    wavefront.pop_mask()
+                    num_active = wavefront.num_active
+                elif kind == K_JMP:
+                    next_pc = imm
+                elif kind == K_BEMPTY:
+                    next_pc = imm if not num_active else next_pc
+                elif kind == K_BCOND:
+                    next_pc = self._execute_branch(wavefront, op, next_pc)
+                elif kind == K_SYNC:
+                    completion, parked = self._execute_barrier(wavefront, issue_start + occupancy)
+                    wavefront.pc = next_pc
+                    if not parked:
+                        wavefront.ready_time = completion
+                    break  # the barrier changed the residents' ready times
+                elif kind == K_RET:
+                    wavefront.retire(completion)
+                    retired.append(wavefront)
+                    wavefront.pc = next_pc
+                    wavefront.ready_time = completion
+                    break
+                else:  # pragma: no cover - defensive
+                    raise SimulationError(f"unhandled instruction kind {kind}")
+
                 wavefront.pc = next_pc
                 wavefront.ready_time = completion
-                break
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unhandled instruction kind {kind}")
 
-            wavefront.pc = next_pc
-            wavefront.ready_time = completion
+                # --- macro-stepping continuation -------------------------- #
+                if completion >= run_limit or next_pc >= num_ops:
+                    break
+                op = packed[next_pc]
+                if not op[P_MACRO_SAFE]:
+                    break
+                pc = next_pc
+                now = completion
 
-            # --- macro-stepping continuation ------------------------------ #
-            if completion >= others_ready:
+            if kind == K_RET:
                 break
-            if next_pc >= num_ops or not packed[next_pc][P_MACRO_SAFE]:
-                break
-            now = completion
+            if kind == K_SYNC:
+                scheduler.notify_ready_changed()
+                now = scheduler.earliest_ready()
+                wavefront = None
+                if now == _INFINITY:
+                    break  # every resident is parked at a barrier
+            elif completion < others_ready:
+                # Still strictly ahead of the others: the scheduler would
+                # pick this wavefront again, already last in its order.
+                now = completion
+            else:
+                now = others_ready
+                wavefront = None
 
+        self.array_free_time = array_free_time
         stats.instructions_issued += issued
         stats.active_lane_issues += active_issues
         stats.busy_cycles += busy_cycles
-        stats.issue_events += 1
-        wavefront.instructions_issued += issued
-        wavefront.active_lane_issues += active_issues
-        if retired:
-            for finished in retired:
-                self.scheduler.remove(finished)
-                self._release_workgroup(finished.workgroup_id)
-                stats.wavefronts_executed += 1
-        elif ended_at_sync or not self.macro_step:
-            # A barrier may have rewritten several residents' ready times
-            # (and without macro-stepping ``others_ready`` was never
-            # computed), so the cached minimum must be rebuilt by a scan.
-            self.scheduler.notify_ready_changed()
-        else:
-            # Only the issuing wavefront's ready time changed during the
-            # event; the earliest-ready time is known exactly without
-            # re-scanning the residents.
-            ready = wavefront.ready_time
-            self.scheduler.set_earliest(ready if ready < others_ready else others_ready)
+        stats.issue_events += events
+        for finished in retired:
+            scheduler.remove(finished)
+            self._release_workgroup(finished.workgroup_id)
+            stats.wavefronts_executed += 1
+        if not retired:
+            scheduler.set_earliest(now)  # the event the loop stopped before
         return retired
 
     # ------------------------------------------------------------------ #

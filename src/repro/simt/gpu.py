@@ -6,12 +6,18 @@ results back.  :class:`GGPUSimulator` exposes exactly that surface and runs
 the kernel on the configured number of Compute Units, returning the cycle
 count and the detailed statistics the evaluation harness consumes.
 
-The launch loop is a global event heap: every busy CU is represented by a
-``(next_event_time, cu_index)`` entry and the simulator always services the
-CU with the earliest pending event (ties break toward the lower CU index),
-instead of re-scanning every CU's resident wavefronts per issued
-instruction.  Entries are invalidated lazily — a popped entry whose CU has
-moved on is simply re-pushed at its current event time.
+The launch loop orders only the events that touch shared state.  A
+*shared* event starts with a global load or store (the central cache and
+the AXI ports) or a RET (the workgroup dispatcher); every other event is
+*private* to its CU.  A heap holds a ``(next_event_time, cu_index)`` entry
+per waiting CU, and the popped CU issues its events back to back: all of
+its private events, and each shared event whose ``(time, index)`` comes
+before the heap top's.  The shared events thus happen in exactly the order
+of one global heap serving one event per pop (ties to the lower CU index),
+while a CU's private events skip the heap entirely.  This is exact because
+a private event reads and writes only its own CU's state, and a CU's event
+times never decrease; it is conservative synchronization in the sense of
+parallel discrete-event simulation (Chandy and Misra, 1979).
 
 At the end of a launch the dirty cache lines are flushed through the global
 memory controller, so the end-of-kernel drain shows up as AXI write-back
@@ -21,6 +27,7 @@ traffic (it is posted, so it does not extend the kernel's cycle count).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -39,6 +46,12 @@ from repro.simt.timing import TimingModel
 from repro.simt.trace import KernelRunStats
 
 ArgValue = Union[int, np.integer]
+
+_INFINITY = float("inf")
+
+#: Defensive bound on the scheduling events of one launch: a runaway kernel
+#: raises :class:`SimulationError` after this many.
+MAX_EVENTS = 200_000_000
 
 
 @dataclass
@@ -225,25 +238,16 @@ class GGPUSimulator:
         return [int(args[arg.name]) for arg in kernel.args]
 
     def _run(self, dispatcher: WorkgroupDispatcher) -> float:
-        """Drive all CUs to completion on a global event heap.
+        """Drive all CUs to completion, ordering only their shared events.
 
-        The heap holds ``(next_event_time, cu_index)`` entries for busy CUs;
-        stale entries are detected by re-reading the CU's current event time
-        and re-pushed.  CUs whose residents are all blocked (parked at a
-        barrier) drop out of the heap; if the heap drains while such a CU is
-        still busy the launch has deadlocked, matching the old per-step scan
-        which raised once every remaining CU was blocked.
+        The heap holds a ``(next_event_time, cu_index)`` entry per CU that
+        has a ready resident and is not running.  A CU whose residents are
+        all parked at a barrier drops out of the heap; if the heap drains
+        while such a CU is still busy the launch has deadlocked.
         """
         compute_units = self.compute_units
-        infinity = float("inf")
+        budget = MAX_EVENTS
         last_completion = 0.0
-        guard = 0
-        max_steps = 200_000_000  # defensive bound against runaway kernels
-        if len(compute_units) == 1:
-            return self._run_single_cu(dispatcher, max_steps)
-        # The schedulers are fixed for the whole launch (bind happened), so
-        # the per-event time probes go straight to the cached minimum.
-        event_times = [cu.scheduler.earliest_ready for cu in compute_units]
         heap: List[tuple] = [
             (cu.next_event_time(), index)
             for index, cu in enumerate(compute_units)
@@ -259,19 +263,23 @@ class GGPUSimulator:
                     continue
                 break
             event_time, index = heapq.heappop(heap)
-            current = event_times[index]()
-            if current == infinity:
-                # Drained or blocked at a barrier (a drained CU's earliest
-                # ready time is also infinite); deadlock check on empty heap.
-                continue
-            if current != event_time:
-                heapq.heappush(heap, (current, index))
-                continue
+            if not budget:
+                raise SimulationError("simulation exceeded the maximum step count")
+            if heap:
+                # Shared events at the heap top's time go to the lower index:
+                # a higher index must stay strictly below that time, and for
+                # floats ``t < top`` is ``t <= nextafter(top, -inf)``.
+                top_time, top_index = heap[0]
+                limit = top_time if index < top_index else math.nextafter(top_time, -_INFINITY)
+            else:
+                limit = _INFINITY
             cu = compute_units[index]
-            retired = cu.step(current)
-            guard += 1
-            if guard > max_steps:
-                raise SimulationError("simulation exceeded the maximum step count")
+            before = cu.stats.issue_events
+            retired = cu.step(event_time, limit, budget)
+            issued = cu.stats.issue_events - before
+            if not issued:
+                raise SimulationError(f"CU {index} issued no event at cycle {event_time}")
+            budget -= issued
             for wavefront in retired:
                 if wavefront.completion_time > last_completion:
                     last_completion = wavefront.completion_time
@@ -280,44 +288,9 @@ class GGPUSimulator:
                 refill = dispatcher.refill(cu.resident_wavefronts, wavefront.completion_time)
                 if refill is not None:
                     cu.admit(refill)
-            current = event_times[index]()
-            if current != infinity:
-                heapq.heappush(heap, (current, index))
-        return last_completion
-
-    def _run_single_cu(self, dispatcher: WorkgroupDispatcher, max_steps: int) -> float:
-        """Event loop specialization for one CU: no heap, no stale entries.
-
-        Cycle-for-cycle identical to the heap loop — with a single CU the
-        heap always popped that CU's current event time — minus the per-event
-        tuple pushes and pops.
-        """
-        cu = self.compute_units[0]
-        next_event_time = cu.scheduler.earliest_ready
-        infinity = float("inf")
-        last_completion = 0.0
-        guard = 0
-        while True:
-            current = next_event_time()
-            if current == infinity:
-                if cu.busy:
-                    raise SimulationError("deadlock: all resident wavefronts are blocked")
-                if dispatcher.has_pending():
-                    self._refill_idle_cus(dispatcher, last_completion, [])
-                    continue
-                break
-            retired = cu.step(current)
-            guard += 1
-            if guard > max_steps:
-                raise SimulationError("simulation exceeded the maximum step count")
-            for wavefront in retired:
-                if wavefront.completion_time > last_completion:
-                    last_completion = wavefront.completion_time
-                if not cu.has_free_lram_window():
-                    continue  # local-memory occupancy limit: no window free yet
-                refill = dispatcher.refill(cu.resident_wavefronts, wavefront.completion_time)
-                if refill is not None:
-                    cu.admit(refill)
+            event_time = cu.next_event_time()
+            if event_time != _INFINITY:
+                heapq.heappush(heap, (event_time, index))
         return last_completion
 
     def _refill_idle_cus(

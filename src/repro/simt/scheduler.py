@@ -4,21 +4,20 @@ The WF scheduler picks, every issue opportunity, one resident wavefront whose
 next instruction is ready and feeds it to the PE array.  The policy is
 round-robin among ready wavefronts (the FGPU policy), which is what lets the
 memory latency of one wavefront hide behind the arithmetic of the others.
+The rule lives in :meth:`WavefrontScheduler.pick`, which also returns the
+other residents' earliest ready time from the same pass (the compute unit's
+macro-stepping bound); :meth:`select` is the pick alone.
 
-The earliest-ready time — the compute unit's next event time, consulted by
-the simulator's event heap on every scheduling decision — is cached and only
-recomputed after a mutation (add/remove/ready-time update) instead of being
-rebuilt with a ``min()`` scan over all residents on every call.  Code that
-changes a resident's ``ready_time`` directly must call
-:meth:`WavefrontScheduler.notify_ready_changed`; :meth:`select` also
-invalidates the cache because callers conventionally reschedule the
-wavefront they selected.
+The earliest-ready time (the compute unit's next event time) is cached and
+only recomputed after a mutation.  Code that changes a resident's
+``ready_time`` directly must call :meth:`notify_ready_changed` or install
+the exact value with :meth:`set_earliest`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simt.wavefront import Wavefront
@@ -38,14 +37,6 @@ class WavefrontScheduler:
 
     def __len__(self) -> int:
         return len(self._order)
-
-    def __contains__(self, wavefront: Wavefront) -> bool:
-        return wavefront in self._order
-
-    @property
-    def resident(self) -> List[Wavefront]:
-        """Wavefronts currently resident, in scheduling order."""
-        return list(self._order)
 
     def add(self, wavefront: Wavefront) -> None:
         """Register a newly dispatched wavefront."""
@@ -76,11 +67,9 @@ class WavefrontScheduler:
     def notify_ready_changed(self) -> None:
         """Invalidate the cached earliest-ready time after external updates.
 
-        The active count is deliberately left intact: ``Wavefront.done`` only
-        changes through ``Wavefront.retire``, and every retirement is
-        followed by :meth:`remove`, which invalidates the count.  Ready-time
-        updates happen once per scheduling event, so recounting the residents
-        there cost a full scan per issued instruction for nothing.
+        The active count stays valid: ``Wavefront.done`` only changes through
+        ``Wavefront.retire``, and every retirement is followed by
+        :meth:`remove`, which invalidates the count.
         """
         self._earliest_valid = False
 
@@ -92,14 +81,7 @@ class WavefrontScheduler:
         return self._active
 
     def set_earliest(self, value: float) -> None:
-        """Install an exactly-known earliest-ready time.
-
-        The compute unit's issue loop already knows the minimum over the
-        residents at the end of an ordinary scheduling event (it tracked the
-        other residents' earliest ready time for macro-stepping and changed
-        only the issuing wavefront), so it hands the value over instead of
-        triggering a rescan per event.
-        """
+        """Install an exactly-known earliest-ready time (saves a rescan)."""
         self._earliest = value
         self._earliest_valid = True
 
@@ -117,9 +99,7 @@ class WavefrontScheduler:
     def earliest_ready_excluding(self, excluded: Wavefront) -> float:
         """Earliest ready time among the *other* unfinished residents.
 
-        Used by the compute unit's macro-stepping fast path: the selected
-        wavefront may keep issuing back-to-back only while it stays strictly
-        ahead of every other resident.
+        :meth:`pick` returns the same value for the wavefront it picks.
         """
         earliest = _INFINITY
         for wavefront in self._order:
@@ -131,20 +111,36 @@ class WavefrontScheduler:
                 earliest = wavefront.ready_time
         return earliest
 
-    def select(self, now: float) -> Optional[Wavefront]:
-        """Pick the next wavefront with ``ready_time <= now`` (round robin).
+    def pick(self, now: float) -> Tuple[Optional[Wavefront], float]:
+        """Take the next wavefront with ``ready_time <= now`` (round robin).
 
-        The selected wavefront is rotated to the back of the order so ready
-        wavefronts share the issue bandwidth fairly.
+        One pass finds the first unfinished resident, in round-robin order,
+        that is ready at ``now`` (``None`` if there is none) and the earliest
+        ready time among the *other* unfinished residents.  The picked
+        wavefront is rotated to the back of the order, so ready wavefronts
+        share the issue bandwidth fairly.
         """
         order = self._order
-        for position, wavefront in enumerate(order):
-            if not wavefront.done and wavefront.ready_time <= now:
-                # One rotation with the same end state as rotating each
-                # probed wavefront to the back individually.
-                order.rotate(-(position + 1))
-                # The caller is about to issue for (and therefore delay) the
-                # selected wavefront, so the cached minimum goes stale.
-                self._earliest_valid = False
-                return wavefront
-        return None
+        picked = None
+        position = 0
+        others = _INFINITY
+        for index, wavefront in enumerate(order):
+            # ``done`` is read only where it could change the outcome.
+            ready = wavefront.ready_time
+            if ready <= now and picked is None:
+                if wavefront.done:
+                    continue
+                picked = wavefront
+                position = index
+            elif ready < others and not wavefront.done:
+                others = ready
+        if picked is not None:
+            order.rotate(-(position + 1))
+            # The caller is about to issue for (and therefore delay) the
+            # picked wavefront, so the cached minimum goes stale.
+            self._earliest_valid = False
+        return picked, others
+
+    def select(self, now: float) -> Optional[Wavefront]:
+        """:meth:`pick` without the other residents' earliest ready time."""
+        return self.pick(now)[0]

@@ -93,9 +93,7 @@ class Wavefront:
         # Scheduling state (owned by the compute unit's scheduler).
         self.ready_time = 0.0
 
-        # Per-launch statistics.
-        self.instructions_issued = 0
-        self.active_lane_issues = 0
+        # Set when the wavefront retires.
         self.completion_time = 0.0
 
     # ------------------------------------------------------------------ #

@@ -223,3 +223,37 @@ def test_same_source_compiles_for_both_targets():
     case = program.to_riscv_case(workload)
     _, outputs = case.run(check=True)
     np.testing.assert_array_equal(outputs["out"].astype(np.int64), a * a)
+
+
+@pytest.mark.parametrize("expression", ["min(x, n)", "max(x, n)", "min(n, x)"])
+def test_min_max_assigned_to_an_operand_agree_on_both_targets(expression):
+    """``x = min(x, n)`` must not clobber ``x`` before the comparison.
+
+    G-GPU, RISC-V and a python reference agree, with ``a`` cycling through
+    0..7 and ``n = 4``.
+    """
+    from repro.arch.config import GGPUConfig
+    from repro.kernels import run_workload
+    from repro.simt.gpu import GGPUSimulator
+
+    source = f"""
+    __kernel void assign_minmax(__global int *a, __global int *out, int n) {{
+        int gid = get_global_id(0);
+        int x = a[gid];
+        x = {expression};
+        out[gid] = x;
+    }}
+    """
+    n = 64
+    a = np.arange(n, dtype=np.int64) % 8
+    pick = max if expression.startswith("max") else min
+    expected = np.array([pick(int(value), 4) for value in a], dtype=np.int64)
+    workload = make_workload(
+        {"a": a, "out": np.zeros(n, dtype=np.int64)}, {"n": 4}, {"out": expected}, n
+    )
+    program = compile_source(source)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+    _, gpu_outputs = run_workload(simulator, program.to_ggpu_kernel(), workload, check=False)
+    _, riscv_outputs = program.to_riscv_case(workload).run(check=False)
+    np.testing.assert_array_equal(gpu_outputs["out"].astype(np.int64), expected)
+    np.testing.assert_array_equal(riscv_outputs["out"].astype(np.int64), expected)

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,8 +11,9 @@ from repro.arch.isa import Opcode
 from repro.arch.kernel import KernelArg, KernelBuilder, NDRange
 from repro.riscv.isa import RvInstruction, RvOpcode, decode_rv, encode_rv
 from repro.simt import pe
+from repro.simt.axi import GlobalMemoryController, MemoryTrafficStats
 from repro.simt.cache import DataCache
-from repro.arch.config import CacheConfig
+from repro.arch.config import AxiConfig, CacheConfig
 from repro.tech.sram import SramCompiler, SramMacroSpec
 from repro.simt.decode import predecode_program
 from repro.simt.gpu import GGPUSimulator
@@ -260,3 +263,103 @@ def test_scale_kernel_property(values, scale):
     simulator.launch(kernel, NDRange(64, 64), {"buf": base, "k": scale})
     observed = simulator.read_buffer(base, 64)
     assert list(observed) == [(value * scale) & 0xFFFFFFFF for value in values]
+
+
+# --------------------------------------------------------------------------- #
+# The AXI ports' free-time heap against the lowest-index scan it replaced
+# --------------------------------------------------------------------------- #
+class _ScannedPorts:
+    """The port model as a list scanned for the lowest-indexed earliest port."""
+
+    def __init__(self, controller: GlobalMemoryController) -> None:
+        self.free = [0.0] * controller.axi.data_ports
+        self.transfer = controller.line_transfer_cycles
+        self.fill_latency = controller.axi.memory_latency_cycles + self.transfer
+        self.stats = MemoryTrafficStats()
+
+    def _claim(self, now: float) -> float:
+        best = min(range(len(self.free)), key=self.free.__getitem__)
+        start = max(now, self.free[best])
+        self.free[best] = start + self.transfer
+        return start
+
+    def line_fill(self, now: float) -> float:
+        self.stats.line_fills += 1
+        self.stats.busy_cycles += self.transfer
+        return self._claim(now) + self.fill_latency
+
+    def write_back(self, now: float) -> float:
+        self.stats.write_backs += 1
+        self.stats.busy_cycles += self.transfer
+        return self._claim(now) + self.transfer
+
+    def write_back_burst(self, now: float, count: int) -> float:
+        done = now
+        for _ in range(count):
+            done = self.write_back(now)
+        return done
+
+    def miss_burst(self, access_time, ports, hit_list, wb_list, completion):
+        last_hit = -1
+        for position, hit in enumerate(hit_list):
+            wave_start = access_time + position // ports
+            if hit:
+                last_hit = position
+                continue
+            if wb_list[position]:
+                self.write_back(wave_start)
+            completion = max(completion, self.line_fill(wave_start))
+        return completion, last_hit
+
+    def earliest_free(self) -> float:
+        return min(self.free)
+
+
+CYCLE = st.integers(0, 120).map(float)
+PORT_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("line_fill"), CYCLE),
+        st.tuples(st.just("write_back"), CYCLE),
+        st.tuples(st.just("write_back_burst"), CYCLE, st.integers(0, 6)),
+        st.tuples(
+            st.just("miss_burst"),
+            CYCLE,
+            st.integers(1, 8),
+            st.lists(st.tuples(st.booleans(), st.booleans()), max_size=24),
+            CYCLE,
+        ),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(
+    data_ports=st.integers(1, 4),
+    width=st.sampled_from([32, 64, 128]),
+    latency=st.integers(1, 60),
+    operations=PORT_OPERATIONS,
+)
+@settings(max_examples=150, deadline=None)
+def test_port_heap_matches_the_lowest_index_scan(data_ports, width, latency, operations):
+    """The ports are interchangeable, so only their free-time multiset shows.
+
+    Every transaction entry point returns the same completion times (and
+    last hits) as the scan, with equal ``MemoryTrafficStats`` and equal
+    sorted port free times after each operation.
+    """
+    axi = AxiConfig(data_ports=data_ports, data_width_bits=width, memory_latency_cycles=latency)
+    controller = GlobalMemoryController(axi, CacheConfig())
+    scanned = _ScannedPorts(controller)
+    for kind, time, *rest in operations:
+        if kind == "miss_burst":
+            ports, lines, completion = rest
+            hits = [hit for hit, _ in lines]
+            write_backs = [write_back for _, write_back in lines]
+            arguments = (time, ports, hits, write_backs, completion)
+        else:
+            arguments = (time, *rest)
+        assert getattr(controller, kind)(*arguments) == getattr(scanned, kind)(*arguments)
+        assert asdict(controller.stats) == asdict(scanned.stats)
+        assert sorted(controller._port_free) == sorted(scanned.free)
+        assert controller.earliest_free() == scanned.earliest_free()

@@ -17,6 +17,7 @@ the end-of-kernel flush traffic, and the round-robin idle-CU refill.
 """
 
 import contextlib
+import time
 from dataclasses import asdict
 from typing import Dict, Tuple
 
@@ -31,6 +32,9 @@ from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
 from repro.errors import SimulationError
 from repro.kernels import get_kernel_spec, run_workload
+from repro.simt import cu as cu_module, gpu as gpu_module
+from repro.simt.cu import ComputeUnit
+from repro.simt.decode import K_RET
 from repro.simt.dispatcher import WorkgroupDispatcher
 from repro.simt.gpu import GGPUSimulator
 from repro.simt.registers import WavefrontRegisterFile
@@ -811,6 +815,193 @@ def test_uniform_register_errors_match_lane_vector_reference(kernel, message):
 
 
 # --------------------------------------------------------------------- #
+# Event order: only shared events are ordered across CUs
+# --------------------------------------------------------------------- #
+# A compute unit issues its private events back to back and orders only its
+# shared events (global loads and stores, RET) against the other CUs.  The
+# reference below treats every instruction kind as shared, so every event
+# waits its turn on the simulator's heap: the one-event-per-pop order of a
+# single global (time, CU index) heap.  It has no package option; only
+# :func:`_event_order` installs it.
+EVERY_KIND = frozenset(range(K_RET + 1))  # decoded kinds are the ints 0..K_RET
+
+
+@contextlib.contextmanager
+def _event_order(every_kind_shared: bool):
+    with pytest.MonkeyPatch.context() as patch:
+        if every_kind_shared:
+            patch.setattr(cu_module, "SHARED_KINDS", EVERY_KIND)
+        yield
+
+
+def _assert_event_order_matches_reference(num_cus: int, launch) -> None:
+    """Outputs and the whole ``KernelRunStats`` agree with the reference."""
+    outcomes = []
+    for every_kind_shared in (False, True):
+        with _event_order(every_kind_shared):
+            result, outputs = launch(GGPUSimulator(GGPUConfig(num_cus=num_cus)))
+        outcomes.append((outputs, asdict(result.stats)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+def test_event_order_matches_every_kind_shared_reference_on_library_kernels(name):
+    for num_cus in (2, 4, 8):
+        _assert_event_order_matches_reference(num_cus, _library_launch(name))
+
+
+@pytest.mark.parametrize("workgroup_size", [64, 256, 512])
+def test_event_order_matches_every_kind_shared_reference_across_barriers(workgroup_size):
+    launch = _out_launch(_barrier_kernel(rounds=2), 1024, workgroup_size)
+    _assert_event_order_matches_reference(2, launch)
+
+
+def _dispatcher_order_kernel() -> Kernel:
+    """A store, then a uniform loop of ``(wgid * 7) & 15`` trips, then RET.
+
+    Workgroups retire at times that depend on their id, so the order of the
+    RETs across CUs decides which CU the dispatcher hands each next
+    workgroup to.
+    """
+    builder = KernelBuilder("dispatch_order", args=(KernelArg("out"),))
+    gid = builder.alloc("gid")
+    out = builder.alloc("out")
+    addr = builder.alloc("addr")
+    trips = builder.alloc("trips")
+    zero = builder.alloc("zero")
+    builder.global_id(gid)
+    builder.load_arg(out, "out")
+    builder.address_of_element(addr, out, gid)
+    builder.emit(Opcode.SW, rs=addr, rt=gid, imm=0)
+    builder.emit(Opcode.WGID, rd=trips)
+    builder.emit(Opcode.MULI, rd=trips, rs=trips, imm=7)
+    builder.emit(Opcode.ANDI, rd=trips, rs=trips, imm=15)
+    builder.emit(Opcode.LI, rd=zero, imm=0)
+    builder.label("loop")
+    builder.emit(Opcode.BEQ, rs=trips, rt=zero, label="done")
+    builder.emit(Opcode.ADDI, rd=trips, rs=trips, imm=-1)
+    builder.emit(Opcode.JMP, label="loop")
+    builder.label("done")
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize("num_cus", [2, 4])
+def test_event_order_matches_every_kind_shared_reference_on_dispatch_order(num_cus):
+    """64 workgroups of one wavefront: RET must stay a shared event."""
+    launch = _out_launch(_dispatcher_order_kernel(), 64 * 64, 64)
+    _assert_event_order_matches_reference(num_cus, launch)
+
+
+def _same_line_tie_kernel() -> Kernel:
+    """Every wavefront loads ``buf[0]``, then loops ``wgid * 20`` times."""
+    builder = KernelBuilder("same_line_tie", args=(KernelArg("buf"), KernelArg("out")))
+    names = "gid buf out addr value trips zero"
+    r = {name: builder.alloc(name) for name in names.split()}
+    builder.global_id(r["gid"])
+    builder.load_arg(r["buf"], "buf")
+    builder.emit(Opcode.LW, rd=r["value"], rs=r["buf"], imm=0)
+    builder.emit(Opcode.WGID, rd=r["trips"])
+    builder.emit(Opcode.MULI, rd=r["trips"], rs=r["trips"], imm=20)
+    builder.emit(Opcode.LI, rd=r["zero"], imm=0)
+    builder.label("loop")
+    builder.emit(Opcode.BEQ, rs=r["trips"], rt=r["zero"], label="done")
+    builder.emit(Opcode.ADDI, rd=r["trips"], rs=r["trips"], imm=-1)
+    builder.emit(Opcode.JMP, label="loop")
+    builder.label("done")
+    builder.load_arg(r["out"], "out")
+    builder.address_of_element(r["addr"], r["out"], r["gid"])
+    builder.emit(Opcode.SW, rs=r["addr"], rt=r["value"], imm=0)
+    builder.ret()
+    return builder.build()
+
+
+def test_same_cycle_loads_of_one_line_probe_cu_0_first():
+    """Two CUs load one line on the same cycle: CU 0 misses, CU 1 hits.
+
+    Workgroup 1 (on CU 1) loops 20 times after its load, so the launch ends
+    one miss latency later if CU 1 is the one that misses.  The cycle count
+    and the cache statistics are pinned from the one-event-per-pop engine.
+    """
+    probes = []
+    uniform_load = ComputeUnit._execute_uniform_load
+
+    def recording_load(self, wavefront, rd, address, access_time):
+        probes.append((self.cu_id, access_time))
+        return uniform_load(self, wavefront, rd, address, access_time)
+
+    launch = _out_launch(_same_line_tie_kernel(), 128, 64, inputs=[("buf", [7] * 16)])
+    outcomes = []
+    for every_kind_shared in (False, True):
+        probes.clear()
+        with _event_order(every_kind_shared), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ComputeUnit, "_execute_uniform_load", recording_load)
+            result, outputs = launch(GGPUSimulator(GGPUConfig(num_cus=2)))
+        assert outputs == [7] * 128
+        assert probes == [(0, probes[0][1]), (1, probes[0][1])]
+        outcomes.append(asdict(result.stats))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0]["cycles"] == 451.0
+    assert outcomes[0]["cache"] == {
+        "read_accesses": 2,
+        "write_accesses": 8,
+        "read_misses": 1,
+        "write_misses": 8,
+        "write_backs": 8,
+    }
+
+
+# --------------------------------------------------------------------- #
+# Runaway launches: the event bound
+# --------------------------------------------------------------------- #
+def _spin_kernel() -> Kernel:
+    """A uniform ``while (i >= 0) { i = i & 1; }`` that never ends."""
+    builder = KernelBuilder("spin", args=(KernelArg("out"),))
+    i = builder.alloc("i")
+    zero = builder.alloc("zero")
+    builder.emit(Opcode.LI, rd=i, imm=0)
+    builder.emit(Opcode.LI, rd=zero, imm=0)
+    builder.label("loop")
+    builder.emit(Opcode.BLT, rs=i, rt=zero, label="done")
+    builder.emit(Opcode.ANDI, rd=i, rs=i, imm=1)
+    builder.emit(Opcode.JMP, label="loop")
+    builder.label("done")
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize("num_cus", [1, 2])
+def test_runaway_launch_raises_at_the_event_bound(monkeypatch, num_cus):
+    monkeypatch.setattr(gpu_module, "MAX_EVENTS", 10_000)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
+    out = simulator.allocate_buffer(64)
+    start = time.perf_counter()
+    with pytest.raises(SimulationError, match="exceeded the maximum step count"):
+        simulator.launch(_spin_kernel(), NDRange(64, 64), {"out": out})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_launch_may_take_exactly_the_event_bound(monkeypatch):
+    launch = _library_launch("div_int")
+    result, _ = launch(GGPUSimulator(GGPUConfig(num_cus=2)))
+    events = sum(stats.issue_events for stats in result.stats.cu_stats)
+    monkeypatch.setattr(gpu_module, "MAX_EVENTS", events)
+    bounded, _ = launch(GGPUSimulator(GGPUConfig(num_cus=2)))
+    assert asdict(bounded.stats) == asdict(result.stats)
+    monkeypatch.setattr(gpu_module, "MAX_EVENTS", events - 1)
+    with pytest.raises(SimulationError, match="exceeded the maximum step count"):
+        launch(GGPUSimulator(GGPUConfig(num_cus=2)))
+
+
+def test_a_cu_that_issues_nothing_raises_instead_of_spinning(monkeypatch):
+    monkeypatch.setattr(ComputeUnit, "step", lambda self, *args: [])
+    simulator = GGPUSimulator(GGPUConfig(num_cus=2))
+    out = simulator.allocate_buffer(128)
+    with pytest.raises(SimulationError, match="CU 0 issued no event at cycle 0"):
+        simulator.launch(_store_only_kernel(), NDRange(128, 64), {"out": out})
+
+
+# --------------------------------------------------------------------- #
 # Idle-CU refill
 # --------------------------------------------------------------------- #
 def test_idle_refill_spreads_workgroups_across_all_cus():
@@ -833,3 +1024,14 @@ def test_idle_refill_spreads_workgroups_across_all_cus():
     assert residents == [8, 8, 8, 8]
     assert not dispatcher.has_pending()
     assert sorted(index for _, index in heap) == [0, 1, 2, 3]
+
+
+def test_step_with_default_arguments_issues_exactly_one_event():
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+    simulator.rtm.write_descriptor(128, 64, [simulator.allocate_buffer(128)])
+    cu = simulator.compute_units[0]
+    cu.bind(_store_only_kernel().program, simulator.rtm)
+    cu.admit(WorkgroupDispatcher(simulator.config, NDRange(128, 64)).initial_assignment(1)[0])
+    for events in (1, 2, 3):
+        cu.step()
+        assert cu.stats.issue_events == events
