@@ -118,10 +118,6 @@ class AnalysisReport:
         """All findings of exactly the given severity."""
         return [f for f in self.findings if f.severity is severity]
 
-    def by_check(self, check: str) -> List[Finding]:
-        """All findings with the given check ID."""
-        return [f for f in self.findings if f.check == check]
-
     @property
     def errors(self) -> List[Finding]:
         return self.by_severity(Severity.ERROR)

@@ -22,7 +22,7 @@ every atom in them is launch-uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 #: Largest workgroup any runtime path will schedule (mirrors
 #: repro.kernels.dot.MAX_WORKGROUP); lane ids live in [0, LANE_MAX).
@@ -224,16 +224,3 @@ def bitand_iv(a: Interval, b: Interval) -> Interval:
     if a[0] < 0 or b[0] < 0:
         return FULL
     return interval(0, min(a[1], b[1]))
-
-
-def is_full(a: Interval) -> bool:
-    return a[0] <= -_INF and a[1] >= _INF
-
-
-def bounded_above(a: Interval) -> Optional[int]:
-    """The interval's upper bound, or None when unbounded."""
-    return None if a[1] >= _INF else a[1]
-
-def bounded_below(a: Interval) -> Optional[int]:
-    """The interval's lower bound, or None when unbounded."""
-    return None if a[0] <= -_INF else a[0]

@@ -172,13 +172,6 @@ class Kernel:
     args: Tuple[KernelArg, ...] = field(default_factory=tuple)
     local_words: int = 0
 
-    def arg_index(self, name: str) -> int:
-        """Runtime-memory slot of the named argument."""
-        for index, arg in enumerate(self.args):
-            if arg.name == name:
-                return index
-        raise KernelError(f"kernel {self.name!r} has no argument {name!r}")
-
     @property
     def num_args(self) -> int:
         return len(self.args)

@@ -20,11 +20,6 @@ class CType(enum.Enum):
     UINT = "uint"
     PTR = "ptr"  # __global int* / __global uint*
 
-    @property
-    def is_scalar(self) -> bool:
-        """Whether the type is an integer value (not a buffer pointer)."""
-        return self is not CType.PTR
-
 
 @dataclass
 class SourceSpan:

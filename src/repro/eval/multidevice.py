@@ -873,6 +873,7 @@ def run_topology_table(
     config: Optional[GGPUConfig] = None,
     transfer: Optional[TransferConfig] = None,
     jobs: Optional[int] = None,
+    journal: Union[None, PathLike, SweepJournal] = None,
 ) -> TopologyTable:
     """Measure the topology DAGs under every topology × scheduler cell.
 
@@ -890,6 +891,11 @@ def run_topology_table(
     verified in every cell, and each launch's simulated cycle count must be
     bit-identical across every (topology, scheduler, device count) cell of
     its DAG — topology and scheduler choice reshape the schedule only.
+
+    ``journal`` makes the sweep resumable (see
+    :mod:`repro.runtime.checkpoint`): a killed run recomputes only the
+    (DAG, topology, scheduler, device count) cells the journal has not
+    recorded.
     """
     counts = _device_counts(device_counts)
     dag_list = _known("topology DAG", dags, TOPOLOGY_DAGS)
@@ -898,6 +904,23 @@ def run_topology_table(
     if "lpt" not in scheduler_list:
         raise KernelError("the topology ablation needs the 'lpt' baseline scheduler")
     config = config or GGPUConfig()
+    book = open_journal(
+        journal,
+        meta={
+            "sweep": "topology",
+            "dags": dag_list,
+            "topologies": topology_list,
+            "schedulers": scheduler_list,
+            "width": width,
+            "depth": depth,
+            "size": size,
+            "lanes": lanes,
+            "stages": stages,
+            "seed": seed,
+            "config": asdict(config),
+            "transfer": None if transfer is None else asdict(transfer),
+        },
+    )
     grid = [
         (dag, topology, scheduler, count)
         for dag in dag_list
@@ -914,6 +937,13 @@ def run_topology_table(
         TOPOLOGY_CELL_MEMORY_BYTES,
         jobs,
         group=lambda coordinates: coordinates[0],  # one group per DAG
+        book=book,
+        key=lambda coordinates: cell_key(
+            dag=coordinates[0],
+            topology=coordinates[1],
+            scheduler=coordinates[2],
+            device_count=coordinates[3],
+        ),
     )
     return TopologyTable(
         cells=dict(zip(grid, cells, strict=True)),

@@ -39,11 +39,6 @@ class PathTiming:
     slack_ns: float
 
     @property
-    def total_combinational_ns(self) -> float:
-        """Unpipelined end-to-end combinational delay."""
-        return self.macro_delay_ns + self.logic_delay_ns + self.wire_delay_ns
-
-    @property
     def met(self) -> bool:
         """Whether the path meets the analyzed constraint."""
         return self.slack_ns >= -1e-9

@@ -35,7 +35,7 @@ the schedule and the makespan may change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -109,10 +109,6 @@ class FaultSpec:
             raise ConfigurationError(
                 f"stall_cycles must be >= 0, got {self.stall_cycles}"
             )
-
-    @property
-    def is_launch_fault(self) -> bool:
-        return self.kind in _LAUNCH_KINDS
 
     @property
     def is_transfer_fault(self) -> bool:
@@ -266,10 +262,6 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Device liveness
     # ------------------------------------------------------------------ #
-    @property
-    def dead_devices(self) -> Set[int]:
-        return set(self._dead)
-
     def is_dead(self, device: int) -> bool:
         return device in self._dead
 

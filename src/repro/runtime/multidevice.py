@@ -78,15 +78,14 @@ change (``tests/test_runtime_faults.py`` fuzzes exactly that contract).
 **Launch memo.**  Because a launch's results and cycles never depend on the
 schedule, the queues of one sweep can share a :class:`LaunchMemo`
 (``memo=``): a launch whose kernel, geometry, argument values, device model
-and input contents match one the memo has already seen is not simulated
-again — the stored post-launch buffer images are written back to the device
+and input bytes match one the memo has already seen is not simulated again —
+the stored images of the buffers it changed are written back to the device
 and the stored :class:`~repro.simt.gpu.LaunchResult` is returned.  Only host
 time changes; every simulated number, schedule and statistic is identical.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import insort
 from dataclasses import dataclass, field
@@ -164,13 +163,6 @@ class DeviceBuffer:
     @property
     def num_bytes(self) -> int:
         return self.num_words * WORD_BYTES
-
-    @property
-    def dirty_on(self) -> Optional[int]:
-        """Lowest device holding up-to-date contents the host lacks."""
-        if self.host_valid or not self.valid_on:
-            return None
-        return min(self.valid_on)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -257,18 +249,27 @@ class Event:
             raise self.error
 
 
-class LaunchMemo:
-    """Content-addressed launch results shared by the queues of one sweep.
+#: One :class:`LaunchMemo` entry: the pre-launch bytes of every buffer
+#: argument, the result, and (argument index, post-launch image) for each
+#: buffer the launch changed.
+_MemoEntry = Tuple[Tuple[bytes, ...], LaunchResult, Tuple[Tuple[int, np.ndarray], ...]]
 
-    The key of a launch has seven parts: the kernel (name, instruction
-    tuple, argument signature, ``local_words``), the :class:`NDRange`, the
-    ordered argument values (buffer addresses and scalars), the device's
+
+class LaunchMemo:
+    """Launch results shared by the queues of one sweep, found by content.
+
+    The key of a launch has six parts: the kernel (name, instruction tuple,
+    argument signature, ``local_words``), the :class:`NDRange`, the ordered
+    argument values (buffer addresses and scalars), the device's
     :class:`~repro.arch.config.GGPUConfig`, its
-    :class:`~repro.simt.timing.TimingModel`, its memory size, and a digest of
-    every buffer argument's device contents just before the launch.  The
-    value is the :class:`~repro.simt.gpu.LaunchResult` plus the post-launch
-    image of every buffer argument — all of them, because a launch's
-    ``writes=`` is a scheduling hint, not a guarantee.
+    :class:`~repro.simt.timing.TimingModel` and its memory size.  Each key
+    holds a short list of entries, one per distinct input contents
+    simulated under it: the pre-launch bytes of every buffer argument, the
+    :class:`~repro.simt.gpu.LaunchResult`, and the post-launch image of
+    each buffer argument the launch changed — every argument is checked,
+    because a launch's ``writes=`` is a scheduling hint, not a guarantee.
+    A lookup compares the buffers' current bytes with each entry's: a hit
+    needs equal contents, not an equal digest.
 
     The memo rests on one premise, the same one the sweeps' cross-cell
     cycle assertions rest on: a launch reads and writes only its buffer
@@ -286,7 +287,7 @@ class LaunchMemo:
         # and a lookup never rehashes an instruction tuple.
         self._kernels: Dict[int, Tuple[Kernel, int]] = {}
         self._tokens: Dict[tuple, int] = {}
-        self._entries: Dict[tuple, Tuple[LaunchResult, Tuple[np.ndarray, ...]]] = {}
+        self._entries: Dict[tuple, List[_MemoEntry]] = {}
 
     def _kernel_token(self, kernel: Kernel) -> int:
         entry = self._kernels.get(id(kernel))
@@ -312,8 +313,10 @@ class LaunchMemo:
         """``simulator.launch(kernel, ndrange, args)``, simulated at most once.
 
         ``buffers`` are the launch's buffer arguments, already resident on
-        ``simulator``; on a hit their stored post-launch images are written
-        back through :meth:`~repro.simt.memory.GlobalMemory.write_buffer`.
+        ``simulator``.  A hit writes back only the buffers the launch
+        changed, through :meth:`~repro.simt.memory.GlobalMemory.write_buffer`
+        so that :meth:`~repro.simt.memory.GlobalMemory.reset` stays exact;
+        every other buffer already holds its post-launch image.
         """
         memory = simulator.memory
         key = (
@@ -323,25 +326,22 @@ class LaunchMemo:
             simulator.config,
             simulator.timing,
             memory.size_bytes,
-            tuple(
-                hashlib.blake2b(
-                    memory.read_buffer(buffer.address, buffer.num_words).tobytes(),
-                    digest_size=16,
-                ).digest()
-                for buffer in buffers
-            ),
         )
-        entry = self._entries.get(key)
-        if entry is None:
-            result = simulator.launch(kernel, ndrange, args)
-            images = tuple(
-                memory.read_buffer(buffer.address, buffer.num_words) for buffer in buffers
-            )
-            self._entries[key] = (result, images)
-            return result
-        result, images = entry
-        for buffer, image in zip(buffers, images, strict=True):
-            memory.write_buffer(buffer.address, image)
+        views = [memory.view_buffer(buffer.address, buffer.num_words) for buffer in buffers]
+        before = tuple(view.tobytes() for view in views)
+        entries = self._entries.setdefault(key, [])
+        for contents, result, changed in entries:
+            if contents == before:
+                for index, image in changed:
+                    memory.write_buffer(buffers[index].address, image)
+                return result
+        result = simulator.launch(kernel, ndrange, args)
+        images = []
+        for index, (view, old) in enumerate(zip(views, before, strict=True)):
+            new = view.tobytes()
+            if new != old:
+                images.append((index, np.frombuffer(new, dtype=np.int64)))
+        entries.append((before, result, tuple(images)))
         return result
 
 
@@ -444,10 +444,10 @@ class MultiDeviceQueue:
         self.scheduler = "fifo"
         self.prefetch_depth = 0
         self._steal_rng = random.Random(0)
-        # Transfer prices by bytes and by (src, dst, bytes): ``transfer`` and
+        # Transfer prices by bytes and by (owners, bytes): ``transfer`` and
         # ``topology`` are frozen and set only here, so the caches are exact.
         self._host_prices: Dict[int, float] = {}
-        self._link_prices: Dict[Tuple[int, int, int], float] = {}
+        self._link_rows: Dict[Tuple[frozenset, int], List[Tuple[float, int]]] = {}
         self._comm_cache: Dict[int, float] = {}
         self.stats = QueueStats(
             device_compute_cycles={index: 0.0 for index in range(len(self.devices))},
@@ -525,29 +525,25 @@ class MultiDeviceQueue:
 
     def _p2p_link_cycles(self, src: int, dst: int, num_bytes: int) -> float:
         """Cycle cost of one direct ``src``→``dst`` copy on this fabric."""
-        cycles = self._link_prices.get((src, dst, num_bytes))
-        if cycles is None:
-            if self.topology is not None:
-                cycles = self.topology.p2p_cycles(src, dst, num_bytes)
-            else:
-                cycles = self.transfer.p2p_cycles(num_bytes)
-            self._link_prices[src, dst, num_bytes] = cycles
-        return cycles
+        if self.topology is not None:
+            return self.topology.p2p_cycles(src, dst, num_bytes)
+        return self.transfer.p2p_cycles(num_bytes)
 
-    def _nearest_source(self, buffer: DeviceBuffer, device: int) -> int:
-        """The valid device cheapest to copy ``buffer`` to ``device`` from.
+    def _nearest_links(self, owners: frozenset, num_bytes: int) -> List[Tuple[float, int]]:
+        """Per device, ``(cycles, source)`` of the cheapest copy from ``owners``.
 
-        Ties break toward the lower index, so the flat/default fabric (every
-        pair priced identically) picks ``min(valid_on)`` — bit-identical to
-        the pre-topology runtime.
+        Indexed by destination device.  Ties break toward the lower source,
+        so the flat/default fabric (every pair priced identically) picks
+        ``min(owners)`` — bit-identical to the pre-topology runtime.
         """
-        return min(
-            buffer.valid_on,
-            key=lambda source: (
-                self._p2p_link_cycles(source, device, buffer.num_bytes),
-                source,
-            ),
-        )
+        row = self._link_rows.get((owners, num_bytes))
+        if row is None:
+            row = [
+                min((self._p2p_link_cycles(source, device, num_bytes), source) for source in owners)
+                for device in range(len(self.devices))
+            ]
+            self._link_rows[owners, num_bytes] = row
+        return row
 
     def _comm_estimate(self, num_bytes: int) -> float:
         """Mean device↔device cost of ``num_bytes`` — the HEFT edge weight.
@@ -1096,6 +1092,12 @@ class MultiDeviceQueue:
         (and a hint at a device that dies before execution degrades through
         the normal hint path), so retired devices leave the fabric
         consistently.
+
+        Each ready launch is priced once per claiming device: its readiness
+        is final once its waits are placed, and its claim price depends only
+        on the planned location of its inputs (``alive`` is fixed for the
+        flush), so a price is dropped only when one of those locations
+        changes.
         """
         alive = set(self.alive_devices)
         thieves = sorted(alive) if alive else list(range(len(self.devices)))
@@ -1104,6 +1106,13 @@ class MultiDeviceQueue:
         finish: Dict[int, float] = {}
         # Planned residency per buffer handle: (host_valid, owner devices).
         location: Dict[int, Tuple[bool, frozenset]] = {}
+        # Per launch sequence: readiness, negated size, claim price by device.
+        facts: Dict[int, Tuple[float, int, Dict[int, float]]] = {}
+        consumers: Dict[int, List[int]] = {}
+        for command in pending:
+            if command.kind == "launch":
+                for buffer in command.inputs:
+                    consumers.setdefault(buffer.handle, []).append(command.event.sequence)
 
         def spot(buffer: DeviceBuffer) -> Tuple[bool, frozenset]:
             state = location.get(buffer.handle)
@@ -1112,6 +1121,13 @@ class MultiDeviceQueue:
                 location[buffer.handle] = state
             return state
 
+        def move(buffer: DeviceBuffer, state: Tuple[bool, frozenset]) -> None:
+            if spot(buffer) != state:
+                location[buffer.handle] = state
+                for sequence in consumers.get(buffer.handle, ()):
+                    if sequence in facts:
+                        facts[sequence][2].clear()  # the reader's claim prices
+
         def claim_cost(command: _Command, thief: int) -> float:
             cost = 0.0
             for buffer in command.inputs:
@@ -1119,10 +1135,7 @@ class MultiDeviceQueue:
                 if thief in owners:
                     continue
                 if not host_valid and owners:
-                    cost += min(
-                        self._p2p_link_cycles(source, thief, buffer.num_bytes)
-                        for source in owners
-                    )
+                    cost += self._nearest_links(owners, buffer.num_bytes)[thief][0]
                 else:
                     cost += self._host_cycles(buffer.num_bytes)
             return cost
@@ -1130,36 +1143,38 @@ class MultiDeviceQueue:
         def settle(command: _Command, device: Optional[int]) -> None:
             if command.kind == "write":
                 owners = frozenset() if device is None else frozenset({device})
-                location[command.buffer.handle] = (True, owners)
+                move(command.buffer, (True, owners))
                 return
             if command.kind == "read":
                 host_valid, owners = spot(command.buffer)
-                location[command.buffer.handle] = (True, owners)
+                move(command.buffer, (True, owners))
                 return
             for buffer in command.inputs:
                 host_valid, owners = spot(buffer)
                 if device is not None:
-                    location[buffer.handle] = (host_valid, owners | {device})
+                    move(buffer, (host_valid, owners | {device}))
             for buffer in command.outputs:
                 owners = frozenset() if device is None else frozenset({device})
-                location[buffer.handle] = (False, owners)
-
-        def ready_at(command: _Command) -> float:
-            return max(
-                (finish.get(w.sequence, 0.0) for w in command.waits), default=0.0
-            )
+                move(buffer, (False, owners))
 
         def pick(ready: List[_Command]) -> _Command:
             thief = min(thieves, key=lambda device: (clock[device], device))
             scored = []
             for command in ready:
+                entry = facts.get(command.event.sequence)
+                if entry is None:
+                    # Every wait is placed, so its virtual finish is final.
+                    ready_at = max(
+                        (finish.get(w.sequence, 0.0) for w in command.waits), default=0.0
+                    )
+                    entry = (ready_at, -command.ndrange.total_items, {})
+                    facts[command.event.sequence] = entry
+                ready_at, size, prices = entry
                 target = command.device if command.device in alive else thief
-                start = max(clock[target], ready_at(command)) + claim_cost(
-                    command, target
-                )
-                scored.append(
-                    (start, -command.ndrange.total_items, target, command)
-                )
+                cost = prices.get(target)
+                if cost is None:
+                    cost = prices[target] = claim_cost(command, target)
+                scored.append((max(clock[target], ready_at) + cost, size, target, command))
             best = min((start, size) for start, size, _, _ in scored)
             ties = [entry for entry in scored if (entry[0], entry[1]) == best]
             if len(ties) == 1:
@@ -1198,37 +1213,59 @@ class MultiDeviceQueue:
                     command.device = later.device
                     break
 
-    def _projected_start(self, command: _Command, device: int, ready: float) -> float:
-        """Earliest compute start of ``command`` on ``device`` (no mutation).
+    def _projected_starts(
+        self, command: _Command, devices: Sequence[int], ready: float
+    ) -> List[float]:
+        """Earliest compute start of ``command`` on each of ``devices``.
 
-        Mirrors :meth:`_materialize` closely enough to pick a device; it is a
-        deterministic heuristic, not a timing commitment.
+        Reads each input buffer's residency once, then prices every device
+        in one pass; per device it takes the same maxima and sums as pricing
+        that device alone.  Mirrors :meth:`_materialize` closely enough to
+        pick a device; it is a deterministic heuristic, not a timing
+        commitment, and mutates nothing.
         """
-        arrival = ready
-        dma = self._dma_available[device]
+        dma_available = self._dma_available
+        inputs = []
         for buffer in command.inputs:
-            if device in buffer.valid_on:
-                arrival = max(
-                    arrival, buffer.ready_cycle, buffer.device_ready.get(device, 0.0)
-                )
-                continue
-            if not buffer.host_valid:
-                if self._p2p_direct:
-                    source = self._nearest_source(buffer, device)
-                    dma = max(
-                        dma, self._dma_available[source], buffer.ready_cycle
-                    ) + self._p2p_link_cycles(source, device, buffer.num_bytes)
-                    arrival = max(arrival, dma)
-                    continue
-                source = min(buffer.valid_on)
-                host_ready = max(
-                    self._dma_available[source], buffer.ready_cycle
-                ) + self._host_cycles(buffer.num_bytes)
-            else:
+            copy = self._host_cycles(buffer.num_bytes)
+            hops = None
+            if buffer.host_valid:
                 host_ready = buffer.ready_cycle
-            dma = max(dma, host_ready) + self._host_cycles(buffer.num_bytes)
-            arrival = max(arrival, dma)
-        return max(self._compute_available[device], arrival)
+            elif self._p2p_direct:
+                host_ready = 0.0
+                hops = self._nearest_links(frozenset(buffer.valid_on), buffer.num_bytes)
+            else:
+                source = min(buffer.valid_on)
+                host_ready = max(dma_available[source], buffer.ready_cycle) + copy
+            inputs.append(
+                (buffer.valid_on, buffer.ready_cycle, buffer.device_ready, host_ready, copy, hops)
+            )
+        starts = []
+        # The hot maxima are comparisons, not max() calls: the same values
+        # (every cycle count is non-negative) at a fraction of the cost.
+        for device in devices:
+            arrival = ready
+            dma = dma_available[device]
+            for valid_on, ready_cycle, device_ready, host_ready, copy, hops in inputs:
+                if device in valid_on:
+                    if device_ready:
+                        landed = max(ready_cycle, device_ready.get(device, 0.0))
+                    else:
+                        landed = ready_cycle
+                    if landed > arrival:
+                        arrival = landed
+                    continue
+                if hops is None:
+                    start, cycles = host_ready, copy
+                else:
+                    cycles, source = hops[device]
+                    start = max(dma_available[source], ready_cycle)
+                dma = (dma if dma >= start else start) + cycles
+                if dma > arrival:
+                    arrival = dma
+            compute = self._compute_available[device]
+            starts.append(compute if compute >= arrival else arrival)
+        return starts
 
     def _read_back(self, buffer: DeviceBuffer) -> Tuple[float, float]:
         """Refresh the host image from a valid device, charging the copy.
@@ -1312,8 +1349,9 @@ class MultiDeviceQueue:
                 continue
             if not buffer.host_valid:
                 if self._p2p_direct:
-                    source = self._nearest_source(buffer, device)
-                    cycles = self._p2p_link_cycles(source, device, buffer.num_bytes)
+                    cycles, source = self._nearest_links(
+                        frozenset(buffer.valid_on), buffer.num_bytes
+                    )[device]
                     contents = (
                         self.devices[source]
                         .read_buffer(buffer.address, buffer.num_words)
@@ -1507,21 +1545,17 @@ class MultiDeviceQueue:
             if hint is not None:
                 device = hint
             else:
+                starts = self._projected_starts(command, candidates, ready)
                 prefetched = self._prefetched_inputs(command)
-                device = min(
-                    candidates,
-                    key=lambda index: (
-                        self._projected_start(command, index, ready),
-                        -prefetched.get(index, 0),
-                        index,
-                    ),
+                _, _, device = min(
+                    (start, -prefetched.get(index, 0), index)
+                    for start, index in zip(starts, candidates, strict=True)
                 )
             if injector is None:
                 command.event.attempts = attempts + 1
                 return device, ready
-            fault = injector.launch_fault(
-                device, self._projected_start(command, device, ready), command.event.label
-            )
+            (start,) = self._projected_starts(command, (device,), ready)
+            fault = injector.launch_fault(device, start, command.event.label)
             if fault is None:
                 command.event.attempts = attempts + 1
                 return device, ready

@@ -91,6 +91,20 @@ class GlobalMemory:
             raise SimulationError(f"read of {num_words} words at {base_addr:#x} overflows memory")
         return self._words[index : index + num_words].astype(np.uint32)
 
+    def view_buffer(self, base_addr: int, num_words: int) -> np.ndarray:
+        """A read-only int64 view of ``num_words`` words at ``base_addr``.
+
+        Unlike :meth:`read_buffer` it copies nothing and shows later writes.
+        Writes go through :meth:`write_buffer`, which keeps the written
+        prefix that :meth:`reset` clears exact.
+        """
+        index = self._word_index(base_addr)
+        if index + num_words > self._words.size:
+            raise SimulationError(f"read of {num_words} words at {base_addr:#x} overflows memory")
+        view = self._words[index : index + num_words]
+        view.flags.writeable = False
+        return view
+
     # ------------------------------------------------------------------ #
     # Device-side accesses (vectorized over wavefront lanes)
     # ------------------------------------------------------------------ #

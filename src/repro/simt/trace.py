@@ -122,10 +122,6 @@ class KernelRunStats:
             merged = merged.merge(stats.mix)
         return merged
 
-    def runtime_us(self, freq_mhz: float) -> float:
-        """Wall-clock kernel runtime in microseconds at the given frequency."""
-        return self.cycles / freq_mhz
-
     def summary(self) -> str:
         """One-line human-readable summary used by the examples."""
         return (

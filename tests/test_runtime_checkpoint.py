@@ -21,6 +21,7 @@ from repro.eval.multidevice import (
     PIPELINE_MODES,
     run_multidevice_table,
     run_pipeline_table,
+    run_topology_table,
 )
 from repro.runtime.checkpoint import (
     JOURNAL_FORMAT,
@@ -268,9 +269,32 @@ PIPELINE_RESUME = (
     8,
 )
 
+TOPOLOGY_RESUME = (
+    run_topology_table,
+    {
+        "device_counts": (2,),
+        "dags": ("shuffle",),
+        "topologies": ("flat", "ring"),
+        "schedulers": ("lpt", "stealing"),
+        "lanes": 2,
+        "stages": 2,
+        "size": 64,
+        "jobs": 1,
+    },
+    [
+        cell_key(dag="shuffle", topology=topology, scheduler=scheduler, device_count=2)
+        for topology in ("flat", "ring")
+        for scheduler in ("lpt", "stealing")
+    ],
+    3,
+    4,
+)
+
 
 @pytest.mark.parametrize(
-    "sweep", [MULTIDEVICE_RESUME, PIPELINE_RESUME], ids=["multidevice", "pipeline"]
+    "sweep",
+    [MULTIDEVICE_RESUME, PIPELINE_RESUME, TOPOLOGY_RESUME],
+    ids=["multidevice", "pipeline", "topology"],
 )
 def test_multidevice_sweeps_resume_only_missing_cells(tmp_path, simulated_launches, sweep):
     run, kwargs, keys, dropped, launches = sweep

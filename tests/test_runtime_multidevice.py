@@ -780,7 +780,9 @@ def test_memo_hit_skips_the_simulator_and_replays_the_outputs(simulated_launches
     assert np.array_equal(second.enqueue_read(out).astype(np.int64), (3 * values) & MASK)
 
 
-@pytest.mark.parametrize("change", ["none", "input word", "scalar", "ndrange", "num_cus"])
+@pytest.mark.parametrize(
+    "change", ["none", "input word", "output word", "scalar", "ndrange", "num_cus"]
+)
 def test_memo_hits_only_identical_launches(simulated_launches, change):
     memo = LaunchMemo()
     values = np.arange(N) * 3 + 1
@@ -790,6 +792,7 @@ def test_memo_hits_only_identical_launches(simulated_launches, change):
     _enqueue_saxpy(first, x, x, out, alpha=3)
     first.finish()
 
+    first_values = values
     if change == "input word":
         values = values.copy()
         values[5] += 1
@@ -797,10 +800,47 @@ def test_memo_hits_only_identical_launches(simulated_launches, change):
     ndrange = NDRange(N, 128) if change == "ndrange" else None
     second = _memo_queue(memo, num_cus=2 if change == "num_cus" else 1)
     x = second.create_buffer(values)
-    out = second.allocate_buffer(N)
+    if change == "output word":
+        # The last buffer argument's bytes count too, even though the launch
+        # overwrites all of them.
+        out = second.create_buffer(np.arange(N) == 7)
+    else:
+        out = second.allocate_buffer(N)
     _enqueue_saxpy(second, x, x, out, alpha=alpha, ndrange=ndrange)
     second.finish()
     # A kernel rebuilt by spec.build() still hits; any change misses.
     assert len(simulated_launches) == (1 if change == "none" else 2)
     expected = ((alpha + 1) * values) & MASK
     assert np.array_equal(second.enqueue_read(out).astype(np.int64), expected)
+
+    if change == "input word":
+        # Both contents now sit under one key, and each still replays its
+        # own outputs: the second entry did not replace the first.
+        for contents in (first_values, values):
+            third = _memo_queue(memo)
+            x = third.create_buffer(contents)
+            out = third.allocate_buffer(N)
+            _enqueue_saxpy(third, x, x, out, alpha=3)
+            third.finish()
+            assert np.array_equal(third.enqueue_read(out).astype(np.int64), (4 * contents) & MASK)
+        assert len(simulated_launches) == 2
+
+
+def test_memo_hit_then_reset_leaves_a_recycled_device_as_fresh(simulated_launches):
+    """A hit writes back through ``write_buffer``, so ``reset`` clears it."""
+    memo = LaunchMemo()
+    pool = [GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=MEM)]
+    values = np.arange(N) * 5 + 2
+    for _ in range(2):
+        queue = OutOfOrderQueue(devices=pool, memo=memo)
+        src = queue.create_buffer(values)
+        # Zero-filled and never written before the launch: on the hit, the
+        # replayed image is the only write to it.
+        dst = queue.allocate_buffer(N)
+        _enqueue_copy(queue, src, dst)
+        queue.finish()
+        assert np.array_equal(queue.enqueue_read(dst).astype(np.int64), values)
+    assert simulated_launches == ["copy"]
+    pool[0].reset()
+    for buffer in (src, dst):
+        assert not pool[0].read_buffer(buffer.address, buffer.num_words).any()

@@ -19,6 +19,7 @@ from repro.arch.config import GGPUConfig, Topology, TransferConfig
 from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.kernels import get_kernel_spec, run_workload
+from repro.runtime.faults import DEVICE_TRANSIENT, FaultPlan, FaultSpec
 from repro.runtime.multidevice import Event, LaunchMemo, MultiDeviceQueue, OutOfOrderQueue
 from repro.runtime.queue import (
     BatchItem,
@@ -519,7 +520,7 @@ def _command_dags(draw):
     return shape, tuple(steps)
 
 
-def _run_dag(dag, scheduler, memo):
+def _run_dag(dag, scheduler, memo, faults=None):
     """Run one drawn DAG; returns every observable of the schedule."""
     (num_devices, topology, prefetch_depth, steal_seed), steps = dag
     queue = OutOfOrderQueue(
@@ -531,6 +532,7 @@ def _run_dag(dag, scheduler, memo):
         prefetch_depth=prefetch_depth,
         steal_seed=steal_seed,
         memo=memo,
+        faults=faults,
     )
     copy_kernel = get_kernel_spec("copy").build()
     words = np.arange(ORACLE_WORDS)
@@ -555,11 +557,13 @@ def _run_dag(dag, scheduler, memo):
         )
     queue.finish()
     contents = [queue.enqueue_read(buffer).tolist() for buffer in buffers]
+    fired = queue.fault_injector.fired if queue.fault_injector is not None else []
     return (
         [event.sequence for event in queue.schedule],
         [tuple(getattr(event, name) for name in EVENT_FIELDS) for event in queue.events],
         asdict(queue.stats),
         contents,
+        [(record.device, record.attempt_index, record.cycle, record.label) for record in fired],
     )
 
 
@@ -597,3 +601,175 @@ def test_flush_drain_matches_the_rescanning_reference(dag):
         with mock.patch.object(MultiDeviceQueue, "_ready_order", _rescanning_ready_order):
             rescanned = _run_dag(dag, scheduler, memo)
         assert drained == rescanned, scheduler
+
+
+# --------------------------------------------------------------------------- #
+# Cached stealing prices and the one-pass placement probe against the
+# per-claim, per-device pricing they replaced
+# --------------------------------------------------------------------------- #
+def _uncached_stealing_order(self, pending):
+    """Reference stealing order: every claim rescores every ready launch."""
+    alive = set(self.alive_devices)
+    thieves = sorted(alive) if alive else list(range(len(self.devices)))
+    clock = {device: self._compute_available[device] for device in thieves}
+    finish = {}
+    location = {}
+
+    def spot(buffer):
+        state = location.get(buffer.handle)
+        if state is None:
+            state = (buffer.host_valid, frozenset(buffer.valid_on & alive))
+            location[buffer.handle] = state
+        return state
+
+    def claim_cost(command, thief):
+        cost = 0.0
+        for buffer in command.inputs:
+            host_valid, owners = spot(buffer)
+            if thief in owners:
+                continue
+            if not host_valid and owners:
+                cost += min(
+                    self._p2p_link_cycles(source, thief, buffer.num_bytes) for source in owners
+                )
+            else:
+                cost += self._host_cycles(buffer.num_bytes)
+        return cost
+
+    def settle(command, device):
+        if command.kind == "write":
+            owners = frozenset() if device is None else frozenset({device})
+            location[command.buffer.handle] = (True, owners)
+            return
+        if command.kind == "read":
+            host_valid, owners = spot(command.buffer)
+            location[command.buffer.handle] = (True, owners)
+            return
+        for buffer in command.inputs:
+            host_valid, owners = spot(buffer)
+            if device is not None:
+                location[buffer.handle] = (host_valid, owners | {device})
+        for buffer in command.outputs:
+            owners = frozenset() if device is None else frozenset({device})
+            location[buffer.handle] = (False, owners)
+
+    def ready_at(command):
+        return max((finish.get(w.sequence, 0.0) for w in command.waits), default=0.0)
+
+    def pick(ready):
+        thief = min(thieves, key=lambda device: (clock[device], device))
+        scored = []
+        for command in ready:
+            target = command.device if command.device in alive else thief
+            start = max(clock[target], ready_at(command)) + claim_cost(command, target)
+            scored.append((start, -command.ndrange.total_items, target, command))
+        best = min((start, size) for start, size, _, _ in scored)
+        ties = [entry for entry in scored if (entry[0], entry[1]) == best]
+        if len(ties) == 1:
+            start, _, target, choice = ties[0]
+        else:
+            start, _, target, choice = ties[self._steal_rng.randrange(len(ties))]
+        clock[target] = start + self._compute_estimate(choice)
+        finish[choice.event.sequence] = clock[target]
+        settle(choice, target)
+        return choice
+
+    return self._ready_order(
+        pending, pick, on_transfer=lambda command: settle(command, command.device)
+    )
+
+
+def _projected_start(self, command, device, ready):
+    """Reference probe: the earliest compute start on one device."""
+    arrival = ready
+    dma = self._dma_available[device]
+    for buffer in command.inputs:
+        if device in buffer.valid_on:
+            arrival = max(arrival, buffer.ready_cycle, buffer.device_ready.get(device, 0.0))
+            continue
+        if not buffer.host_valid:
+            if self._p2p_direct:
+                source = min(
+                    buffer.valid_on,
+                    key=lambda source: (
+                        self._p2p_link_cycles(source, device, buffer.num_bytes),
+                        source,
+                    ),
+                )
+                dma = max(
+                    dma, self._dma_available[source], buffer.ready_cycle
+                ) + self._p2p_link_cycles(source, device, buffer.num_bytes)
+                arrival = max(arrival, dma)
+                continue
+            source = min(buffer.valid_on)
+            host_ready = max(
+                self._dma_available[source], buffer.ready_cycle
+            ) + self._host_cycles(buffer.num_bytes)
+        else:
+            host_ready = buffer.ready_cycle
+        dma = max(dma, host_ready) + self._host_cycles(buffer.num_bytes)
+        arrival = max(arrival, dma)
+    return max(self._compute_available[device], arrival)
+
+
+def _per_device_projected_starts(self, command, devices, ready):
+    return [_projected_start(self, command, device, ready) for device in devices]
+
+
+@settings(max_examples=30, deadline=None)
+@given(dag=_command_dags(), fault_cycle=st.sampled_from((None, 0.0, 1500.0)))
+# Two copies read buffer 1 and are priced for different thieves; a price
+# cached per launch instead of per (launch, claiming device) reorders them.
+@example(
+    dag=(
+        (2, None, 0, 0),
+        (
+            ("write", 0, None),
+            ("write", 0, None),
+            ("write", 0, None),
+            ("copy", 1, 0, 64, (), None),
+            ("copy", 1, 0, 64, (), None),
+            ("write", 0, None),
+            ("copy", 1, 2, 64, (), None),
+            ("write", 0, None),
+            ("write", 0, None),
+            ("copy", 2, 3, 64, (), None),
+        ),
+    ),
+    fault_cycle=None,
+)
+# Claiming copy 5 adds a device to the owners of buffer 0, which copy 6
+# also reads; a price kept across that change reorders 6 and 4.
+@example(
+    dag=(
+        (2, None, 0, 0),
+        (("copy", 2, 3, 64, (), 0), ("copy", 0, 2, 64, (), None), ("copy", 0, 1, 64, (), 0)),
+    ),
+    fault_cycle=None,
+)
+# The second copy's P2P hop cannot start before the first copy finished;
+# the fault's trigger cycle is the probe's projected start.
+@example(
+    dag=(
+        (2, "ring", 0, 0),
+        (("copy", 0, 1, 64, (), 1), ("write", 0, None), ("copy", 0, 1, 64, (), None)),
+    ),
+    fault_cycle=0.0,
+)
+def test_cached_prices_and_one_pass_probe_match_the_per_device_reference(dag, fault_cycle):
+    """Stealing's cached claim prices and the one-pass placement probe give
+    the same schedule as rescoring every claim and probing each device
+    alone; the probe also prices the ``at_cycle`` fault trigger."""
+    faults = None
+    if fault_cycle is not None:
+        spec = FaultSpec(kind=DEVICE_TRANSIENT, device=0, at_cycle=fault_cycle)
+        faults = FaultPlan(specs=(spec,))
+    memo = LaunchMemo()
+    for scheduler in ("lpt", "heft", "stealing"):
+        cached = _run_dag(dag, scheduler, memo, faults)
+        with (
+            mock.patch.object(MultiDeviceQueue, "_stealing_order", _uncached_stealing_order),
+            mock.patch.object(MultiDeviceQueue, "_projected_starts", _per_device_projected_starts),
+        ):
+            reference = _run_dag(dag, scheduler, memo, faults)
+        assert cached == reference, scheduler

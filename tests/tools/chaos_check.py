@@ -155,8 +155,8 @@ def main() -> int:
         "--topology",
         default=None,
         choices=("flat", "two-switch", "ring"),
-        help="add one topology-enabled fault arm (HEFT scheduler on the "
-        "named preset) that must also recover bit-exactly",
+        help="add two topology-enabled fault arms (the HEFT and the stealing "
+        "scheduler on the named preset) that must also recover bit-exactly",
     )
     args = parser.parse_args()
 
@@ -211,17 +211,19 @@ def main() -> int:
         )
 
     extra_arms = 0
-    if args.topology is not None:
-        # The topology arm compares against its *own* fault-free baseline:
-        # a different scheduler legitimately changes the makespan, so the
-        # degradation invariant only holds within the same topology cell.
-        topo_kwargs = {"topology_name": args.topology, "scheduler": "heft"}
+    # Each topology arm compares against its *own* fault-free baseline: a
+    # different scheduler legitimately changes the makespan, so the
+    # degradation invariant only holds within the same topology cell.
+    topology_schedulers = ("heft", "stealing") if args.topology is not None else ()
+    for scheduler in topology_schedulers:
+        arm_name = f"topology-{args.topology}-{scheduler}"
+        topo_kwargs = {"topology_name": args.topology, "scheduler": scheduler}
         topo_base = run_batch(
             args.devices, args.scale, args.seed, faults=None, **topo_kwargs
         )
         if topo_base["total_cycles"] != baseline["total_cycles"]:
             raise SystemExit(
-                f"topology {args.topology!r} changed kernel compute cycles: "
+                f"{arm_name} changed kernel compute cycles: "
                 "the fabric reached the simulation layer"
             )
         plan = handcrafted_arms()["burst"]
@@ -229,25 +231,25 @@ def main() -> int:
             args.devices, args.scale, args.seed, faults=plan, **topo_kwargs
         )
         if arm["commands_failed"]:
-            raise SystemExit("topology arm permanently failed commands")
+            raise SystemExit(f"arm {arm_name!r} permanently failed commands")
         if arm["makespan"] < topo_base["makespan"]:
             raise SystemExit(
-                f"topology arm makespan {arm['makespan']:.0f} < its fault-free "
+                f"arm {arm_name!r} makespan {arm['makespan']:.0f} < its fault-free "
                 f"baseline {topo_base['makespan']:.0f}"
             )
         if arm["total_cycles"] != baseline["total_cycles"]:
             raise SystemExit(
-                "topology arm changed kernel compute cycles: a fault reached "
+                f"arm {arm_name!r} changed kernel compute cycles: a fault reached "
                 "the simulation layer"
             )
         replay = run_batch(
             args.devices, args.scale, args.seed, faults=plan, **topo_kwargs
         )
         if replay != arm:
-            raise SystemExit("topology arm is not deterministic across replays")
-        extra_arms = 1
+            raise SystemExit(f"arm {arm_name!r} is not deterministic across replays")
+        extra_arms += 1
         print(
-            f"arm topology-{args.topology}+burst: ok  makespan "
+            f"arm {arm_name}+burst: ok  makespan "
             f"{arm['makespan']:>9.0f}  retries {arm['total_retries']}  "
             f"lost {arm['devices_lost']}"
         )
