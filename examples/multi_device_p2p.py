@@ -5,11 +5,11 @@ This walks the PR-5 transfer runtime end to end on a two-stage shuffle DAG
 ``l+1``, so every schedule over 2+ devices must move dirty buffers between
 devices):
 
-1. **host-hop** — the PR-4 path: a cross-device hand-off is a device→host
-   read-back plus a host→device write, two
+1. **host-hop** — the PR-4 path: with no topology attached, a cross-device
+   hand-off is a device→host read-back plus a host→device write, two
    :meth:`~repro.arch.config.TransferConfig.cycles` hops.
-2. **p2p** — :meth:`TransferConfig.with_p2p` enables a direct
-   device↔device link; the same hand-off is now one cheaper hop that leaves
+2. **p2p** — ``topology=Topology.flat(4, 150, 32.0)`` gives every device
+   pair a direct link; the same hand-off is now one cheaper hop that leaves
    the host image stale.
 3. **p2p+prefetch** — additionally pins each lane to a device
    (``enqueue(..., device=...)``), prefetches its inputs there at
@@ -25,7 +25,7 @@ Run with:  PYTHONPATH=src python examples/multi_device_p2p.py
 
 import numpy as np
 
-from repro.arch.config import GGPUConfig, TransferConfig
+from repro.arch.config import GGPUConfig, Topology
 from repro.arch.kernel import NDRange
 from repro.kernels import get_kernel_spec
 from repro.runtime import OutOfOrderQueue
@@ -85,11 +85,11 @@ def build_shuffle_dag(queue, hints=None):
     return checks
 
 
-def run_mode(name, transfer, scheduler="fifo", hints=None):
+def run_mode(name, topology=None, scheduler="fifo", hints=None):
     queue = OutOfOrderQueue(
-        config=GGPUConfig(num_cus=2),
+        config=GGPUConfig(num_cus=2),  # host link: TransferConfig(600, 8.0)
         num_devices=DEVICES,
-        transfer=transfer,
+        topology=topology,
         scheduler=scheduler,
     )
     checks = build_shuffle_dag(queue, hints)
@@ -109,14 +109,13 @@ def run_mode(name, transfer, scheduler="fifo", hints=None):
 
 
 def main() -> None:
-    host_link = TransferConfig()  # DMA-ish defaults: 600 cycles + 8 B/cycle
-    p2p_link = host_link.with_p2p(150, 32.0)  # on-package fabric next to it
+    fabric = Topology.flat(DEVICES, 150, 32.0)  # on-package links next to the host's
     hints = {lane: lane % DEVICES for lane in range(LANES)}
 
     print(f"Two-stage shuffle DAG: {LANES} lanes x {N} words on {DEVICES} devices\n")
-    host = run_mode("host-hop", host_link)
-    p2p = run_mode("p2p", p2p_link)
-    prefetch = run_mode("p2p+prefetch", p2p_link, scheduler="lpt", hints=hints)
+    host = run_mode("host-hop")
+    p2p = run_mode("p2p", fabric)
+    prefetch = run_mode("p2p+prefetch", fabric, scheduler="lpt", hints=hints)
 
     print(
         f"\nP2P shaves the host bounce: {host / p2p:.2f}x; with prefetch + "

@@ -12,7 +12,7 @@ cache sizes)".  :class:`GGPUConfig` is that parameter set.  It is consumed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -45,6 +45,10 @@ class CacheConfig:
             )
         if self.line_bytes % 4 != 0:
             raise ConfigurationError("cache line size must be a multiple of the 4-byte word")
+        if self.line_bytes & (self.line_bytes - 1):
+            raise ConfigurationError(
+                f"cache line size must be a power of two, got {self.line_bytes}"
+            )
         if self.ports < 1:
             raise ConfigurationError("the cache needs at least one port")
         if self.num_lines & (self.num_lines - 1):
@@ -110,19 +114,13 @@ class TransferConfig:
     latency plus a streaming phase at the 64-bit AXI beat width (8 bytes per
     cycle).
 
-    ``p2p_latency_cycles``/``p2p_bytes_per_cycle`` describe a direct
-    device↔device link (an NVLink-ish on-package fabric next to the PCIe-ish
-    host bridge).  Both default to ``None`` — P2P disabled — in which case a
-    cross-device hand-off bounces through the host and
-    :meth:`p2p_cycles` prices it as the two host hops it actually takes, so
-    every existing schedule pin holds.  Set both to enable direct transfers
-    in the multi-device runtime.
+    This is the host link only.  Device↔device links are priced by a
+    :class:`Topology` attached to the queue; without one, a cross-device
+    hand-off bounces through the host as two :meth:`cycles` hops.
     """
 
     latency_cycles: int = 600
     bytes_per_cycle: float = 8.0
-    p2p_latency_cycles: Optional[int] = None
-    p2p_bytes_per_cycle: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.latency_cycles < 0:
@@ -133,23 +131,6 @@ class TransferConfig:
             raise ConfigurationError(
                 f"transfer bandwidth must be positive, got {self.bytes_per_cycle}"
             )
-        if (self.p2p_latency_cycles is None) != (self.p2p_bytes_per_cycle is None):
-            raise ConfigurationError(
-                "p2p_latency_cycles and p2p_bytes_per_cycle must be set together"
-            )
-        if self.p2p_latency_cycles is not None and self.p2p_latency_cycles < 0:
-            raise ConfigurationError(
-                f"P2P latency must be non-negative, got {self.p2p_latency_cycles}"
-            )
-        if self.p2p_bytes_per_cycle is not None and self.p2p_bytes_per_cycle <= 0:
-            raise ConfigurationError(
-                f"P2P bandwidth must be positive, got {self.p2p_bytes_per_cycle}"
-            )
-
-    @property
-    def p2p_enabled(self) -> bool:
-        """Whether direct device↔device transfers are modeled."""
-        return self.p2p_bytes_per_cycle is not None
 
     def cycles(self, num_bytes: int) -> float:
         """Cycle cost of one host↔device copy of ``num_bytes`` bytes."""
@@ -160,51 +141,18 @@ class TransferConfig:
         beats = -(-num_bytes // self.bytes_per_cycle)  # ceil for float bandwidths
         return float(self.latency_cycles) + float(int(beats))
 
-    def p2p_cycles(self, num_bytes: int) -> float:
-        """Cycle cost of moving ``num_bytes`` from one device to another.
-
-        With P2P disabled this is the price of the host bounce the runtime
-        actually performs (device→host read-back plus host→device write, two
-        :meth:`cycles` hops); with P2P enabled it is one direct hop on the
-        device↔device link.
-        """
-        if not self.p2p_enabled:
-            return 2.0 * self.cycles(num_bytes)
-        if num_bytes < 0:
-            raise ConfigurationError(f"transfer size must be non-negative, got {num_bytes}")
-        if num_bytes == 0:
-            return 0.0
-        beats = -(-num_bytes // self.p2p_bytes_per_cycle)
-        return float(self.p2p_latency_cycles) + float(int(beats))
-
-    def with_p2p(
-        self, latency_cycles: int, bytes_per_cycle: float
-    ) -> "TransferConfig":
-        """A copy of this model with the direct device↔device link enabled."""
-        return TransferConfig(
-            latency_cycles=self.latency_cycles,
-            bytes_per_cycle=self.bytes_per_cycle,
-            p2p_latency_cycles=latency_cycles,
-            p2p_bytes_per_cycle=bytes_per_cycle,
-        )
-
 
 @dataclass(frozen=True)
 class Topology:
     """Per-pair device↔device link-cost model of a multi-accelerator fabric.
 
-    :class:`TransferConfig` prices every device pair identically — one host
-    bridge, one optional P2P link.  Real 8-64 device deployments are not
-    flat: links cross switch hops and NUMA domains, and the cost of a copy
-    depends on *which* two devices talk.  A ``Topology`` generalizes the
-    single P2P knob into an NxN matrix of DMA setup latencies (cycles) and
-    streaming bandwidths (bytes/cycle); ``p2p_cycles(src, dst, n)`` replaces
-    ``TransferConfig.p2p_cycles(n)`` in the multi-device runtime whenever a
-    topology is attached.
-
-    The host bridge keeps its uniform :class:`TransferConfig` pricing:
-    ``host`` overrides the queue's host link when set, and defaults to the
-    queue's own ``transfer`` model when ``None``.
+    The multi-device runtime's one device↔device link model.  Real 8-64
+    device deployments are not flat: links cross switch hops and NUMA
+    domains, and the cost of a copy depends on *which* two devices talk.  A
+    ``Topology`` is an NxN matrix of DMA setup latencies (cycles) and
+    streaming bandwidths (bytes/cycle); ``p2p_cycles(src, dst, n)`` prices
+    one direct copy.  The host bridge is not part of it: the queue's
+    :class:`TransferConfig` prices that link.
 
     A topology only ever reshapes the *schedule* of the multi-device queues
     (placement, transfer timing, makespan) — kernel results and per-launch
@@ -223,11 +171,6 @@ class Topology:
     name: str
     latency_cycles: tuple[tuple[float, ...], ...]
     bytes_per_cycle: tuple[tuple[float, ...], ...]
-    host: Optional[TransferConfig] = None
-
-    #: Reference payload used to rank links by cost (``distance``); any
-    #: positive constant gives the same deterministic ordering intent.
-    RANK_BYTES = 1024
 
     def __post_init__(self) -> None:
         count = len(self.latency_cycles)
@@ -274,26 +217,6 @@ class Topology:
         beats = -(-num_bytes // self.bytes_per_cycle[src][dst])
         return float(self.latency_cycles[src][dst]) + float(int(beats))
 
-    def distance(self, src: int, dst: int) -> float:
-        """Deterministic link-cost rank: cycles to move a reference payload.
-
-        Used by the topology-aware schedulers to pick the *nearest* source
-        or the nearest queued work; it is a pure function of the matrices,
-        so every run orders candidates identically.
-        """
-        if src == dst:
-            return 0.0
-        return self.p2p_cycles(src, dst, self.RANK_BYTES)
-
-    def with_host(self, host: TransferConfig) -> "Topology":
-        """A copy of this topology with an explicit host-bridge model."""
-        return Topology(
-            name=self.name,
-            latency_cycles=self.latency_cycles,
-            bytes_per_cycle=self.bytes_per_cycle,
-            host=host,
-        )
-
     # ------------------------------------------------------------------ #
     # Presets
     # ------------------------------------------------------------------ #
@@ -303,19 +226,17 @@ class Topology:
         num_devices: int,
         latency_cycles: float = 150.0,
         bytes_per_cycle: float = 32.0,
-        host: Optional[TransferConfig] = None,
     ) -> "Topology":
         """Uniform fabric: every pair is one fast switch hop apart.
 
-        The defaults match the PR 5 P2P ablation link (150-cycle setup,
-        32 bytes/cycle), so a flat topology prices pairs exactly like
-        ``TransferConfig.with_p2p(150, 32.0)`` does.
+        The defaults are the link of the pipeline sweep's P2P modes
+        (150-cycle setup, 32 bytes/cycle).
         """
 
         def link(src: int, dst: int) -> tuple[float, float]:
             return (latency_cycles, bytes_per_cycle)
 
-        return cls._from_link(num_devices, "flat", link, host)
+        return cls._from_link(num_devices, "flat", link)
 
     @classmethod
     def two_switch(
@@ -325,7 +246,6 @@ class Topology:
         intra_bytes_per_cycle: float = 32.0,
         inter_latency_cycles: float = 900.0,
         inter_bytes_per_cycle: float = 8.0,
-        host: Optional[TransferConfig] = None,
     ) -> "Topology":
         """Two switch domains (devices split in half); crossing pays the hop."""
         half = (num_devices + 1) // 2
@@ -335,7 +255,7 @@ class Topology:
                 return (intra_latency_cycles, intra_bytes_per_cycle)
             return (inter_latency_cycles, inter_bytes_per_cycle)
 
-        return cls._from_link(num_devices, "two-switch", link, host)
+        return cls._from_link(num_devices, "two-switch", link)
 
     @classmethod
     def ring(
@@ -343,7 +263,6 @@ class Topology:
         num_devices: int,
         latency_cycles_per_hop: float = 150.0,
         bytes_per_cycle: float = 32.0,
-        host: Optional[TransferConfig] = None,
     ) -> "Topology":
         """NUMA-ish ring: cost scales with the ring distance between devices.
 
@@ -357,19 +276,19 @@ class Topology:
             hops = max(hops, 1)
             return (latency_cycles_per_hop * hops, bytes_per_cycle / hops)
 
-        return cls._from_link(num_devices, "ring", link, host)
+        return cls._from_link(num_devices, "ring", link)
 
     _PRESETS = ("flat", "two-switch", "ring")
 
     @classmethod
-    def preset(cls, name: str, num_devices: int, host: Optional[TransferConfig] = None) -> "Topology":
+    def preset(cls, name: str, num_devices: int) -> "Topology":
         """Build a named preset (``flat``, ``two-switch``, or ``ring``)."""
         if name == "flat":
-            return cls.flat(num_devices, host=host)
+            return cls.flat(num_devices)
         if name == "two-switch":
-            return cls.two_switch(num_devices, host=host)
+            return cls.two_switch(num_devices)
         if name == "ring":
-            return cls.ring(num_devices, host=host)
+            return cls.ring(num_devices)
         raise ConfigurationError(
             f"unknown topology preset {name!r}; choose from {', '.join(cls._PRESETS)}"
         )
@@ -380,7 +299,6 @@ class Topology:
         num_devices: int,
         name: str,
         link: "Callable[[int, int], tuple[float, float]]",
-        host: Optional[TransferConfig],
     ) -> "Topology":
         if num_devices < 1:
             raise ConfigurationError("a topology needs at least one device")
@@ -403,7 +321,6 @@ class Topology:
             name=name,
             latency_cycles=tuple(latency),
             bytes_per_cycle=tuple(bandwidth),
-            host=host,
         )
 
 

@@ -16,10 +16,11 @@ cross-lane shuffle — stage 2 of lane ``l`` consumes stage-1 outputs of lanes
 ``l`` and ``l+1``, so at two or more devices every schedule must move dirty
 buffers between devices — under three transfer modes:
 
-* ``host`` — the PR 4 path: every cross-device hand-off bounces through the
-  host (read-back + write, two hops);
-* ``p2p`` — the same schedule with direct device↔device transfers enabled
-  (:meth:`~repro.arch.config.TransferConfig.with_p2p`);
+* ``host`` — the PR 4 path: no topology, so every cross-device hand-off
+  bounces through the host (read-back + write, two hops);
+* ``p2p`` — the same schedule over a flat device↔device fabric
+  (``Topology.flat(device_count, 150, 32.0)``), so a hand-off is one
+  direct hop;
 * ``p2p-prefetch`` — P2P plus the PR 5 scheduling knobs: ``enqueue_write``
   prefetch and per-launch ``device=`` affinity hints (lane → device
   round-robin) with the LPT flush order.
@@ -63,6 +64,7 @@ from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.eval.benchmarks import DEFAULT_SEED, BenchmarkSizes
 from repro.kernels import all_kernel_names, get_kernel_spec
+from repro.kernels.library import check_output
 from repro.runtime.checkpoint import (
     PathLike,
     SweepJournal,
@@ -167,13 +169,9 @@ def _finish_cell(
         else:
             values[name] = getattr(queue.stats, name)
     cell = cell_class(**values)
+    producer = f"the {queue.num_devices}-device {queue.scheduler!r} queue"
     for label, buffer, expected in checks:
-        observed = queue.enqueue_read(buffer).astype(np.int64)
-        if not np.array_equal(observed, np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF):
-            raise KernelError(
-                f"{label} produced wrong values on {queue.num_devices} devices "
-                f"with the {queue.scheduler!r} flush order"
-            )
+        check_output(producer, label, queue.enqueue_read(buffer), expected)
     return cell
 
 
@@ -435,9 +433,9 @@ def run_multidevice_table(
 # --------------------------------------------------------------------------- #
 PIPELINE_MODES: Tuple[str, ...] = ("host", "p2p", "p2p-prefetch")
 
-# Direct device↔device link of the P2P modes: lower setup latency than the
-# host bridge and a 4x-wider streaming phase (an on-package fabric next to
-# the PCIe-ish host DMA defaults).
+# Every device↔device link of the P2P modes' flat topology: lower setup
+# latency than the host bridge and a 4x-wider streaming phase (an
+# on-package fabric next to the PCIe-ish host DMA defaults).
 P2P_LINK_LATENCY_CYCLES = 150
 P2P_LINK_BYTES_PER_CYCLE = 32.0
 
@@ -564,13 +562,14 @@ def _pipeline_cell(
 ) -> PipelineCell:
     """One (mode, device count) cell (module level: picklable).
 
-    ``p2p`` and ``p2p-prefetch`` add the direct device↔device link;
-    ``p2p-prefetch`` also pins lane ``l`` to device ``l % device_count`` and
-    drains the queue longest-projected-time first.
+    ``p2p`` and ``p2p-prefetch`` attach a flat topology of direct
+    device↔device links; ``p2p-prefetch`` also pins lane ``l`` to device
+    ``l % device_count`` and drains the queue longest-projected-time first.
     """
     (mode, device_count), (lanes, size, config, transfer) = task
+    topology = None
     if mode != "host":
-        transfer = transfer.with_p2p(P2P_LINK_LATENCY_CYCLES, P2P_LINK_BYTES_PER_CYCLE)
+        topology = Topology.flat(device_count, P2P_LINK_LATENCY_CYCLES, P2P_LINK_BYTES_PER_CYCLE)
     prefetch = mode == "p2p-prefetch"
     queue = _cell_queue(
         config,
@@ -579,6 +578,7 @@ def _pipeline_cell(
         pool,
         memo,
         transfer=transfer,
+        topology=topology,
         scheduler="lpt" if prefetch else "fifo",
     )
     hints = {lane: lane % device_count for lane in range(lanes)} if prefetch else None
@@ -627,8 +627,8 @@ def run_pipeline_table(
             "modes": mode_list,
             "config": asdict(config),
             "transfer": asdict(base_transfer),
-            "p2p_latency_cycles": P2P_LINK_LATENCY_CYCLES,
-            "p2p_bytes_per_cycle": P2P_LINK_BYTES_PER_CYCLE,
+            "link_latency_cycles": P2P_LINK_LATENCY_CYCLES,
+            "link_bytes_per_cycle": P2P_LINK_BYTES_PER_CYCLE,
         },
     )
     grid = [(mode, count) for mode in mode_list for count in counts]

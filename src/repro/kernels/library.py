@@ -5,13 +5,14 @@ its G-GPU kernel, how to generate a workload of a given size, and the default
 sizes used by the paper (Table III lists separate input sizes for the RISC-V
 and the G-GPU runs).  :func:`run_workload` is the host-side glue: it allocates
 buffers on a simulator, launches the kernel, checks the outputs against the
-numpy reference, and returns the launch statistics.
+numpy reference, and returns the launch statistics.  :func:`check_output` is
+the one output check every harness uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +128,20 @@ def get_kernel_spec(name: str) -> KernelSpec:
         ) from exc
 
 
+def check_output(
+    producer: str, output: str, observed: np.ndarray, expected: Sequence[int]
+) -> None:
+    """Raise :class:`KernelError` unless ``observed`` equals ``expected`` as u32.
+
+    The error names the ``producer``, the ``output`` and how many words are
+    wrong.
+    """
+    expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
+    wrong = int(np.count_nonzero(np.asarray(observed, dtype=np.int64) != expected_u32))
+    if wrong:
+        raise KernelError(f"{producer} produced {wrong} wrong values in {output!r}")
+
+
 def run_workload(
     simulator: GGPUSimulator,
     kernel: Kernel,
@@ -155,12 +170,7 @@ def run_workload(
         observed = simulator.read_buffer(addresses[name], len(expected))
         outputs[name] = observed
         if check:
-            expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
-            if not np.array_equal(observed.astype(np.int64), expected_u32):
-                mismatches = int(np.sum(observed.astype(np.int64) != expected_u32))
-                raise KernelError(
-                    f"kernel {kernel.name!r} produced {mismatches} wrong values in {name!r}"
-                )
+            check_output(f"kernel {kernel.name!r}", name, observed, expected)
     return result, outputs
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import KernelError, SimulationError
-from repro.kernels.library import GpuWorkload
+from repro.kernels.library import GpuWorkload, check_output
 from repro.riscv.assembler import RvProgram
 from repro.riscv.cpu import CpuStats, RiscvCpu
 from repro.riscv.memory import RvMemory
@@ -42,12 +42,7 @@ class RiscvCase:
             observed = self.memory.read_buffer(self.buffer_addresses[name], len(expected))
             outputs[name] = observed
             if check:
-                expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
-                if not np.array_equal(observed.astype(np.int64), expected_u32):
-                    mismatches = int(np.sum(observed.astype(np.int64) != expected_u32))
-                    raise KernelError(
-                        f"RISC-V program {self.name!r} produced {mismatches} wrong values in {name!r}"
-                    )
+                check_output(f"RISC-V program {self.name!r}", name, observed, expected)
         return stats, outputs
 
 

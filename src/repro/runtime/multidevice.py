@@ -30,12 +30,12 @@ launches instead of forcing a full queue flush, so building a DAG never
 drains it and input prefetch overlaps earlier compute.  ``enqueue_write``
 returns an :class:`Event`; with a ``device=`` hint it *prefetches* the data
 onto that device's DMA timeline at write time so the consuming launch finds
-the buffer resident.  Cross-device hand-offs of dirty buffers bounce through
-the host (device→host read-back plus host→device write, two
-:meth:`~repro.arch.config.TransferConfig.cycles` hops) unless the transfer
-model enables **peer-to-peer** (``TransferConfig.p2p_enabled``), in which
-case the copy goes directly device→device in one
-:meth:`~repro.arch.config.TransferConfig.p2p_cycles` hop, occupying both DMA
+the buffer resident.  The :class:`~repro.arch.config.TransferConfig` prices
+the host link and an attached :class:`~repro.arch.config.Topology` every
+device↔device link.  Without a topology, cross-device hand-offs of dirty
+buffers bounce through the host (device→host read-back plus host→device
+write, two host-link hops); with one, the copy goes **peer-to-peer** in one
+:meth:`~repro.arch.config.Topology.p2p_cycles` hop, occupying both DMA
 engines and leaving the host image stale.
 
 Timing is layered strictly on top of the simulator: each device keeps two
@@ -51,8 +51,8 @@ controller, and buffer addresses are allocated identically on every device
 are bit-identical to the same launches on a single in-order device —
 ``tests/test_runtime_queue.py`` pins that equivalence for diamond DAGs and
 independent chains, and the CI determinism job re-checks the whole schedule
-across repeated runs and job counts.  With the default transfer model (P2P
-disabled) and no hints, schedules are bit-identical to the PR 4 runtime.
+across repeated runs and job counts.  With no topology and no hints,
+schedules are bit-identical to the PR 4 runtime.
 
 **Fault tolerance (PR 7).**  A queue built with a seeded
 :class:`~repro.runtime.faults.FaultPlan` consults a deterministic
@@ -131,13 +131,13 @@ class DeviceBuffer:
     ``valid_on`` holds the device indices whose copy matches the current
     logical contents; ``host_valid`` tells whether the host image does too.
     After a kernel writes the buffer, only the producing device is valid and
-    the host image is stale until the queue reads it back — or, with P2P
-    enabled, until a direct device→device copy spreads the contents (the
-    host image then stays stale while several devices are valid).  The queue
-    allocates the buffer eagerly on every device so the base address is
-    identical across the pool — which keeps cache-set behaviour, and
-    therefore per-launch cycle counts, independent of the device a launch
-    lands on.
+    the host image is stale until the queue reads it back — or, with a
+    topology attached, until a direct device→device copy spreads the
+    contents (the host image then stays stale while several devices are
+    valid).  The queue allocates the buffer eagerly on every device so the
+    base address is identical across the pool — which keeps cache-set
+    behaviour, and therefore per-launch cycle counts, independent of the
+    device a launch lands on.
     """
 
     def __init__(self, handle: int, address: int, num_words: int) -> None:
@@ -378,6 +378,9 @@ class MultiDeviceQueue:
     post-construction state — the sweep harness reuses one pool across
     cells this way).
 
+    ``transfer`` prices the host link (default ``config.transfer``), and
+    ``topology`` the device↔device links.
+
     ``faults`` optionally arms a :class:`~repro.runtime.faults.FaultPlan`:
     the queue then recovers from injected device and transfer faults at the
     schedule layer (see the module docstring).  ``faults=None`` and an
@@ -429,12 +432,7 @@ class MultiDeviceQueue:
                 f"but the queue has {len(self.devices)}"
             )
         self.topology = topology
-        if transfer is not None:
-            self.transfer = transfer
-        elif topology is not None and topology.host is not None:
-            self.transfer = topology.host
-        else:
-            self.transfer = self.config.transfer
+        self.transfer = transfer if transfer is not None else self.config.transfer
         self.faults = faults
         self.memo = memo
         self._injector = (
@@ -509,12 +507,8 @@ class MultiDeviceQueue:
     # ------------------------------------------------------------------ #
     @property
     def _p2p_direct(self) -> bool:
-        """Whether a direct device↔device link exists (any pair).
-
-        A :class:`~repro.arch.config.Topology` always provides a direct
-        fabric; without one the single ``TransferConfig`` P2P knob decides.
-        """
-        return self.topology is not None or self.transfer.p2p_enabled
+        """Whether dirty buffers move device→device: a topology is attached."""
+        return self.topology is not None
 
     def _host_cycles(self, num_bytes: int) -> float:
         """Cycle cost of one host↔device copy of ``num_bytes``."""
@@ -524,10 +518,10 @@ class MultiDeviceQueue:
         return cycles
 
     def _p2p_link_cycles(self, src: int, dst: int, num_bytes: int) -> float:
-        """Cycle cost of one direct ``src``→``dst`` copy on this fabric."""
+        """Cycles to move ``num_bytes`` ``src``→``dst``: a topology hop, else two host hops."""
         if self.topology is not None:
             return self.topology.p2p_cycles(src, dst, num_bytes)
-        return self.transfer.p2p_cycles(num_bytes)
+        return 2.0 * self._host_cycles(num_bytes)
 
     def _nearest_links(self, owners: frozenset, num_bytes: int) -> List[Tuple[float, int]]:
         """Per device, ``(cycles, source)`` of the cheapest copy from ``owners``.
@@ -550,8 +544,8 @@ class MultiDeviceQueue:
 
         HEFT weighs a dependency edge before knowing the placement of either
         endpoint, so it uses the mean over all ordered device pairs (the
-        classic rank formulation); without a topology every pair costs the
-        same and the mean collapses to ``TransferConfig.p2p_cycles``.
+        classic rank formulation); without a topology (or with one device)
+        it is the host bounce, two host-link hops.
         """
         cached = self._comm_cache.get(num_bytes)
         if cached is not None:
@@ -566,7 +560,7 @@ class MultiDeviceQueue:
             )
             value = total / float(count * (count - 1))
         else:
-            value = self.transfer.p2p_cycles(num_bytes)
+            value = 2.0 * self._host_cycles(num_bytes)
         self._comm_cache[num_bytes] = value
         return value
 
@@ -1267,6 +1261,27 @@ class MultiDeviceQueue:
             starts.append(compute if compute >= arrival else arrival)
         return starts
 
+    def _dma_copy(
+        self, kind: str, buffer: DeviceBuffer, engines: Tuple[int, ...], cycles: float, ready: float
+    ) -> Tuple[float, float]:
+        """Charge one copy of ``buffer``; returns ``(end_cycle, cycles_charged)``.
+
+        Every copy goes through here: ``kind`` is ``"readback"``, ``"h2d"``
+        or ``"p2p"``.  It starts once its data is ``ready`` and every DMA
+        engine in ``engines`` is free, and holds them until it ends.  It is
+        charged to ``engines[-1]`` (a P2P hop's destination), where the fault
+        injector may stall or re-send it, and extends the makespan.
+        """
+        start = max(ready, *(self._dma_available[engine] for engine in engines))
+        device = engines[-1]
+        cycles = self._faulted_transfer_cycles(device, cycles, start, f"{kind}:{buffer.handle}")
+        end = start + cycles
+        for engine in engines:
+            self._dma_available[engine] = end
+        self.stats.record_copy(kind, device, buffer.num_bytes, cycles)
+        self.stats.makespan = max(self.stats.makespan, end)
+        return end, cycles
+
     def _read_back(self, buffer: DeviceBuffer) -> Tuple[float, float]:
         """Refresh the host image from a valid device, charging the copy.
 
@@ -1281,20 +1296,14 @@ class MultiDeviceQueue:
             # ``transfers_skipped`` measures launch-side residency hits only).
             return buffer.ready_cycle, 0.0
         source = min(buffer.valid_on)
-        cycles = self._host_cycles(buffer.num_bytes)
         buffer.host = (
             self.devices[source]
             .read_buffer(buffer.address, buffer.num_words)
             .astype(np.int64)
         )
-        start = max(self._dma_available[source], buffer.ready_cycle)
-        cycles = self._faulted_transfer_cycles(
-            source, cycles, start, f"readback:{buffer.handle}"
+        end, cycles = self._dma_copy(
+            "readback", buffer, (source,), self._host_cycles(buffer.num_bytes), buffer.ready_cycle
         )
-        end = start + cycles
-        self._dma_available[source] = end
-        self.stats.record_transfer(source, buffer.num_bytes, cycles, to_device=False)
-        self.stats.makespan = max(self.stats.makespan, end)
         buffer.host_valid = True
         buffer.ready_cycle = end
         return end, cycles
@@ -1305,19 +1314,12 @@ class MultiDeviceQueue:
         """Write the host image to ``device``, charging its DMA engine.
 
         Returns ``(arrival_cycle, cycles_charged)``; shared by the lazy
-        launch-side path and the prefetch path of :meth:`_execute_write` so
-        host→device accounting stays in one place.
+        launch-side path and the prefetch path of :meth:`_execute_write`.
         """
-        cycles = self._host_cycles(buffer.num_bytes)
         self.devices[device].write_buffer(buffer.address, buffer.host)
-        start = max(self._dma_available[device], host_ready)
-        cycles = self._faulted_transfer_cycles(
-            device, cycles, start, f"h2d:{buffer.handle}"
+        end, cycles = self._dma_copy(
+            "h2d", buffer, (device,), self._host_cycles(buffer.num_bytes), host_ready
         )
-        end = start + cycles
-        self._dma_available[device] = end
-        self.stats.record_transfer(device, buffer.num_bytes, cycles, to_device=True)
-        self.stats.makespan = max(self.stats.makespan, end)
         buffer.valid_on.add(device)
         return end, cycles
 
@@ -1330,12 +1332,11 @@ class MultiDeviceQueue:
         transfer cycles cover the copies charged on *this* device's DMA
         engine (host→device writes and inbound P2P hops), the read-back
         cycles the device→host copies this launch forced on *source*
-        devices' DMA engines.  With P2P disabled, a buffer dirty on another
-        device is first read back there, then written host→device; with P2P
-        enabled it moves directly device→device, occupying both DMA engines
-        and leaving the host image stale.  The launch computes once its
-        engine is free, its event dependencies are met, and every input has
-        arrived.
+        devices' DMA engines.  Without a topology, a buffer dirty on another
+        device is first read back there, then written host→device; with one
+        it moves directly device→device over the cheapest link.  The launch
+        computes once its engine is free, its event dependencies are met,
+        and every input has arrived.
         """
         arrival = ready
         charged = 0.0
@@ -1347,40 +1348,20 @@ class MultiDeviceQueue:
                     arrival, buffer.ready_cycle, buffer.device_ready.get(device, 0.0)
                 )
                 continue
-            if not buffer.host_valid:
-                if self._p2p_direct:
-                    cycles, source = self._nearest_links(
-                        frozenset(buffer.valid_on), buffer.num_bytes
-                    )[device]
-                    contents = (
-                        self.devices[source]
-                        .read_buffer(buffer.address, buffer.num_words)
-                        .astype(np.int64)
-                    )
-                    self.devices[device].write_buffer(buffer.address, contents)
-                    start = max(
-                        self._dma_available[source],
-                        self._dma_available[device],
-                        buffer.ready_cycle,
-                    )
-                    cycles = self._faulted_transfer_cycles(
-                        device, cycles, start, f"p2p:{buffer.handle}"
-                    )
-                    end = start + cycles
-                    self._dma_available[source] = end
-                    self._dma_available[device] = end
-                    charged += cycles
-                    self.stats.record_p2p(device, buffer.num_bytes, cycles)
-                    self.stats.makespan = max(self.stats.makespan, end)
-                    buffer.valid_on.add(device)
-                    buffer.device_ready[device] = end
-                    arrival = max(arrival, end)
-                    continue
-                host_ready, cycles = self._read_back(buffer)
+            if buffer.host_valid or not self._p2p_direct:
+                host_ready, cycles = self._read_back(buffer)  # free when host-valid
                 readback += cycles
+                end, cycles = self._copy_host_to_device(buffer, device, host_ready)
             else:
-                host_ready = buffer.ready_cycle
-            end, cycles = self._copy_host_to_device(buffer, device, host_ready)
+                owners = frozenset(buffer.valid_on)
+                cycles, source = self._nearest_links(owners, buffer.num_bytes)[device]
+                contents = self.devices[source].read_buffer(buffer.address, buffer.num_words)
+                self.devices[device].write_buffer(buffer.address, contents.astype(np.int64))
+                end, cycles = self._dma_copy(
+                    "p2p", buffer, (source, device), cycles, buffer.ready_cycle
+                )
+                buffer.valid_on.add(device)
+                buffer.device_ready[device] = end
             charged += cycles
             arrival = max(arrival, end)
         return max(self._compute_available[device], arrival), charged, readback

@@ -42,7 +42,7 @@ import numpy as np
 from repro.arch.config import GGPUConfig
 from repro.arch.kernel import Kernel, NDRange
 from repro.errors import KernelError
-from repro.kernels.library import get_kernel_spec
+from repro.kernels.library import check_output, get_kernel_spec
 from repro.runtime.parallel import parallel_map
 from repro.simt.gpu import GGPUSimulator, LaunchResult
 
@@ -108,29 +108,25 @@ class QueueStats:
             self.device_compute_cycles.get(device, 0.0) + result.cycles
         )
 
-    def record_transfer(
-        self, device: int, num_bytes: int, cycles: float, to_device: bool
-    ) -> None:
-        """Account one host↔device copy charged to ``device``'s timeline."""
+    def record_copy(self, kind: str, device: int, num_bytes: int, cycles: float) -> None:
+        """Account one DMA copy charged to ``device``'s timeline.
+
+        ``kind`` is ``"h2d"`` (host→device), ``"readback"`` (device→host)
+        or ``"p2p"`` (device→device, charged to the destination).
+        """
         self.transfer_cycles += cycles
         self.device_transfer_cycles[device] = (
             self.device_transfer_cycles.get(device, 0.0) + cycles
         )
-        if to_device:
+        if kind == "h2d":
             self.transfers_to_device += 1
             self.bytes_to_device += num_bytes
+        elif kind == "p2p":
+            self.transfers_p2p += 1
+            self.bytes_p2p += num_bytes
         else:
             self.transfers_from_device += 1
             self.bytes_from_device += num_bytes
-
-    def record_p2p(self, device: int, num_bytes: int, cycles: float) -> None:
-        """Account one direct device→device copy, charged to the destination."""
-        self.transfer_cycles += cycles
-        self.device_transfer_cycles[device] = (
-            self.device_transfer_cycles.get(device, 0.0) + cycles
-        )
-        self.transfers_p2p += 1
-        self.bytes_p2p += num_bytes
 
     @property
     def compute_cycles(self) -> float:
@@ -372,12 +368,8 @@ def run_batch(batch: QueueBatch) -> BatchResult:
             kernels.append(item.kernel)
     results = queue.finish()
     for kernel_name, buffer_name, address, expected in checks:
-        observed = queue.read_buffer(address, len(expected)).astype(np.int64)
-        expected_u32 = np.asarray(expected, dtype=np.int64) & 0xFFFFFFFF
-        if not np.array_equal(observed, expected_u32):
-            raise KernelError(
-                f"queued kernel {kernel_name!r} produced wrong values in {buffer_name!r}"
-            )
+        observed = queue.read_buffer(address, len(expected))
+        check_output(f"queued kernel {kernel_name!r}", buffer_name, observed, expected)
     return BatchResult(
         num_cus=batch.num_cus,
         cycles=[result.cycles for result in results],

@@ -96,17 +96,11 @@ class DataCache:
         # size maps to pairwise-distinct direct-mapped sets, so the aliasing
         # probe of access_sorted_lines reduces to one span comparison.
         self._span_bytes = self._line_bytes * self._num_lines
-        # Power-of-two line sizes (the overwhelmingly common configuration)
-        # turn the per-access floor/divide/modulo address math into single
-        # bitwise operations; ``num_lines`` is already enforced power of two.
-        if self._line_bytes & (self._line_bytes - 1) == 0:
-            self._line_floor_mask = ~(self._line_bytes - 1)
-            self._line_shift = self._line_bytes.bit_length() - 1
-            self._index_mask = self._num_lines - 1
-        else:
-            self._line_floor_mask = 0
-            self._line_shift = -1
-            self._index_mask = 0
+        # CacheConfig keeps the line size and the line count powers of two,
+        # so the address floor, divide and modulo are bitwise operations.
+        self._line_floor_mask = ~(self._line_bytes - 1)
+        self._line_shift = self._line_bytes.bit_length() - 1
+        self._index_mask = self._num_lines - 1
 
     # ------------------------------------------------------------------ #
     # Address helpers
@@ -124,10 +118,7 @@ class DataCache:
         with one difference pass.  Scattered patterns fall back to the sort.
         """
         addresses = np.asarray(byte_addresses, dtype=np.int64)
-        if self._line_shift >= 0:
-            lines = addresses & self._line_floor_mask
-        else:
-            lines = addresses - (addresses % self._line_bytes)
+        lines = addresses & self._line_floor_mask
         if addresses.size <= 1:
             return lines
         steps = lines[1:] - lines[:-1]
@@ -146,9 +137,7 @@ class DataCache:
         return [int(line) for line in self.coalesce_lines(byte_addresses)]
 
     def _index(self, line_address: int) -> int:
-        if self._line_shift >= 0:
-            return (line_address >> self._line_shift) & self._index_mask
-        return (line_address // self.config.line_bytes) % self.config.num_lines
+        return (line_address >> self._line_shift) & self._index_mask
 
     # ------------------------------------------------------------------ #
     # Accesses
@@ -198,10 +187,7 @@ class DataCache:
         count = lines.size
         if count == 0:
             return None, None, 0
-        if self._line_shift >= 0:
-            indices = (lines >> self._line_shift) & self._index_mask
-        else:
-            indices = (lines // self._line_bytes) % self._num_lines
+        indices = (lines >> self._line_shift) & self._index_mask
         if count > 1 and int(lines[-1]) - int(lines[0]) >= self._span_bytes:
             if np.unique(indices).size != count:
                 # Aliasing inside one access: replay sequentially so the

@@ -267,6 +267,11 @@ class ComputeUnit:
         """Whether any resident wavefront still has work."""
         return self.scheduler.active_count() > 0
 
+    @property
+    def parked_workgroups(self) -> List[int]:
+        """Workgroups with wavefronts waiting at a barrier, ascending."""
+        return sorted(self._barrier_waiters)
+
     def next_event_time(self) -> float:
         """Time at which this CU can issue its next instruction."""
         return self.scheduler.earliest_ready()

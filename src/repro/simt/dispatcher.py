@@ -100,29 +100,3 @@ class WorkgroupDispatcher:
         if cu_resident_wavefronts + self.wavefronts_per_workgroup > self.config.max_wavefronts_per_cu:
             return None
         return self.dispatch(ready_time=now)
-
-    def refill_idle(
-        self, cu_residencies: List[int], now: float
-    ) -> List[List[Wavefront]]:
-        """Deal pending workgroups round-robin across a drained G-GPU.
-
-        ``cu_residencies`` holds each CU's current unfinished-wavefront count.
-        Workgroups are dealt one at a time across the CUs — so a handful of
-        remaining workgroups spreads over all CUs instead of piling onto the
-        first one — until every CU is at capacity or the queue empties.
-        Returns the wavefronts for each CU (possibly empty lists).
-        """
-        assignment: List[List[Wavefront]] = [[] for _ in cu_residencies]
-        residencies = list(cu_residencies)
-        progress = True
-        while self.has_pending() and progress:
-            progress = False
-            for cu_index in range(len(residencies)):
-                if not self.has_pending():
-                    break
-                wavefronts = self.refill(residencies[cu_index], now)
-                if wavefronts is not None:
-                    assignment[cu_index].extend(wavefronts)
-                    residencies[cu_index] += len(wavefronts)
-                    progress = True
-        return assignment

@@ -243,7 +243,11 @@ class GGPUSimulator:
         The heap holds a ``(next_event_time, cu_index)`` entry per CU that
         has a ready resident and is not running.  A CU whose residents are
         all parked at a barrier drops out of the heap; if the heap drains
-        while such a CU is still busy the launch has deadlocked.
+        while such a CU is still busy the launch has deadlocked.  A CU's
+        last retirement always takes the next pending workgroup (an empty
+        CU has every LRAM window free, and the dispatcher accepts only
+        workgroups that fit one CU), so a drained heap with no busy CU means
+        every workgroup has run.
         """
         compute_units = self.compute_units
         budget = MAX_EVENTS
@@ -256,11 +260,15 @@ class GGPUSimulator:
         heapq.heapify(heap)
         while True:
             if not heap:
-                if any(cu.busy for cu in compute_units):
-                    raise SimulationError("deadlock: all resident wavefronts are blocked")
-                if dispatcher.has_pending():
-                    self._refill_idle_cus(dispatcher, last_completion, heap)
-                    continue
+                parked = [
+                    f"CU {index} holds workgroup(s) {cu.parked_workgroups} at a barrier"
+                    for index, cu in enumerate(compute_units)
+                    if cu.busy
+                ]
+                if parked:
+                    raise SimulationError(
+                        "deadlock: all resident wavefronts are blocked; " + "; ".join(parked)
+                    )
                 break
             event_time, index = heapq.heappop(heap)
             if not budget:
@@ -292,28 +300,3 @@ class GGPUSimulator:
             if event_time != _INFINITY:
                 heapq.heappush(heap, (event_time, index))
         return last_completion
-
-    def _refill_idle_cus(
-        self,
-        dispatcher: WorkgroupDispatcher,
-        now: float,
-        heap: List[tuple],
-    ) -> None:
-        """Refill every drained CU round-robin up to capacity.
-
-        Reached only when all CUs drained while workgroups are still pending
-        (tiny CU counts with large workgroups).  Workgroups are dealt one at
-        a time across the CUs — using each CU's real residency — until every
-        CU is full or the queue empties, and every refilled CU is re-entered
-        into the event heap.
-        """
-        assignment = dispatcher.refill_idle(
-            [cu.resident_wavefronts for cu in self.compute_units], now
-        )
-        if not any(assignment):
-            raise SimulationError("dispatcher refused to refill an idle G-GPU")
-        for index, wavefronts in enumerate(assignment):
-            if wavefronts:
-                cu = self.compute_units[index]
-                cu.admit(wavefronts)
-                heapq.heappush(heap, (cu.next_event_time(), index))

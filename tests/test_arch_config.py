@@ -1,9 +1,12 @@
 """Architecture configuration (GGPUConfig, CacheConfig, AxiConfig, TransferConfig)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.arch.config import AxiConfig, CacheConfig, GGPUConfig, Topology, TransferConfig
 from repro.errors import ConfigurationError
+from repro.runtime.multidevice import MultiDeviceQueue
 
 
 def test_default_config_matches_fgpu():
@@ -68,6 +71,8 @@ def test_cache_config_defaults_and_validation():
         CacheConfig(size_bytes=1000, line_bytes=64)
     with pytest.raises(ConfigurationError):
         CacheConfig(line_bytes=6)
+    with pytest.raises(ConfigurationError, match="power of two"):
+        CacheConfig(size_bytes=48 * 1024, line_bytes=48)  # 1024 lines of 12 words
     with pytest.raises(ConfigurationError):
         CacheConfig(ports=0)
     with pytest.raises(ConfigurationError):
@@ -91,28 +96,26 @@ def test_transfer_config_cycles_and_validation():
 
 
 def test_transfer_config_p2p_model():
+    # TransferConfig prices the host link only; a device->device link is a
+    # Topology's, and without one a move is priced as the two host hops of
+    # the bounce through the host.
+    assert [f.name for f in fields(TransferConfig)] == ["latency_cycles", "bytes_per_cycle"]
     base = TransferConfig(latency_cycles=100, bytes_per_cycle=8.0)
-    # Disabled by default: a device->device move is priced as two host hops.
-    assert not base.p2p_enabled
-    assert base.p2p_cycles(64) == 2 * base.cycles(64)
-    assert base.p2p_cycles(0) == 0.0
-    p2p = base.with_p2p(10, 32.0)
-    assert p2p.p2p_enabled
-    assert p2p.latency_cycles == base.latency_cycles  # host model untouched
-    assert p2p.p2p_cycles(0) == 0.0
-    assert p2p.p2p_cycles(1) == 11.0  # latency + one beat
-    assert p2p.p2p_cycles(32) == 11.0
-    assert p2p.p2p_cycles(33) == 12.0  # partial beats round up
+    queue = MultiDeviceQueue(num_devices=2, memory_bytes=4096, transfer=base)
+    assert queue._p2p_link_cycles(0, 1, 64) == 2 * base.cycles(64)
+    assert queue._p2p_link_cycles(0, 1, 0) == 0.0
+    assert queue._comm_estimate(64) == 2 * base.cycles(64)
+    link = Topology.flat(2, 10, 32.0)
+    assert link.p2p_cycles(0, 1, 0) == 0.0
+    assert link.p2p_cycles(0, 1, 1) == 11.0  # latency + one beat
+    assert link.p2p_cycles(0, 1, 32) == 11.0
+    assert link.p2p_cycles(0, 1, 33) == 12.0  # partial beats round up
     with pytest.raises(ConfigurationError):
-        TransferConfig(p2p_latency_cycles=10)  # bandwidth missing
+        Topology.flat(2, -1, 8.0)
     with pytest.raises(ConfigurationError):
-        TransferConfig(p2p_bytes_per_cycle=8.0)  # latency missing
+        Topology.flat(2, 10, 0.0)
     with pytest.raises(ConfigurationError):
-        base.with_p2p(-1, 8.0)
-    with pytest.raises(ConfigurationError):
-        base.with_p2p(10, 0.0)
-    with pytest.raises(ConfigurationError):
-        p2p.p2p_cycles(-4)
+        link.p2p_cycles(0, 1, -4)
 
 
 def test_transfer_config_rides_along_ggpu_config():
@@ -139,17 +142,16 @@ def test_axi_config_matches_fgpu_limits():
 
 
 def test_topology_flat_matches_single_p2p_link():
-    # The flat preset's defaults price every pair exactly like the PR 5
-    # single-link P2P model, so attaching it changes nothing.
+    # The flat preset is one uniform link: every pair pays the PR 5 P2P
+    # link's 150-cycle setup plus ceil(bytes / 32) beats.
     flat = Topology.flat(4)
-    p2p = TransferConfig().with_p2p(150, 32.0)
     for num_bytes in (1, 32, 33, 1024, 4096):
         for src in range(4):
             for dst in range(4):
                 if src == dst:
                     assert flat.p2p_cycles(src, dst, num_bytes) == 0.0
                 else:
-                    assert flat.p2p_cycles(src, dst, num_bytes) == p2p.p2p_cycles(num_bytes)
+                    assert flat.p2p_cycles(src, dst, num_bytes) == 150.0 + -(-num_bytes // 32)
     assert flat.num_devices == 4
     assert flat.p2p_cycles(0, 1, 0) == 0.0  # zero-byte copies are free
     with pytest.raises(ConfigurationError):
@@ -165,7 +167,6 @@ def test_topology_two_switch_prices_the_cross_domain_hop():
     assert inter == 900.0 + 128.0  # inter hop: 900-cycle setup + 1024/8 beats
     assert inter > intra
     assert topo.p2p_cycles(2, 3, 1024) == intra
-    assert topo.distance(0, 2) > topo.distance(0, 1)
     # Odd device counts put the extra device in the first domain.
     odd = Topology.two_switch(5)
     assert odd.p2p_cycles(0, 2, 1024) == intra
@@ -188,12 +189,11 @@ def test_topology_preset_dispatch_and_host_override():
         topo = Topology.preset(name, 4)
         assert topo.name == name
         assert topo.num_devices == 4
-        assert topo.host is None
     with pytest.raises(ConfigurationError):
         Topology.preset("torus", 4)
-    host = TransferConfig(latency_cycles=7, bytes_per_cycle=16.0)
-    assert Topology.preset("flat", 4, host=host).host == host
-    assert Topology.flat(4).with_host(host).host == host
+    # A topology holds the device<->device links only: the host bridge is
+    # overridden through the queue's transfer= (or GGPUConfig.transfer).
+    assert [f.name for f in fields(Topology)] == ["name", "latency_cycles", "bytes_per_cycle"]
 
 
 def test_topology_matrix_validation():

@@ -1,9 +1,14 @@
 """The benchmark kernel suite (paper + extended): registry, correctness on both targets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.eval import multidevice as multidevice_module
+from repro.runtime import queue as queue_module
+from repro.runtime.queue import BatchItem, QueueBatch, run_batch
 from repro.kernels import all_kernel_names, get_kernel_spec, run_workload
 from repro.kernels.library import pick_workgroup_size
 from repro.riscv.programs import all_riscv_program_names, get_riscv_program_spec
@@ -87,6 +92,29 @@ def test_workload_checking_detects_corruption(simulator):
     workload.expected["dst"] = workload.expected["dst"] + 1  # corrupt the reference
     with pytest.raises(KernelError):
         run_workload(simulator, spec.build(), workload)
+
+
+def test_every_harness_reports_how_many_values_are_wrong(monkeypatch, simulator):
+    spec = get_kernel_spec("copy")
+
+    def corrupted(size, seed):
+        workload = spec.workload(size, seed)
+        workload.expected["dst"] = workload.expected["dst"] + 1  # every word wrong
+        return workload
+
+    bad_spec = dataclasses.replace(spec, workload=corrupted)
+    monkeypatch.setattr(queue_module, "get_kernel_spec", lambda name: bad_spec)
+    monkeypatch.setattr(multidevice_module, "get_kernel_spec", lambda name: bad_spec)
+    case = get_riscv_program_spec("copy").build_case(SMALL_SIZE, SEED)
+    case.expected["dst"] = case.expected["dst"] + 1
+    with pytest.raises(KernelError, match=r"kernel 'copy' produced 128 wrong values in 'dst'"):
+        run_workload(simulator, spec.build(), corrupted(SMALL_SIZE, SEED))
+    with pytest.raises(KernelError, match=r"program 'copy' produced \d+ wrong values in 'dst'"):
+        case.run()
+    with pytest.raises(KernelError, match=r"kernel 'copy' produced 128 wrong values in 'dst'"):
+        run_batch(QueueBatch(items=(BatchItem("copy", SMALL_SIZE, SEED),)))
+    with pytest.raises(KernelError, match=r"queue produced \d+ wrong values in 'copy.dst'"):
+        multidevice_module.run_multidevice_table((1,), kernels=["copy"], scale=0.05, jobs=1)
 
 
 def test_mat_mul_requires_multiple_of_inner_dim():

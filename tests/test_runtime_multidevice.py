@@ -20,6 +20,7 @@ from repro.arch.config import GGPUConfig, Topology, TransferConfig
 from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.kernels import get_kernel_spec
+from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.multidevice import LaunchMemo, MultiDeviceQueue, OutOfOrderQueue
 from repro.runtime.queue import QueueStats
 from repro.simt.gpu import GGPUSimulator
@@ -418,9 +419,13 @@ def test_transfer_accounting_reconciles_events_with_device_stats():
 # Peer-to-peer transfers
 # --------------------------------------------------------------------------- #
 def test_p2p_moves_dirty_buffers_without_the_host_bounce():
-    transfer = TransferConfig(latency_cycles=50, bytes_per_cycle=4.0).with_p2p(10, 32.0)
+    fabric = Topology.flat(2, 10, 32.0)
     queue = OutOfOrderQueue(
-        config=GGPUConfig(num_cus=1), num_devices=2, memory_bytes=MEM, transfer=transfer
+        config=GGPUConfig(num_cus=1),
+        num_devices=2,
+        memory_bytes=MEM,
+        transfer=TransferConfig(latency_cycles=50, bytes_per_cycle=4.0),
+        topology=fabric,
     )
     payload = np.arange(N) + 7
     src = queue.create_buffer(payload)
@@ -436,23 +441,56 @@ def test_p2p_moves_dirty_buffers_without_the_host_bounce():
     assert queue.stats.transfers_p2p == 1
     assert queue.stats.bytes_p2p == N * 4
     assert queue.stats.transfers_from_device == 0
-    assert consume.transfer_cycles >= transfer.p2p_cycles(N * 4)
+    assert consume.transfer_cycles >= fabric.p2p_cycles(0, 1, N * 4)
     assert not mid.host_valid and mid.valid_on == {0, 1}
     assert np.array_equal(queue.enqueue_read(dst).astype(np.int64), payload)
     # Reading dst (dirty on device 1) charges exactly one read-back.
     assert queue.stats.transfers_from_device == 1
 
 
+@pytest.mark.parametrize("stall", [None, 77.0])
+def test_a_p2p_hop_holds_both_dma_engines_and_is_charged_to_the_destination(stall):
+    fabric = Topology.flat(2, 10, 32.0)
+    host = TransferConfig(latency_cycles=50, bytes_per_cycle=4.0)
+    specs = () if stall is None else (
+        FaultSpec(kind="transfer-stall", device=1, at_command=0, stall_cycles=stall),
+    )
+    queue = OutOfOrderQueue(
+        config=GGPUConfig(num_cus=1),
+        num_devices=2,
+        memory_bytes=MEM,
+        transfer=host,
+        topology=fabric,
+        faults=FaultPlan(specs=specs),
+    )
+    src = queue.create_buffer(np.arange(N))
+    mid = queue.allocate_buffer(N)
+    dst = queue.allocate_buffer(N)
+    produce = _enqueue_copy(queue, src, mid, label="produce", device=0)
+    _enqueue_copy(queue, mid, dst, wait_for=(produce,), label="consume", device=1)
+    queue.flush()
+    hop = fabric.p2p_cycles(0, 1, N * 4) + (stall or 0.0)
+    # Device 0 pays its input write; the hop, stall included, is charged to
+    # the destination and holds both DMA engines from the producer's end.
+    assert queue.stats.device_transfer_cycles == {0: host.cycles(N * 4), 1: hop}
+    assert queue._dma_available == [produce.end_cycle + hop] * 2
+    fired = [(record.device, record.label) for record in queue.fault_injector.fired]
+    assert fired == ([] if stall is None else [(1, f"p2p:{mid.handle}")])
+    # A read-back extends the makespan past the last launch.
+    queue.enqueue_read(dst)
+    assert queue.stats.makespan == queue.schedule[-1].end_cycle + host.cycles(N * 4)
+
+
 def test_p2p_is_cheaper_than_the_host_bounce_on_the_same_dag():
     host = TransferConfig(latency_cycles=200, bytes_per_cycle=4.0)
-    fast = host.with_p2p(20, 32.0)
     makespans = {}
-    for name, transfer in (("host", host), ("p2p", fast)):
+    for name, topology in (("host", None), ("p2p", Topology.flat(2, 20, 32.0))):
         queue = OutOfOrderQueue(
             config=GGPUConfig(num_cus=1),
             num_devices=2,
             memory_bytes=MEM,
-            transfer=transfer,
+            transfer=host,
+            topology=topology,
         )
         src = queue.create_buffer(np.arange(N))
         mid = queue.allocate_buffer(N)
@@ -654,12 +692,14 @@ def test_topology_must_match_the_device_count():
 
 
 def test_topology_host_override_prices_the_host_bridge():
+    # With a topology attached the host bridge is still the queue's
+    # TransferConfig: GGPUConfig.transfer, or transfer= when given.
     host = TransferConfig(latency_cycles=40, bytes_per_cycle=4.0)
     queue = OutOfOrderQueue(
-        config=GGPUConfig(num_cus=1),
+        config=GGPUConfig(num_cus=1, transfer=host),
         num_devices=2,
         memory_bytes=MEM,
-        topology=Topology.flat(2, host=host),
+        topology=Topology.flat(2),
     )
     assert queue.transfer == host
     src = queue.create_buffer(np.arange(N))
@@ -667,14 +707,14 @@ def test_topology_host_override_prices_the_host_bridge():
     event = _enqueue_copy(queue, src, dst)
     queue.flush()
     assert event.transfer_cycles == host.cycles(N * 4)
-    # An explicit transfer= still wins over the topology's host model.
+    # An explicit transfer= wins over the config's host model.
     explicit = TransferConfig(latency_cycles=7, bytes_per_cycle=16.0)
     other = OutOfOrderQueue(
-        config=GGPUConfig(num_cus=1),
+        config=GGPUConfig(num_cus=1, transfer=host),
         num_devices=2,
         memory_bytes=MEM,
         transfer=explicit,
-        topology=Topology.flat(2, host=host),
+        topology=Topology.flat(2),
     )
     assert other.transfer == explicit
 
@@ -709,7 +749,8 @@ def test_prefetch_depth_retargets_input_writes():
         config=GGPUConfig(num_cus=1),
         num_devices=2,
         memory_bytes=MEM,
-        transfer=TransferConfig(latency_cycles=50, bytes_per_cycle=4.0).with_p2p(10, 32.0),
+        transfer=TransferConfig(latency_cycles=50, bytes_per_cycle=4.0),
+        topology=Topology.flat(2, 10, 32.0),
         prefetch_depth=4,
     )
     src = queue.create_buffer(np.arange(N))

@@ -30,7 +30,7 @@ from repro.cl import compile_source
 from repro.runtime.queue import CommandQueue
 from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
-from repro.errors import SimulationError
+from repro.errors import KernelError, SimulationError
 from repro.kernels import get_kernel_spec, run_workload
 from repro.simt import cu as cu_module, gpu as gpu_module
 from repro.simt.cu import ComputeUnit
@@ -993,37 +993,57 @@ def test_a_launch_may_take_exactly_the_event_bound(monkeypatch):
         launch(GGPUSimulator(GGPUConfig(num_cus=2)))
 
 
+def _barrier_skip_kernel() -> Kernel:
+    """Each workgroup's second wavefront branches past the BARRIER to RET."""
+    builder = KernelBuilder("barrier_skip", args=(KernelArg("out"),))
+    wave = builder.alloc("wave")
+    builder.local_id(wave)
+    builder.emit(Opcode.SRLI, rd=wave, rs=wave, imm=6)  # wavefront index: uniform
+    builder.emit(Opcode.BNE, rs=wave, rt=builder.ZERO, label="skip")
+    builder.emit(Opcode.BARRIER)
+    builder.label("skip")
+    builder.ret()
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "num_cus, parked",
+    [
+        (1, "CU 0 holds workgroup(s) [0, 1] at a barrier"),
+        (2, "CU 0 holds workgroup(s) [0] at a barrier; CU 1 holds workgroup(s) [1] at a barrier"),
+    ],
+    ids=["1cu", "2cus"],
+)
+def test_a_wavefront_that_skips_its_barrier_deadlocks_the_launch(num_cus, parked):
+    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
+    out = simulator.allocate_buffer(256)
+    start = time.perf_counter()
+    with pytest.raises(SimulationError, match="deadlock") as caught:
+        simulator.launch(_barrier_skip_kernel(), NDRange(256, 128), {"out": out})
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == "deadlock: all resident wavefronts are blocked; " + parked
+
+
+def test_local_words_beyond_the_lram_window_fail_before_any_cu_is_bound(monkeypatch):
+    bound = []
+    monkeypatch.setattr(ComputeUnit, "bind", lambda self, *args, **kwargs: bound.append(self))
+    builder = KernelBuilder("too_local", args=(KernelArg("out"),))
+    builder.declare_local("tile", 1025)
+    builder.ret()
+    simulator = GGPUSimulator(GGPUConfig(num_cus=2))
+    out = simulator.allocate_buffer(256)
+    # 256 work-items are 4 of a CU's 8 wavefronts: two 1024-word windows.
+    with pytest.raises(KernelError, match="declares 1025 local words .* 1024-word LRAM window"):
+        simulator.launch(builder.build(), NDRange(256, 256), {"out": out})
+    assert bound == []
+
+
 def test_a_cu_that_issues_nothing_raises_instead_of_spinning(monkeypatch):
     monkeypatch.setattr(ComputeUnit, "step", lambda self, *args: [])
     simulator = GGPUSimulator(GGPUConfig(num_cus=2))
     out = simulator.allocate_buffer(128)
     with pytest.raises(SimulationError, match="CU 0 issued no event at cycle 0"):
         simulator.launch(_store_only_kernel(), NDRange(128, 64), {"out": out})
-
-
-# --------------------------------------------------------------------- #
-# Idle-CU refill
-# --------------------------------------------------------------------- #
-def test_idle_refill_spreads_workgroups_across_all_cus():
-    """The drained-GPU refill path fills every CU round-robin, not just CU 0."""
-    config = GGPUConfig(num_cus=4)
-    simulator = GGPUSimulator(config)
-    kernel = _store_only_kernel()
-    simulator.rtm.write_descriptor(256 * 8, 256, [simulator.allocate_buffer(2048)])
-    from repro.simt.decode import predecode_program
-
-    decoded = predecode_program(kernel.program, simulator.timing)
-    for cu in simulator.compute_units:
-        cu.bind(kernel.program, simulator.rtm, decoded=decoded)
-    dispatcher = WorkgroupDispatcher(config, NDRange(256 * 8, 256))
-    heap = []
-    simulator._refill_idle_cus(dispatcher, 0.0, heap)
-    residents = [cu.resident_wavefronts for cu in simulator.compute_units]
-    # 8 workgroups of 4 wavefronts, capacity 2 workgroups per CU: dealt
-    # round-robin so every CU ends up with both of its workgroups.
-    assert residents == [8, 8, 8, 8]
-    assert not dispatcher.has_pending()
-    assert sorted(index for _, index in heap) == [0, 1, 2, 3]
 
 
 def test_step_with_default_arguments_issues_exactly_one_event():

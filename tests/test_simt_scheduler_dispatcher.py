@@ -105,21 +105,6 @@ def test_select_invalidates_cached_earliest():
     assert scheduler.earliest_ready() == 30.0
 
 
-def test_refill_idle_deals_workgroups_round_robin():
-    config = GGPUConfig(num_cus=4)
-    dispatcher = WorkgroupDispatcher(config, NDRange(1536, 256))  # 6 workgroups
-    assignment = dispatcher.refill_idle([0, 0, 0, 0], now=7.0)
-    # Six workgroups of 4 wavefronts dealt across four empty CUs: the first
-    # two CUs get two workgroups, the last two get one each.
-    assert [len(wavefronts) for wavefronts in assignment] == [8, 8, 4, 4]
-    assert not dispatcher.has_pending()
-    assert all(wf.ready_time == 7.0 for group in assignment for wf in group)
-    # A full CU (8 resident wavefronts) is skipped.
-    dispatcher = WorkgroupDispatcher(config, NDRange(512, 256))
-    assignment = dispatcher.refill_idle([8, 8, 0, 8], now=1.0)
-    assert [len(wavefronts) for wavefronts in assignment] == [0, 0, 8, 0]
-
-
 def test_dispatcher_rejects_oversized_workgroups():
     config = GGPUConfig(num_cus=1)
     with pytest.raises(SimulationError):

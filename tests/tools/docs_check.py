@@ -1,12 +1,14 @@
-"""Docs stay runnable: execute every fenced bash command, resolve references.
+"""Docs stay runnable: execute every fenced bash and python block, resolve references.
 
-Extracts the fenced ``bash`` blocks from ``README.md`` and ``docs/*.md``
-and runs every command in them (in repository root, under a smoke-scale
-environment), failing on any nonzero exit.  Also fails on unresolvable
-internal markdown links (including ``#anchor`` fragments) and on inline
-``file.py`` references that match no file in the repository.  This is the
-CI ``docs`` job; the point is that documentation rot — a renamed tool, a
-deleted example, a dead link — breaks the build instead of accumulating.
+Extracts the fenced ``bash`` and ``python`` blocks from ``README.md`` and
+``docs/*.md``, runs every bash command and every python block (each block
+in a fresh interpreter), in repository root with ``PYTHONPATH=src`` under a
+smoke-scale environment, and fails on any nonzero exit.  Also fails on
+unresolvable internal markdown links (including ``#anchor`` fragments) and
+on inline ``file.py`` references that match no file in the repository.
+This is the CI ``docs`` job; the point is that documentation rot — a
+renamed tool, a deleted API, a dead link — breaks the build instead of
+accumulating.
 
 Usage::
 
@@ -47,18 +49,18 @@ def _doc_files() -> list:
     return [path for path in docs if path.exists()]
 
 
-def _bash_blocks(text: str) -> list:
-    """The contents of every fenced ``bash`` block, in order."""
+def _fenced_blocks(text: str, languages: tuple) -> list:
+    """``(line number, contents)`` of every fenced block in ``languages``."""
     blocks = []
     current: list | None = None
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         fence = _FENCE_RE.match(line)
         if fence is not None:
             if current is not None:
-                blocks.append("\n".join(current))
+                blocks.append((start, "\n".join(current)))
                 current = None
-            elif fence.group(1).lower() in ("bash", "sh", "shell"):
-                current = []
+            elif fence.group(1).lower() in languages:
+                start, current = number, []
             continue
         if current is not None:
             current.append(line)
@@ -129,18 +131,19 @@ def _check_py_references(doc: Path, text: str, errors: list) -> None:
 
 
 def _run_commands(commands: list) -> list:
+    """Run ``(label, command)`` pairs: a shell string or an argument list."""
     errors = []
     env = dict(os.environ)
     env.update(SMOKE_ENV)
     env["PYTHONPATH"] = "src" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    for command in commands:
+    for label, command in commands:
         started = time.perf_counter()
         try:
             result = subprocess.run(
                 command,
-                shell=True,
+                shell=isinstance(command, str),
                 cwd=ROOT,
                 env=env,
                 capture_output=True,
@@ -148,15 +151,15 @@ def _run_commands(commands: list) -> list:
                 timeout=COMMAND_TIMEOUT_SECONDS,
             )
         except subprocess.TimeoutExpired:
-            errors.append(f"TIMEOUT after {COMMAND_TIMEOUT_SECONDS}s: {command}")
+            errors.append(f"TIMEOUT after {COMMAND_TIMEOUT_SECONDS}s: {label}")
             continue
         elapsed = time.perf_counter() - started
         status = "ok" if result.returncode == 0 else f"exit {result.returncode}"
-        print(f"[{status:>7s} {elapsed:6.1f}s] {command}")
+        print(f"[{status:>7s} {elapsed:6.1f}s] {label}")
         if result.returncode != 0:
             tail = (result.stderr or result.stdout or "").strip().splitlines()[-8:]
             errors.append(
-                f"exit {result.returncode}: {command}\n    " + "\n    ".join(tail)
+                f"exit {result.returncode}: {label}\n    " + "\n    ".join(tail)
             )
     return errors
 
@@ -176,10 +179,13 @@ def main() -> int:
         text = doc.read_text()
         _check_links(doc, text, errors)
         _check_py_references(doc, text, errors)
-        for block in _bash_blocks(text):
-            commands.extend(_commands(block))
+        for _, block in _fenced_blocks(text, ("bash", "sh", "shell")):
+            commands.extend((command, command) for command in _commands(block))
+        for line, block in _fenced_blocks(text, ("python",)):
+            label = f"python block at {doc.relative_to(ROOT)}:{line}"
+            commands.append((label, [sys.executable, "-c", block]))
 
-    print(f"checked {len(_doc_files())} docs; {len(commands)} fenced commands")
+    print(f"checked {len(_doc_files())} docs; {len(commands)} fenced commands and blocks")
     if not args.no_run:
         errors.extend(_run_commands(commands))
 
