@@ -9,13 +9,12 @@ each access reports whether it hit and whether a dirty victim line must be
 written back, and the :class:`~repro.simt.axi.GlobalMemoryController` turns
 misses and write-backs into AXI traffic and latency.
 
-The tag and dirty state is held in numpy arrays so a whole coalesced
-wavefront access (up to ``wavefront_size`` distinct lines for fully scattered
-addresses) is probed in a handful of vector operations
-(:meth:`DataCache.access_sorted_lines`); the scalar
-:meth:`DataCache.access_line` is the probe of a wavefront-uniform load (one
-line) and the replay path when one access maps two different lines onto the
-same direct-mapped set.
+The tag and dirty state is held in Python lists, and every probe is one
+in-order loop over a list of line addresses
+(:meth:`DataCache.access_sorted_lines`): a coalesced wavefront access touches
+1 to ``wavefront_size`` lines, too few for numpy's per-call overhead to pay
+off, and probing in order is exactly the sequential semantics even when two
+lines of one access alias one direct-mapped set.
 
 The cache serves at most ``CacheConfig.ports`` distinct lines per cycle: the
 compute unit's timing model serializes wider accesses into one
@@ -86,16 +85,14 @@ class DataCache:
 
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
-        self._tags = np.full(self.config.num_lines, _NO_TAG, dtype=np.int64)
-        self._dirty = np.zeros(self.config.num_lines, dtype=bool)
+        self._num_lines = self.config.num_lines
+        # A dirty bit is only ever set on a valid line, so a set bit alone
+        # marks a victim that must be written back.
+        self._tags: List[int] = [_NO_TAG] * self._num_lines
+        self._dirty: List[bool] = [False] * self._num_lines
         self.stats = CacheStats()
         self.hit_latency_cycles = self.config.hit_latency_cycles
         self._line_bytes = self.config.line_bytes
-        self._num_lines = self.config.num_lines
-        # Any set of distinct line addresses spanning less than the cache
-        # size maps to pairwise-distinct direct-mapped sets, so the aliasing
-        # probe of access_sorted_lines reduces to one span comparison.
-        self._span_bytes = self._line_bytes * self._num_lines
         # CacheConfig keeps the line size and the line count powers of two,
         # so the address floor, divide and modulo are bitwise operations.
         self._line_floor_mask = ~(self._line_bytes - 1)
@@ -107,37 +104,27 @@ class DataCache:
     # ------------------------------------------------------------------ #
     def line_address(self, byte_address: int) -> int:
         """Address of the cache line containing ``byte_address``."""
-        return byte_address - (byte_address % self.config.line_bytes)
+        return byte_address & self._line_floor_mask
 
-    def coalesce_lines(self, byte_addresses: Sequence[int]) -> np.ndarray:
+    def coalesce_lines(self, byte_addresses: Sequence[int]) -> List[int]:
         """Distinct line addresses touched by a wavefront access, ascending.
 
         Wavefront address patterns are overwhelmingly monotonic (affine in
-        the lane id), so the line addresses arrive already sorted and the
-        ``np.unique`` sort is wasted work: a non-decreasing run is deduped
-        with one difference pass.  Scattered patterns fall back to the sort.
+        the lane id), so the line addresses arrive already sorted and one
+        pass drops the repeats; scattered patterns fall back to a sort.
         """
-        addresses = np.asarray(byte_addresses, dtype=np.int64)
-        lines = addresses & self._line_floor_mask
-        if addresses.size <= 1:
+        lines = (np.asarray(byte_addresses, dtype=np.int64) & self._line_floor_mask).tolist()
+        if not lines:
             return lines
-        steps = lines[1:] - lines[:-1]
-        smallest_step = int(steps.min())
-        if smallest_step > 0:
-            return lines  # strictly increasing: already distinct and sorted
-        if smallest_step == 0:
-            keep = np.empty(lines.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(steps, 0, out=keep[1:])
-            return lines[keep]
-        return np.unique(lines)
-
-    def coalesce(self, byte_addresses: Sequence[int]) -> List[int]:
-        """Distinct cache lines touched by a wavefront access (coalescing)."""
-        return [int(line) for line in self.coalesce_lines(byte_addresses)]
-
-    def _index(self, line_address: int) -> int:
-        return (line_address >> self._line_shift) & self._index_mask
+        previous = lines[0]
+        distinct = [previous]
+        for line in lines:
+            if line != previous:
+                if line < previous:
+                    return sorted(set(lines))
+                distinct.append(line)
+                previous = line
+        return distinct
 
     # ------------------------------------------------------------------ #
     # Accesses
@@ -146,85 +133,58 @@ class DataCache:
         """Access one line, updating tags, dirty bits, and statistics."""
         if line_address < 0 or line_address % self._line_bytes:
             raise SimulationError(f"bad cache line address {line_address:#x}")
-        index = self._index(line_address)
-        stats = self.stats
-        if is_write:
-            stats.write_accesses += 1
-        else:
-            stats.read_accesses += 1
-        tag = int(self._tags[index])
-        if tag == line_address:
-            if is_write:
-                self._dirty[index] = True
+        hits, write_backs, _ = self.access_sorted_lines([line_address], is_write)
+        if hits is None:
             return LineAccess(line_address, True, False)
-        if is_write:
-            stats.write_misses += 1
-        else:
-            stats.read_misses += 1
-        write_back = tag != _NO_TAG and bool(self._dirty[index])
-        if write_back:
-            stats.write_backs += 1
-        self._tags[index] = line_address
-        self._dirty[index] = is_write
-        return LineAccess(line_address, False, write_back)
+        return LineAccess(line_address, False, write_backs[0])
 
     def access_sorted_lines(
-        self, lines: np.ndarray, is_write: bool
+        self, lines: List[int], is_write: bool
     ) -> Tuple[Optional[List[bool]], Optional[List[bool]], int]:
         """Probe one coalesced access whose lines are ascending and distinct.
 
-        Equivalent to calling :meth:`access_line` on each line in order.
-        The lines are probed in a handful of vector operations, because
-        distinct lines can alias one direct-mapped set only when the access
-        spans the whole cache; when two lines do alias, they are replayed
-        one by one so the eviction order stays exact.  Returns
-        ``(hit_list, write_back_list, num_misses)`` with the outcomes as
-        plain Python lists -- which the port-contention walk needs anyway
-        -- and skips building them entirely for the all-hit case, returning
-        ``(None, None, 0)``.  ``lines`` must come from
-        :meth:`coalesce_lines` (ascending, distinct).
+        The lines are probed one after another, so two lines that alias one
+        direct-mapped set evict each other in order.  Returns
+        ``(hit_list, write_back_list, num_misses)`` with one outcome per
+        line, as the port-contention walk needs them; an all-hit access
+        builds no lists and returns ``(None, None, 0)``.  ``lines`` must
+        come from :meth:`coalesce_lines` (ascending, distinct).
         """
-        count = lines.size
-        if count == 0:
-            return None, None, 0
-        indices = (lines >> self._line_shift) & self._index_mask
-        if count > 1 and int(lines[-1]) - int(lines[0]) >= self._span_bytes:
-            if np.unique(indices).size != count:
-                # Aliasing inside one access: replay sequentially so the
-                # eviction order stays exact.
-                hit_list: List[bool] = []
-                wb_list: List[bool] = []
-                num_misses = 0
-                for line in lines.tolist():
-                    outcome = self.access_line(line, is_write)
-                    hit_list.append(outcome.hit)
-                    wb_list.append(outcome.write_back)
-                    if not outcome.hit:
-                        num_misses += 1
-                return hit_list, wb_list, num_misses
-        tags = self._tags[indices]
-        hits = tags == lines
-        num_misses = count - int(hits.sum())
+        tags = self._tags
+        dirty = self._dirty
+        shift = self._line_shift
+        index_mask = self._index_mask
+        hit_list: Optional[List[bool]] = None
+        wb_list: Optional[List[bool]] = None
+        num_misses = write_backs = 0
+        for position, line in enumerate(lines):
+            index = (line >> shift) & index_mask
+            if tags[index] == line:
+                if is_write:
+                    dirty[index] = True
+                if hit_list is not None:
+                    hit_list.append(True)
+                    wb_list.append(False)
+                continue
+            if hit_list is None:
+                hit_list = [True] * position
+                wb_list = [False] * position
+            write_back = dirty[index]
+            hit_list.append(False)
+            wb_list.append(write_back)
+            num_misses += 1
+            write_backs += write_back
+            tags[index] = line
+            dirty[index] = is_write
         stats = self.stats
         if is_write:
-            stats.write_accesses += count
+            stats.write_accesses += len(lines)
             stats.write_misses += num_misses
         else:
-            stats.read_accesses += count
+            stats.read_accesses += len(lines)
             stats.read_misses += num_misses
-        if num_misses == 0:
-            if is_write:
-                self._dirty[indices] = True
-            return None, None, 0
-        misses = ~hits
-        write_backs = misses & (tags != _NO_TAG) & self._dirty[indices]
-        stats.write_backs += int(write_backs.sum())
-        miss_indices = indices[misses]
-        self._tags[miss_indices] = lines[misses]
-        self._dirty[miss_indices] = False
-        if is_write:
-            self._dirty[indices] = True
-        return hits.tolist(), write_backs.tolist(), num_misses
+        stats.write_backs += write_backs
+        return hit_list, wb_list, num_misses
 
     def access_wavefront(
         self, byte_addresses: Sequence[int], is_write: bool
@@ -232,10 +192,9 @@ class DataCache:
         """Access all lines touched by one wavefront memory instruction."""
         lines = self.coalesce_lines(byte_addresses)
         hits, write_backs, _ = self.access_sorted_lines(lines, is_write)
-        addresses = lines.tolist()
         if hits is None:
-            return [LineAccess(line, True, False) for line in addresses]
-        return [LineAccess(*outcome) for outcome in zip(addresses, hits, write_backs, strict=True)]
+            return [LineAccess(line, True, False) for line in lines]
+        return [LineAccess(*outcome) for outcome in zip(lines, hits, write_backs, strict=True)]
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -248,18 +207,17 @@ class DataCache:
         global memory controller so the drain occupies AXI port time (see
         ``GGPUSimulator.launch``).
         """
-        dirty = (self._tags != _NO_TAG) & self._dirty
-        flushed = int(dirty.sum())
-        self._dirty[:] = False
+        flushed = sum(self._dirty)
+        self._dirty = [False] * self._num_lines
         self.stats.write_backs += flushed
         return flushed
 
     def reset(self) -> None:
         """Invalidate the whole cache and clear statistics."""
-        self._tags[:] = _NO_TAG
-        self._dirty[:] = False
+        self._tags = [_NO_TAG] * self._num_lines
+        self._dirty = [False] * self._num_lines
         self.stats = CacheStats()
 
     def resident_lines(self) -> Set[int]:
         """Set of line addresses currently cached (used by tests)."""
-        return {int(tag) for tag in self._tags if tag != _NO_TAG}
+        return {tag for tag in self._tags if tag != _NO_TAG}

@@ -567,10 +567,12 @@ class ComputeUnit:
         if not wavefront.num_active:
             return completion
         value = self.global_memory.load_word(address)
-        outcome = cache.access_line(cache.line_address(address), False)
-        if not outcome.hit:
+        hit_list, wb_list, num_misses = cache.access_sorted_lines(
+            [cache.line_address(address)], False
+        )
+        if num_misses:
             completion, _ = self.memory_controller.miss_burst(
-                access_time, self._cache_ports, [False], [outcome.write_back], completion
+                access_time, self._cache_ports, hit_list, wb_list, completion
             )
         self._write_register(wavefront, rd, value)
         return completion
@@ -611,7 +613,7 @@ class ComputeUnit:
         lines = cache.coalesce_lines(addresses)
         hit_list, wb_list, num_misses = cache.access_sorted_lines(lines, is_write)
         ports = self._cache_ports
-        count = lines.size
+        count = len(lines)
         hit_latency = cache.hit_latency_cycles
         completion = access_time + hit_latency
         if num_misses == 0:
@@ -632,8 +634,8 @@ class ComputeUnit:
         return completion
 
     def _execute_local(self, wavefront: Wavefront, op: tuple, kind: int) -> None:
-        addresses = lane_vector(self._address(wavefront, op), wavefront.wavefront_size)
-        mask = wavefront.active_mask
+        lanes = wavefront.wavefront_size
+        addresses = lane_vector(self._address(wavefront, op), lanes)
         if self._use_lram_windows:
             # Each workgroup addresses its private LRAM window: accesses wrap
             # inside the window and land at the workgroup's slot base.
@@ -641,17 +643,25 @@ class ComputeUnit:
             word_indices = base + (addresses >> 2) % self._slot_words
         else:
             word_indices = (addresses >> 2) % self._lram_words
+        # A fully active wavefront (the common case) needs no masked gather,
+        # zero fill or merge: every lane's word is the access.
+        num_active = wavefront.num_active
         if kind == K_LOCAL_LOAD:
-            result = np.zeros(wavefront.wavefront_size, dtype=np.int64)
-            if wavefront.any_active:
+            if num_active == lanes:
+                wavefront.registers.set_row(op[P_RD], self.local_memory.load_words(word_indices))
+                return
+            mask = wavefront.active_mask
+            result = np.zeros(lanes, dtype=np.int64)
+            if num_active:
                 result[mask] = self.local_memory.load_words(word_indices[mask])
             wavefront.registers.merge_row(op[P_RD], result, mask)
-        else:
-            if wavefront.any_active:
-                values = lane_vector(
-                    wavefront.registers._values[op[P_RT]], wavefront.wavefront_size
-                )[mask]
-                self.local_memory.store_words(word_indices[mask], values)
+        elif num_active:
+            values = lane_vector(wavefront.registers._values[op[P_RT]], lanes)
+            if num_active != lanes:
+                mask = wavefront.active_mask
+                word_indices = word_indices[mask]
+                values = values[mask]
+            self.local_memory.store_words(word_indices, values)
 
     def _execute_branch(self, wavefront: Wavefront, op: tuple, fallthrough: int) -> int:
         rows = wavefront.registers._values

@@ -95,13 +95,16 @@ def _mulh(a, b):
     return ((_signed(a) * _signed(b)) >> 32) & WORD_MASK
 
 
-# Lane forms that need numpy; _on_ints derives their scalar forms.
+# Lane forms that need numpy; _on_ints derives their scalar forms.  Register
+# values and immediates are stored masked to 32 bits, so SLTU is one plain
+# compare, and flipping the sign bit maps the signed order of SLT onto the
+# unsigned one.
 def _slt(a, b):
-    return (to_signed(a) < to_signed(b)).astype(np.int64)
+    return ((a ^ SIGN_BIT) < (b ^ SIGN_BIT)).astype(np.int64)
 
 
 def _sltu(a, b):
-    return ((a & WORD_MASK) < (b & WORD_MASK)).astype(np.int64)
+    return (a < b).astype(np.int64)
 
 
 def _min(a, b):

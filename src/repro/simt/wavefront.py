@@ -88,7 +88,7 @@ class Wavefront:
         # The active-lane count is consulted on every issued instruction, so
         # it is cached and kept current by the mask-stack operations instead
         # of being re-reduced over the lanes per issue.
-        self._active_count = int(self.active_mask.sum())
+        self._active_count = int(np.count_nonzero(self.active_mask))
 
         # Scheduling state (owned by the compute unit's scheduler).
         self.ready_time = 0.0
@@ -148,21 +148,21 @@ class Wavefront:
         if condition.shape != self.active_mask.shape:
             raise SimulationError("condition vector has the wrong number of lanes")
         self.active_mask &= condition != 0
-        self._active_count = int(self.active_mask.sum())
+        self._active_count = int(np.count_nonzero(self.active_mask))
 
     def invert_mask(self) -> None:
         """Switch to the complementary lanes of the enclosing region (INVM)."""
         if not self._mask_stack:
             raise SimulationError("INVM executed with an empty mask stack")
         self.active_mask = self._mask_stack[-1] & ~self.active_mask
-        self._active_count = int(self.active_mask.sum())
+        self._active_count = int(np.count_nonzero(self.active_mask))
 
     def pop_mask(self) -> None:
         """Restore the saved execution mask (POPM)."""
         if not self._mask_stack:
             raise SimulationError("POPM executed with an empty mask stack")
         self.active_mask = self._mask_stack.pop()
-        self._active_count = int(self.active_mask.sum())
+        self._active_count = int(np.count_nonzero(self.active_mask))
 
     # ------------------------------------------------------------------ #
     # Uniform values

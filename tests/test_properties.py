@@ -12,7 +12,7 @@ from repro.arch.kernel import KernelArg, KernelBuilder, NDRange
 from repro.riscv.isa import RvInstruction, RvOpcode, decode_rv, encode_rv
 from repro.simt import pe
 from repro.simt.axi import GlobalMemoryController, MemoryTrafficStats
-from repro.simt.cache import DataCache
+from repro.simt.cache import CacheStats, DataCache, LineAccess
 from repro.arch.config import AxiConfig, CacheConfig
 from repro.tech.sram import SramCompiler, SramMacroSpec
 from repro.simt.decode import predecode_program
@@ -130,6 +130,50 @@ def test_scalar_immediate_form_matches_every_lane(opcode, a, imm):
 
 
 # --------------------------------------------------------------------------- #
+# SLT/SLTU match the two's-complement folds they replaced
+# --------------------------------------------------------------------------- #
+def _folded_signed(values):
+    values = np.asarray(values, dtype=np.int64)
+    return ((values + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+
+
+def _folded_slt(a, b):
+    return (_folded_signed(a) < _folded_signed(b)).astype(np.int64)
+
+
+def _folded_sltu(a, b):
+    return ((a & 0xFFFFFFFF) < (b & 0xFFFFFFFF)).astype(np.int64)
+
+
+COMPARE_LANES = st.lists(OPERAND, min_size=LANES, max_size=LANES)
+
+
+@pytest.mark.parametrize(
+    "opcode, folded", [(Opcode.SLT, _folded_slt), (Opcode.SLTU, _folded_sltu)], ids=["SLT", "SLTU"]
+)
+@given(a_values=COMPARE_LANES, b_values=COMPARE_LANES)
+@example(
+    a_values=[0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0xFFFFFFFF, 0x80000000, 0],
+    b_values=[0xFFFFFFFF, 0x80000000, 0x80000000, 0x7FFFFFFF, 1, 0, 0xFFFFFFFF, 0],
+)
+@settings(max_examples=80, deadline=None)
+def test_slt_and_sltu_match_the_signed_folds(opcode, folded, a_values, b_values):
+    """The one-compare SLT/SLTU equal the ``to_signed`` forms on u32 lanes:
+    the lane form on vector-vector, vector-int and int-vector operands, and
+    the scalar form on every lane's pair of ints."""
+    lane_form, scalar_form = pe.binary_operation(opcode)
+    a, b = _vec(a_values), _vec(b_values)
+    for x, y in ((a, b), (a, b_values[0]), (a_values[0], b)):
+        result = lane_form(x, y)
+        assert result.dtype == np.int64
+        assert result.tolist() == folded(np.asarray(x), np.asarray(y)).tolist()
+    for x, y in zip(a_values, b_values, strict=True):
+        result = scalar_form(x, y)
+        assert type(result) is int
+        assert result == int(folded(np.int64(x), np.int64(y)))
+
+
+# --------------------------------------------------------------------------- #
 # Encoders are lossless
 # --------------------------------------------------------------------------- #
 @given(
@@ -224,15 +268,174 @@ def test_single_line_probe_matches_the_sorted_probe(accesses):
     for word_indices, is_write in accesses:
         lines = reference.coalesce_lines([4 * index for index in word_indices])
         expected = reference.access_sorted_lines(lines, is_write)
-        if lines.size == 1:
+        if len(lines) == 1:
             outcome = uniform.access_line(uniform.line_address(4 * word_indices[0]), is_write)
             observed = (None, None, 0) if outcome.hit else ([False], [outcome.write_back], 1)
         else:
             observed = uniform.access_sorted_lines(lines, is_write)
         assert observed == expected
-    assert uniform._tags.tolist() == reference._tags.tolist()
-    assert uniform._dirty.tolist() == reference._dirty.tolist()
+    assert uniform._tags == reference._tags
+    assert uniform._dirty == reference._dirty
     assert uniform.stats == reference.stats
+
+
+class _NumpyCacheReference:
+    """The tags-only cache probed with numpy arrays, as before the list probe.
+
+    A coalesced access is probed in a handful of vector operations and
+    replayed line by line through ``access_line`` when two of its lines
+    alias one direct-mapped set.
+    """
+
+    def __init__(self, config: CacheConfig) -> None:
+        self._tags = np.full(config.num_lines, -1, dtype=np.int64)
+        self._dirty = np.zeros(config.num_lines, dtype=bool)
+        self.stats = CacheStats()
+        self._line_bytes = config.line_bytes
+        self._span_bytes = config.line_bytes * config.num_lines
+        self._line_shift = config.line_bytes.bit_length() - 1
+        self._index_mask = config.num_lines - 1
+
+    def coalesce_lines(self, byte_addresses) -> np.ndarray:
+        addresses = np.asarray(byte_addresses, dtype=np.int64)
+        lines = addresses & ~(self._line_bytes - 1)
+        if addresses.size <= 1:
+            return lines
+        steps = lines[1:] - lines[:-1]
+        smallest_step = int(steps.min())
+        if smallest_step > 0:
+            return lines
+        if smallest_step == 0:
+            keep = np.empty(lines.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(steps, 0, out=keep[1:])
+            return lines[keep]
+        return np.unique(lines)
+
+    def access_line(self, line_address: int, is_write: bool) -> LineAccess:
+        index = (line_address >> self._line_shift) & self._index_mask
+        stats = self.stats
+        if is_write:
+            stats.write_accesses += 1
+        else:
+            stats.read_accesses += 1
+        tag = int(self._tags[index])
+        if tag == line_address:
+            if is_write:
+                self._dirty[index] = True
+            return LineAccess(line_address, True, False)
+        if is_write:
+            stats.write_misses += 1
+        else:
+            stats.read_misses += 1
+        write_back = tag != -1 and bool(self._dirty[index])
+        if write_back:
+            stats.write_backs += 1
+        self._tags[index] = line_address
+        self._dirty[index] = is_write
+        return LineAccess(line_address, False, write_back)
+
+    def access_sorted_lines(self, lines: np.ndarray, is_write: bool):
+        count = lines.size
+        if count == 0:
+            return None, None, 0
+        indices = (lines >> self._line_shift) & self._index_mask
+        if count > 1 and int(lines[-1]) - int(lines[0]) >= self._span_bytes:
+            if np.unique(indices).size != count:
+                outcomes = [self.access_line(line, is_write) for line in lines.tolist()]
+                return (
+                    [outcome.hit for outcome in outcomes],
+                    [outcome.write_back for outcome in outcomes],
+                    sum(not outcome.hit for outcome in outcomes),
+                )
+        tags = self._tags[indices]
+        hits = tags == lines
+        num_misses = count - int(hits.sum())
+        stats = self.stats
+        if is_write:
+            stats.write_accesses += count
+            stats.write_misses += num_misses
+        else:
+            stats.read_accesses += count
+            stats.read_misses += num_misses
+        if num_misses == 0:
+            if is_write:
+                self._dirty[indices] = True
+            return None, None, 0
+        misses = ~hits
+        write_backs = misses & (tags != -1) & self._dirty[indices]
+        stats.write_backs += int(write_backs.sum())
+        miss_indices = indices[misses]
+        self._tags[miss_indices] = lines[misses]
+        self._dirty[miss_indices] = False
+        if is_write:
+            self._dirty[indices] = True
+        return hits.tolist(), write_backs.tolist(), num_misses
+
+    def flush(self) -> int:
+        flushed = int(((self._tags != -1) & self._dirty).sum())
+        self._dirty[:] = False
+        self.stats.write_backs += flushed
+        return flushed
+
+
+@st.composite
+def _lane_words(draw):
+    """Word indices of 1-64 lanes: ascending, repeated, descending or scattered."""
+    lanes = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(("ascending", "repeated", "descending", "scattered")))
+    if shape == "scattered":
+        return draw(st.lists(st.integers(0, 1 << 16), min_size=lanes, max_size=lanes))
+    # Strides in words: 128 words span the 8-line cache, 8192 the 512-line one.
+    stride = draw(st.sampled_from((0, 1, 4, 16, 64, 128, 256, 8192)))
+    base = draw(st.integers(0, 1 << 16))
+    if shape == "repeated":
+        group = draw(st.integers(2, 16))
+        return [base + stride * (lane // group) for lane in range(lanes)]
+    words = [base + stride * lane for lane in range(lanes)]
+    return words[::-1] if shape == "descending" else words
+
+
+# (lane words, is_write, probe the first lane's line through access_line, flush after)
+PROBE_STEP = st.tuples(
+    _lane_words(), st.booleans(), st.booleans(), st.sampled_from((False,) * 7 + (True,))
+)
+
+
+@pytest.mark.parametrize(
+    "config, window_words",
+    # Addresses wrap in a window of four cache spans, so lines are revisited.
+    [(SMALL_CACHE, 4 * 128), (CacheConfig(), 4 * 8192)],
+    ids=["8-line", "512-line"],
+)
+@given(steps=st.lists(PROBE_STEP, min_size=1, max_size=30))
+@example(steps=[([0], False, False, False), ([0], True, False, True)])  # a write hit dirties
+@example(steps=[([0], True, True, False), ([128], False, True, True)])  # a miss cleans
+@example(steps=[(list(range(63, -1, -1)), True, False, True)])  # descending lanes
+@example(steps=[([8192 * lane for lane in range(4)], True, False, True)])  # one access aliases
+@settings(max_examples=60, deadline=None)
+def test_list_probe_matches_the_numpy_probe(config, window_words, steps):
+    """The list-held cache gives the numpy probe's line lists, outcomes,
+    statistics, tags, dirty bits and flush counts after every step."""
+    cache, reference = DataCache(config), _NumpyCacheReference(config)
+    for words, is_write, single_line, flush_after in steps:
+        addresses = np.array([4 * (word % window_words) for word in words], dtype=np.int64)
+        lines = cache.coalesce_lines(addresses)
+        expected_lines = reference.coalesce_lines(addresses)
+        assert lines == expected_lines.tolist()
+        if single_line:
+            line = cache.line_address(int(addresses[0]))
+            assert cache.access_line(line, is_write) == reference.access_line(line, is_write)
+        else:
+            observed = cache.access_sorted_lines(lines, is_write)
+            assert observed == reference.access_sorted_lines(expected_lines, is_write)
+        assert cache.stats == reference.stats
+        assert cache._tags == reference._tags.tolist()
+        assert cache._dirty == reference._dirty.tolist()
+        if flush_after:
+            assert cache.flush() == reference.flush()
+            assert cache.stats == reference.stats
+            assert cache._dirty == reference._dirty.tolist()
 
 
 # --------------------------------------------------------------------------- #

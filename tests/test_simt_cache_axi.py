@@ -15,8 +15,8 @@ def cache() -> DataCache:
 
 def test_coalescing_merges_lanes_on_the_same_line(cache):
     addresses = [0, 4, 8, 60, 64, 68]
-    assert cache.coalesce(addresses) == [0, 64]
-    assert cache.coalesce([]) == []
+    assert cache.coalesce_lines(addresses) == [0, 64]
+    assert cache.coalesce_lines([]) == []
 
 
 def test_miss_then_hit(cache):

@@ -17,6 +17,7 @@ the end-of-kernel flush traffic, and the round-robin idle-CU refill.
 """
 
 import contextlib
+import json
 import time
 from dataclasses import asdict
 from typing import Dict, Tuple
@@ -122,6 +123,16 @@ def test_golden_cycle_counts(name):
             f"{cycles_by_cu[num_cus]} to {result.cycles}"
         )
         assert result.stats.instructions_issued == instructions
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
+@pytest.mark.parametrize("num_cus", (1, 2))
+def test_launch_statistics_are_plain_json(name, num_cus):
+    """Every launch statistic is a plain Python value, so the whole
+    ``KernelRunStats`` serializes; a numpy scalar (say, an active-lane count
+    left as ``np.int64``) makes ``json.dumps`` raise."""
+    result = _run(name, num_cus, ALL_GOLDEN[name][0])
+    json.dumps(asdict(result.stats))
 
 
 @pytest.mark.parametrize("name", ["div_int", "fir", "copy", "dot", "inclusive_scan"])
