@@ -18,9 +18,9 @@ concretely.  The test suite asserts the static verdicts are *sound* against
 it — no kernel the oracle catches racing may pass the static checker clean.
 
 ``python -m repro.analysis`` lints any source file or suite kernel from the
-command line; ``cl.compiler.compile_source(..., check=...)`` and the
-``verify=`` flags of ``CommandQueue.enqueue``/``GGPUSimulator.launch`` gate
-the same checks into the compile and enqueue paths.
+command line; ``cl.compiler.compile_source(..., check=...)`` and
+``GGPUSimulator.launch(..., verify=True)`` gate the same checks into the
+compile and launch paths.
 """
 
 from __future__ import annotations

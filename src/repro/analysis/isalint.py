@@ -382,8 +382,8 @@ def lint_kernel(kernel: Kernel) -> AnalysisReport:
 def verify_kernel_or_raise(kernel: Kernel) -> AnalysisReport:
     """Lint a kernel and raise :class:`KernelError` on error findings.
 
-    This is the opt-in gate behind ``GGPUSimulator.launch(verify=True)`` and
-    ``CommandQueue.enqueue(verify=True)``; warnings and infos pass.
+    This is the opt-in gate behind ``GGPUSimulator.launch(verify=True)``;
+    warnings and infos pass.
     """
     from repro.errors import KernelError
 

@@ -3,7 +3,7 @@
 The classic streaming BLAS-1 kernel: two loads, one multiply-add, one store
 per work-item.  Arithmetic intensity sits between ``copy`` and ``fir``, so it
 fills the gap in the suite's memory-bound spectrum and is the canonical
-smoke-test workload for the batched command queue (many cheap launches).
+smoke-test workload for many cheap launches on one reused simulator.
 """
 
 from __future__ import annotations

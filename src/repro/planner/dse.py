@@ -180,81 +180,43 @@ class DesignSpaceExplorer:
     ) -> List["WorkloadPoint"]:
         """Score every (CU count, frequency) point against a workload list.
 
-        The PPA side reuses :meth:`explore_point`; the performance side runs
-        every named library kernel through one batched command queue per CU
-        count (``scale`` shrinks the paper input sizes).  The per-CU-count
-        kernel measurements are fanned out with
-        :func:`repro.runtime.parallel.parallel_map` — a multi-queue sweep,
-        one simulated G-GPU per process — and then joined with each
+        The PPA side reuses :meth:`explore`; the performance side is the
+        G-GPU half of :func:`repro.eval.benchmarks.run_table3` over the same
+        kernels, CU counts, ``scale`` and ``seed`` (its RISC-V cells run
+        too).  Each CU count's kernel cycles are joined with each
         frequency's synthesis result into wall-clock runtime estimates.
 
         ``journal`` (a path or :class:`~repro.runtime.checkpoint.SweepJournal`)
-        makes the *simulation* side resumable: each per-CU-count batch
-        measurement is persisted atomically when it completes, so a killed
-        sweep recomputes only the missing batches.  The analytic PPA side is
-        cheap and always recomputed.
+        is ``run_table3``'s: a killed sweep recomputes only the missing
+        cells, and a Table III journal over the same kernels, CU counts,
+        scale and seed serves them.  The analytic PPA side is cheap and
+        always recomputed.
         """
         if not workloads:
             raise PlanningError("the workload sweep needs at least one kernel name")
-        # Import here: the queue depends on the kernel library, which this
+        # Import here: the benchmarks depend on the kernel library, which this
         # module must not pull in at import time for the pure-PPA flows.
-        from repro.eval.benchmarks import BenchmarkSizes
-        from repro.runtime.checkpoint import cell_key, open_journal, run_journaled
-        from repro.runtime.queue import BatchItem, BatchResult, QueueBatch, run_batch
+        from repro.eval.benchmarks import run_table3
 
-        batches = []
-        for num_cus in cu_counts:
-            items = []
-            for kernel in workloads:
-                sizes = BenchmarkSizes.paper(kernel)
-                if scale != 1.0:
-                    sizes = sizes.scaled(scale)
-                items.append(BatchItem(kernel=kernel, size=sizes.gpu_size, seed=seed))
-            batches.append(QueueBatch(items=tuple(items), num_cus=num_cus))
-        book = open_journal(
-            journal,
-            meta={
-                "sweep": "dse-workloads",
-                "workloads": list(workloads),
-                "scale": scale,
-                "seed": seed,
-            },
-        )
-        measured = run_journaled(
-            book,
-            batches,
-            key=lambda batch: cell_key(num_cus=int(batch.num_cus)),
-            run=lambda todo, on_result: parallel_map(
-                run_batch, todo, jobs=jobs, on_result=on_result
-            ),
-            encode=lambda result: {
-                "num_cus": result.num_cus,
-                "cycles": [float(c) for c in result.cycles],
-                "kernels": list(result.kernels),
-            },
-            decode=lambda payload: BatchResult(**payload),
-        )
-        # The PPA side is the same grid explore() already fans out.
         designs = self.explore(cu_counts, frequencies_mhz, jobs=jobs)
-        design_by_spec = {
-            (point.spec.num_cus, point.spec.target_frequency_mhz): point
-            for point in designs
-        }
-
-        points: List[WorkloadPoint] = []
-        for num_cus, batch_result in zip(cu_counts, measured, strict=True):
-            cycles = {
-                kernel: cycle
-                for kernel, cycle in zip(batch_result.kernels, batch_result.cycles, strict=True)
-            }
-            for frequency in frequencies_mhz:
-                points.append(
-                    WorkloadPoint(
-                        design=design_by_spec[(num_cus, frequency)],
-                        kernel_cycles=dict(cycles),
-                    )
-                )
-        return points
+        table = run_table3(
+            kernels=workloads,
+            cu_counts=cu_counts,
+            scale=scale,
+            seed=seed,
+            jobs=jobs,
+            journal=journal,
+        )
+        return [
+            WorkloadPoint(
+                design=design,
+                kernel_cycles={
+                    kernel: table.row(kernel).gpu[design.spec.num_cus].cycles
+                    for kernel in workloads
+                },
+            )
+            for design in designs
+        ]
 
     @staticmethod
     def feasible_points(points: Iterable[DesignPoint]) -> List[DesignPoint]:

@@ -4,13 +4,13 @@ The paper's protocol is sweep-shaped everywhere: Table III measures the
 kernel suite on five targets, GPUPlanner explores a CU-count x frequency
 grid, and the push-button flow implements a list of designs.
 :mod:`repro.runtime.parallel` provides the deterministic fan-out executor
-those sweeps share, and :mod:`repro.runtime.queue` provides the OpenCL-style
-batched command queue that amortizes simulator construction and program
-decode across many launches (one queue per process composes with the
-fan-out for multi-queue sweeps).  :mod:`repro.runtime.multidevice` scales
-the queue to N simulated G-GPUs behind one host: in-order and out-of-order
-(event-dependency) scheduling, host↔device transfer charging, and per-device
-buffer residency tracking.
+those sweeps share.  :mod:`repro.runtime.multidevice` provides the
+OpenCL-style command queues over N simulated G-GPUs behind one host:
+in-order and out-of-order (event-dependency) scheduling, host↔device
+transfer charging, and per-device buffer residency tracking; their
+statistics are :mod:`repro.runtime.queue`'s :class:`QueueStats`.  Many
+launches on one G-GPU need no queue: reuse one
+:class:`~repro.simt.gpu.GGPUSimulator`, which keeps its pre-decoded programs.
 
 Robustness (PR 7): :mod:`repro.runtime.faults` injects deterministic,
 seedable device and transfer faults at the schedule layer and the queues
@@ -43,20 +43,9 @@ from repro.runtime.multidevice import (
     OutOfOrderQueue,
 )
 from repro.runtime.parallel import default_jobs, parallel_map
-from repro.runtime.queue import (
-    BatchItem,
-    BatchResult,
-    CommandQueue,
-    QueueBatch,
-    QueueStats,
-    run_batch,
-    run_batches,
-)
+from repro.runtime.queue import QueueStats
 
 __all__ = [
-    "BatchItem",
-    "BatchResult",
-    "CommandQueue",
     "DeviceBuffer",
     "Event",
     "FAULT_KINDS",
@@ -68,7 +57,6 @@ __all__ = [
     "MultiDeviceQueue",
     "OutOfOrderQueue",
     "SCHEDULERS",
-    "QueueBatch",
     "QueueStats",
     "SweepJournal",
     "atomic_write_json",
@@ -77,6 +65,4 @@ __all__ = [
     "default_jobs",
     "open_journal",
     "parallel_map",
-    "run_batch",
-    "run_batches",
 ]

@@ -1,9 +1,9 @@
 """Multi-device command queues with host↔device and device↔device transfers.
 
-The single-device :class:`~repro.runtime.queue.CommandQueue` (PR 3) amortizes
-host-side setup over many launches but still executes them back-to-back on
-one simulated G-GPU.  This module scales the same OpenCL execution model to
-**N independent G-GPU instances behind one queue**:
+One reused :class:`~repro.simt.gpu.GGPUSimulator` amortizes host-side setup
+over many launches but executes them back-to-back on one simulated G-GPU.
+This module runs the OpenCL execution model on **N independent G-GPU
+instances behind one queue**:
 
 * :class:`MultiDeviceQueue` — an in-order queue over ``num_devices``
   :class:`~repro.simt.gpu.GGPUSimulator` instances.  Launches still serialize

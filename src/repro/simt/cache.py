@@ -186,16 +186,6 @@ class DataCache:
         stats.write_backs += write_backs
         return hit_list, wb_list, num_misses
 
-    def access_wavefront(
-        self, byte_addresses: Sequence[int], is_write: bool
-    ) -> List[LineAccess]:
-        """Access all lines touched by one wavefront memory instruction."""
-        lines = self.coalesce_lines(byte_addresses)
-        hits, write_backs, _ = self.access_sorted_lines(lines, is_write)
-        if hits is None:
-            return [LineAccess(line, True, False) for line in lines]
-        return [LineAccess(*outcome) for outcome in zip(lines, hits, write_backs, strict=True)]
-
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #

@@ -73,7 +73,14 @@ class LaunchResult:
 
 
 class GGPUSimulator:
-    """Functional + cycle-approximate simulator of one G-GPU instance."""
+    """Functional + cycle-approximate simulator of one G-GPU instance.
+
+    One simulator runs any number of launches.  Each launch starts from a
+    cold cache and memory controller, and every buffer starts on a cache
+    line, so a launch on a reused simulator gives the same results and
+    statistics as the same launch on a fresh one.  Reuse saves only host
+    work: construction and the program pre-decode.
+    """
 
     def __init__(
         self,
@@ -84,6 +91,9 @@ class GGPUSimulator:
         self.config = config or GGPUConfig()
         self.timing = timing or TimingModel()
         self.memory = GlobalMemory(memory_bytes)
+        # Buffers start on a cache-line boundary, so where a buffer sits in
+        # its lines never depends on what was allocated before it.
+        self._align_bytes = max(64, self.config.cache.line_bytes)
         self.cache = DataCache(self.config.cache)
         self.memory_controller = GlobalMemoryController(self.config.axi, self.config.cache)
         self.rtm = RuntimeMemory(self.config.rtm_words)
@@ -112,7 +122,7 @@ class GGPUSimulator:
     # ------------------------------------------------------------------ #
     def allocate_buffer(self, num_words: int) -> int:
         """Allocate a global-memory buffer; returns its base byte address."""
-        return self.memory.allocate(num_words)
+        return self.memory.allocate(num_words, align_bytes=self._align_bytes)
 
     def write_buffer(self, base_addr: int, values: Sequence[int]) -> None:
         """Copy host data into a buffer."""

@@ -2,7 +2,7 @@
 
 The shipped CL benchmark sources and every hand-built library kernel must
 pass the analyzer with zero error-severity findings; the ``check=`` compile
-policy and the ``verify=`` launch/enqueue gates must behave as documented
+policy and the ``verify=`` launch gate must behave as documented
 (and ``check='off'`` must not perturb generated code at all).
 """
 
@@ -18,7 +18,6 @@ from repro.cl.compiler import CHECK_POLICIES, compile_source
 from repro.cl.sources import BENCHMARK_CL_SOURCES, EXTRA_CL_SOURCES
 from repro.errors import CompilationError, KernelError
 from repro.kernels import all_kernel_names, get_kernel_spec
-from repro.runtime.queue import CommandQueue
 from repro.simt.gpu import GGPUSimulator
 
 from analysis.analysis_corpus import RACY
@@ -92,14 +91,6 @@ def test_launch_verify_rejects_defective_kernel() -> None:
     kernel = _defective_kernel()
     with pytest.raises(KernelError, match="ISA001"):
         simulator.launch(kernel, NDRange(8, 8), {}, verify=True)
-
-
-def test_enqueue_verify_rejects_defective_kernel() -> None:
-    queue = CommandQueue(memory_bytes=1 << 20)
-    kernel = _defective_kernel()
-    with pytest.raises(KernelError, match="ISA001"):
-        queue.enqueue(kernel, NDRange(8, 8), {}, verify=True)
-    assert queue.pending == 0
 
 
 def test_launch_verify_accepts_clean_kernel() -> None:

@@ -7,8 +7,6 @@ import pytest
 
 from repro.errors import KernelError
 from repro.eval import multidevice as multidevice_module
-from repro.runtime import queue as queue_module
-from repro.runtime.queue import BatchItem, QueueBatch, run_batch
 from repro.kernels import all_kernel_names, get_kernel_spec, run_workload
 from repro.kernels.library import pick_workgroup_size
 from repro.riscv.programs import all_riscv_program_names, get_riscv_program_spec
@@ -103,7 +101,6 @@ def test_every_harness_reports_how_many_values_are_wrong(monkeypatch, simulator)
         return workload
 
     bad_spec = dataclasses.replace(spec, workload=corrupted)
-    monkeypatch.setattr(queue_module, "get_kernel_spec", lambda name: bad_spec)
     monkeypatch.setattr(multidevice_module, "get_kernel_spec", lambda name: bad_spec)
     case = get_riscv_program_spec("copy").build_case(SMALL_SIZE, SEED)
     case.expected["dst"] = case.expected["dst"] + 1
@@ -111,8 +108,6 @@ def test_every_harness_reports_how_many_values_are_wrong(monkeypatch, simulator)
         run_workload(simulator, spec.build(), corrupted(SMALL_SIZE, SEED))
     with pytest.raises(KernelError, match=r"program 'copy' produced \d+ wrong values in 'dst'"):
         case.run()
-    with pytest.raises(KernelError, match=r"kernel 'copy' produced 128 wrong values in 'dst'"):
-        run_batch(QueueBatch(items=(BatchItem("copy", SMALL_SIZE, SEED),)))
     with pytest.raises(KernelError, match=r"queue produced \d+ wrong values in 'copy.dst'"):
         multidevice_module.run_multidevice_table((1,), kernels=["copy"], scale=0.05, jobs=1)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.config import GGPUConfig
 from repro.errors import ConfigurationError, PlanningError
+from repro.eval.benchmarks import BenchmarkSizes, measure_gpu_kernel
 from repro.planner.dse import DesignSpaceExplorer
 from repro.planner.estimator import PpaMap
 from repro.planner.flow import GpuPlannerFlow
@@ -200,8 +201,17 @@ def test_explore_workloads_scores_points_against_measured_kernels(tech):
         scale=0.25,
     )
     assert len(points) == 4
+    measured = {
+        (kernel, num_cus): measure_gpu_kernel(
+            kernel, num_cus, BenchmarkSizes.paper(kernel).scaled(0.25).gpu_size
+        ).cycles
+        for kernel in ("saxpy", "transpose")
+        for num_cus in (1, 2)
+    }
     for point in points:
         assert set(point.kernel_cycles) == {"saxpy", "transpose"}
+        for kernel, cycles in point.kernel_cycles.items():
+            assert cycles == measured[(kernel, point.spec.num_cus)]
         assert point.total_runtime_ms > 0
         assert point.runtime_ms("saxpy") > 0
         assert point.runtime_per_area > 0

@@ -1,9 +1,10 @@
-"""Tests for the batched command queue (``repro.runtime.queue``).
+"""Tests for launch reuse on one simulator and the multi-device queues.
 
-The load-bearing invariant: a launch through a long-lived queue is
-bit-identical — results *and* cycle statistics — to the same launch on a
-freshly built simulator, because the queue only amortizes host-side setup
-(simulator construction, program pre-decode), never simulated state.
+The load-bearing invariant for reuse: a launch on a long-lived
+:class:`GGPUSimulator` is bit-identical — results *and* cycle statistics —
+to the same launch on a freshly built one, because reuse only amortizes
+host-side setup (simulator construction, program pre-decode), never
+simulated state.
 """
 
 from __future__ import annotations
@@ -15,19 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.arch.config import GGPUConfig, Topology, TransferConfig
+from repro.arch.config import CacheConfig, GGPUConfig, Topology, TransferConfig
 from repro.arch.kernel import NDRange
 from repro.errors import KernelError
 from repro.kernels import get_kernel_spec, run_workload
+from repro.kernels.library import check_output
 from repro.runtime.faults import DEVICE_TRANSIENT, FaultPlan, FaultSpec
 from repro.runtime.multidevice import Event, LaunchMemo, MultiDeviceQueue, OutOfOrderQueue
-from repro.runtime.queue import (
-    BatchItem,
-    CommandQueue,
-    QueueBatch,
-    run_batch,
-    run_batches,
-)
+from repro.runtime.queue import QueueStats
 from repro.simt.gpu import GGPUSimulator
 
 SEED = 5
@@ -42,16 +38,14 @@ def _fresh_run(name: str, num_cus: int = 1, size: int = SIZE):
 
 @pytest.mark.parametrize("name", ["copy", "saxpy", "dot", "inclusive_scan"])
 def test_queued_launches_match_fresh_simulators_bit_exactly(name):
-    """N repeated queued launches == N independent runs (results and cycles)."""
+    """N launches on one reused simulator == N independent runs (results and cycles)."""
     fresh_result, fresh_outputs = _fresh_run(name)
 
-    queue = CommandQueue(config=GGPUConfig(num_cus=1), memory_bytes=8 * 1024 * 1024)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=8 * 1024 * 1024)
     spec = get_kernel_spec(name)
     kernel = spec.build()
     for _ in range(3):
-        result, outputs = run_workload(
-            queue.simulator, kernel, spec.workload(SIZE, SEED), check=False
-        )
+        result, outputs = run_workload(simulator, kernel, spec.workload(SIZE, SEED), check=False)
         assert result.cycles == fresh_result.cycles
         assert result.stats.instructions_issued == fresh_result.stats.instructions_issued
         assert result.stats.cache.accesses == fresh_result.stats.cache.accesses
@@ -60,109 +54,75 @@ def test_queued_launches_match_fresh_simulators_bit_exactly(name):
             assert np.array_equal(outputs[buffer], values)
 
 
+@pytest.mark.parametrize("line_bytes", [64, 128, 256])
+def test_earlier_allocations_do_not_move_a_launchs_cycles(line_bytes):
+    """A launch after a 16-word buffer == the same launch on a fresh simulator.
+
+    Buffers start on a cache line at every line size, so the earlier buffer
+    shifts the launch's buffers by whole lines and the cold cache sees the
+    same pattern of hits and misses.
+    """
+    config = GGPUConfig(num_cus=1, cache=CacheConfig(line_bytes=line_bytes))
+    for name in ("copy", "saxpy", "xcorr"):
+        spec = get_kernel_spec(name)
+        outcomes = []
+        for earlier_words in (0, 16):
+            simulator = GGPUSimulator(config, memory_bytes=8 * 1024 * 1024)
+            if earlier_words:
+                simulator.allocate_buffer(earlier_words)
+            result, _ = run_workload(simulator, spec.build(), spec.workload(256, SEED))
+            outcomes.append((result.cycles, result.stats.cache))
+        assert outcomes[1] == outcomes[0], name
+
+
 def test_queue_reuses_the_predecoded_program():
-    queue = CommandQueue(config=GGPUConfig(num_cus=1), memory_bytes=8 * 1024 * 1024)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=8 * 1024 * 1024)
     spec = get_kernel_spec("saxpy")
     kernel = spec.build()
     launches = 6
     for _ in range(launches):
-        run_workload(queue.simulator, kernel, spec.workload(SIZE, SEED))
-    assert queue.simulator.decode_cache_misses == 1
-    assert queue.simulator.decode_cache_hits == launches - 1
+        run_workload(simulator, kernel, spec.workload(SIZE, SEED))
+    assert simulator.decode_cache_misses == 1
+    assert simulator.decode_cache_hits == launches - 1
     # A different kernel object decodes once more, then hits again.
     other = spec.build()
-    run_workload(queue.simulator, other, spec.workload(SIZE, SEED))
-    run_workload(queue.simulator, other, spec.workload(SIZE, SEED))
-    assert queue.simulator.decode_cache_misses == 2
-    assert queue.simulator.decode_cache_hits == launches
+    run_workload(simulator, other, spec.workload(SIZE, SEED))
+    run_workload(simulator, other, spec.workload(SIZE, SEED))
+    assert simulator.decode_cache_misses == 2
+    assert simulator.decode_cache_hits == launches
 
 
-def test_enqueue_flush_preserves_order_and_results():
-    queue = CommandQueue(config=GGPUConfig(num_cus=2), memory_bytes=8 * 1024 * 1024)
-    copy_spec = get_kernel_spec("copy")
-    kernel = copy_spec.build()
-    payloads = [np.arange(64) + 100 * i for i in range(4)]
-    destinations = []
-    for index, payload in enumerate(payloads):
-        src = queue.create_buffer(payload)
-        dst = queue.allocate_buffer(64)
-        destinations.append(dst)
-        sequence = queue.enqueue(
-            kernel, NDRange(64, 64), {"src": src, "dst": dst, "n": 64}
-        )
-        assert sequence == index
-    assert queue.pending == 4
-    results = queue.flush()
-    assert queue.pending == 0
-    assert [r.kernel_name for r in results] == ["copy"] * 4
-    for dst, payload in zip(destinations, payloads, strict=True):
-        assert np.array_equal(queue.read_buffer(dst, 64).astype(np.int64), payload)
-    assert queue.stats.launches == 4
-    assert queue.stats.cycles_by_kernel["copy"] == pytest.approx(queue.stats.total_cycles)
-
-
-def test_read_buffer_finishes_pending_work():
-    queue = CommandQueue(config=GGPUConfig(num_cus=1), memory_bytes=8 * 1024 * 1024)
-    kernel = get_kernel_spec("copy").build()
-    src = queue.create_buffer(np.arange(64))
-    dst = queue.allocate_buffer(64)
-    queue.enqueue(kernel, NDRange(64, 64), {"src": src, "dst": dst, "n": 64})
-    # No explicit flush: the read must drain the queue first.
-    assert np.array_equal(queue.read_buffer(dst, 64).astype(np.int64), np.arange(64))
-    assert queue.pending == 0
-
-
-def test_queue_rejects_simulator_and_config_together():
-    simulator = GGPUSimulator(GGPUConfig(num_cus=1), memory_bytes=1 << 20)
-    with pytest.raises(KernelError):
-        CommandQueue(simulator=simulator, config=GGPUConfig(num_cus=1))
-
-
-def test_run_batches_is_deterministic_across_job_counts():
-    batches = [
-        QueueBatch(
-            items=(
-                BatchItem("saxpy", 128, SEED),
-                BatchItem("dot", 128, SEED, repeats=2),
-                BatchItem("transpose", 128, SEED),
-            ),
-            num_cus=num_cus,
-            memory_bytes=8 * 1024 * 1024,
-        )
-        for num_cus in (1, 2)
-    ]
-    serial = run_batches(batches, jobs=1)
-    fanned = run_batches(batches, jobs=2)
-    assert [r.cycles for r in serial] == [r.cycles for r in fanned]
-    assert [r.kernels for r in serial] == [r.kernels for r in fanned]
-    assert serial[0].kernels == ["saxpy", "dot", "dot", "transpose"]
-    assert serial[0].total_cycles == pytest.approx(sum(serial[0].cycles))
-
-
-def test_batch_validation():
-    with pytest.raises(KernelError):
-        QueueBatch(items=())
-    with pytest.raises(KernelError):
-        BatchItem("saxpy", 128, repeats=0)
-
-
-def test_finish_on_empty_queue_is_a_cheap_noop():
-    """Regression: finishing (or flushing) an empty queue does nothing."""
-    queue = CommandQueue(config=GGPUConfig(num_cus=1), memory_bytes=1 << 20)
-    assert queue.flush() == []
-    assert queue.finish() == []
-    assert queue.pending == 0
-    assert queue.stats.launches == 0
-    # The simulator was never touched: no launch, no decode.
-    assert queue.simulator.decode_cache_misses == 0
-    assert queue.simulator.decode_cache_hits == 0
+def test_batch_cycles_match_independent_measurements():
+    """A batch of launches drained once through one queue == per-kernel
+    measurements on fresh simulators: each launch's cycles, and its outputs."""
+    queue = MultiDeviceQueue(config=GGPUConfig(num_cus=2), memory_bytes=8 * 1024 * 1024)
+    checks = []
+    kernels = ("copy", "reduce_sum")
+    for name in kernels:
+        spec = get_kernel_spec(name)
+        workload = spec.workload(256, SEED)
+        args = dict(workload.scalars)
+        buffers = {}
+        for buffer_name, contents in workload.buffers.items():
+            buffers[buffer_name] = queue.create_buffer(
+                np.asarray(contents, dtype=np.int64) & 0xFFFFFFFF
+            )
+            args[buffer_name] = buffers[buffer_name]
+        queue.enqueue(spec.build(), workload.ndrange, args, label=name)
+        for buffer_name, expected in workload.expected.items():
+            checks.append((name, buffer_name, buffers[buffer_name], expected))
+    results = queue.finish()
+    assert len(results) == len(kernels)
+    for name, result in zip(kernels, results, strict=True):
+        fresh, _ = _fresh_run(name, num_cus=2, size=256)
+        assert result.cycles == fresh.cycles
+    for name, buffer_name, buffer, expected in checks:
+        check_output(f"queued kernel {name!r}", buffer_name, queue.enqueue_read(buffer), expected)
 
 
 def test_zero_launch_queue_stats_have_no_division_by_zero():
     """Regression: every derived QueueStats metric is defined at zero launches."""
-    queue = CommandQueue(config=GGPUConfig(num_cus=1), memory_bytes=1 << 20)
-    queue.finish()
-    stats = queue.stats
+    stats = QueueStats()
     assert stats.average_cycles_per_launch == 0.0
     assert stats.transfer_fraction == 0.0
     assert stats.utilization == 0.0
@@ -331,19 +291,6 @@ def test_independent_chains_overlap_and_match_in_order_bit_exactly():
         for earlier, later in zip(chain, chain[1:], strict=False):
             assert later.start_cycle >= earlier.end_cycle
     assert ooo.stats.makespan < in_order.stats.makespan
-
-
-def test_batch_cycles_match_independent_measurements():
-    """A batch's cycles equal the per-kernel measurements done the slow way."""
-    batch = QueueBatch(
-        items=(BatchItem("copy", 256, SEED), BatchItem("reduce_sum", 256, SEED)),
-        num_cus=2,
-        memory_bytes=8 * 1024 * 1024,
-    )
-    result = run_batch(batch)
-    for kernel, cycles in zip(result.kernels, result.cycles, strict=True):
-        fresh, _ = _fresh_run(kernel, num_cus=2, size=256)
-        assert cycles == fresh.cycles
 
 
 # --------------------------------------------------------------------------- #

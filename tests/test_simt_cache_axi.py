@@ -44,8 +44,10 @@ def test_clean_eviction_has_no_write_back(cache):
 
 
 def test_wavefront_access_updates_stats(cache):
-    accesses = cache.access_wavefront([4 * lane for lane in range(64)], is_write=False)
-    assert len(accesses) == 4  # 64 words of 4 bytes = 4 lines of 64 bytes
+    lines = cache.coalesce_lines([4 * lane for lane in range(64)])
+    assert len(lines) == 4  # 64 words of 4 bytes = 4 lines of 64 bytes
+    hits, write_backs, misses = cache.access_sorted_lines(lines, is_write=False)
+    assert hits == [False] * 4 and write_backs == [False] * 4 and misses == 4
     assert cache.stats.read_accesses == 4
 
 
