@@ -1,19 +1,21 @@
 """Benchmark the RISC-V ISS itself: simulation throughput, not kernel cycles.
 
-The default ISS path translates each basic block into a Python function the
-first time it runs (:mod:`repro.riscv.decode`); the seed path re-derives the
-opcode class, the cycle cost and a mnemonic dict update per executed
-instruction.  This benchmark runs all 16 RISC-V programs (at
+The default ISS path translates each loop nest, and each block outside
+every nest, into one Python function the first time a run enters it
+(:mod:`repro.riscv.decode`); the seed path re-derives the opcode class, the
+cycle cost and a mnemonic dict update per executed instruction.  This benchmark runs all 16 RISC-V programs (at
 ``REPRO_BENCH_SCALE`` input sizes) on both paths, checks that they agree on
 instructions and cycles, and prints the per-program wall times next to the
 speedup.
 
 On a 2-vCPU container at the default scale (553,015 instructions) the
-translated path, translation included, runs 5.9-6.3M instructions/s against
-the seed interpreter's 142-169k (37-41x); the per-instruction closures it
-replaced ran 1.28M (8.9x).  The floors asserted here sit far below that, so
-only gross regressions (e.g. re-introducing per-instruction decode) should
-trip them.
+translated path, translation included, runs 6.2-7.7M instructions/s against
+the seed interpreter's 130-190k (41-47x over three runs).  Translating one
+basic block at a time ran 4.9-6.8M (37-39x) in the same runs, and the
+per-instruction closures before that 1.28M (8.9x).  Programs that run a few
+thousand instructions are mostly translation and gain nothing from loop
+regions.  The floors asserted here sit far below that, so only gross
+regressions (e.g. re-introducing per-instruction decode) should trip them.
 """
 
 from __future__ import annotations

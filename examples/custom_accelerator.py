@@ -4,10 +4,16 @@ A designer has ~10 mm^2 and ~5 W available for an accelerator and wants the
 fastest G-GPU that fits.  This example uses the first-order map to shortlist
 configurations, runs the full flow for the best candidate, checks the PPA
 against the budget, and writes the tapeout-ready layout description to JSON
-(the reproduction's stand-in for the GDSII hand-off).
+(the reproduction's stand-in for the GDSII hand-off) as ``ggpu_layout.json``
+in the output directory: the first argument, or a fresh temporary directory
+whose path it prints.
 
-Run with:  python examples/custom_accelerator.py
+Run with:  python examples/custom_accelerator.py [OUTPUT_DIR]
 """
+
+import os
+import sys
+import tempfile
 
 from repro import GGPUSpec, GpuPlannerFlow, default_65nm
 from repro.planner.estimator import PpaMap
@@ -17,7 +23,7 @@ AREA_BUDGET_MM2 = 10.0
 POWER_BUDGET_W = 5.0
 
 
-def main() -> None:
+def main(output_dir: str) -> None:
     tech = default_65nm()
     ppa_map = PpaMap(tech)
 
@@ -49,11 +55,12 @@ def main() -> None:
     result = flow.run(best)
     print(result.summary())
 
-    output = "ggpu_layout.json"
+    os.makedirs(output_dir, exist_ok=True)
+    output = os.path.join(output_dir, "ggpu_layout.json")
     result.layout.write_json(output)
     print(f"\nTapeout-ready layout description written to {output}")
     print(result.layout.ascii_floorplan(columns=60, rows=18))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="ggpu_layout_"))

@@ -5,14 +5,18 @@ The paper motivates G-GPU with energy efficiency but only reports speed-up
 synthesized power numbers with measured cycle counts into the missing figure:
 energy per benchmark run and the energy-efficiency gain over the RISC-V
 baseline, at equal work.  It finishes by writing every table/figure it
-computed as CSV/Markdown into ``./ggpu_reports/``.
+computed as CSV/Markdown into the output directory: the first argument, or a
+fresh temporary directory whose path it prints.
 
 The benchmark inputs are scaled down (factor 0.25) so the example runs in
 about a minute; measure with ``repro.eval.benchmarks.run_table3(scale=1.0)``
 for the full experiment.
 
-Run with:  python examples/energy_efficiency.py
+Run with:  python examples/energy_efficiency.py [OUTPUT_DIR]
 """
+
+import sys
+import tempfile
 
 from repro.eval.benchmarks import run_table3
 from repro.eval.comparison import compute_area_ratios, compute_speedups, derate_by_area
@@ -25,7 +29,7 @@ SCALE = 0.25
 CU_COUNTS = (1, 2, 4)
 
 
-def main() -> None:
+def main(output_dir: str) -> None:
     tech = default_65nm()
 
     print(f"measuring the seven benchmarks at scale {SCALE} for {CU_COUNTS} CUs ...")
@@ -51,16 +55,16 @@ def main() -> None:
     )
 
     written = write_report_bundle(
-        "ggpu_reports",
+        output_dir,
         table3=table3,
         figure5=speedups,
         figure6=derated,
         energy=energy,
     )
-    print(f"\nwrote {len(written)} report files to ./ggpu_reports/")
+    print(f"\nwrote {len(written)} report files to {output_dir}")
     for name in sorted(written):
         print(f"  {name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="ggpu_reports_"))

@@ -11,19 +11,22 @@ receive:
   (Fig. 3-style), and
 * the JSON layout description (the GDSII stand-in).
 
-Everything is written to ``./ggpu_ip_<label>/``.
+Everything is written to ``ggpu_ip_<label>/`` in the output directory: the
+first argument, or a fresh temporary directory whose path it prints.
 
-Run with:  python examples/export_tapeout_artifacts.py
+Run with:  python examples/export_tapeout_artifacts.py [OUTPUT_DIR]
 """
 
 import os
+import sys
+import tempfile
 
 from repro import GGPUSpec, GpuPlannerFlow, default_65nm
 from repro.physical.export import export_layout_bundle
 from repro.rtl.verilog import emit_verilog, verilog_statistics
 
 
-def main() -> None:
+def main(output_dir: str) -> None:
     tech = default_65nm()
     spec = GGPUSpec(num_cus=1, target_frequency_mhz=667.0)
     flow = GpuPlannerFlow(tech)
@@ -32,8 +35,9 @@ def main() -> None:
     result = flow.run(spec)
     print(result.summary())
 
-    directory = f"ggpu_ip_{spec.label}"
+    directory = os.path.join(output_dir, f"ggpu_ip_{spec.label}")
     os.makedirs(directory, exist_ok=True)
+    print(f"\nwriting the IP into {directory}")
 
     # RTL hand-off: the optimized structural netlist as Verilog.
     design = emit_verilog(result.netlist, tech)
@@ -62,4 +66,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="ggpu_ip_"))

@@ -11,7 +11,6 @@ multi-cycle serial divider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
@@ -97,9 +96,10 @@ class RiscvCpu:
     Two execution paths produce bit-identical results, cycle counts, and
     statistics:
 
-    * the *pre-decoded* path (default): each basic block is translated into
-      a Python function the first time it runs (:mod:`repro.riscv.decode`),
-      and the run loop does one lookup and one call per block,
+    * the *pre-decoded* path (default): each loop nest, and each block
+      outside every nest, is translated into one Python function the first
+      time a run enters it (:mod:`repro.riscv.decode`), and the run loop
+      does one lookup and one call each time the run enters a region,
     * the *interpreted* path (``predecode = False``): the seed interpreter,
       which re-derives the opcode class and cycle cost per executed
       instruction.  It is kept as the reference for the equivalence tests,
@@ -163,7 +163,7 @@ class RiscvCpu:
         entry_pc: int,
         decoded: Optional[RvDecodedProgram],
     ) -> CpuStats:
-        """Run loop over the translated blocks of :mod:`repro.riscv.decode`."""
+        """Run loop over the translated regions of :mod:`repro.riscv.decode`."""
         if decoded is None:
             decoded = predecode_riscv_program(program, self.cycle_model)
         elif decoded.instructions != program.instructions or (
@@ -173,7 +173,7 @@ class RiscvCpu:
                 f"decoded program {decoded.name!r} was decoded from other instructions "
                 "or for another cycle model"
             )
-        # Blocks assume masked register values (they skip the seed
+        # Regions assume masked register values (they skip the seed
         # interpreter's per-read ``& WORD_MASK``); normalize any externally
         # poked state once.
         regs = self.registers
@@ -190,8 +190,8 @@ class RiscvCpu:
         try:
             while True:
                 # One checked step, in the seed interpreter's order: the
-                # instruction limit, then the PC, then a block that the limit
-                # would cut.
+                # instruction limit, then the PC, then a region whose passes
+                # the limit would cut.
                 room = limit - decoded.retired(counts)
                 if room <= 0:
                     raise SimulationError("RISC-V simulation exceeded the instruction limit")
@@ -202,27 +202,26 @@ class RiscvCpu:
                         raise SimulationError(
                             f"misaligned PC {pc:#x}: instruction addresses must be 4-byte aligned"
                         )
-                length = decoded.block_length(pc)
-                if length > room:
+                region, span = decoded.translate(pc)
+                if span <= room:
+                    # As many passes as cannot reach the limit, until the run
+                    # leaves the region: an EBREAK's complement, a PC outside
+                    # it or one that is not one of its entries.
+                    pc = region(regs, words, counts, size, pc, room // span)
+                elif decoded.block_length(pc) <= room:
+                    # A pass could cross the limit: one block at a time.
+                    pc = decoded.step(pc)(regs, words, counts, size, pc, 1)
+                else:
                     partial = room
-                    decoded.compile_block(pc, room, counted=False)(regs, words, counts, size)
+                    decoded.compile_region((pc,), room)(regs, words, counts, size, pc, 1)
                     pc += 4 * room
                     raise SimulationError("RISC-V simulation exceeded the instruction limit")
-                pc = decoded.translate(pc)(regs, words, counts, size)
-                # Then whole blocks that cannot reach the limit, one lookup and
-                # one call each, until a PC without a translated block: the
-                # complement an EBREAK returns, a new block or a bad PC.
-                try:
-                    for _ in repeat(None, (room - length) // decoded.longest_block):
-                        pc = blocks[pc](regs, words, counts, size)
-                except KeyError:
-                    pass
                 if pc < 0:
                     pc = ~pc
                     self.halted = True
                     break
         except BlockFault as fault:
-            partial, fault_address = fault.args
+            pc, partial, fault_address = fault.args
             pc += 4 * partial
         finally:
             # Fold the counts into statistics exactly once, also on errors, so

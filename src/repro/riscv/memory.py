@@ -25,7 +25,7 @@ class RvMemory:
         if size_bytes <= 0 or size_bytes % WORD_BYTES:
             raise SimulationError(f"memory size must be a positive multiple of 4, got {size_bytes}")
         self.size_bytes = size_bytes
-        # A list of unsigned 32-bit values, which the ISS's translated blocks
+        # A list of unsigned 32-bit values, which the ISS's translated regions
         # index directly.
         self._words = [0] * (size_bytes // WORD_BYTES)
         self._next_alloc = WORD_BYTES

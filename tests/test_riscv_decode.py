@@ -8,8 +8,11 @@ the fault.  The first property test drives randomized RV32IM programs (random
 ALU soup, memory traffic, branches and jumps with arbitrary targets,
 randomized cycle models); the second adds what stops a translated block
 part-way: loads and stores at any address, JALRs to arbitrary targets, random
-entry PCs and small instruction limits.  The golden test pins the kcycle
-counts of the benchmark programs on both paths.
+entry PCs and small instruction limits.  The third draws structured loop
+nests, which the decoded path runs as one region each: counted loops nested
+up to two deep around if/else diamonds, ALU soup, loads and stores that
+fault in a later iteration, and JALRs into the middle of a loop block.  The
+golden test pins the kcycle counts of the benchmark programs on both paths.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import repro.riscv.programs  # noqa: F401  (registers the benchmark programs)
 from repro.errors import SimulationError
-from repro.riscv.assembler import RvAssembler, RvProgram, T0, T1, ZERO
+from repro.riscv.assembler import RvAssembler, RvProgram, T0, T1, T2, ZERO
 from repro.riscv.cpu import CpuCycleModel, RiscvCpu
 from repro.riscv.decode import predecode_riscv_program
 from repro.riscv.isa import RvFormat, RvInstruction, RvOpcode
@@ -230,6 +233,195 @@ def test_decoded_path_matches_seed_interpreter_at_every_exit(
         decoded_cpu.memory.read_buffer(0, MEMORY_WORDS),
         seed_cpu.memory.read_buffer(0, MEMORY_WORDS),
     )
+
+
+# --------------------------------------------------------------------------- #
+# Loop regions: structured loop nests against the seed interpreter
+# --------------------------------------------------------------------------- #
+FLAG, ADDRESS = 9, T2  # the loop test's flag and a counter-scaled address
+BODY_REGS = (10, 11, 12, 13, 14, 15, 28, 29)
+SOURCE = st.sampled_from((ZERO, T0, T1) + BODY_REGS)
+DEST = st.sampled_from(BODY_REGS)
+
+
+def _piece(draw, asm: RvAssembler) -> None:
+    """One straight-line piece of a loop body, or a JALR anywhere."""
+    choice = draw(st.integers(min_value=0, max_value=11))
+    if choice <= 3:
+        asm.emit(draw(st.sampled_from(_R_OPS)), rd=draw(DEST), rs1=draw(SOURCE), rs2=draw(SOURCE))
+    elif choice <= 5:
+        opcode = draw(st.sampled_from(_I_ALU_OPS + _SHIFT_OPS))
+        imm = draw(SHAMT if opcode in _SHIFT_OPS else IMM12)
+        asm.emit(opcode, rd=draw(DEST), rs1=draw(SOURCE), imm=imm)
+    elif choice == 6:
+        asm.emit(RvOpcode.LW, rd=draw(DEST), rs1=ZERO, imm=draw(MEM_OFFSET))
+    elif choice == 7:
+        asm.emit(RvOpcode.SW, rs1=ZERO, rs2=draw(SOURCE), imm=draw(MEM_OFFSET))
+    elif choice <= 10:
+        # An address that grows with a loop counter: in the memory in early
+        # iterations, past its end (or unaligned) in a later one.
+        counter = draw(st.sampled_from((T0, T1)))
+        asm.emit(RvOpcode.SLLI, rd=ADDRESS, rs1=counter, imm=draw(st.integers(2, 10)))
+        offset = draw(st.sampled_from((0, 4, 8, 1024, 1028, 2)))
+        if draw(st.booleans()):
+            asm.emit(RvOpcode.LW, rd=draw(DEST), rs1=ADDRESS, imm=offset)
+        else:
+            asm.emit(RvOpcode.SW, rs1=ADDRESS, rs2=draw(SOURCE), imm=offset)
+    else:
+        # Any PC of the program or past its end: a loop block's middle, a
+        # loop head, the prologue.
+        rd = draw(st.sampled_from((ZERO,) + BODY_REGS))
+        asm.emit(RvOpcode.JALR, rd=rd, rs1=ZERO, imm=4 * draw(st.integers(0, 40)))
+
+
+def _body(draw, asm: RvAssembler, depth: int = 0) -> None:
+    """ALU soup, memory accesses and if/else diamonds nested up to two deep."""
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if depth < 2 and draw(st.integers(min_value=0, max_value=3)) == 0:
+            other, end = asm.unique_label("else"), asm.unique_label("end")
+            opcode = draw(st.sampled_from(_BRANCH_OPS))
+            asm.emit(opcode, rs1=draw(SOURCE), rs2=draw(SOURCE), label=other)
+            _body(draw, asm, depth + 1)
+            asm.j(end)
+            asm.label(other)
+            _body(draw, asm, depth + 1)
+            asm.label(end)
+        else:
+            _piece(draw, asm)
+
+
+def _counted_loop(draw, asm: RvAssembler, counter: int, nested: bool) -> None:
+    """``for counter in range(trips)``, tested at the top with a backward JAL
+    (as the CL code generator emits) or at the bottom with a backward branch."""
+    trips = draw(st.integers(min_value=1, max_value=5))
+    asm.emit(RvOpcode.ADDI, rd=counter, rs1=ZERO, imm=0)
+    head = asm.label()
+    top_tested = draw(st.booleans())
+    if top_tested:
+        done = asm.unique_label("done")
+        asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=counter, imm=trips)
+        asm.emit(RvOpcode.BEQ, rs1=FLAG, rs2=ZERO, label=done)
+    _body(draw, asm)
+    if nested:
+        _counted_loop(draw, asm, T1, nested=False)
+        _body(draw, asm)
+    asm.emit(RvOpcode.ADDI, rd=counter, rs1=counter, imm=1)
+    if top_tested:
+        asm.j(head)
+        asm.label(done)
+    else:
+        asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=counter, imm=trips)
+        asm.emit(RvOpcode.BNE, rs1=FLAG, rs2=ZERO, label=head)
+
+
+@st.composite
+def _loop_program(draw) -> RvProgram:
+    asm = RvAssembler("loops")
+    _body(draw, asm)
+    _counted_loop(draw, asm, T0, nested=draw(st.booleans()))
+    _body(draw, asm)
+    asm.halt()
+    return asm.assemble()
+
+
+def _inner_loop_limit_program() -> RvProgram:
+    """Three outer iterations of four inner ones, bottom-tested."""
+    asm = RvAssembler("inner-limit")
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=ZERO, imm=0)
+    asm.label("outer")
+    asm.emit(RvOpcode.ADDI, rd=T1, rs1=ZERO, imm=0)
+    asm.label("inner")
+    asm.emit(RvOpcode.ADD, rd=10, rs1=10, rs2=T1)
+    asm.emit(RvOpcode.ADDI, rd=T1, rs1=T1, imm=1)
+    asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=T1, imm=4)
+    asm.emit(RvOpcode.BNE, rs1=FLAG, rs2=ZERO, label="inner")
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=T0, imm=1)
+    asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=T0, imm=3)
+    asm.emit(RvOpcode.BNE, rs1=FLAG, rs2=ZERO, label="outer")
+    asm.halt()
+    return asm.assemble()
+
+
+def _late_store_fault_program() -> RvProgram:
+    """A store to ``counter << 9``, which leaves the memory in iteration five."""
+    asm = RvAssembler("late-fault")
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=ZERO, imm=0)
+    asm.label("loop")
+    asm.emit(RvOpcode.ADDI, rd=10, rs1=10, imm=7)
+    asm.emit(RvOpcode.SLLI, rd=ADDRESS, rs1=T0, imm=9)
+    asm.emit(RvOpcode.SW, rs1=ADDRESS, rs2=10, imm=0)
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=T0, imm=1)
+    asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=T0, imm=6)
+    asm.emit(RvOpcode.BNE, rs1=FLAG, rs2=ZERO, label="loop")
+    asm.halt()
+    return asm.assemble()
+
+
+def _jalr_into_loop_program() -> RvProgram:
+    """A JALR to the third instruction of a loop's only block."""
+    asm = RvAssembler("jalr-into-loop")
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=ZERO, imm=0)
+    asm.emit(RvOpcode.JALR, rd=13, rs1=ZERO, imm=16)
+    asm.label("loop")
+    asm.emit(RvOpcode.ADDI, rd=10, rs1=10, imm=3)
+    asm.emit(RvOpcode.ADDI, rd=11, rs1=11, imm=5)
+    asm.emit(RvOpcode.ADD, rd=12, rs1=10, rs2=11)  # PC 16
+    asm.emit(RvOpcode.ADDI, rd=T0, rs1=T0, imm=1)
+    asm.emit(RvOpcode.SLTI, rd=FLAG, rs1=T0, imm=3)
+    asm.emit(RvOpcode.BNE, rs1=FLAG, rs2=ZERO, label="loop")
+    asm.halt()
+    return asm.assemble()
+
+
+@given(
+    program=_loop_program(),
+    init=st.lists(WORD, max_size=64),
+    model=_cycle_model(),
+    entry=st.one_of(st.just(0), st.integers(min_value=0, max_value=63)),
+    max_instructions=st.integers(min_value=1, max_value=400),
+)
+# The limit fires in the third inner iteration of the second outer one:
+# after whole region passes, single-block steps, then a truncated block.
+@example(_inner_loop_limit_program(), [], CpuCycleModel(), 0, 32)
+# The store faults in iteration five, inside the region, after four
+# iterations changed registers that the region holds in locals.
+@example(_late_store_fault_program(), [], CpuCycleModel(), 0, 400)
+# The JALR lands on a PC of the loop that is not one of its entries.
+@example(_jalr_into_loop_program(), [], CpuCycleModel(), 0, 400)
+@settings(max_examples=250, deadline=None)
+def test_loop_regions_match_seed_interpreter(program, init, model, entry, max_instructions):
+    """Loop nests run as regions; every exit matches the seed interpreter."""
+    entry_pc = 4 * (entry % (len(program) + 1))
+    runs = [
+        _run_path(program, init, predecode, model, entry_pc, max_instructions)
+        for predecode in (True, False)
+    ]
+    (decoded_cpu, decoded_error), (seed_cpu, seed_error) = runs
+    event(re.sub(r"-?0x[0-9a-f]+", "X", seed_error or "halted"))
+
+    assert decoded_error == seed_error
+    assert decoded_cpu.stats == seed_cpu.stats
+    assert (decoded_cpu.pc, decoded_cpu.halted) == (seed_cpu.pc, seed_cpu.halted)
+    assert [decoded_cpu.read_reg(i) for i in range(32)] == [
+        seed_cpu.read_reg(i) for i in range(32)
+    ]
+    assert np.array_equal(
+        decoded_cpu.memory.read_buffer(0, MEMORY_WORDS),
+        seed_cpu.memory.read_buffer(0, MEMORY_WORDS),
+    )
+
+
+def test_loop_nests_are_one_region():
+    """Every entry of a nest shares one function; other PCs get their own."""
+    program = _inner_loop_limit_program()
+    decoded = predecode_riscv_program(program, CpuCycleModel())
+    cpu = RiscvCpu(RvMemory(MEMORY_BYTES))
+    cpu.run(program, decoded=decoded)
+    nest = decoded.blocks[4]
+    # The nest spans PCs 4..32: both loop heads and the inner loop's exit.
+    assert {pc for pc, region in decoded.blocks.items() if region is nest} == {4, 8, 24}
+    assert nest[1] == 8
+    assert decoded.blocks[0] is not nest and decoded.blocks[0][1] == decoded.block_length(0)
 
 
 # --------------------------------------------------------------------------- #
