@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.arch.config import AxiConfig, CacheConfig
 from repro.errors import SimulationError
@@ -98,40 +98,30 @@ class GlobalMemoryController:
         self,
         access_time: float,
         ports: int,
-        hit_list: List[bool],
-        wb_list: List[bool],
+        misses: List[int],
         completion: float,
-    ) -> Tuple[float, int]:
+    ) -> float:
         """Claim port time for every missing line of one coalesced access.
 
-        ``hit_list``/``wb_list`` are the per-line outcomes of the cache probe
-        in position order; line ``k`` starts at ``access_time + k // ports``
-        (the cache serves ``ports`` lines per cycle).  Equivalent to calling
-        :meth:`write_back` (for dirty victims) and :meth:`line_fill` per
-        missing line, but in one call with the port state held in locals --
-        the per-miss call overhead dominated the memory path of
-        scatter-heavy kernels.  Returns the latest fill completion (starting
-        from ``completion``) and the position of the last hit (-1 if none).
+        ``misses`` are the cache probe's missing lines in position order,
+        each ``position << 1 | write_back``; line ``k`` of the access starts
+        at ``access_time + k // ports`` (the cache serves ``ports`` lines per
+        cycle).  Equivalent to calling :meth:`write_back` (for dirty victims)
+        and :meth:`line_fill` per missing line, but in one call with the
+        port state held in locals -- the per-miss call overhead dominated
+        the memory path of scatter-heavy kernels.  Returns the latest fill
+        completion, starting from ``completion``.
         """
         free = self._port_free
         replace = heapq.heapreplace
         transfer = self._transfer_cycles
         fill_latency = self._fill_latency
-        fills = 0
         write_backs = 0
-        last_hit = -1
-        # Track the current ports-wide wave incrementally instead of paying
-        # an integer division per line position.
-        wave_start = access_time
-        next_wave_position = ports
-        for position, hit in enumerate(hit_list):
-            if position == next_wave_position:
-                wave_start += 1
-                next_wave_position += ports
-            if hit:
-                last_hit = position
-                continue
-            if wb_list[position]:
+        # (miss >> 1) // ports, the miss's wave, in one floor division.
+        wave_span = 2 * ports
+        for miss in misses:
+            wave_start = access_time + miss // wave_span
+            if miss & 1:
                 earliest = free[0]
                 start = wave_start if wave_start > earliest else earliest
                 replace(free, start + transfer)
@@ -139,14 +129,14 @@ class GlobalMemoryController:
             earliest = free[0]
             start = wave_start if wave_start > earliest else earliest
             replace(free, start + transfer)
-            fills += 1
             fill_done = start + fill_latency
             if fill_done > completion:
                 completion = fill_done
+        fills = len(misses)
         self.stats.line_fills += fills
         self.stats.write_backs += write_backs
         self.stats.busy_cycles += (fills + write_backs) * transfer
-        return completion, last_hit
+        return completion
 
     def write_back_burst(self, now: float, count: int) -> float:
         """Issue ``count`` posted write-backs starting at ``now``.

@@ -10,11 +10,14 @@ written back, and the :class:`~repro.simt.axi.GlobalMemoryController` turns
 misses and write-backs into AXI traffic and latency.
 
 The tag and dirty state is held in Python lists, and every probe is one
-in-order loop over a list of line addresses
+in-order loop over the ascending line addresses of an access
 (:meth:`DataCache.access_sorted_lines`): a coalesced wavefront access touches
 1 to ``wavefront_size`` lines, too few for numpy's per-call overhead to pay
 off, and probing in order is exactly the sequential semantics even when two
-lines of one access alias one direct-mapped set.
+lines of one access alias one direct-mapped set.  The probe reports only the
+misses, which is all the AXI port walk needs, and the last hit.  The lines of
+an :class:`~repro.simt.registers.Affine` address ramp are plain arithmetic
+(:meth:`DataCache.coalesce_lines`).
 
 The cache serves at most ``CacheConfig.ports`` distinct lines per cycle: the
 compute unit's timing model serializes wider accesses into one
@@ -24,12 +27,13 @@ compute unit's timing model serializes wider accesses into one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.arch.config import CacheConfig
 from repro.errors import SimulationError
+from repro.simt.registers import Affine
 
 
 @dataclass
@@ -106,13 +110,22 @@ class DataCache:
         """Address of the cache line containing ``byte_address``."""
         return byte_address & self._line_floor_mask
 
-    def coalesce_lines(self, byte_addresses: Sequence[int]) -> List[int]:
+    def coalesce_lines(
+        self, byte_addresses: Union[Affine, Sequence[int]]
+    ) -> Union[List[int], range]:
         """Distinct line addresses touched by a wavefront access, ascending.
 
-        Wavefront address patterns are overwhelmingly monotonic (affine in
-        the lane id), so the line addresses arrive already sorted and one
-        pass drops the repeats; scattered patterns fall back to a sort.
+        A ramp that does not wrap past 2**32 is answered by arithmetic, as a
+        ``range`` when its lines are evenly spaced.  Other wavefront address
+        patterns are overwhelmingly monotonic too, so the line addresses
+        arrive already sorted and one pass drops the repeats; scattered
+        patterns fall back to a sort.
         """
+        if type(byte_addresses) is Affine:
+            lines = self._ramp_lines(byte_addresses)
+            if lines is not None:
+                return lines
+            byte_addresses = byte_addresses.vector()
         lines = (np.asarray(byte_addresses, dtype=np.int64) & self._line_floor_mask).tolist()
         if not lines:
             return lines
@@ -126,6 +139,25 @@ class DataCache:
                 previous = line
         return distinct
 
+    def _ramp_lines(self, addresses: Affine) -> Union[List[int], range, None]:
+        """The ascending distinct lines of a ramp that does not wrap past
+        2**32; ``None`` for one that does."""
+        span = addresses.span()
+        if span is None:
+            return None
+        low, high = span
+        step = abs(addresses.stride)
+        floor = self._line_floor_mask
+        line_bytes = self._line_bytes
+        if step < line_bytes:
+            # Neighbouring lanes are less than a line apart: every line from
+            # the lowest lane's to the highest lane's is touched.
+            return range(low & floor, (high & floor) + line_bytes, line_bytes)
+        # Every lane is on a line of its own, in address order.
+        if step & (line_bytes - 1) == 0:
+            return range(low & floor, (high & floor) + step, step)
+        return [(low + step * lane) & floor for lane in range(addresses.lanes)]
+
     # ------------------------------------------------------------------ #
     # Accesses
     # ------------------------------------------------------------------ #
@@ -133,58 +165,55 @@ class DataCache:
         """Access one line, updating tags, dirty bits, and statistics."""
         if line_address < 0 or line_address % self._line_bytes:
             raise SimulationError(f"bad cache line address {line_address:#x}")
-        hits, write_backs, _ = self.access_sorted_lines([line_address], is_write)
-        if hits is None:
+        misses, _ = self.access_sorted_lines([line_address], is_write)
+        if not misses:
             return LineAccess(line_address, True, False)
-        return LineAccess(line_address, False, write_backs[0])
+        return LineAccess(line_address, False, bool(misses[0] & 1))
 
     def access_sorted_lines(
-        self, lines: List[int], is_write: bool
-    ) -> Tuple[Optional[List[bool]], Optional[List[bool]], int]:
+        self, lines: Sequence[int], is_write: bool
+    ) -> Tuple[List[int], int]:
         """Probe one coalesced access whose lines are ascending and distinct.
 
         The lines are probed one after another, so two lines that alias one
-        direct-mapped set evict each other in order.  Returns
-        ``(hit_list, write_back_list, num_misses)`` with one outcome per
-        line, as the port-contention walk needs them; an all-hit access
-        builds no lists and returns ``(None, None, 0)``.  ``lines`` must
-        come from :meth:`coalesce_lines` (ascending, distinct).
+        direct-mapped set evict each other in order.  Returns ``(misses,
+        last_hit)``: one int per missing line in position order,
+        ``position << 1 | write_back`` (whether its victim was dirty), as
+        the AXI port walk takes them, and the position of the last hit (-1
+        if none).  ``lines`` must come from :meth:`coalesce_lines`
+        (ascending, distinct).
         """
         tags = self._tags
         dirty = self._dirty
         shift = self._line_shift
         index_mask = self._index_mask
-        hit_list: Optional[List[bool]] = None
-        wb_list: Optional[List[bool]] = None
-        num_misses = write_backs = 0
+        misses: List[int] = []
+        append = misses.append
+        last_hit = -1
+        write_backs = 0
         for position, line in enumerate(lines):
             index = (line >> shift) & index_mask
             if tags[index] == line:
                 if is_write:
                     dirty[index] = True
-                if hit_list is not None:
-                    hit_list.append(True)
-                    wb_list.append(False)
+                last_hit = position
                 continue
-            if hit_list is None:
-                hit_list = [True] * position
-                wb_list = [False] * position
-            write_back = dirty[index]
-            hit_list.append(False)
-            wb_list.append(write_back)
-            num_misses += 1
-            write_backs += write_back
+            if dirty[index]:
+                append(position << 1 | 1)
+                write_backs += 1
+            else:
+                append(position << 1)
             tags[index] = line
             dirty[index] = is_write
         stats = self.stats
         if is_write:
             stats.write_accesses += len(lines)
-            stats.write_misses += num_misses
+            stats.write_misses += len(misses)
         else:
             stats.read_accesses += len(lines)
-            stats.read_misses += num_misses
+            stats.read_misses += len(misses)
         stats.write_backs += write_backs
-        return hit_list, wb_list, num_misses
+        return misses, last_hit
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -6,8 +6,11 @@ wavefront:
 
 * the instruction executes functionally for the active lanes
   (:mod:`repro.simt.pe`); a register whose lanes all hold one value is kept
-  as one Python int (:mod:`repro.simt.registers`), so uniform work costs
-  scalar arithmetic instead of 64-lane numpy operations,
+  as one Python int, and one whose lanes count up by a fixed stride as an
+  ``Affine`` ramp (:mod:`repro.simt.registers`), so uniform work and address
+  arithmetic cost scalar arithmetic instead of 64-lane numpy operations,
+  and a ramp of addresses reaches the cache and memory as arithmetic and
+  slices,
 * vector instructions occupy the shared PE array for
   ``wavefront_size / pes_per_cu`` cycles (8 cycles for the default 64-lane
   wavefront on 8 PEs),
@@ -95,8 +98,15 @@ from repro.simt.decode import (
     predecode_program,
 )
 from repro.arch.isa import Opcode
-from repro.simt.memory import GlobalMemory, LocalMemory, RuntimeMemory
-from repro.simt.registers import WORD_MASK, RegisterValue, lane_vector, merge_lanes
+from repro.simt.memory import Addresses, GlobalMemory, LocalMemory, RuntimeMemory
+from repro.simt.registers import (
+    WORD_MASK,
+    Affine,
+    RegisterValue,
+    expand_ramp,
+    lane_vector,
+    merge_lanes,
+)
 from repro.simt.scheduler import WavefrontScheduler
 from repro.simt.timing import TimingModel
 from repro.simt.trace import ComputeUnitStats
@@ -122,6 +132,28 @@ def lram_slot_geometry(config: GGPUConfig, workgroup_size: int):
     wavefronts_per_wg = max(1, workgroup_size // config.wavefront_size)
     num_slots = max(1, config.max_wavefronts_per_cu // wavefronts_per_wg)
     return num_slots, config.lram_words_per_cu // num_slots
+
+
+def _lram_ramp(addresses: Affine, window: int, period: int) -> Optional[range]:
+    """The LRAM words of a ramp of byte addresses, as a lane-ordered range.
+
+    Lane ``i`` reads word ``window + (address_i >> 2) % period``.  With a
+    word-multiple stride and no wrap past 2**32 the words before the modulo
+    are ``base >> 2`` plus ``stride >> 2`` per lane, and when they all stay
+    inside one period the modulo subtracts the same multiple of ``period``
+    from each.  Any other ramp gives ``None``.
+    """
+    stride = addresses.stride
+    last = addresses.last
+    if stride & 3 or not 0 <= last <= WORD_MASK:
+        return None
+    first_word = addresses.base >> 2
+    block = first_word // period
+    if (last >> 2) // period != block:
+        return None
+    start = window + first_word - block * period
+    step = stride >> 2
+    return range(start, start + step * addresses.lanes, step)
 
 
 class ComputeUnit:
@@ -349,11 +381,15 @@ class ComputeUnit:
             # Register indices were bounds-checked once at bind time, so
             # registers are indexed directly; writes to r0 are dropped.  An
             # entry is an int when every lane holds that value, and ALU
-            # operations on ints run their scalar form.
+            # operations on ints run their scalar form; with an Affine
+            # operand they run their ramp form.
             reg_rows = wavefront.registers._values
 
             while True:
-                kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key = op
+                (
+                    kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key,
+                    ramp_fn,
+                ) = op
 
                 # --- timing: the wavefront is ready, so it issues at ``now``
                 # or when the PE array frees up --------------------------- #
@@ -382,12 +418,16 @@ class ComputeUnit:
                             b = reg_rows[rt]
                             if type(a) is int and type(b) is int:
                                 result = scalar_fn(a, b)
+                            elif type(a) is Affine or type(b) is Affine:
+                                result = ramp_fn(a, b)
                             else:
                                 result = fn(a, b)
                         elif kind == K_ALU_IMM:
                             a = reg_rows[rs]
                             if type(a) is int:
                                 result = scalar_fn(a, const)
+                            elif type(a) is Affine:
+                                result = ramp_fn(a, const)
                             else:
                                 result = fn(a, const)
                         else:
@@ -521,13 +561,15 @@ class ComputeUnit:
         self._write_register(wavefront, op.rd, values)
 
     def _address(self, wavefront: Wavefront, op: tuple) -> RegisterValue:
-        """Byte address ``rs + imm`` of a memory instruction: an int or lanes."""
+        """Byte address ``rs + imm`` of a memory instruction: an int, a ramp or lanes."""
         base = wavefront.registers._values[op[P_RS]]
         imm = op[P_IMM]
         if imm == 0:
             # Register values are stored masked, so the 32-bit wrap of the
             # pointer arithmetic only matters once an offset is added.
             return base
+        if type(base) is Affine:
+            return Affine((base.base + imm) & WORD_MASK, base.stride, base.lanes)
         return (base + imm) & WORD_MASK
 
     def _execute_load(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
@@ -537,12 +579,14 @@ class ComputeUnit:
         num_active = wavefront.num_active
         if num_active == wavefront.wavefront_size:
             # Fully active wavefront (the common case): no masked gather or
-            # zero-fill scatter, the loaded vector is the register value.
+            # zero-fill scatter, the loaded vector is the register value,
+            # and a ramp of addresses stays one.
             result = self.global_memory.load_words(addresses)
             completion = self._memory_timing(addresses, access_time, is_write=False)
             if op[P_RD]:
                 wavefront.registers._values[op[P_RD]] = result
             return completion
+        addresses = lane_vector(addresses, wavefront.wavefront_size)
         mask = wavefront.active_mask
         result = np.zeros(wavefront.wavefront_size, dtype=np.int64)
         completion = access_time + self.cache.hit_latency_cycles
@@ -567,26 +611,28 @@ class ComputeUnit:
         if not wavefront.num_active:
             return completion
         value = self.global_memory.load_word(address)
-        hit_list, wb_list, num_misses = cache.access_sorted_lines(
-            [cache.line_address(address)], False
-        )
-        if num_misses:
-            completion, _ = self.memory_controller.miss_burst(
-                access_time, self._cache_ports, hit_list, wb_list, completion
+        misses, _ = cache.access_sorted_lines([cache.line_address(address)], False)
+        if misses:
+            completion = self.memory_controller.miss_burst(
+                access_time, self._cache_ports, misses, completion
             )
         self._write_register(wavefront, rd, value)
         return completion
 
     def _execute_store(self, wavefront: Wavefront, op: tuple, access_time: float) -> float:
-        lanes = wavefront.wavefront_size
-        addresses = lane_vector(self._address(wavefront, op), lanes)
         num_active = wavefront.num_active
         if num_active:
-            values = lane_vector(wavefront.registers._values[op[P_RT]], lanes)
-            if num_active != wavefront.wavefront_size:
+            lanes = wavefront.wavefront_size
+            addresses = self._address(wavefront, op)
+            # An int is stored as one scalar, whatever the addresses.
+            values = expand_ramp(wavefront.registers._values[op[P_RT]])
+            if num_active != lanes:
                 mask = wavefront.active_mask
-                addresses = addresses[mask]
-                values = values[mask]
+                addresses = lane_vector(addresses, lanes)[mask]
+                if type(values) is not int:
+                    values = values[mask]
+            elif type(addresses) is int:
+                addresses = lane_vector(addresses, lanes)
             self.global_memory.store_words(addresses, values)
             # Posted store: charge the cache and the AXI ports but do not
             # track a completion time for the wavefront (see module
@@ -596,38 +642,29 @@ class ComputeUnit:
 
     def _memory_timing(
         self,
-        addresses: np.ndarray,
+        addresses: Addresses,
         access_time: float,
         is_write: bool,
         track_completion: bool = True,
     ) -> float:
         """Charge the cache and AXI ports for one coalesced wavefront access.
 
-        The central cache serves at most ``CacheConfig.ports`` distinct lines
-        per cycle, so an access touching more lines is serialized into
-        ``ports``-wide waves issued one cycle apart; line ``k`` of the access
-        starts at ``access_time + k // ports``.  Dirty evictions and line
-        fills claim AXI port time at their wave's start time.
+        ``addresses`` is a ramp or a lane vector.  The central cache serves
+        at most ``CacheConfig.ports`` distinct lines per cycle, so an access
+        touching more lines is serialized into ``ports``-wide waves issued
+        one cycle apart; line ``k`` of the access starts at ``access_time +
+        k // ports``.  Dirty evictions and line fills claim AXI port time at
+        their wave's start time, and the access finishes with the later of
+        its last fill and its last hit's wave.
         """
         cache = self.cache
-        lines = cache.coalesce_lines(addresses)
-        hit_list, wb_list, num_misses = cache.access_sorted_lines(lines, is_write)
+        misses, last_hit = cache.access_sorted_lines(cache.coalesce_lines(addresses), is_write)
         ports = self._cache_ports
-        count = len(lines)
         hit_latency = cache.hit_latency_cycles
         completion = access_time + hit_latency
-        if num_misses == 0:
-            # All lines hit: the access finishes with the last hit wave.
-            if track_completion and count > ports:
-                completion = access_time + (count - 1) // ports + hit_latency
-            return completion
-        # Mixed or all-miss access: walk the positions once as plain Python
-        # ints (the per-element numpy scalar extraction of the original loop
-        # cost more than the port model itself).
-        completion, last_hit = self.memory_controller.miss_burst(
-            access_time, ports, hit_list, wb_list, completion
-        )
-        if track_completion and count > ports and last_hit >= 0:
+        if misses:
+            completion = self.memory_controller.miss_burst(access_time, ports, misses, completion)
+        if track_completion and last_hit >= ports:
             hit_done = access_time + last_hit // ports + hit_latency
             if hit_done > completion:
                 completion = hit_done
@@ -635,17 +672,23 @@ class ComputeUnit:
 
     def _execute_local(self, wavefront: Wavefront, op: tuple, kind: int) -> None:
         lanes = wavefront.wavefront_size
-        addresses = lane_vector(self._address(wavefront, op), lanes)
+        addresses = self._address(wavefront, op)
         if self._use_lram_windows:
             # Each workgroup addresses its private LRAM window: accesses wrap
             # inside the window and land at the workgroup's slot base.
-            base = self._wg_lram_base[wavefront.workgroup_id]
-            word_indices = base + (addresses >> 2) % self._slot_words
+            window, period = self._wg_lram_base[wavefront.workgroup_id], self._slot_words
         else:
-            word_indices = (addresses >> 2) % self._lram_words
+            window, period = 0, self._lram_words
+        num_active = wavefront.num_active
+        word_indices = None
+        if num_active == lanes and type(addresses) is Affine:
+            word_indices = _lram_ramp(addresses, window, period)
+        if word_indices is None:
+            word_indices = (lane_vector(addresses, lanes) >> 2) % period
+            if window:
+                word_indices += window
         # A fully active wavefront (the common case) needs no masked gather,
         # zero fill or merge: every lane's word is the access.
-        num_active = wavefront.num_active
         if kind == K_LOCAL_LOAD:
             if num_active == lanes:
                 wavefront.registers.set_row(op[P_RD], self.local_memory.load_words(word_indices))
@@ -656,11 +699,13 @@ class ComputeUnit:
                 result[mask] = self.local_memory.load_words(word_indices[mask])
             wavefront.registers.merge_row(op[P_RD], result, mask)
         elif num_active:
-            values = lane_vector(wavefront.registers._values[op[P_RT]], lanes)
+            # An int is stored as one scalar, whatever the words.
+            values = expand_ramp(wavefront.registers._values[op[P_RT]])
             if num_active != lanes:
                 mask = wavefront.active_mask
                 word_indices = word_indices[mask]
-                values = values[mask]
+                if type(values) is not int:
+                    values = values[mask]
             self.local_memory.store_words(word_indices, values)
 
     def _execute_branch(self, wavefront: Wavefront, op: tuple, fallthrough: int) -> int:

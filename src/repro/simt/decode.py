@@ -10,8 +10,8 @@ carrying
 * a small integer ``kind`` the compute unit switches on,
 * plain-int operand fields (``rd``/``rs``/``rt``/``imm``),
 * the timing facts (``latency``, ``uses_pe``) already looked up, and
-* per-kind pre-resolved data: the lane and scalar forms of the arithmetic
-  for ALU forms (:mod:`repro.simt.pe`), the immediate or constant as one
+* per-kind pre-resolved data: the lane, scalar and ramp forms of the
+  arithmetic for ALU forms (:mod:`repro.simt.pe`), the immediate or constant as one
   unsigned 32-bit ``int`` for immediate forms and LI/LUI, and the branch
   comparison for conditional branches.
 
@@ -98,6 +98,7 @@ class DecodedOp:
         "macro_safe",
         "fn",
         "scalar_fn",
+        "ramp_fn",
         "const",
         "instruction",
     )
@@ -122,6 +123,7 @@ class DecodedOp:
         self.macro_safe = self.opclass in _MACRO_SAFE_CLASSES
         self.fn = None  # lane form (K_ALU_BIN / K_ALU_IMM), branch code (K_BCOND)
         self.scalar_fn = None  # scalar form for int operands (K_ALU_BIN / K_ALU_IMM)
+        self.ramp_fn = None  # ramp form for Affine operands (K_ALU_BIN / K_ALU_IMM)
         self.const = None  # unsigned 32-bit int (K_ALU_IMM / K_ALU_CONST)
         self.instruction = instruction
 
@@ -142,6 +144,7 @@ P_FN = 8
 P_SCALAR_FN = 9
 P_CONST = 10
 P_CLASS_KEY = 11
+P_RAMP_FN = 12
 
 
 class DecodedProgram:
@@ -176,6 +179,7 @@ class DecodedProgram:
                 op.scalar_fn,
                 op.const,
                 op.class_key,
+                op.ramp_fn,
             )
             for op in ops
         ]
@@ -247,8 +251,11 @@ def predecode_program(
         kind = op.kind
         if kind == K_ALU_BIN:
             op.fn, op.scalar_fn = pe.binary_operation(op.opcode)
+            op.ramp_fn = pe.ramp_operation(op.opcode)
         elif kind == K_ALU_IMM:
-            op.fn, op.scalar_fn = pe.binary_operation(pe.immediate_base(op.opcode))
+            base = pe.immediate_base(op.opcode)
+            op.fn, op.scalar_fn = pe.binary_operation(base)
+            op.ramp_fn = pe.ramp_operation(base)
             op.const = op.imm & pe.WORD_MASK
         elif kind == K_ALU_CONST:
             value = op.imm if op.opcode is Opcode.LI else op.imm << 14

@@ -5,18 +5,41 @@ through the data cache and AXI data interfaces, a Runtime Memory (RTM) holding
 kernel descriptors and arguments written by the host over the AXI control
 interface, and per-CU local scratchpads (LRAM).  All of them store 32-bit
 words; the simulator keeps data in numpy arrays for speed.
+
+A wavefront access names one address per lane: a lane vector, or for global
+memory an :class:`~repro.simt.registers.Affine` ramp, which an aligned,
+in-range access that does not wrap past 2**32 serves as one strided slice.
+LRAM takes a ``range`` of word indices the same way.  Whatever a ramp cannot
+prove goes through the lane vector, so errors name the same first bad
+address.
 """
 
 from __future__ import annotations
 
 import mmap
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.simt.registers import Affine, expand_ramp
 
 WORD_BYTES = 4
+
+#: Byte addresses of a global access (a lane ramp or vector), and word
+#: indices of an LRAM access (a lane-ordered range or a vector).
+Addresses = Union[Affine, np.ndarray]
+WordIndices = Union[range, np.ndarray]
+
+
+def _slice(words: range) -> slice:
+    """The slice of a lane-ordered range of word indices.
+
+    A descending range that ends at word 0 stops at -1, which a slice would
+    read as the last word; ``None`` runs to the start instead.
+    """
+    stop = words.stop
+    return slice(words.start, stop if stop >= 0 else None, words.step)
 
 
 class GlobalMemory:
@@ -37,6 +60,9 @@ class GlobalMemory:
         # calloc, and their pages stay resident after they are freed.
         words = size_bytes // WORD_BYTES
         self._words = np.frombuffer(mmap.mmap(-1, words * 8), dtype=np.int64)  # int64 words
+        # A ramp whose first and last lanes are below this bound is in range
+        # and does not wrap past 2**32.
+        self._ramp_limit = min(size_bytes, 1 << 32)
         self._next_alloc = WORD_BYTES  # keep address 0 unused to catch null pointers
         # One past the highest word index ever written: every word at or
         # above it is still zero, so ``reset`` clears only the prefix below.
@@ -108,9 +134,12 @@ class GlobalMemory:
     # ------------------------------------------------------------------ #
     # Device-side accesses (vectorized over wavefront lanes)
     # ------------------------------------------------------------------ #
-    def load_words(self, byte_addresses: np.ndarray) -> np.ndarray:
-        """Load one word per lane from the given byte addresses."""
-        return self._words[self._word_indices(byte_addresses)[0]]
+    def load_words(self, byte_addresses: Addresses) -> np.ndarray:
+        """Load one word per lane from the given byte addresses (a new vector)."""
+        words = self._ramp_words(byte_addresses)
+        if words is not None:
+            return self._words[_slice(words)].copy()
+        return self._words[self._word_indices(expand_ramp(byte_addresses))[0]]
 
     def load_word(self, byte_address: int) -> int:
         """Load the one word a wavefront-uniform address reads for every lane.
@@ -119,9 +148,16 @@ class GlobalMemory:
         """
         return int(self._words[self._word_index(byte_address)])
 
-    def store_words(self, byte_addresses: np.ndarray, values: np.ndarray) -> None:
-        """Store one word per lane to the given byte addresses."""
-        indices, top = self._word_indices(byte_addresses)
+    def store_words(self, byte_addresses: Addresses, values) -> None:
+        """Store one word per lane to the given byte addresses.
+
+        ``values`` is a lane vector or one int that every lane stores.
+        """
+        words = self._ramp_words(byte_addresses)
+        if words is not None:
+            indices, top = _slice(words), max(words[0], words[-1])
+        else:
+            indices, top = self._word_indices(expand_ramp(byte_addresses))
         self._words[indices] = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
         if top >= self._dirty_words:
             self._dirty_words = top + 1
@@ -135,6 +171,20 @@ class GlobalMemory:
         if not 0 <= byte_addr < self.size_bytes:
             raise SimulationError(f"global memory access out of range: {byte_addr:#x}")
         return byte_addr // WORD_BYTES
+
+    def _ramp_words(self, addresses: Addresses) -> Optional[range]:
+        """The lane-ordered word indices of an aligned, in-range ramp that
+        does not wrap past 2**32; ``None`` for a lane vector or any other
+        ramp."""
+        if type(addresses) is not Affine:
+            return None
+        base, stride = addresses.base, addresses.stride
+        last = addresses.last
+        limit = self._ramp_limit
+        if (base | stride) & (WORD_BYTES - 1) or not (0 <= last < limit and base < limit):
+            return None
+        step = stride >> 2
+        return range(base >> 2, (last >> 2) + (1 if step > 0 else -1), step)
 
     def _word_indices(self, byte_addresses: np.ndarray) -> Tuple[np.ndarray, int]:
         """Validate a vector of byte addresses; return their word indices and
@@ -207,17 +257,30 @@ class LocalMemory:
         self.num_words = num_words
         self._words = np.zeros(num_words, dtype=np.int64)
 
-    def load_words(self, word_indices: np.ndarray) -> np.ndarray:
-        """Load one word per lane from the given word indices."""
-        self._check(word_indices)
-        return self._words[np.asarray(word_indices, dtype=np.int64)]
+    def load_words(self, word_indices: WordIndices) -> np.ndarray:
+        """Load one word per lane from the given word indices (a new vector)."""
+        index = self._index(word_indices)
+        if type(index) is slice:
+            return self._words[index].copy()
+        return self._words[index]
 
-    def store_words(self, word_indices: np.ndarray, values: np.ndarray) -> None:
-        """Store one word per lane to the given word indices."""
+    def store_words(self, word_indices: WordIndices, values) -> None:
+        """Store one word per lane to the given word indices.
+
+        ``values`` is a lane vector or one int that every lane stores.
+        """
+        self._words[self._index(word_indices)] = np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
+
+    def _index(self, word_indices: WordIndices):
+        """A slice for an in-bounds range, else the checked index vector."""
+        if type(word_indices) is range:
+            if word_indices:
+                low, high = sorted((word_indices[0], word_indices[-1]))
+                if low >= 0 and high < self.num_words:
+                    return _slice(word_indices)
+            word_indices = np.array(word_indices, dtype=np.int64)
         self._check(word_indices)
-        self._words[np.asarray(word_indices, dtype=np.int64)] = (
-            np.asarray(values, dtype=np.int64) & 0xFFFFFFFF
-        )
+        return np.asarray(word_indices, dtype=np.int64)
 
     def _check(self, word_indices: np.ndarray) -> None:
         indices = np.asarray(word_indices, dtype=np.int64)

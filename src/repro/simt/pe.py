@@ -6,18 +6,29 @@ the arithmetic of every ALU/MUL/DIV opcode with 32-bit wrap-around semantics
 and RISC-style division behaviour (divide by zero yields -1 for the quotient
 and the dividend for the remainder).
 
-A wavefront register holds either an int64 lane vector or, when every lane
-holds the same value, one Python ``int`` (see :mod:`repro.simt.registers`).
-Each opcode therefore has two forms:
+A wavefront register holds an int64 lane vector, one Python ``int`` when
+every lane holds the same value, or an :class:`~repro.simt.registers.Affine`
+lane ramp (see :mod:`repro.simt.registers`).  Each opcode therefore has
+three forms:
 
 * the *lane form* takes lane vectors and Python ints in any mix and, with at
   least one vector operand, returns a lane vector through numpy broadcasting;
 * the *scalar form* takes two unsigned 32-bit ints and returns an int equal
-  to every lane of the lane form applied to the broadcast operands.
+  to every lane of the lane form applied to the broadcast operands;
+* the *ramp form* takes at least one ``Affine`` operand.  ADD and SUB of
+  ramps and ints, and SLL and MUL of a ramp by an int, give a ramp (or the
+  int a zero stride leaves).  SRL by an int and AND with a low mask ``2**k
+  - 1`` keep a ramp that does not wrap past 2**32 when its lanes share one
+  ``2**k`` block (the high part is one int, the low part a ramp) or its
+  stride is a multiple of ``2**k`` (the other way round), as in ``gid >> 6``
+  and ``gid & 63``.  SLT and SLTU of a ramp against an int give the int 1
+  or 0 when the int is outside the range of a ramp that does not wrap (in
+  the signed or unsigned order), as in ``lid < stride`` and ``0 < sample -
+  gid``.  Every other case expands the ramps and applies the lane form.
 
-Where one expression is exact for both (ADD, the shifts, MUL, ...) the two
-forms are the same function; SLT/SLTU, MIN/MAX and DIV/REM need numpy, and
-their scalar form applies the lane form to int64 scalars.
+Where one expression is exact for both (ADD, the shifts, MUL, ...) the lane
+and scalar forms are the same function; SLT/SLTU, MIN/MAX and DIV/REM need
+numpy, and their scalar form applies the lane form to int64 scalars.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import numpy as np
 
 from repro.arch.isa import Opcode
 from repro.errors import SimulationError
+from repro.simt.registers import Affine, expand_ramp, ramp
 
 WORD_MASK = 0xFFFFFFFF
 SIGN_BIT = 0x80000000
@@ -139,6 +151,112 @@ def _on_ints(lane_form: Callable) -> Callable:
     return lambda a, b: int(lane_form(np.int64(a), np.int64(b)))
 
 
+# Ramp forms: at least one operand is an Affine.  A ramp plus or minus a ramp
+# or an int, and a ramp times (or shifted left by) an int, is a ramp modulo
+# 2**32; ramp() folds a zero stride into an int.
+def _add_ramp(a, b):
+    if type(a) is Affine:
+        if type(b) is Affine:
+            return ramp(a.base + b.base, a.stride + b.stride, a.lanes)
+        if type(b) is int:
+            return Affine((a.base + b) & WORD_MASK, a.stride, a.lanes)
+    elif type(a) is int:
+        return Affine((a + b.base) & WORD_MASK, b.stride, b.lanes)
+    return _add(expand_ramp(a), expand_ramp(b))
+
+
+def _sub_ramp(a, b):
+    if type(a) is Affine:
+        if type(b) is Affine:
+            return ramp(a.base - b.base, a.stride - b.stride, a.lanes)
+        if type(b) is int:
+            return Affine((a.base - b) & WORD_MASK, a.stride, a.lanes)
+    elif type(a) is int:
+        return ramp(a - b.base, -b.stride, b.lanes)
+    return _sub(expand_ramp(a), expand_ramp(b))
+
+
+def _sll_ramp(a, b):
+    if type(a) is Affine and type(b) is int:
+        shift = b & 0x1F
+        return ramp(a.base << shift, a.stride << shift, a.lanes)
+    return _sll(expand_ramp(a), expand_ramp(b))
+
+
+def _srl_ramp(a, b):
+    if type(a) is Affine and type(b) is int and 0 <= a.last <= WORD_MASK:
+        shift = b & 0x1F
+        base = a.base
+        if base >> shift == a.last >> shift:
+            return base >> shift
+        if a.stride & ((1 << shift) - 1) == 0:
+            return Affine(base >> shift, a.stride >> shift, a.lanes)
+    return _srl(expand_ramp(a), expand_ramp(b))
+
+
+def _and_ramp(a, b):
+    if type(a) is int:
+        a, b = b, a
+    if type(a) is Affine and type(b) is int and b & (b + 1) == 0:
+        # b is a low mask 2**k - 1: lanes that differ only below bit k keep
+        # their distance, and a stride of whole blocks leaves one value.
+        if a.stride & b == 0:
+            return a.base & b
+        if 0 <= a.last <= WORD_MASK and a.base & ~b == a.last & ~b:
+            return Affine(a.base & b, a.stride, a.lanes)
+    return _and(expand_ramp(a), expand_ramp(b))
+
+
+def _sltu_ramp(a, b):
+    # Every lane compares alike to an int outside the ramp's span.
+    if type(a) is int and type(b) is Affine:
+        span = b.span()
+        if span is not None and (a < span[0] or a >= span[1]):
+            return int(a < span[0])
+    elif type(a) is Affine and type(b) is int:
+        span = a.span()
+        if span is not None and (span[1] < b or span[0] >= b):
+            return int(span[1] < b)
+    return _sltu(expand_ramp(a), expand_ramp(b))
+
+
+def _sign_flipped(value):
+    """``value ^ SIGN_BIT`` on every lane, which maps the signed order onto
+    the unsigned one; a ramp stays a ramp (the flip adds 2**31)."""
+    if type(value) is Affine:
+        return Affine(value.base ^ SIGN_BIT, value.stride, value.lanes)
+    return value ^ SIGN_BIT
+
+
+def _slt_ramp(a, b):
+    return _sltu_ramp(_sign_flipped(a), _sign_flipped(b))
+
+
+def _mul_ramp(a, b):
+    if type(b) is int and type(a) is Affine:
+        return ramp(a.base * b, a.stride * b, a.lanes)
+    if type(a) is int and type(b) is Affine:
+        return ramp(a * b.base, a * b.stride, b.lanes)
+    return _mul(expand_ramp(a), expand_ramp(b))
+
+
+def _on_lanes(lane_form: Callable) -> Callable:
+    """Ramp form of an operation that does not keep ramps: expand, then the lane form."""
+    return lambda a, b: lane_form(expand_ramp(a), expand_ramp(b))
+
+
+_RAMP_FORMS: Dict[Opcode, Callable] = {
+    Opcode.ADD: _add_ramp,
+    Opcode.SUB: _sub_ramp,
+    Opcode.SLL: _sll_ramp,
+    Opcode.SRL: _srl_ramp,
+    Opcode.AND: _and_ramp,
+    Opcode.SLT: _slt_ramp,
+    Opcode.SLTU: _sltu_ramp,
+    Opcode.MUL: _mul_ramp,
+}
+
+
 # opcode -> (lane form, scalar form)
 _BINARY_OPS: Dict[Opcode, Tuple[Callable, Callable]] = {
     Opcode.ADD: (_add, _add),
@@ -203,6 +321,12 @@ def binary_operation(opcode: Opcode) -> Tuple[Callable, Callable]:
         return _BINARY_OPS[opcode]
     except KeyError as exc:
         raise SimulationError(f"{opcode.mnemonic} is not a binary ALU operation") from exc
+
+
+def ramp_operation(opcode: Opcode) -> Callable:
+    """The ramp form of a three-register opcode (at least one ``Affine`` operand)."""
+    lane_form, _ = binary_operation(opcode)
+    return _RAMP_FORMS.get(opcode) or _on_lanes(lane_form)
 
 
 def immediate_base(opcode: Opcode) -> Opcode:

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simt.registers import RegisterValue, WavefrontRegisterFile
+from repro.simt.registers import Affine, RegisterValue, WavefrontRegisterFile, expand_ramp
 
 
 class Wavefront:
@@ -68,6 +68,12 @@ class Wavefront:
             # differs from ``wgid * workgroup_size + lid``: a 2-D workgroup's
             # cells are not contiguous in the flattened grid.
             self.global_ids = gid1 * gs0 + gid0
+            # Dimension 0 counts up by one across the wavefront exactly when
+            # the wavefront stays inside one workgroup row (crossing a row
+            # wraps lid0 back, so its last lane no longer ends the ramp).
+            if lid0[-1] - lid0[0] == wavefront_size - 1:
+                lid0 = Affine(int(lid0[0]), 1, wavefront_size, lid0)
+                gid0 = Affine(int(gid0[0]), 1, wavefront_size, gid0)
             self.local_id_dims = (lid0, lid1)
             self.global_id_dims = (gid0, gid1)
             self.workgroup_id_dims = (wg0, wg1)
@@ -76,8 +82,10 @@ class Wavefront:
             self.groups_shape = tuple(groups_shape)
         else:
             self.global_ids = self.local_ids + workgroup_id * workgroup_size
-            self.local_id_dims = (self.local_ids,)
-            self.global_id_dims = (self.global_ids,)
+            self.local_id_dims = (Affine(first_lid, 1, wavefront_size, self.local_ids),)
+            self.global_id_dims = (
+                Affine(int(self.global_ids[0]), 1, wavefront_size, self.global_ids),
+            )
             self.workgroup_id_dims = (workgroup_id,)
             self.global_shape = (global_size,)
             self.workgroup_shape = (workgroup_size,)
@@ -144,7 +152,7 @@ class Wavefront:
                 self.active_mask = np.zeros_like(self.active_mask)
                 self._active_count = 0
             return
-        condition = np.asarray(condition)
+        condition = np.asarray(expand_ramp(condition))
         if condition.shape != self.active_mask.shape:
             raise SimulationError("condition vector has the wrong number of lanes")
         self.active_mask &= condition != 0
@@ -180,7 +188,7 @@ class Wavefront:
             raise SimulationError("no active lane to read a uniform value from")
         if type(values) is int:
             return values
-        active_values = np.asarray(values)
+        active_values = np.asarray(expand_ramp(values))
         if self._active_count != active_values.size:
             active_values = active_values[self.active_mask]
         if strict and (active_values != active_values[0]).any():

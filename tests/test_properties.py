@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.arch.assembler import IMM_MAX, IMM_MIN, Assembler, decode_instruction, encode_instruction
 from repro.arch.isa import Opcode
@@ -14,9 +14,13 @@ from repro.simt import pe
 from repro.simt.axi import GlobalMemoryController, MemoryTrafficStats
 from repro.simt.cache import CacheStats, DataCache, LineAccess
 from repro.arch.config import AxiConfig, CacheConfig
+from repro.errors import SimulationError
 from repro.tech.sram import SramCompiler, SramMacroSpec
+from repro.simt.cu import _lram_ramp
 from repro.simt.decode import predecode_program
 from repro.simt.gpu import GGPUSimulator
+from repro.simt.memory import GlobalMemory, LocalMemory
+from repro.simt.registers import Affine, lane_vector, merge_lanes, ramp
 from repro.arch.config import GGPUConfig
 
 WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -127,6 +131,207 @@ def test_scalar_immediate_form_matches_every_lane(opcode, a, imm):
     assert type(result) is int
     assert expected == [result] * LANES
     assert op.fn(a_lanes, op.const).tolist() == expected
+
+
+# --------------------------------------------------------------------------- #
+# Lane ramps (Affine registers) match their lane vectors
+# --------------------------------------------------------------------------- #
+RAMP_MEMORY_BYTES = 1 << 16  # small, so that ramps run past its end
+RAMP_MEMORY_WORDS = (np.arange(RAMP_MEMORY_BYTES // 4, dtype=np.int64) * 2654435761) & 0xFFFFFFFF
+LRAM_WORDS = 2048
+# Half the ramps are word-aligned and mostly in range; the others have any
+# base (unaligned, past the end, wrapping past 2**32 going up) and any stride
+# (negative, odd, unaligned, >= 2**31 and line-multiple).
+ALIGNED_RAMP = st.tuples(
+    st.integers(0, RAMP_MEMORY_BYTES // 4 + 64).map(lambda word: 4 * word),
+    st.sampled_from((4, -4, 8, 64, -64, 68, 256)),
+)
+ANY_RAMP = st.tuples(
+    st.one_of(
+        st.integers(0, RAMP_MEMORY_BYTES + 1024),
+        st.integers((1 << 32) - 2048, (1 << 32) - 1),
+        WORD,
+    ),
+    st.one_of(
+        st.sampled_from((1, 2, 3, 4, -4, 60, 64, 4096, 1 << 31, (1 << 31) + 4)),
+        st.integers(-(1 << 32), 1 << 32),
+    ),
+)
+
+
+@st.composite
+def _ramps(draw, lanes=None):
+    lanes = lanes or draw(st.sampled_from((1, 2, 16, 64)))
+    base, stride = draw(st.one_of(ALIGNED_RAMP, ANY_RAMP))
+    value = ramp(base, stride, lanes)
+    assume(type(value) is Affine)  # a stride of 0 modulo 2**32 is an int
+    return value
+
+
+def _operand(draw, lanes):
+    kind = draw(st.sampled_from(("ramp", "int", "lanes")))
+    if kind == "ramp":
+        return draw(_ramps(lanes))
+    if kind == "int":
+        return draw(OPERAND)
+    return np.array(draw(st.lists(WORD, min_size=lanes, max_size=lanes)), dtype=np.int64)
+
+
+def _shares_one_block(ramp_value: Affine, shift: int) -> bool:
+    """Whether a ramp that does not wrap past 2**32 has every lane in one
+    ``2**shift`` block, judged from its lanes."""
+    if not 0 <= ramp_value.last <= 0xFFFFFFFF:
+        return False
+    return len(set((ramp_value.vector() >> shift).tolist())) == 1
+
+
+def _keeps_form(opcode: Opcode, operands, expected) -> bool:
+    """Whether the ramp rules promise a ramp or an int for these operands,
+    whose lane-form result is ``expected``."""
+    kinds = [type(value) for value in operands]
+    ramp_and_int = set(kinds) == {Affine, int}
+    if opcode in (Opcode.ADD, Opcode.SUB):
+        return np.ndarray not in kinds
+    if opcode is Opcode.MUL:
+        return ramp_and_int
+    if opcode in (Opcode.SLL, Opcode.SRL) and kinds == [Affine, int]:
+        ramp_value, shift = operands[0], operands[1] & 0x1F
+        return opcode is Opcode.SLL or (
+            ramp_value.stride % (1 << shift) == 0 and 0 <= ramp_value.last <= 0xFFFFFFFF
+        ) or _shares_one_block(ramp_value, shift)
+    if opcode is Opcode.AND and ramp_and_int:
+        ramp_value, mask = sorted(operands, key=lambda value: type(value) is int)
+        shift = mask.bit_length()
+        return mask == (1 << shift) - 1 and (
+            ramp_value.stride % (1 << shift) == 0 or _shares_one_block(ramp_value, shift)
+        )
+    if opcode in (Opcode.SLT, Opcode.SLTU) and ramp_and_int:
+        # One answer on every lane of a ramp that is monotonic in the
+        # compared (signed or unsigned) order.
+        ramp_value = operands[kinds.index(Affine)]
+        first = ramp_value.base ^ (0x80000000 if opcode is Opcode.SLT else 0)
+        last = first + ramp_value.stride * (ramp_value.lanes - 1)
+        return 0 <= last <= 0xFFFFFFFF and len(set(expected.tolist())) == 1
+    return False
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_ramp_forms_match_the_lane_form(data):
+    """Every ALU opcode's ramp form, register and immediate, equals its lane
+    form on the expanded operands, and an ``Affine`` expands to its lanes and
+    is canonical.  Each form-keeping rule keeps the form: ADD and SUB of
+    ramps and ints, SLL and MUL of a ramp by an int, SRL and AND with a low
+    mask of a ramp that does not wrap past 2**32 and shares one block, or
+    whose stride is a multiple of the block, and SLT and SLTU of a ramp
+    that does not wrap in the compared order against an int that every
+    lane compares alike to."""
+    opcode = data.draw(st.sampled_from(REGISTER_OPCODES + IMMEDIATE_OPCODES))
+    first = data.draw(_ramps())
+    lanes = first.lanes
+    if opcode in IMMEDIATE_OPCODES:
+        asm = Assembler("imm")
+        asm.emit(opcode, rd=1, rs=2, imm=data.draw(IMMEDIATE))
+        (op,) = predecode_program(asm.assemble()).ops
+        operands, ramp_form, lane_form = (first, op.const), op.ramp_fn, op.fn
+        opcode = pe.immediate_base(opcode)
+    else:
+        other = _operand(data.draw, lanes)
+        operands = data.draw(st.sampled_from(((first, other), (other, first))))
+        ramp_form, (lane_form, _) = pe.ramp_operation(opcode), pe.binary_operation(opcode)
+    for value in operands:
+        if type(value) is Affine:
+            assert value.vector().tolist() == [
+                (value.base + value.stride * lane) & 0xFFFFFFFF for lane in range(lanes)
+            ]
+    result = ramp_form(*operands)
+    expected = lane_form(*(lane_vector(value, lanes) for value in operands))
+    assert lane_vector(result, lanes).tolist() == expected.tolist()
+    if type(result) is Affine:
+        assert result.lanes == lanes and 0 <= result.base <= 0xFFFFFFFF
+        assert -(1 << 31) <= result.stride < (1 << 31) and result.stride != 0
+    assert (type(result) is not np.ndarray) == _keeps_form(opcode, operands, expected)
+
+
+def test_ramp_rules_keep_the_library_kernels_index_shapes():
+    """On one 64-lane wavefront, ``gid >> 6`` is its row, one int, and
+    ``gid & 63`` its column ramp (mat_mul and transpose); ``lid < stride``
+    (the tree reductions) and ``0 < sample - gid`` (histogram) are one int
+    unless the int falls inside the ramp."""
+    gid = Affine(128, 1, 64)
+    assert pe.ramp_operation(Opcode.SRL)(gid, 6) == 2
+    column = pe.ramp_operation(Opcode.AND)(63, gid)
+    assert (type(column), column.base, column.stride) == (Affine, 0, 1)
+    slt, sltu, sub = (pe.ramp_operation(opcode) for opcode in (Opcode.SLT, Opcode.SLTU, Opcode.SUB))
+    assert (slt(gid, 256), slt(gid, 128)) == (1, 0)
+    assert slt(gid, 160).tolist() == [1] * 32 + [0] * 32
+    assert sltu(0, sub(3, gid)) == 1
+    assert sltu(0, sub(130, gid)).tolist() == [1, 1, 0] + [1] * 61
+
+
+def _outcome(function, *arguments):
+    """A call's result as plain data, or the text of the ``SimulationError`` it raised."""
+    try:
+        result = function(*arguments)
+    except SimulationError as error:
+        return ("error", str(error))
+    return ("ok", None if result is None else result.tolist())
+
+
+@given(
+    addresses=_ramps(),
+    values=st.one_of(WORD, st.lists(WORD, min_size=64, max_size=64)),
+    period=st.sampled_from((256, 682, LRAM_WORDS)),
+    slot=st.integers(0, 7),
+    mask=st.lists(st.booleans(), min_size=64, max_size=64),
+)
+@example(Affine(0, 4, 64), 7, 256, 1, [True] * 64)  # an aligned in-range ramp
+@example(Affine(252, -4, 64), [5] * 64, 256, 0, [True] * 64)  # descending to word 0
+@example(Affine(RAMP_MEMORY_BYTES - 128, 4, 64), 7, 256, 0, [True] * 64)  # runs off the end
+@example(Affine((1 << 32) - 8, 4, 64), 7, 256, 0, [True] * 64)  # wraps past 2**32
+@example(Affine(2, 4, 64), 7, 256, 0, [True] * 64)  # unaligned base
+@example(Affine(0, 2, 64), 7, 256, 0, [True] * 64)  # unaligned stride
+@example(Affine(4 * 248, 4, 64), 7, 256, 3, [True] * 64)  # crosses an LRAM window period
+@example(Affine(0, 64, 64), 7, LRAM_WORDS, 0, [True, False] * 32)  # line-multiple stride
+@settings(max_examples=120, deadline=None)
+def test_ramp_memory_paths_match_the_lane_vector_path(addresses, values, period, slot, mask):
+    """Global loads and stores, coalescing, LRAM words and masked merges of a
+    ramp equal those of its lane vector: the same words, lines, memory
+    contents and written prefix, or the same error text (which names the
+    first bad lane's address)."""
+    lanes = addresses.lanes
+    vector = addresses.vector()
+    if type(values) is list:
+        values = np.array(values[:lanes], dtype=np.int64)
+    memories = [GlobalMemory(RAMP_MEMORY_BYTES) for _ in range(2)]
+    for memory in memories:
+        memory.write_buffer(0, RAMP_MEMORY_WORDS)
+    for method in ("load_words", "store_words"):
+        arguments = () if method == "load_words" else (values,)
+        ramped = _outcome(getattr(memories[0], method), addresses, *arguments)
+        assert ramped == _outcome(getattr(memories[1], method), vector, *arguments)
+    assert np.array_equal(memories[0]._words, memories[1]._words)
+    assert memories[0]._dirty_words == memories[1]._dirty_words
+    for line_bytes in (64, 256):
+        cache = DataCache(CacheConfig(line_bytes=line_bytes))
+        assert list(cache.coalesce_lines(addresses)) == cache.coalesce_lines(vector)
+    window = slot % (LRAM_WORDS // period) * period
+    words = _lram_ramp(addresses, window, period)
+    expected = window + (vector >> 2) % period
+    if words is not None:
+        assert list(words) == expected.tolist()
+        lrams = [LocalMemory(LRAM_WORDS) for _ in range(2)]
+        loaded = []
+        for lram, indices in zip(lrams, (words, expected)):
+            lram.store_words(np.arange(LRAM_WORDS), RAMP_MEMORY_WORDS[:LRAM_WORDS])
+            loaded.append(lram.load_words(indices).tolist())
+            lram.store_words(indices, values)
+        assert loaded[0] == loaded[1]
+        assert np.array_equal(lrams[0]._words, lrams[1]._words)
+    lane_mask = np.array(mask[:lanes])
+    merged = merge_lanes(lane_mask, addresses, values)
+    assert type(merged) is np.ndarray
+    assert merged.tolist() == np.where(lane_mask, vector, values).tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -270,7 +475,7 @@ def test_single_line_probe_matches_the_sorted_probe(accesses):
         expected = reference.access_sorted_lines(lines, is_write)
         if len(lines) == 1:
             outcome = uniform.access_line(uniform.line_address(4 * word_indices[0]), is_write)
-            observed = (None, None, 0) if outcome.hit else ([False], [outcome.write_back], 1)
+            observed = ([], 0) if outcome.hit else ([int(outcome.write_back)], -1)
         else:
             observed = uniform.access_sorted_lines(lines, is_write)
         assert observed == expected
@@ -279,12 +484,28 @@ def test_single_line_probe_matches_the_sorted_probe(accesses):
     assert uniform.stats == reference.stats
 
 
+def _compact(hit_list, wb_list, count):
+    """Per-line probe outcomes as ``access_sorted_lines`` returns them:
+    ``(misses, last_hit)``, one ``position << 1 | write_back`` per miss.
+    ``hit_list`` is ``None`` for an access that hit on every line."""
+    if hit_list is None:
+        hit_list, wb_list = [True] * count, [False] * count
+    misses = [
+        position << 1 | write_back
+        for position, (hit, write_back) in enumerate(zip(hit_list, wb_list))
+        if not hit
+    ]
+    hits = [position for position, hit in enumerate(hit_list) if hit]
+    return misses, hits[-1] if hits else -1
+
+
 class _NumpyCacheReference:
     """The tags-only cache probed with numpy arrays, as before the list probe.
 
     A coalesced access is probed in a handful of vector operations and
     replayed line by line through ``access_line`` when two of its lines
-    alias one direct-mapped set.
+    alias one direct-mapped set.  ``access_sorted_lines`` converts the
+    per-line outcomes to the list probe's ``(misses, last_hit)``.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -336,6 +557,10 @@ class _NumpyCacheReference:
         return LineAccess(line_address, False, write_back)
 
     def access_sorted_lines(self, lines: np.ndarray, is_write: bool):
+        hit_list, wb_list, _ = self._outcomes(lines, is_write)
+        return _compact(hit_list, wb_list, lines.size)
+
+    def _outcomes(self, lines: np.ndarray, is_write: bool):
         count = lines.size
         if count == 0:
             return None, None, 0
@@ -503,16 +728,14 @@ class _ScannedPorts:
         return done
 
     def miss_burst(self, access_time, ports, hit_list, wb_list, completion):
-        last_hit = -1
         for position, hit in enumerate(hit_list):
             wave_start = access_time + position // ports
             if hit:
-                last_hit = position
                 continue
             if wb_list[position]:
                 self.write_back(wave_start)
             completion = max(completion, self.line_fill(wave_start))
-        return completion, last_hit
+        return completion
 
     def earliest_free(self) -> float:
         return min(self.free)
@@ -547,9 +770,10 @@ PORT_OPERATIONS = st.lists(
 def test_port_heap_matches_the_lowest_index_scan(data_ports, width, latency, operations):
     """The ports are interchangeable, so only their free-time multiset shows.
 
-    Every transaction entry point returns the same completion times (and
-    last hits) as the scan, with equal ``MemoryTrafficStats`` and equal
-    sorted port free times after each operation.
+    Every transaction entry point returns the same completion times as the
+    scan, with equal ``MemoryTrafficStats`` and equal sorted port free times
+    after each operation.  The scan walks every line's outcome, and the
+    heap walks only the misses of the same outcomes (see ``_compact``).
     """
     axi = AxiConfig(data_ports=data_ports, data_width_bits=width, memory_latency_cycles=latency)
     controller = GlobalMemoryController(axi, CacheConfig())
@@ -559,10 +783,12 @@ def test_port_heap_matches_the_lowest_index_scan(data_ports, width, latency, ope
             ports, lines, completion = rest
             hits = [hit for hit, _ in lines]
             write_backs = [write_back for _, write_back in lines]
-            arguments = (time, ports, hits, write_backs, completion)
+            misses, _ = _compact(hits, write_backs, len(lines))
+            observed = controller.miss_burst(time, ports, misses, completion)
+            assert observed == scanned.miss_burst(time, ports, hits, write_backs, completion)
         else:
             arguments = (time, *rest)
-        assert getattr(controller, kind)(*arguments) == getattr(scanned, kind)(*arguments)
+            assert getattr(controller, kind)(*arguments) == getattr(scanned, kind)(*arguments)
         assert asdict(controller.stats) == asdict(scanned.stats)
         assert sorted(controller._port_free) == sorted(scanned.free)
         assert controller.earliest_free() == scanned.earliest_free()

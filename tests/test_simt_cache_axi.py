@@ -46,8 +46,9 @@ def test_clean_eviction_has_no_write_back(cache):
 def test_wavefront_access_updates_stats(cache):
     lines = cache.coalesce_lines([4 * lane for lane in range(64)])
     assert len(lines) == 4  # 64 words of 4 bytes = 4 lines of 64 bytes
-    hits, write_backs, misses = cache.access_sorted_lines(lines, is_write=False)
-    assert hits == [False] * 4 and write_backs == [False] * 4 and misses == 4
+    misses, last_hit = cache.access_sorted_lines(lines, is_write=False)
+    # Every line misses with a clean victim: position << 1 | write_back.
+    assert misses == [position << 1 for position in range(4)] and last_hit == -1
     assert cache.stats.read_accesses == 4
 
 

@@ -37,7 +37,7 @@ from repro.simt.cu import ComputeUnit
 from repro.simt.decode import K_RET
 from repro.simt.dispatcher import WorkgroupDispatcher
 from repro.simt.gpu import GGPUSimulator
-from repro.simt.registers import WavefrontRegisterFile
+from repro.simt.registers import Affine, WavefrontRegisterFile
 from repro.simt.wavefront import Wavefront
 
 CU_COUNTS = (1, 2, 4, 8)
@@ -465,32 +465,44 @@ def test_cache_ports_serialize_scattered_accesses():
 
 
 # --------------------------------------------------------------------- #
-# Issue modes: macro-stepping on/off x uniform registers or lane vectors
+# Issue modes: macro-stepping on/off x register forms
 # --------------------------------------------------------------------- #
 # The tests below keep the ``vectorized_issue`` names of the batched issue
 # engine they used to pin, so their ids stay stable across the history.  The
 # axes they sweep now are ``ComputeUnit.macro_step`` against single-step
-# issue, and uniform registers (an int when every lane holds one value)
-# against the lane-vector reference below.  They compare results, cycles,
+# issue, and the register forms (an int when every lane holds one value, an
+# ``Affine`` ramp when the lanes count up by a stride) against the two
+# references below: ``affine=False`` expands every ramp, and
+# ``uniform=False`` every int and every ramp.  They compare results, cycles,
 # whole per-CU, cache and AXI statistics, and every wavefront's registers
 # when it retires.
-MODES = [(macro, uniform) for macro in (True, False) for uniform in (True, False)]
+#
+# A mode is (macro_step, uniform, affine).  The ramp reference runs
+# macro-stepped only: it changes no event, so the default's macro and single
+# stepping already pin it.
+DEFAULT_MODE = (True, True, True)
+AFFINE_MODES = [DEFAULT_MODE, (True, True, False)]
+MODES = AFFINE_MODES + [(False, True, True), (True, False, False), (False, False, False)]
 
 
-class _LaneVectorRegisters(list):
-    """Register storage of the lane-vector reference.
+class _ExpandedRegisters(list):
+    """Register storage of the ramp and the lane-vector references.
 
-    Every int is expanded into a broadcast lane vector before it is stored,
-    so the compute unit only ever sees vectors, as it did before uniform
-    registers.  Only :func:`_register_form` installs it.
+    Every ``Affine`` ramp (and, with ``expand_ints``, every int) is expanded
+    into its lane vector before it is stored, so the compute unit sees the
+    register forms it did before ramps (or before uniform registers).  Only
+    :func:`_register_form` installs it.
     """
 
-    def __init__(self, values, lanes: int) -> None:
+    def __init__(self, values, lanes: int, expand_ints: bool) -> None:
         self.lanes = lanes
+        self.expand_ints = expand_ints
         super().__init__(self._expand(value) for value in values)
 
     def _expand(self, value):
-        if type(value) is int:
+        if type(value) is Affine:
+            return value.vector()
+        if self.expand_ints and type(value) is int:
             return np.full(self.lanes, value, dtype=np.int64)
         return value
 
@@ -499,45 +511,50 @@ class _LaneVectorRegisters(list):
 
 
 @contextlib.contextmanager
-def _register_form(uniform: bool):
-    """Run launches with uniform registers, or with the lane-vector reference.
+def _register_form(uniform: bool = True, affine: bool = True):
+    """Run launches with the package's register forms, or with a reference.
 
-    Yields a record of every retiring wavefront's register ``snapshot()`` and
-    of which of its registers were ints, keyed by wavefront id.
+    ``affine=False`` expands every ramp; ``uniform=False`` (which needs
+    ``affine=False``) expands every int too.  Yields a record of every
+    retiring wavefront's register ``snapshot()`` and of which of its
+    registers were ints and ramps, keyed by wavefront id.
     """
-    record = {"snapshots": {}, "int_registers": {}}
+    assert affine <= uniform, "the lane-vector reference holds no ramps either"
+    record = {"snapshots": {}, "int_registers": {}, "affine_registers": {}}
     retire = Wavefront.retire
     init = WavefrontRegisterFile.__init__
 
     def recording_retire(self, time):
+        values = self.registers._values
         record["snapshots"][self.wavefront_id] = self.registers.snapshot().tolist()
-        record["int_registers"][self.wavefront_id] = [
-            index for index, value in enumerate(self.registers._values) if type(value) is int
-        ]
+        for key, form in (("int_registers", int), ("affine_registers", Affine)):
+            record[key][self.wavefront_id] = [
+                index for index, value in enumerate(values) if type(value) is form
+            ]
         retire(self, time)
 
-    def lane_vector_init(self, num_registers, wavefront_size):
+    def expanding_init(self, num_registers, wavefront_size):
         init(self, num_registers, wavefront_size)
-        self._values = _LaneVectorRegisters(self._values, wavefront_size)
+        self._values = _ExpandedRegisters(self._values, wavefront_size, not uniform)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Wavefront, "retire", recording_retire)
-        if not uniform:
-            patch.setattr(WavefrontRegisterFile, "__init__", lane_vector_init)
+        if not affine:
+            patch.setattr(WavefrontRegisterFile, "__init__", expanding_init)
         yield record
 
 
-def _launch_modes(num_cus: int, launch) -> dict:
-    """Run ``launch(simulator) -> (result, outputs)`` under every issue mode."""
+def _launch_modes(num_cus: int, launch, modes=MODES) -> dict:
+    """Run ``launch(simulator) -> (result, outputs)`` under each issue mode."""
     outcomes = {}
-    for macro, uniform in MODES:
-        with _register_form(uniform) as record:
+    for macro, uniform, affine in modes:
+        with _register_form(uniform, affine) as record:
             simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
             for cu in simulator.compute_units:
                 cu.macro_step = macro
             result, outputs = launch(simulator)
         stats = result.stats
-        outcomes[(macro, uniform)] = {
+        outcomes[(macro, uniform, affine)] = {
             "cycles": stats.cycles,
             "cu_stats": [asdict(cu_stats) for cu_stats in stats.cu_stats],
             "cache": asdict(stats.cache),
@@ -552,20 +569,23 @@ def _assert_modes_agree(outcomes: dict) -> None:
     """Every issue mode reproduces the default mode's outcome.
 
     Macro-stepping may change ``issue_events`` and nothing else; the register
-    form may change nothing, and the lane-vector reference never holds an int.
+    form may change nothing.  The ramp reference never holds a ramp, and the
+    lane-vector reference neither a ramp nor an int.
     """
 
     def compared(outcome, with_events):
         rows = [
             row if with_events else {**row, "issue_events": None} for row in outcome["cu_stats"]
         ]
-        return {**outcome, "cu_stats": rows, "int_registers": None}
+        return {**outcome, "cu_stats": rows, "int_registers": None, "affine_registers": None}
 
-    default = compared(outcomes[(True, True)], with_events=False)
-    for (macro, uniform), outcome in outcomes.items():
+    default = compared(outcomes[DEFAULT_MODE], with_events=False)
+    for (macro, uniform, affine), outcome in outcomes.items():
+        if not affine:
+            assert not any(outcome["affine_registers"].values())
         if not uniform:
             assert not any(outcome["int_registers"].values())
-        assert compared(outcome, True) == compared(outcomes[(macro, True)], True)
+        assert compared(outcome, True) == compared(outcomes[(macro, True, True)], True)
         assert compared(outcome, False) == default
 
 
@@ -646,8 +666,8 @@ def test_vectorized_issue_matches_goldens_with_engine_off(name):
 def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op, seed):
     """Random compiled kernels (divergence + barriers + loops): results,
     cycles, and per-CU, cache and AXI statistics must be bit-equal across
-    macro-stepped and single-stepped issue, with uniform registers and with
-    the lane-vector reference."""
+    macro-stepped and single-stepped issue, with the package's register
+    forms and with the ramp and lane-vector references."""
     source = f"""
     __kernel void fuzz_vec(__global int *a, __global int *out, int n) {{
         int gid = get_global_id(0);
@@ -673,8 +693,8 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
     a = rng.integers(0, 1 << 16, size=n, dtype=np.int64)
 
     outcomes = {}
-    for macro, uniform in MODES:
-        with _register_form(uniform):
+    for macro, uniform, affine in MODES:
+        with _register_form(uniform, affine):
             simulator = GGPUSimulator(GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024)
             for cu in simulator.compute_units:
                 cu.macro_step = macro
@@ -684,25 +704,28 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
                 kernel, NDRange(n, 64), {"a": a_addr, "out": out_addr, "n": n}
             )
             values = simulator.read_buffer(out_addr, n)
-        outcomes[(macro, uniform)] = (
+        outcomes[(macro, uniform, affine)] = (
             list(values),
             result.cycles,
             _cu_stats(result),
             asdict(result.stats.cache),
             asdict(result.stats.traffic),
         )
-    default = outcomes[(True, True)]
+    default = outcomes[DEFAULT_MODE]
     assert all(outcome == default for outcome in outcomes.values())
 
 
 # --------------------------------------------------------------------- #
-# Uniform registers against the lane-vector reference
+# Uniform and affine registers against their references
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
 def test_uniform_registers_match_lane_vector_reference_on_library_kernels(name):
-    """Every library kernel at 1, 2 and 8 CUs, macro-stepped and single-stepped."""
-    for num_cus in (1, 2, 8):
-        _assert_modes_agree(_launch_modes(num_cus, _library_launch(name)))
+    """Every library kernel against the ramp reference at 1, 2, 4 and 8 CUs,
+    and macro-stepped and single-stepped against the lane-vector reference
+    at 1, 2 and 8 CUs."""
+    for num_cus in CU_COUNTS:
+        modes = AFFINE_MODES if num_cus == 4 else MODES
+        _assert_modes_agree(_launch_modes(num_cus, _library_launch(name), modes))
 
 
 UNIFORM_TABLE = [100, 21, 33, 44, 55]
@@ -763,12 +786,15 @@ def test_uniform_register_edges_match_lane_vector_reference(num_cus):
         num_cus, _out_launch(kernel, 256, 64, inputs=[("table", UNIFORM_TABLE)])
     )
     _assert_modes_agree(outcomes)
-    # The uniform paths really ran: which registers end as ints.
-    for int_registers in outcomes[(True, True)]["int_registers"].values():
+    # The uniform and affine paths really ran: which registers end as ints
+    # and as ramps.
+    default = outcomes[DEFAULT_MODE]
+    for wavefront_id, int_registers in default["int_registers"].items():
         for name in ("table", "same", "kept", "untouched"):
             assert registers[name] in int_registers, name
         for name in ("gid", "odd", "other", "loaded", "cleared", "taken"):
             assert registers[name] not in int_registers, name
+        assert default["affine_registers"][wavefront_id] == [registers["gid"], registers["addr"]]
 
 
 def _failing_load_kernel(address: int) -> Kernel:
@@ -800,25 +826,54 @@ def _failing_branch_kernel(cleared_mask: bool) -> Kernel:
     return builder.build()
 
 
+def _failing_ramp_kernel(base: int, store: bool) -> Kernel:
+    """Every lane loads (or stores) the word at ``base + 4 * gid``: a ramp."""
+    builder = KernelBuilder("bad_ramp", args=(KernelArg("out"),))
+    gid = builder.alloc("gid")
+    pointer = builder.alloc("pointer")
+    addr = builder.alloc("addr")
+    builder.global_id(gid)
+    builder.load_constant(pointer, base)
+    builder.address_of_element(addr, pointer, gid)
+    if store:
+        builder.emit(Opcode.SW, rs=addr, rt=gid, imm=0)
+    else:
+        builder.emit(Opcode.LW, rd=pointer, rs=addr, imm=0)
+    builder.ret()
+    return builder.build()
+
+
+# The default simulator's global memory ends at 64 MiB (0x4000000).
 @pytest.mark.parametrize(
     "kernel, message",
     [
         (_failing_load_kernel(0x1002), "unaligned word access at byte address 0x1002"),
         (_failing_load_kernel(0x7FFFFFF0), "global memory access out of range: 0x7ffffff0"),
+        (_failing_ramp_kernel(0x1002, store=False), "unaligned word access at byte address 0x1002"),
+        (_failing_ramp_kernel(0x3FFFFC0, store=False), "global memory access out of range: 0x4000000"),
+        (_failing_ramp_kernel(0x3FFFFC0, store=True), "global memory access out of range: 0x4000000"),
         (_failing_branch_kernel(cleared_mask=False), "non-uniform value used in uniform control flow"),
         (_failing_branch_kernel(cleared_mask=True), "no active lane to read a uniform value from"),
     ],
-    ids=["misaligned-load", "out-of-range-load", "non-uniform-branch", "no-active-lane-branch"],
+    ids=[
+        "misaligned-load",
+        "out-of-range-load",
+        "misaligned-ramp-load",
+        "out-of-range-ramp-load",
+        "out-of-range-ramp-store",
+        "non-uniform-branch",
+        "no-active-lane-branch",
+    ],
 )
 def test_uniform_register_errors_match_lane_vector_reference(kernel, message):
-    """Both register forms fail with the same ``SimulationError`` text."""
-    errors = {}
-    for uniform in (True, False):
-        with _register_form(uniform), pytest.raises(SimulationError) as failure:
+    """Every register form fails with the same ``SimulationError`` text."""
+    errors = set()
+    for uniform, affine in ((True, True), (True, False), (False, False)):
+        with _register_form(uniform, affine), pytest.raises(SimulationError) as failure:
             _out_launch(kernel, 64, 64)(GGPUSimulator(GGPUConfig(num_cus=1)))
-        errors[uniform] = str(failure.value)
-    assert errors[True] == errors[False]
-    assert message in errors[True]
+        errors.add(str(failure.value))
+    assert len(errors) == 1
+    assert message in errors.pop()
 
 
 # --------------------------------------------------------------------- #
