@@ -12,12 +12,14 @@ this bench is the quick check CI runs.
 It measures the engine's simulation throughput in wavefront-instructions per
 wall-clock second over a representative kernel mix, and the macro-stepping
 batching factor.  On a 2-vCPU container running at about half the
-benchmark's reference speed the mix runs at ~210k instr/s (~170k before
-affine registers, ~100k before each CU issued its private events in one
-loop, ~70k before uniform registers).  The floor asserted here is well below
-that, so it only catches gross regressions (e.g. re-introducing per-issue
-decode, per-line Python cache probes, or 64-lane numpy work for every
-uniform register), not machine noise.
+benchmark's reference speed the mix runs at ~210k instr/s with issues
+counted per PC (~195k when every statistic was charged per instruction,
+measured alternately on the same host; ~170k before affine registers,
+~100k before each CU issued its private events in one loop, ~70k before
+uniform registers).  The floor asserted here is well below that, so it
+only catches gross regressions (e.g. re-introducing per-issue decode,
+per-line Python cache probes, or 64-lane numpy work for every uniform
+register), not machine noise.
 """
 
 from __future__ import annotations

@@ -37,10 +37,12 @@ An event keeps issuing for the same wavefront while (a) the next instruction
 is macro-safe (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL or MASK: straight-line
 private work) and (b) the wavefront stays strictly ahead of every other
 unfinished resident, so no other wavefront could have issued in between.
-Every statistic except ``issue_events`` is charged per instruction, so it
-does not depend on how instructions are folded into events; with
-:attr:`ComputeUnit.macro_step` set to ``False`` each event is one
-instruction, and the regression tests assert both modes agree exactly.
+The per-instruction statistics are counted per PC and folded at launch
+end (:meth:`ComputeUnit.fold_issue_counts`); only ``issue_events`` is per
+event, so no other statistic depends on how instructions are folded into
+events.  With :attr:`ComputeUnit.macro_step` set to ``False`` each
+event is one instruction, and the regression tests assert both modes agree
+exactly.
 
 Posted stores
 -------------
@@ -67,6 +69,7 @@ from repro.simt.axi import GlobalMemoryController
 from repro.simt.cache import DataCache
 from repro.simt.decode import (
     DecodedProgram,
+    P_CLASS_KEY,
     P_FN,
     P_IMM,
     P_KIND,
@@ -74,6 +77,7 @@ from repro.simt.decode import (
     P_RD,
     P_RS,
     P_RT,
+    P_USES_PE,
     K_ALU_BIN,
     K_ALU_CONST,
     K_ALU_IMM,
@@ -109,7 +113,7 @@ from repro.simt.registers import (
 )
 from repro.simt.scheduler import WavefrontScheduler
 from repro.simt.timing import TimingModel
-from repro.simt.trace import ComputeUnitStats
+from repro.simt.trace import ComputeUnitStats, InstructionMix
 from repro.simt.wavefront import Wavefront
 
 _INFINITY = float("inf")
@@ -183,6 +187,8 @@ class ComputeUnit:
         self._rtm: Optional[RuntimeMemory] = None
         self._barrier_waiters: Dict[int, List[Wavefront]] = {}
         self._held: Optional[Tuple[Wavefront, float]] = None  # see step()
+        self._issue_counts: List[int] = []  # per PC; see fold_issue_counts()
+        self._lane_deficit = 0
         self._occupancy = config.lanes_rounds_per_wavefront
         self._cache_ports = config.cache.ports
         self._lram_words = config.lram_words_per_cu
@@ -227,6 +233,8 @@ class ComputeUnit:
         self.stats = ComputeUnitStats(self.cu_id, wavefront_size=self.config.wavefront_size)
         self._barrier_waiters = {}
         self._held = None
+        self._issue_counts = [0] * len(decoded)
+        self._lane_deficit = 0
         self.local_memory = LocalMemory(self.config.lram_words_per_cu)
         # Per-workgroup LRAM windows (see lram_slot_geometry): slot geometry
         # is fixed by the first admitted workgroup's size, bases are assigned
@@ -308,6 +316,30 @@ class ComputeUnit:
         """Time at which this CU can issue its next instruction."""
         return self.scheduler.earliest_ready()
 
+    def fold_issue_counts(self) -> None:
+        """Charge the launch's issues to :attr:`stats` (the launch calls it).
+
+        :meth:`step` counts each issued instruction at its PC, and the lanes
+        a partially active issue leaves idle as a deficit.  The fold turns
+        them into the instruction count, the busy cycles (each op's static
+        occupancy), the class mix and the active lanes; ``issue_events`` and
+        ``wavefronts_executed`` are charged by :meth:`step` itself.
+        """
+        stats = self.stats
+        counts = self._issue_counts
+        mix: Dict[str, int] = {}
+        busy_cycles = 0
+        for op, count in zip(self._program.packed, counts):
+            if count:
+                busy_cycles += count * (self._occupancy if op[P_USES_PE] else 1)
+                key = op[P_CLASS_KEY]
+                mix[key] = mix.get(key, 0) + count
+        issued = sum(counts)
+        stats.instructions_issued = issued
+        stats.busy_cycles = float(busy_cycles)
+        stats.mix = InstructionMix(mix)
+        stats.active_lane_issues = issued * self.config.wavefront_size - self._lane_deficit
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -341,11 +373,12 @@ class ComputeUnit:
         num_ops = len(packed)
         occupancy_rounds = self._occupancy
         array_free_time = self.array_free_time
-        stats = self.stats
-        mix_counts = stats.mix.counts
+        # Statistics are counted per PC, plus the lanes that partially
+        # active issues leave idle; fold_issue_counts charges them once.
+        counts = self._issue_counts
+        deficit = 0
         lanes = self.config.wavefront_size
-        events = issued = active_issues = 0
-        busy_cycles = 0.0
+        events = 0
         retired: List[Wavefront] = []
         # The next event's wavefront (None: the scheduler picks it) and the
         # other residents' earliest ready time.
@@ -387,7 +420,7 @@ class ComputeUnit:
 
             while True:
                 (
-                    kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, key,
+                    kind, rd, rs, rt, imm, latency, uses_pe, _macro, fn, scalar_fn, const, _key,
                     ramp_fn,
                 ) = op
 
@@ -403,13 +436,12 @@ class ComputeUnit:
                     occupancy = 1
                 completion = issue_start + occupancy + latency
 
-                # --- statistics (added to the CU once per call) ---------- #
-                issued += 1
-                active_issues += num_active
-                busy_cycles += occupancy
-                mix_counts[key] = mix_counts.get(key, 0) + 1
+                # --- statistics, folded at launch end -------------------- #
+                counts[pc] += 1
+                if num_active != lanes:
+                    deficit += lanes - num_active
 
-                # --- functional execution --------------------------------- #
+                # --- functional execution, kinds in order of frequency ---- #
                 next_pc = pc + 1
                 if kind <= K_ALU_CONST:  # K_ALU_BIN, K_ALU_IMM, K_ALU_CONST
                     if rd:
@@ -438,14 +470,28 @@ class ComputeUnit:
                             reg_rows[rd] = merge_lanes(
                                 wavefront.active_mask, result, reg_rows[rd]
                             )
-                elif kind == K_SPECIAL:
-                    self._execute_special(wavefront, ops[pc])
-                elif kind == K_PARAM:
-                    self._write_register(wavefront, rd, self._rtm.read_arg(imm))
                 elif kind == K_LOAD:
                     completion = self._execute_load(wavefront, op, issue_start + occupancy)
-                elif kind == K_STORE:
-                    completion = self._execute_store(wavefront, op, issue_start + occupancy)
+                elif kind == K_BCOND:
+                    a = reg_rows[rs]
+                    b = reg_rows[rt]
+                    if type(a) is int and type(b) is int and num_active:
+                        # Register ints are unsigned 32-bit: flipping the
+                        # sign bit maps the signed order onto the unsigned.
+                        if fn == B_EQ:
+                            taken = a == b
+                        elif fn == B_NE:
+                            taken = a != b
+                        elif fn == B_LT:
+                            taken = (a ^ 0x80000000) < (b ^ 0x80000000)
+                        else:  # B_GE
+                            taken = (a ^ 0x80000000) >= (b ^ 0x80000000)
+                        if taken:
+                            next_pc = imm
+                    else:
+                        next_pc = self._execute_branch(wavefront, op, next_pc)
+                elif kind == K_JMP:
+                    next_pc = imm
                 elif kind == K_LOCAL_LOAD or kind == K_LOCAL_STORE:
                     self._execute_local(wavefront, op, kind)
                 elif kind == K_PUSHM:
@@ -453,18 +499,13 @@ class ComputeUnit:
                 elif kind == K_CMASK:
                     wavefront.constrain_mask(reg_rows[rs])
                     num_active = wavefront.num_active
-                elif kind == K_INVM:
-                    wavefront.invert_mask()
-                    num_active = wavefront.num_active
+                elif kind == K_BEMPTY:
+                    next_pc = imm if not num_active else next_pc
                 elif kind == K_POPM:
                     wavefront.pop_mask()
                     num_active = wavefront.num_active
-                elif kind == K_JMP:
-                    next_pc = imm
-                elif kind == K_BEMPTY:
-                    next_pc = imm if not num_active else next_pc
-                elif kind == K_BCOND:
-                    next_pc = self._execute_branch(wavefront, op, next_pc)
+                elif kind == K_PARAM:
+                    self._write_register(wavefront, rd, self._rtm.read_arg(imm))
                 elif kind == K_SYNC:
                     completion, parked = self._execute_barrier(wavefront, issue_start + occupancy)
                     wavefront.pc = next_pc
@@ -477,6 +518,13 @@ class ComputeUnit:
                     wavefront.pc = next_pc
                     wavefront.ready_time = completion
                     break
+                elif kind == K_SPECIAL:
+                    self._execute_special(wavefront, ops[pc])
+                elif kind == K_STORE:
+                    completion = self._execute_store(wavefront, op, issue_start + occupancy)
+                elif kind == K_INVM:
+                    wavefront.invert_mask()
+                    num_active = wavefront.num_active
                 else:  # pragma: no cover - defensive
                     raise SimulationError(f"unhandled instruction kind {kind}")
 
@@ -509,9 +557,8 @@ class ComputeUnit:
                 wavefront = None
 
         self.array_free_time = array_free_time
-        stats.instructions_issued += issued
-        stats.active_lane_issues += active_issues
-        stats.busy_cycles += busy_cycles
+        self._lane_deficit += deficit
+        stats = self.stats
         stats.issue_events += events
         for finished in retired:
             scheduler.remove(finished)

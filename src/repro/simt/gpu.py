@@ -200,6 +200,8 @@ class GGPUSimulator:
                 cu.admit(wavefronts)
 
         last_completion = self._run(dispatcher)
+        for cu in self.compute_units:
+            cu.fold_issue_counts()
 
         # End-of-kernel flush: drain the dirty lines through the memory
         # controller so the write-back traffic is accounted.  The drain is

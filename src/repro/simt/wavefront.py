@@ -94,9 +94,9 @@ class Wavefront:
         # multiple of the wavefront size) start permanently inactive.
         self.active_mask &= self.global_ids < global_size
         # The active-lane count is consulted on every issued instruction, so
-        # it is cached and kept current by the mask-stack operations instead
-        # of being re-reduced over the lanes per issue.
-        self._active_count = int(np.count_nonzero(self.active_mask))
+        # it is a plain attribute that the mask-stack operations keep current
+        # instead of a reduction over the lanes per issue.
+        self.num_active = int(np.count_nonzero(self.active_mask))
 
         # Scheduling state (owned by the compute unit's scheduler).
         self.ready_time = 0.0
@@ -128,16 +128,6 @@ class Wavefront:
         """Current depth of the divergence stack."""
         return len(self._mask_stack)
 
-    @property
-    def any_active(self) -> bool:
-        """Whether at least one lane is currently active."""
-        return self._active_count > 0
-
-    @property
-    def num_active(self) -> int:
-        """Number of currently active lanes."""
-        return self._active_count
-
     def push_mask(self) -> None:
         """Save the current execution mask (PUSHM)."""
         self._mask_stack.append(self.active_mask.copy())
@@ -150,27 +140,27 @@ class Wavefront:
         if type(condition) is int:
             if not condition:
                 self.active_mask = np.zeros_like(self.active_mask)
-                self._active_count = 0
+                self.num_active = 0
             return
         condition = np.asarray(expand_ramp(condition))
         if condition.shape != self.active_mask.shape:
             raise SimulationError("condition vector has the wrong number of lanes")
         self.active_mask &= condition != 0
-        self._active_count = int(np.count_nonzero(self.active_mask))
+        self.num_active = int(np.count_nonzero(self.active_mask))
 
     def invert_mask(self) -> None:
         """Switch to the complementary lanes of the enclosing region (INVM)."""
         if not self._mask_stack:
             raise SimulationError("INVM executed with an empty mask stack")
         self.active_mask = self._mask_stack[-1] & ~self.active_mask
-        self._active_count = int(np.count_nonzero(self.active_mask))
+        self.num_active = int(np.count_nonzero(self.active_mask))
 
     def pop_mask(self) -> None:
         """Restore the saved execution mask (POPM)."""
         if not self._mask_stack:
             raise SimulationError("POPM executed with an empty mask stack")
         self.active_mask = self._mask_stack.pop()
-        self._active_count = int(np.count_nonzero(self.active_mask))
+        self.num_active = int(np.count_nonzero(self.active_mask))
 
     # ------------------------------------------------------------------ #
     # Uniform values
@@ -184,12 +174,12 @@ class Wavefront:
         instructions instead.  An int register value is uniform by
         construction and needs no lane reduction.
         """
-        if not self.any_active:
+        if not self.num_active:
             raise SimulationError("no active lane to read a uniform value from")
         if type(values) is int:
             return values
         active_values = np.asarray(expand_ramp(values))
-        if self._active_count != active_values.size:
+        if self.num_active != active_values.size:
             active_values = active_values[self.active_mask]
         if strict and (active_values != active_values[0]).any():
             raise SimulationError(

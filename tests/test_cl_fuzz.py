@@ -21,19 +21,29 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.arch.config import GGPUConfig
 from repro.arch.kernel import NDRange
 from repro.cl import compile_source
 from repro.kernels.library import GpuWorkload
+from repro.riscv.cpu import RiscvCpu
 from repro.simt.gpu import GGPUSimulator
 
 MASK = 0xFFFFFFFF
 
+#: Instruction budget of each draw's RISC-V run, far above the largest one
+#: (13,320 instructions over hypothesis seeds 0-9), so an ISS defect that
+#: makes a program loop fails its draw in a fraction of a second instead of
+#: spinning to the CPU's default limit of 200M instructions.
+RISCV_INSTRUCTION_BUDGET = 1_000_000
+
+# No explain phase: it replays a failing draw hundreds of times under a line
+# tracer, which held a failing test for five minutes instead of seconds.
 FUZZ_SETTINGS = settings(
     max_examples=8,
     deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink),
     suppress_health_check=[HealthCheck.too_slow],
 )
 
@@ -57,7 +67,8 @@ def _run_both_backends(source: str, workload: GpuWorkload, expected: np.ndarray)
     assert np.array_equal(gpu_out, expected_u32), "G-GPU output diverges from the model"
 
     case = program.to_riscv_case(workload, memory_bytes=64 * 1024)
-    _, riscv_outputs = case.run(check=False)
+    cpu = RiscvCpu(case.memory, max_instructions=RISCV_INSTRUCTION_BUDGET)
+    _, riscv_outputs = case.run(check=False, cpu=cpu)
     riscv_out = riscv_outputs[out_name].astype(np.int64)
     assert np.array_equal(riscv_out, expected_u32), "RISC-V output diverges from the model"
 

@@ -9,6 +9,11 @@ instruction-at-a-time engine (the only intended difference is the cache-port
 serialization fix, which shifts only ``xcorr`` — the one kernel whose
 accesses scatter across more lines than the cache has ports — by under 1%).
 
+:data:`STATS_DIGEST` pins the whole ``KernelRunStats`` of every golden
+launch between commits.  Every reference mode below runs through the same
+end-of-launch fold of the per-PC issue counts, so none of them can catch a
+folding error; the digest does.
+
 Also covered here: equivalence of the macro-stepping fast path against
 single-instruction stepping (results, cycles, and every per-CU statistic
 except the event count), barrier edge cases (multi-wavefront workgroups
@@ -17,7 +22,9 @@ the end-of-kernel flush traffic, and the round-robin idle-CU refill.
 """
 
 import contextlib
+import hashlib
 import json
+import operator
 import time
 from dataclasses import asdict
 from typing import Dict, Tuple
@@ -83,6 +90,10 @@ ALL_GOLDEN = {**GOLDEN, **EXTENDED_GOLDEN, **DENSE_GOLDEN}
 
 SEED = 2022
 
+#: sha256 of :func:`stats_digest`.  Regenerate deliberately with
+#: ``python tests/tools/regen_goldens.py``; never to silence a failure.
+STATS_DIGEST = "f9e1122fe25c700513b812ab691a0164faa070d23ded8a2d8f264def4c82db82"
+
 
 def _cu_stats(result) -> list:
     """Every per-CU statistic of a launch except ``issue_events``.
@@ -110,6 +121,26 @@ def _run(name: str, num_cus: int, size: int, macro_step: bool = True, **sim_kwar
     # golden run also verifies functional correctness.
     result, _ = run_workload(simulator, spec.build(), workload)
     return result
+
+
+def stats_digest() -> str:
+    """sha256 of the whole ``KernelRunStats`` of every golden launch.
+
+    Each kernel of ``GOLDEN``, ``EXTENDED_GOLDEN`` and ``DENSE_GOLDEN`` runs
+    at its golden size on 1, 2, 4 and 8 CUs.  ``sort_keys`` makes the
+    digest independent of the order in which mix keys were inserted.
+    """
+    rows = [
+        [name, num_cus, asdict(_run(name, num_cus, golden[name][0]).stats)]
+        for golden in (GOLDEN, EXTENDED_GOLDEN, DENSE_GOLDEN)
+        for name in sorted(golden)
+        for num_cus in CU_COUNTS
+    ]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def test_launch_statistics_match_the_stats_digest():
+    assert stats_digest() == STATS_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN))
@@ -795,6 +826,87 @@ def test_uniform_register_edges_match_lane_vector_reference(num_cus):
         for name in ("gid", "odd", "other", "loaded", "cleared", "taken"):
             assert registers[name] not in int_registers, name
         assert default["affine_registers"][wavefront_id] == [registers["gid"], registers["addr"]]
+
+
+U32_EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+BRANCH_ORDERS = (
+    (Opcode.BEQ, operator.eq),
+    (Opcode.BNE, operator.ne),
+    (Opcode.BLT, operator.lt),
+    (Opcode.BGE, operator.ge),
+)
+
+
+def _int_branch_kernel() -> Kernel:
+    """Every conditional branch on every pair of u32 edge ints, first with
+    every lane active and then on the odd lanes only.  ``out[8 * gid + 2 * k
+    + p]`` holds one bit per pair of branch ``k`` in pass ``p``: 1 where it
+    was taken."""
+    builder = KernelBuilder("int_branches", args=(KernelArg("out"),))
+    gid, odd, taken, index, addr, out = (
+        builder.alloc(name) for name in ("gid", "odd", "taken", "index", "addr", "out")
+    )
+    edges = [builder.alloc(f"edge{i}") for i in range(len(U32_EDGES))]
+    accs = [[builder.alloc(f"acc{k}_{p}") for p in range(2)] for k in range(len(BRANCH_ORDERS))]
+    builder.global_id(gid)
+    builder.load_arg(out, "out")
+    builder.emit(Opcode.ANDI, rd=odd, rs=gid, imm=1)
+    for edge, value in zip(edges, U32_EDGES):
+        builder.load_constant(edge, value)
+    for p in range(2):
+        if p:
+            builder.emit(Opcode.PUSHM)
+            builder.emit(Opcode.CMASK, rs=odd)
+        for k, (opcode, _) in enumerate(BRANCH_ORDERS):
+            for i, a in enumerate(edges):
+                for j, b in enumerate(edges):
+                    label = f"taken{p}_{k}_{i}_{j}"
+                    builder.emit(Opcode.LI, rd=taken, imm=1)
+                    builder.emit(opcode, rs=a, rt=b, label=label)
+                    builder.emit(Opcode.LI, rd=taken, imm=0)
+                    builder.label(label)
+                    builder.emit(Opcode.SLLI, rd=accs[k][p], rs=accs[k][p], imm=1)
+                    builder.emit(Opcode.OR, rd=accs[k][p], rs=accs[k][p], rt=taken)
+        if p:
+            builder.emit(Opcode.POPM)
+    for k in range(len(BRANCH_ORDERS)):
+        for p in range(2):
+            builder.emit(Opcode.SLLI, rd=index, rs=gid, imm=3)
+            builder.emit(Opcode.ADDI, rd=index, rs=index, imm=2 * k + p)
+            builder.address_of_element(addr, out, index)
+            builder.emit(Opcode.SW, rs=addr, rt=accs[k][p], imm=0)
+    builder.ret()
+    return builder.build(), edges
+
+
+def test_int_branches_match_the_lane_vector_reference():
+    """The issue loop decides a branch on two ints itself; the lane-vector
+    reference takes every branch through ``_execute_branch``.  Both must
+    order the u32 edges as signed ints, with all lanes or some active."""
+    kernel, edges = _int_branch_kernel()
+
+    def launch(simulator):
+        out = simulator.allocate_buffer(8 * 64)
+        result = simulator.launch(kernel, NDRange(64, 64), {"out": out})
+        return result, simulator.read_buffer(out, 8 * 64).tolist()
+
+    outcomes = _launch_modes(1, launch)
+    _assert_modes_agree(outcomes)
+    default = outcomes[DEFAULT_MODE]
+    assert all(set(edges) <= set(ints) for ints in default["int_registers"].values())
+
+    def signed(value):
+        return value - (1 << 32) if value & 0x80000000 else value
+
+    expected = []
+    for gid in range(64):
+        for _, compare in BRANCH_ORDERS:
+            bits = 0
+            for a in U32_EDGES:
+                for b in U32_EDGES:
+                    bits = bits << 1 | compare(signed(a), signed(b))
+            expected += [bits, bits if gid & 1 else 0]
+    assert default["outputs"] == expected
 
 
 def _failing_load_kernel(address: int) -> Kernel:

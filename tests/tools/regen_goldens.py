@@ -10,7 +10,9 @@ The golden dictionaries live in two test modules:
 
 The CL code generators are pinned beside them: ``CODEGEN_DIGEST`` in
 ``tests/test_cl_codegen_pin.py`` is the sha256 of the listing of every
-program both back ends emit for a fixed corpus.
+program both back ends emit for a fixed corpus.  ``STATS_DIGEST`` in
+``tests/test_simt_golden.py`` is the sha256 of the whole ``KernelRunStats``
+of every G-GPU golden launch.
 
 Engine PRs that *intentionally* change cycle accounting should regenerate
 the dictionaries with this tool and paste the printed literals, instead of
@@ -130,12 +132,16 @@ def main() -> int:
         print(format_riscv(riscv_measured))
 
     codegen = test_cl_codegen_pin.codegen_digest()
+    stats = test_simt_golden.stats_digest()
     if args.check:
         if codegen != test_cl_codegen_pin.CODEGEN_DIGEST:
             drifted.append(f"codegen: {test_cl_codegen_pin.CODEGEN_DIGEST} -> {codegen}")
+        if stats != test_simt_golden.STATS_DIGEST:
+            drifted.append(f"stats: {test_simt_golden.STATS_DIGEST} -> {stats}")
     else:
         print()
         print(f'CODEGEN_DIGEST = "{codegen}"')
+        print(f'STATS_DIGEST = "{stats}"')
 
     if args.check:
         if drifted:
@@ -149,7 +155,7 @@ def main() -> int:
             + len(test_simt_golden.DENSE_GOLDEN)
             + len(test_riscv_decode.GOLDEN_CYCLES)
         )
-        print(f"all {total} golden entries and the codegen digest match")
+        print(f"all {total} golden entries, the codegen digest and the stats digest match")
     return 0
 
 
