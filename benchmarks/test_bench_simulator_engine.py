@@ -1,22 +1,26 @@
 """Benchmark the SIMT engine itself: simulation throughput, not kernel cycles.
 
 The Table III / Fig. 5 / Fig. 6 measurement loop spends its time in the SIMT
-issue loop: pre-decoded programs, cached scheduler state, macro-stepped
-straight-line runs, wavefront-uniform registers kept as one Python int
-instead of a 64-lane vector, and lane ramps (work-item ids and the addresses
-computed from them) kept as an ``Affine`` base and stride that the memory
-path coalesces, loads and stores by arithmetic and slices.
+issue loop: pre-decoded programs, residents kept sorted by ready time so the
+common pick needs no scan, macro-stepped straight-line runs,
+wavefront-uniform registers kept as one Python int instead of a 64-lane
+vector, and lane ramps (work-item ids and the addresses computed from them)
+kept as an ``Affine`` base and stride that the memory path coalesces, loads
+and stores by arithmetic and slices, and whose runs of lines the cache
+serves by slices.
 ``perfbench/run.py --workload table3_sweep`` measures that loop end to end;
 this bench is the quick check CI runs.
 
 It measures the engine's simulation throughput in wavefront-instructions per
 wall-clock second over a representative kernel mix, and the macro-stepping
 batching factor.  On a 2-vCPU container running at about half the
-benchmark's reference speed the mix runs at ~210k instr/s with issues
-counted per PC (~195k when every statistic was charged per instruction,
-measured alternately on the same host; ~170k before affine registers,
-~100k before each CU issued its private events in one loop, ~70k before
-uniform registers).  The floor asserted here is well below that, so it
+benchmark's reference speed the mix runs at ~225k instr/s with the sorted
+scheduler, slice-served runs and closed-form AXI bursts (~220k before,
+medians of six runs each, alternately on the same host, a gap inside that
+host's run-to-run spread; ~195k when every statistic was charged per
+instruction, ~170k before affine registers, ~100k before each CU issued
+its private events in one loop, ~70k before uniform registers).  The
+floor asserted here is well below that, so it
 only catches gross regressions (e.g. re-introducing per-issue decode,
 per-line Python cache probes, or 64-lane numpy work for every uniform
 register), not machine noise.

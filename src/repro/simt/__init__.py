@@ -29,9 +29,12 @@ The engine is event driven rather than instruction-at-a-time:
   the heap top's.  Shared events thus keep the order of one global event
   heap, bit-exactly (``tests/test_simt_golden.py`` pins it against a
   reference that orders every event).
-* **Cached scheduler state.**  Each ``WavefrontScheduler`` caches its
-  earliest-ready time and unfinished-resident count, and picks a wavefront
-  and the other residents' earliest ready time in one pass.
+* **Sorted scheduler state.**  Each ``WavefrontScheduler`` keeps its
+  residents sorted by ready time behind the last pick, so the earliest ready
+  time is the smaller of the first two, and round robin is a cyclic key per
+  resident with a pointer past the last pick.  ``ComputeUnit.step`` takes
+  the head inline when it is the only ready resident (96% of picks in the
+  Table III sweep) and leaves ties to ``WavefrontScheduler.pick``.
 * **Pre-decoded programs.**  ``repro.simt.decode`` resolves each instruction
   once per launch into a ``DecodedOp`` (dispatch kind, plain-int operands,
   pre-looked-up latency/occupancy, pre-broadcast immediates, resolved ALU
@@ -50,7 +53,8 @@ The engine is event driven rather than instruction-at-a-time:
   traffic but not cycles), cache hit latency and per-cycle port width come
   from ``CacheConfig``, and accesses touching more lines than the cache has
   ports are serialized one ``ports``-wide wave per cycle.  The AXI ports are
-  interchangeable, so their free times are kept as a heap.
+  interchangeable, so their free times are kept as a heap, and a burst that
+  saturates them is charged in closed form.
 """
 
 from repro.simt.memory import GlobalMemory, RuntimeMemory, LocalMemory

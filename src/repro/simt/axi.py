@@ -10,7 +10,11 @@ contention can even hurt, as in the xcorr results of Table III).
 The ports are interchangeable: a transaction takes whichever port frees up
 first, and nothing observable depends on which port that is, only on the
 multiset of the ports' free times.  The free times are therefore kept as a
-heap, and a transaction replaces its minimum (``heapq.heapreplace``).
+heap, and a transaction replaces its minimum (``heapq.heapreplace``).  Every
+transfer lasts the same number of cycles, so a burst of misses that finds
+every port busy past its last request is charged in closed form: the ports
+take turns, and the last fill and each port's new free time are arithmetic
+(:meth:`GlobalMemoryController.miss_burst`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ from typing import List
 
 from repro.arch.config import AxiConfig, CacheConfig
 from repro.errors import SimulationError
+from repro.simt.cache import Misses
+
+#: Floats hold every integer below this exactly, so sums of such integers
+#: that stay below it are exact too.
+_EXACT_LIMIT = 2.0**53
 
 
 @dataclass
@@ -42,14 +51,7 @@ class GlobalMemoryController:
     def __init__(self, axi: AxiConfig, cache: CacheConfig) -> None:
         self.axi = axi
         self.cache = cache
-        # A heap of the ports' free times (all zero is a valid heap).
-        self._port_free: List[float] = [0.0] * axi.data_ports
-        # The transfer width and the fill latency are consulted on every one
-        # of the hundreds of thousands of misses of a sweep; resolve them
-        # once instead of re-deriving them from the configs per transaction.
-        self._transfer_cycles = self.line_transfer_cycles
-        self._fill_latency = self.axi.memory_latency_cycles + self._transfer_cycles
-        self.stats = MemoryTrafficStats()
+        self.reset()
 
     @property
     def line_transfer_cycles(self) -> int:
@@ -59,8 +61,13 @@ class GlobalMemoryController:
 
     def reset(self) -> None:
         """Clear port occupancy and statistics (new kernel launch)."""
-        self._port_free = [0.0] * self.axi.data_ports
-        self._transfer_cycles = self.line_transfer_cycles
+        # A heap of the ports' free times (all zero is a valid heap).
+        self._port_free: List[float] = [0.0] * self.axi.data_ports
+        # The transfer width and the fill latency are consulted on every one
+        # of the hundreds of thousands of misses of a sweep; resolve them
+        # once instead of re-deriving them from the configs per transaction.
+        # A float transfer keeps every port free time a float.
+        self._transfer_cycles = float(self.line_transfer_cycles)
         self._fill_latency = self.axi.memory_latency_cycles + self._transfer_cycles
         self.stats = MemoryTrafficStats()
 
@@ -98,44 +105,77 @@ class GlobalMemoryController:
         self,
         access_time: float,
         ports: int,
-        misses: List[int],
+        misses: Misses,
         completion: float,
     ) -> float:
         """Claim port time for every missing line of one coalesced access.
 
-        ``misses`` are the cache probe's missing lines in position order,
-        each ``position << 1 | write_back``; line ``k`` of the access starts
+        ``misses`` are the cache probe's missing lines in position order
+        (:data:`repro.simt.cache.Misses`); line ``k`` of the access starts
         at ``access_time + k // ports`` (the cache serves ``ports`` lines per
         cycle).  Equivalent to calling :meth:`write_back` (for dirty victims)
-        and :meth:`line_fill` per missing line, but in one call with the
-        port state held in locals -- the per-miss call overhead dominated
-        the memory path of scatter-heavy kernels.  Returns the latest fill
+        and :meth:`line_fill` per missing line.  Returns the latest fill
         completion, starting from ``completion``.
+
+        A saturated burst is charged in closed form: when the earliest port
+        frees no earlier than the last miss's wave start, every transfer
+        starts as a port frees.  If the ports' free times also lie within
+        one transfer, the ports take turns in the order they free: with
+        ``f`` the sorted free times and ``P`` ports, transfer ``j`` starts at
+        ``f[j % P] + (j // P) * transfer``, and its last one is the last
+        fill.  A transfer is a whole number of beats, so with integer-valued
+        free times below 2**53 the sums are the walk's, exactly.  Any other
+        burst walks its misses one by one.
         """
+        if type(misses) is tuple:
+            fills, write_backs, last, victims = misses
+        elif misses:
+            fills, write_backs, last = len(misses), sum(miss & 1 for miss in misses), misses[-1] >> 1
+        else:
+            return completion
         free = self._port_free
-        replace = heapq.heapreplace
         transfer = self._transfer_cycles
-        fill_latency = self._fill_latency
-        write_backs = 0
-        # (miss >> 1) // ports, the miss's wave, in one floor division.
-        wave_span = 2 * ports
-        for miss in misses:
-            wave_start = access_time + miss // wave_span
-            if miss & 1:
+        transfers = fills + write_backs
+        times = sorted(free)
+        rounds, extra = divmod(transfers, len(times))
+        if (
+            times[0] >= access_time + last // ports
+            and times[-1] - times[0] <= transfer
+            and all(map(float.is_integer, times))
+            and times[-1] + (rounds + 1) * transfer < _EXACT_LIMIT
+        ):
+            turns, turn = divmod(transfers - 1, len(times))
+            fill_done = times[turn] + turns * transfer + self._fill_latency
+            if fill_done > completion:
+                completion = fill_done
+            # Ascending, so still a heap.
+            free[:] = [time + rounds * transfer for time in times[extra:]] + [
+                time + (rounds + 1) * transfer for time in times[:extra]
+            ]
+        else:
+            if type(misses) is tuple:
+                first = last - fills + 1
+                misses = [(first + offset) << 1 | victim for offset, victim in enumerate(victims)]
+            replace = heapq.heapreplace
+            fill_latency = self._fill_latency
+            # (miss >> 1) // ports, the miss's wave, in one floor division.
+            wave_span = 2 * ports
+            for miss in misses:
+                wave_start = access_time + miss // wave_span
+                if miss & 1:
+                    earliest = free[0]
+                    start = wave_start if wave_start > earliest else earliest
+                    replace(free, start + transfer)
                 earliest = free[0]
                 start = wave_start if wave_start > earliest else earliest
                 replace(free, start + transfer)
-                write_backs += 1
-            earliest = free[0]
-            start = wave_start if wave_start > earliest else earliest
-            replace(free, start + transfer)
-            fill_done = start + fill_latency
-            if fill_done > completion:
-                completion = fill_done
-        fills = len(misses)
-        self.stats.line_fills += fills
-        self.stats.write_backs += write_backs
-        self.stats.busy_cycles += (fills + write_backs) * transfer
+                fill_done = start + fill_latency
+                if fill_done > completion:
+                    completion = fill_done
+        stats = self.stats
+        stats.line_fills += fills
+        stats.write_backs += write_backs
+        stats.busy_cycles += transfers * transfer
         return completion
 
     def write_back_burst(self, now: float, count: int) -> float:

@@ -9,15 +9,20 @@ each access reports whether it hit and whether a dirty victim line must be
 written back, and the :class:`~repro.simt.axi.GlobalMemoryController` turns
 misses and write-backs into AXI traffic and latency.
 
-The tag and dirty state is held in Python lists, and every probe is one
-in-order loop over the ascending line addresses of an access
-(:meth:`DataCache.access_sorted_lines`): a coalesced wavefront access touches
-1 to ``wavefront_size`` lines, too few for numpy's per-call overhead to pay
-off, and probing in order is exactly the sequential semantics even when two
-lines of one access alias one direct-mapped set.  The probe reports only the
-misses, which is all the AXI port walk needs, and the last hit.  The lines of
-an :class:`~repro.simt.registers.Affine` address ramp are plain arithmetic
-(:meth:`DataCache.coalesce_lines`).
+The tag and dirty state is held in Python lists, one entry per set, and a
+set's tag is its line's address bits above the set index.  A probe
+(:meth:`DataCache.access_sorted_lines`) takes the ascending line addresses
+of an access: a coalesced wavefront access touches 1 to ``wavefront_size``
+lines, too few for numpy's per-call overhead to pay off, and probing in
+order is exactly the sequential semantics even when two lines of one access
+alias one direct-mapped set.  The lines of an
+:class:`~repro.simt.registers.Affine` address ramp are plain arithmetic
+(:meth:`DataCache.coalesce_lines`), and consecutive ones come as a
+``range``.  Such a run sits in consecutive sets under one tag, unless it
+wraps past the last set, so when all of it hits, all of it misses, or its
+hits are one run at either end, it is served with slice counts and slice
+assignments; every other access is probed line by line.  The probe reports
+only the misses, which is all the AXI port walk needs, and the last hit.
 
 The cache serves at most ``CacheConfig.ports`` distinct lines per cycle: the
 compute unit's timing model serializes wider accesses into one
@@ -81,7 +86,14 @@ class LineAccess:
     write_back: bool
 
 
-_NO_TAG = -1  # sentinel for an invalid line (line addresses are >= 0)
+_NO_TAG = -1  # sentinel for an invalid line (tags are >= 0)
+
+#: The misses of one probe in position order: a list with one ``position <<
+#: 1 | write_back`` int per missing line (whether its victim was dirty), or,
+#: for a run served by slices, whose misses sit at consecutive positions,
+#: ``(count, write_backs, last_position, victims)`` with each victim's dirty
+#: bit in position order.
+Misses = Union[List[int], Tuple[int, int, int, List[bool]]]
 
 
 class DataCache:
@@ -90,8 +102,10 @@ class DataCache:
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
         self._num_lines = self.config.num_lines
-        # A dirty bit is only ever set on a valid line, so a set bit alone
-        # marks a victim that must be written back.
+        # A set's tag is its line's address bits above the set index, so the
+        # lines of a run of consecutive sets share one tag.  A dirty bit is
+        # only ever set on a valid line, so a set bit alone marks a victim
+        # that must be written back.
         self._tags: List[int] = [_NO_TAG] * self._num_lines
         self._dirty: List[bool] = [False] * self._num_lines
         self.stats = CacheStats()
@@ -102,6 +116,7 @@ class DataCache:
         self._line_floor_mask = ~(self._line_bytes - 1)
         self._line_shift = self._line_bytes.bit_length() - 1
         self._index_mask = self._num_lines - 1
+        self._tag_shift = self._line_shift + self._num_lines.bit_length() - 1
 
     # ------------------------------------------------------------------ #
     # Address helpers
@@ -172,28 +187,35 @@ class DataCache:
 
     def access_sorted_lines(
         self, lines: Sequence[int], is_write: bool
-    ) -> Tuple[List[int], int]:
+    ) -> Tuple[Misses, int]:
         """Probe one coalesced access whose lines are ascending and distinct.
 
         The lines are probed one after another, so two lines that alias one
         direct-mapped set evict each other in order.  Returns ``(misses,
-        last_hit)``: one int per missing line in position order,
-        ``position << 1 | write_back`` (whether its victim was dirty), as
-        the AXI port walk takes them, and the position of the last hit (-1
-        if none).  ``lines`` must come from :meth:`coalesce_lines`
-        (ascending, distinct).
+        last_hit)``: the missing lines in position order, as the AXI port
+        walk takes them (see :data:`Misses`), and the position of the last
+        hit (-1 if none).  ``lines`` must come from :meth:`coalesce_lines`
+        (ascending, distinct).  A ``range`` of consecutive lines may be
+        served by slices (:meth:`_access_run`); every other access is probed
+        line by line.
         """
+        if type(lines) is range and lines.step == self._line_bytes:
+            outcome = self._access_run(lines, is_write)
+            if outcome is not None:
+                return outcome
         tags = self._tags
         dirty = self._dirty
         shift = self._line_shift
         index_mask = self._index_mask
+        tag_shift = self._tag_shift
         misses: List[int] = []
         append = misses.append
         last_hit = -1
         write_backs = 0
         for position, line in enumerate(lines):
             index = (line >> shift) & index_mask
-            if tags[index] == line:
+            tag = line >> tag_shift
+            if tags[index] == tag:
                 if is_write:
                     dirty[index] = True
                 last_hit = position
@@ -203,7 +225,7 @@ class DataCache:
                 write_backs += 1
             else:
                 append(position << 1)
-            tags[index] = line
+            tags[index] = tag
             dirty[index] = is_write
         stats = self.stats
         if is_write:
@@ -214,6 +236,56 @@ class DataCache:
             stats.read_misses += len(misses)
         stats.write_backs += write_backs
         return misses, last_hit
+
+    def _access_run(self, lines: range, is_write: bool) -> Optional[Tuple[Misses, int]]:
+        """:meth:`access_sorted_lines` for consecutive lines, served by slices.
+
+        Unless it wraps past the last set, the run sits in consecutive sets
+        under one tag.  It is served when every line hits, every line
+        misses, or the hits form one run at either end: the hits are a
+        count of the tag in the run's slice, and the misses are one slice
+        of victims to replace.  Any other run returns ``None`` and changes
+        nothing.
+        """
+        count = len(lines)
+        start = (lines.start >> self._line_shift) & self._index_mask
+        stop = start + count
+        if not count or stop > self._num_lines:
+            return None
+        tag = lines.start >> self._tag_shift
+        tags = self._tags
+        dirty = self._dirty
+        hits = tags[start:stop].count(tag)
+        if hits == count:
+            miss_start = miss_stop = stop
+            last_hit = count - 1
+        elif not hits:
+            miss_start, miss_stop, last_hit = start, stop, -1
+        elif tags[start : start + hits].count(tag) == hits:
+            miss_start, miss_stop, last_hit = start + hits, stop, hits - 1
+        elif tags[stop - hits : stop].count(tag) == hits:
+            miss_start, miss_stop, last_hit = start, stop - hits, count - 1
+        else:
+            return None
+        missed = miss_stop - miss_start
+        victims = dirty[miss_start:miss_stop]
+        write_backs = victims.count(True)
+        tags[miss_start:miss_stop] = [tag] * missed
+        if is_write:
+            dirty[start:stop] = [True] * count
+        else:
+            dirty[miss_start:miss_stop] = [False] * missed
+        stats = self.stats
+        if is_write:
+            stats.write_accesses += count
+            stats.write_misses += missed
+        else:
+            stats.read_accesses += count
+            stats.read_misses += missed
+        stats.write_backs += write_backs
+        if not missed:
+            return [], last_hit
+        return (missed, write_backs, miss_stop - start - 1, victims), last_hit
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -239,4 +311,8 @@ class DataCache:
 
     def resident_lines(self) -> Set[int]:
         """Set of line addresses currently cached (used by tests)."""
-        return {tag for tag in self._tags if tag != _NO_TAG}
+        return {
+            tag << self._tag_shift | index << self._line_shift
+            for index, tag in enumerate(self._tags)
+            if tag != _NO_TAG
+        }

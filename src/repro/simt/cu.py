@@ -361,9 +361,11 @@ class ComputeUnit:
         if program is None or self._rtm is None:
             raise SimulationError("compute unit has no program bound")
         scheduler = self.scheduler
+        # Sorted by ready time behind the last pick (see repro.simt.scheduler).
+        residents = scheduler.residents
         if now is None:
             now = scheduler.earliest_ready()
-        if now == _INFINITY:
+        if now == _INFINITY or not residents:
             raise SimulationError(f"CU {self.cu_id} stepped with no ready wavefront")
         pick = scheduler.pick
         shared_kinds = SHARED_KINDS
@@ -389,11 +391,23 @@ class ComputeUnit:
 
         while events < max_events:
             if wavefront is None:
-                wavefront, others_ready = pick(now)
-                if wavefront is None:
-                    raise SimulationError(
-                        f"CU {self.cu_id} found no schedulable wavefront at {now}"
-                    )
+                # The head is the pick when it is the only resident ready at
+                # ``now``; otherwise round robin decides.  A retired
+                # wavefront leaves in the step that retires it, so no
+                # resident here is done.
+                wavefront = residents[0]
+                try:
+                    others_ready = residents[1].ready_time
+                except IndexError:  # a lone resident, rare
+                    others_ready = _INFINITY
+                if wavefront.ready_time <= now < others_ready:
+                    scheduler.last_pick = wavefront
+                else:
+                    wavefront, others_ready = pick(now)
+                    if wavefront is None:
+                        raise SimulationError(
+                            f"CU {self.cu_id} found no schedulable wavefront at {now}"
+                        )
             pc = wavefront.pc
             if pc >= num_ops:
                 raise SimulationError(
@@ -401,9 +415,9 @@ class ComputeUnit:
                 )
             op = packed[pc]
             if now > limit and op[P_KIND] in shared_kinds:
-                # Another CU's event comes first.  The scheduler has rotated
-                # past this pick and nothing else can touch this CU, so the
-                # pick is held for the next call.
+                # Another CU's event comes first.  The scheduler has moved
+                # its pointer past this pick and nothing else can touch this
+                # CU, so the pick is held for the next call.
                 self._held = wavefront, others_ready
                 break
             events += 1
@@ -550,10 +564,20 @@ class ComputeUnit:
                     break  # every resident is parked at a barrier
             elif completion < others_ready:
                 # Still strictly ahead of the others: the scheduler would
-                # pick this wavefront again, already last in its order.
+                # pick this wavefront again, with its pointer already past.
                 now = completion
             else:
+                # Yield: re-seat the head by its new ready time, shifting
+                # the later residents up from the back (the one ready at
+                # others_ready stops the walk at the latest).
                 now = others_ready
+                del residents[0]
+                residents.append(wavefront)
+                position = -2
+                while residents[position].ready_time > completion:
+                    residents[position + 1] = residents[position]
+                    position -= 1
+                residents[position + 1] = wavefront
                 wavefront = None
 
         self.array_free_time = array_free_time
@@ -564,8 +588,6 @@ class ComputeUnit:
             scheduler.remove(finished)
             self._release_workgroup(finished.workgroup_id)
             stats.wavefronts_executed += 1
-        if not retired:
-            scheduler.set_earliest(now)  # the event the loop stopped before
         return retired
 
     # ------------------------------------------------------------------ #

@@ -15,10 +15,15 @@ from repro.arch.config import GGPUConfig
 from repro.cl import BENCHMARK_CL_SOURCES, compile_source, get_benchmark_source
 from repro.errors import CompilationError
 from repro.kernels import all_kernel_names, get_kernel_spec, run_workload
+from repro.riscv.cpu import RiscvCpu
 from repro.riscv.programs import get_riscv_program_spec
 from repro.simt.gpu import GGPUSimulator
 
 SMALL_SIZE = 128
+#: Ten times the largest RISC-V run here (xcorr, 493,322 instructions), so an
+#: ISS defect that makes a program loop fails in a fraction of a second
+#: instead of spinning to the CPU's default limit of 200M instructions.
+RISCV_INSTRUCTION_BUDGET = 5_000_000
 
 
 def _small_workload(name: str, seed: int = 11):
@@ -51,7 +56,8 @@ def test_compiled_kernel_matches_reference_outputs_on_riscv(name):
     program = compile_source(get_benchmark_source(name))
     workload = _small_workload(name)
     case = program.to_riscv_case(workload)
-    stats, outputs = case.run(check=True)
+    cpu = RiscvCpu(case.memory, max_instructions=RISCV_INSTRUCTION_BUDGET)
+    stats, outputs = case.run(check=True, cpu=cpu)
     assert stats.cycles > 0
     assert outputs
 

@@ -9,6 +9,7 @@ from repro.arch.kernel import NDRange
 from repro.cl import compile_kernel_to_riscv_case, compile_source
 from repro.errors import CompilationError, SimulationError
 from repro.kernels.library import GpuWorkload
+from repro.riscv.cpu import RiscvCpu
 from repro.riscv.isa import RvOpcode
 
 
@@ -70,7 +71,9 @@ def test_control_flow_and_divergence_free_loop_on_riscv():
         """,
         workload,
     )
-    stats, outputs = case.run(check=True)
+    # A budget far above the run's 1,688 instructions: a looping ISS defect
+    # fails here at once instead of spinning to the default 200M limit.
+    stats, outputs = case.run(check=True, cpu=RiscvCpu(case.memory, max_instructions=100_000))
     np.testing.assert_array_equal(outputs["out"].astype(np.int64), expected)
     assert stats.taken_branches > 0
 

@@ -484,6 +484,28 @@ def test_single_line_probe_matches_the_sorted_probe(accesses):
     assert uniform.stats == reference.stats
 
 
+def _expand(misses):
+    """A probe's misses as ``position << 1 | write_back`` ints: a run served
+    by slices returns them in its compact form, checked here for
+    consistency."""
+    if type(misses) is not tuple:
+        return misses
+    count, write_backs, last, victims = misses
+    assert count == len(victims) > 0 and write_backs == victims.count(True)
+    first = last - count + 1
+    return [(first + offset) << 1 | victim for offset, victim in enumerate(victims)]
+
+
+def _set_lines(cache: DataCache):
+    """Each set's line address, -1 when invalid: a tag holds the address bits
+    above the set index."""
+    config = cache.config
+    return [
+        -1 if tag == -1 else tag * config.size_bytes + index * config.line_bytes
+        for index, tag in enumerate(cache._tags)
+    ]
+
+
 def _compact(hit_list, wb_list, count):
     """Per-line probe outcomes as ``access_sorted_lines`` returns them:
     ``(misses, last_hit)``, one ``position << 1 | write_back`` per miss.
@@ -621,9 +643,19 @@ def _lane_words(draw):
     return words[::-1] if shape == "descending" else words
 
 
-# (lane words, is_write, probe the first lane's line through access_line, flush after)
+# A ramp whose lines are consecutive, (first word, stride in bytes, lanes):
+# coalesced to a ``range``, the input of the slice-served run probe.
+LINE_RUN = st.tuples(
+    st.integers(0, 1 << 16), st.sampled_from((4, 16, 64, -4, -64)), st.integers(1, 64)
+)
+
+# (lane words or a line run, is_write, probe the first lane's line through
+# access_line, flush after)
 PROBE_STEP = st.tuples(
-    _lane_words(), st.booleans(), st.booleans(), st.sampled_from((False,) * 7 + (True,))
+    st.one_of(_lane_words(), LINE_RUN),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from((False,) * 7 + (True,)),
 )
 
 
@@ -638,29 +670,101 @@ PROBE_STEP = st.tuples(
 @example(steps=[([0], True, True, False), ([128], False, True, True)])  # a miss cleans
 @example(steps=[(list(range(63, -1, -1)), True, False, True)])  # descending lanes
 @example(steps=[([8192 * lane for lane in range(4)], True, False, True)])  # one access aliases
+# Line runs (a line is 16 words): the second access of each example hits a
+# prefix, a suffix, the middle and both ends; the last pair wraps in 8 sets.
+@example(steps=[((32, 64, 2), True, False, False), ((32, 64, 5), False, False, False)])
+@example(steps=[((80, 64, 2), False, False, False), ((48, 64, 4), True, False, False)])
+@example(steps=[((64, 64, 1), True, False, False), ((48, 4, 48), True, False, False)])
+@example(
+    steps=[
+        ((48, 64, 1), True, False, False),
+        ((96, 64, 1), False, False, False),
+        ((48, 64, 4), False, False, False),
+    ]
+)
+@example(steps=[((96, 64, 4), True, False, False), ((96, 16, 16), False, False, True)])
 @settings(max_examples=60, deadline=None)
 def test_list_probe_matches_the_numpy_probe(config, window_words, steps):
     """The list-held cache gives the numpy probe's line lists, outcomes,
-    statistics, tags, dirty bits and flush counts after every step."""
+    statistics, per-set lines, dirty bits and flush counts after every step,
+    whether an access is probed line by line or served by slices."""
     cache, reference = DataCache(config), _NumpyCacheReference(config)
-    for words, is_write, single_line, flush_after in steps:
-        addresses = np.array([4 * (word % window_words) for word in words], dtype=np.int64)
+    for access, is_write, single_line, flush_after in steps:
+        if type(access) is tuple:
+            word, stride, lanes = access
+            addresses = Affine(4 * (word % window_words), stride, lanes)
+            vector = addresses.vector()
+        else:
+            addresses = vector = np.array(
+                [4 * (word % window_words) for word in access], dtype=np.int64
+            )
         lines = cache.coalesce_lines(addresses)
-        expected_lines = reference.coalesce_lines(addresses)
-        assert lines == expected_lines.tolist()
+        expected_lines = reference.coalesce_lines(vector)
+        assert list(lines) == expected_lines.tolist()
         if single_line:
-            line = cache.line_address(int(addresses[0]))
+            line = cache.line_address(int(vector[0]))
             assert cache.access_line(line, is_write) == reference.access_line(line, is_write)
         else:
-            observed = cache.access_sorted_lines(lines, is_write)
-            assert observed == reference.access_sorted_lines(expected_lines, is_write)
+            misses, last_hit = cache.access_sorted_lines(lines, is_write)
+            expected = reference.access_sorted_lines(expected_lines, is_write)
+            assert (_expand(misses), last_hit) == expected
         assert cache.stats == reference.stats
-        assert cache._tags == reference._tags.tolist()
+        assert _set_lines(cache) == reference._tags.tolist()
         assert cache._dirty == reference._dirty.tolist()
         if flush_after:
             assert cache.flush() == reference.flush()
             assert cache.stats == reference.stats
             assert cache._dirty == reference._dirty.tolist()
+
+
+def _hit_patterns(count):
+    """``(hit positions, served by slices)`` of a run of ``count`` lines: all,
+    none, a prefix and a suffix of 1, half and all but one line, the middle
+    and both ends."""
+    yield range(count), True
+    yield (), True
+    for hits in sorted({1, count // 2, count - 1} - {0, count}):
+        yield range(hits), True
+        yield range(count - hits, count), True
+    if count >= 3:
+        yield range(1, count - 1), False
+        yield (0, count - 1), False
+
+
+@pytest.mark.parametrize(
+    "config, starts, counts",
+    [(SMALL_CACHE, range(8), range(1, 9)), (CacheConfig(), (0, 255, 449, 511), (4, 64))],
+    ids=["8-line", "512-line"],
+)
+def test_run_probe_serves_every_alignment_and_hit_pattern(config, starts, counts):
+    """A run of consecutive lines from every start set with every hit
+    pattern: it is served by slices exactly when it does not wrap past the
+    last set and its hits are all, none or one run at either end, and the
+    outcome and the state equal the numpy probe's either way.  Missing lines
+    find their set invalid, or holding another line, clean or dirty."""
+    line_bytes = config.line_bytes
+    for start in starts:
+        for count in counts:
+            for hits, served in _hit_patterns(count):
+                for is_write in (False, True):
+                    cache, reference = DataCache(config), _NumpyCacheReference(config)
+                    first = config.size_bytes + start * line_bytes
+                    lines = range(first, first + count * line_bytes, line_bytes)
+                    for position, line in enumerate(lines):
+                        if position not in hits:
+                            if position % 3 == 2:
+                                continue
+                            line += config.size_bytes  # another line of the set
+                        for model in (cache, reference):
+                            model.access_line(line, position % 2 == 0)
+                    misses, last_hit = cache.access_sorted_lines(lines, is_write)
+                    wraps = start + count > config.num_lines
+                    assert (type(misses) is tuple) == (served and len(hits) < count and not wraps)
+                    expected = reference.access_sorted_lines(np.array(lines), is_write)
+                    assert (_expand(misses), last_hit) == expected
+                    assert cache.stats == reference.stats
+                    assert _set_lines(cache) == reference._tags.tolist()
+                    assert cache._dirty == reference._dirty.tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -742,16 +846,32 @@ class _ScannedPorts:
 
 
 CYCLE = st.integers(0, 120).map(float)
+# Thirds of a cycle are inexact floats whose sums round, so a saturated burst
+# at such times must take the walk: the closed form is exact on integers.
+TIME = st.one_of(CYCLE, CYCLE, st.integers(0, 360).map(lambda thirds: thirds / 3))
+# A burst's access time: absolute, or this long before the earliest port
+# frees, which saturates the ports when they are busy past its last wave.
+BURST_TIME = st.tuples(st.booleans(), TIME)
 PORT_OPERATIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("line_fill"), CYCLE),
-        st.tuples(st.just("write_back"), CYCLE),
-        st.tuples(st.just("write_back_burst"), CYCLE, st.integers(0, 6)),
+        st.tuples(st.just("line_fill"), TIME),
+        st.tuples(st.just("write_back"), TIME),
+        st.tuples(st.just("write_back_burst"), TIME, st.integers(0, 6)),
         st.tuples(
             st.just("miss_burst"),
-            CYCLE,
+            BURST_TIME,
             st.integers(1, 8),
             st.lists(st.tuples(st.booleans(), st.booleans()), max_size=24),
+            CYCLE,
+        ),
+        # A run's misses in the compact form: hits before ``first``, then
+        # one miss per victim dirty bit.
+        st.tuples(
+            st.just("miss_run"),
+            BURST_TIME,
+            st.integers(1, 8),
+            st.integers(0, 8),
+            st.lists(st.booleans(), min_size=1, max_size=24),
             CYCLE,
         ),
     ),
@@ -766,6 +886,32 @@ PORT_OPERATIONS = st.lists(
     latency=st.integers(1, 60),
     operations=PORT_OPERATIONS,
 )
+# Saturated bursts: ports within one transfer (a burst of write-backs at one
+# time), ports further apart, and one port free at a third of a cycle past
+# an integer, where nine transfers added one by one round differently from
+# the closed form's one product.  Then a burst whose last miss's wave starts
+# after the ports free, which is not saturated.
+@example(4, 64, 36, [("write_back_burst", 40.0, 4), ("miss_run", (True, 20.0), 4, 2, [True] * 9, 0.0)])
+@example(
+    4,
+    64,
+    36,
+    [
+        ("write_back_burst", 40.0, 4),
+        ("write_back", 70.0),
+        ("miss_burst", (True, 20.0), 4, [(False, True)] * 12, 0.0),
+    ],
+)
+@example(1, 64, 36, [("write_back", 1 / 3), ("miss_run", (True, 5.0), 4, 0, [False] * 9, 0.0)])
+@example(
+    4,
+    64,
+    36,
+    [
+        ("write_back_burst", 40.0, 4),
+        ("miss_burst", (False, 46.0), 4, [(False, False)] + [(True, False)] * 19 + [(False, False)], 0.0),
+    ],
+)
 @settings(max_examples=150, deadline=None)
 def test_port_heap_matches_the_lowest_index_scan(data_ports, width, latency, operations):
     """The ports are interchangeable, so only their free-time multiset shows.
@@ -773,17 +919,28 @@ def test_port_heap_matches_the_lowest_index_scan(data_ports, width, latency, ope
     Every transaction entry point returns the same completion times as the
     scan, with equal ``MemoryTrafficStats`` and equal sorted port free times
     after each operation.  The scan walks every line's outcome, and the
-    heap walks only the misses of the same outcomes (see ``_compact``).
+    heap takes only the misses of the same outcomes, as a list (see
+    ``_compact``) or as a run's compact form, in a closed form when the
+    burst saturates the ports.
     """
     axi = AxiConfig(data_ports=data_ports, data_width_bits=width, memory_latency_cycles=latency)
     controller = GlobalMemoryController(axi, CacheConfig())
     scanned = _ScannedPorts(controller)
     for kind, time, *rest in operations:
-        if kind == "miss_burst":
-            ports, lines, completion = rest
-            hits = [hit for hit, _ in lines]
-            write_backs = [write_back for _, write_back in lines]
-            misses, _ = _compact(hits, write_backs, len(lines))
+        if kind in ("miss_burst", "miss_run"):
+            behind, time = time
+            if behind:
+                time = max(0.0, controller.earliest_free() - time)
+            if kind == "miss_burst":
+                ports, lines, completion = rest
+                hits = [hit for hit, _ in lines]
+                write_backs = [write_back for _, write_back in lines]
+                misses, _ = _compact(hits, write_backs, len(lines))
+            else:
+                ports, first, victims, completion = rest
+                hits = [True] * first + [False] * len(victims)
+                write_backs = [False] * first + victims
+                misses = (len(victims), victims.count(True), first + len(victims) - 1, victims)
             observed = controller.miss_burst(time, ports, misses, completion)
             assert observed == scanned.miss_burst(time, ports, hits, write_backs, completion)
         else:

@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import Phase, event, example, given, settings, strategies as st
 
 import repro.riscv.programs  # noqa: F401  (registers the benchmark programs)
 from repro.errors import SimulationError
@@ -31,6 +31,10 @@ from repro.riscv.decode import predecode_riscv_program
 from repro.riscv.isa import RvFormat, RvInstruction, RvOpcode
 from repro.riscv.memory import RvMemory
 from repro.riscv.programs import all_riscv_program_names, get_riscv_program_spec
+
+# No explain phase: it replays a failing draw under a line tracer, which held
+# a looping ISS defect here for about a minute instead of seconds.
+NO_EXPLAIN = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
 
 MEMORY_BYTES = 2048
 MEMORY_WORDS = MEMORY_BYTES // 4
@@ -150,7 +154,7 @@ def _run_path(
     init=st.lists(WORD, min_size=MEMORY_WORDS, max_size=MEMORY_WORDS),
     model=_cycle_model(),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, phases=NO_EXPLAIN)
 def test_decoded_path_matches_seed_interpreter(program, init, model):
     decoded_cpu, decoded_error = _run_path(program, init, True, model)
     seed_cpu, seed_error = _run_path(program, init, False, model)
@@ -202,7 +206,7 @@ def _wide_instruction(draw) -> RvInstruction:
     model=_cycle_model(),
     max_instructions=st.integers(min_value=1, max_value=300),
 )
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None, phases=NO_EXPLAIN)
 def test_decoded_path_matches_seed_interpreter_at_every_exit(
     data, body, init, model, max_instructions
 ):
@@ -388,7 +392,7 @@ def _jalr_into_loop_program() -> RvProgram:
 @example(_late_store_fault_program(), [], CpuCycleModel(), 0, 400)
 # The JALR lands on a PC of the loop that is not one of its entries.
 @example(_jalr_into_loop_program(), [], CpuCycleModel(), 0, 400)
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250, deadline=None, phases=NO_EXPLAIN)
 def test_loop_regions_match_seed_interpreter(program, init, model, entry, max_instructions):
     """Loop nests run as regions; every exit matches the seed interpreter."""
     entry_pc = 4 * (entry % (len(program) + 1))
