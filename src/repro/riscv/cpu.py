@@ -102,8 +102,8 @@ class RiscvCpu:
       does one lookup and one call each time the run enters a region,
     * the *interpreted* path (``predecode = False``): the seed interpreter,
       which re-derives the opcode class and cycle cost per executed
-      instruction.  It is kept as the reference for the equivalence tests,
-      mirroring ``ComputeUnit.macro_step``.
+      instruction.  It is kept as the reference for the equivalence
+      tests.
     """
 
     def __init__(

@@ -36,14 +36,14 @@ The engine is event driven rather than instruction-at-a-time:
   the head inline when it is the only ready resident (96% of picks in the
   Table III sweep) and leaves ties to ``WavefrontScheduler.pick``.
 * **Pre-decoded programs.**  ``repro.simt.decode`` resolves each instruction
-  once per launch into a ``DecodedOp`` (dispatch kind, plain-int operands,
-  pre-looked-up latency/occupancy, pre-broadcast immediates, resolved ALU
-  callable); all CUs share the decode.
+  once per launch into one tuple (dispatch kind, plain-int operands,
+  pre-looked-up latency/occupancy, masked immediates, resolved ALU
+  callables); all CUs share the decode.
 * **Macro-stepping.**  An event keeps issuing for the same wavefront while
   the next instruction is *macro-safe* (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
   MASK) and the wavefront stays strictly ahead of every other unfinished
-  resident; this is cycle-exact and pinned against single-instruction
-  stepping and the Table III goldens.
+  resident; this is cycle-exact and pinned against a test-local
+  single-step reference and the Table III goldens.
 * **Posted stores.**  Global-memory stores never stall the issuing wavefront
   beyond the fixed store pipeline latency; their line traffic still claims
   AXI port time.  See the ``repro.simt.cu`` module docstring for the
@@ -60,9 +60,8 @@ The engine is event driven rather than instruction-at-a-time:
 from repro.simt.memory import GlobalMemory, RuntimeMemory, LocalMemory
 from repro.simt.cache import DataCache, CacheStats
 from repro.simt.axi import GlobalMemoryController
-from repro.simt.registers import WavefrontRegisterFile
 from repro.simt.wavefront import Wavefront
-from repro.simt.decode import DecodedOp, DecodedProgram, predecode_program
+from repro.simt.decode import DecodedProgram, predecode_program
 from repro.simt.dispatcher import WorkgroupDispatcher
 from repro.simt.scheduler import WavefrontScheduler
 from repro.simt.cu import ComputeUnit
@@ -70,7 +69,6 @@ from repro.simt.trace import KernelRunStats, InstructionMix
 from repro.simt.gpu import GGPUSimulator, LaunchResult
 
 __all__ = [
-    "DecodedOp",
     "DecodedProgram",
     "predecode_program",
     "GlobalMemory",
@@ -79,7 +77,6 @@ __all__ = [
     "DataCache",
     "CacheStats",
     "GlobalMemoryController",
-    "WavefrontRegisterFile",
     "Wavefront",
     "WorkgroupDispatcher",
     "WavefrontScheduler",

@@ -40,9 +40,9 @@ unfinished resident, so no other wavefront could have issued in between.
 The per-instruction statistics are counted per PC and folded at launch
 end (:meth:`ComputeUnit.fold_issue_counts`); only ``issue_events`` is per
 event, so no other statistic depends on how instructions are folded into
-events.  With :attr:`ComputeUnit.macro_step` set to ``False`` each
-event is one instruction, and the regression tests assert both modes agree
-exactly.
+events.  The regression tests pin this against a single-step reference that
+decodes every instruction as not macro-safe, so each event is one
+instruction.
 
 Posted stores
 -------------
@@ -182,7 +182,6 @@ class ComputeUnit:
         self.scheduler = WavefrontScheduler()
         self.array_free_time = 0.0
         self.stats = ComputeUnitStats(cu_id, wavefront_size=config.wavefront_size)
-        self.macro_step = True
         self._program: Optional[DecodedProgram] = None
         self._rtm: Optional[RuntimeMemory] = None
         self._barrier_waiters: Dict[int, List[Wavefront]] = {}
@@ -233,7 +232,7 @@ class ComputeUnit:
         self.stats = ComputeUnitStats(self.cu_id, wavefront_size=self.config.wavefront_size)
         self._barrier_waiters = {}
         self._held = None
-        self._issue_counts = [0] * len(decoded)
+        self._issue_counts = [0] * len(decoded.ops)
         self._lane_deficit = 0
         self.local_memory = LocalMemory(self.config.lram_words_per_cu)
         # Per-workgroup LRAM windows (see lram_slot_geometry): slot geometry
@@ -329,7 +328,7 @@ class ComputeUnit:
         counts = self._issue_counts
         mix: Dict[str, int] = {}
         busy_cycles = 0
-        for op, count in zip(self._program.packed, counts):
+        for op, count in zip(self._program.ops, counts):
             if count:
                 busy_cycles += count * (self._occupancy if op[P_USES_PE] else 1)
                 key = op[P_CLASS_KEY]
@@ -369,10 +368,8 @@ class ComputeUnit:
             raise SimulationError(f"CU {self.cu_id} stepped with no ready wavefront")
         pick = scheduler.pick
         shared_kinds = SHARED_KINDS
-        macro_step = self.macro_step
         ops = program.ops
-        packed = program.packed
-        num_ops = len(packed)
+        num_ops = len(ops)
         occupancy_rounds = self._occupancy
         array_free_time = self.array_free_time
         # Statistics are counted per PC, plus the lanes that partially
@@ -413,7 +410,7 @@ class ComputeUnit:
                 raise SimulationError(
                     f"wavefront {wavefront.wavefront_id} ran past the end of {program.name}"
                 )
-            op = packed[pc]
+            op = ops[pc]
             if now > limit and op[P_KIND] in shared_kinds:
                 # Another CU's event comes first.  The scheduler has moved
                 # its pointer past this pick and nothing else can touch this
@@ -421,16 +418,13 @@ class ComputeUnit:
                 self._held = wavefront, others_ready
                 break
             events += 1
-            # A run continues only while the wavefront stays strictly ahead
-            # of every other resident (never without macro-stepping).
-            run_limit = others_ready if macro_step else -_INFINITY
             num_active = wavefront.num_active
             # Register indices were bounds-checked once at bind time, so
             # registers are indexed directly; writes to r0 are dropped.  An
             # entry is an int when every lane holds that value, and ALU
             # operations on ints run their scalar form; with an Affine
             # operand they run their ramp form.
-            reg_rows = wavefront.registers._values
+            reg_rows = wavefront.registers
 
             while True:
                 (
@@ -533,7 +527,7 @@ class ComputeUnit:
                     wavefront.ready_time = completion
                     break
                 elif kind == K_SPECIAL:
-                    self._execute_special(wavefront, ops[pc])
+                    self._execute_special(wavefront, op)
                 elif kind == K_STORE:
                     completion = self._execute_store(wavefront, op, issue_start + occupancy)
                 elif kind == K_INVM:
@@ -546,9 +540,11 @@ class ComputeUnit:
                 wavefront.ready_time = completion
 
                 # --- macro-stepping continuation -------------------------- #
-                if completion >= run_limit or next_pc >= num_ops:
+                # A run continues only while the wavefront stays strictly
+                # ahead of every other resident.
+                if completion >= others_ready or next_pc >= num_ops:
                     break
-                op = packed[next_pc]
+                op = ops[next_pc]
                 if not op[P_MACRO_SAFE]:
                     break
                 pc = next_pc
@@ -594,21 +590,23 @@ class ComputeUnit:
     # Functional helpers per instruction class
     # ------------------------------------------------------------------ #
     def _write_register(self, wavefront: Wavefront, index: int, values: RegisterValue) -> None:
-        """Masked register write with a fast path for fully active wavefronts.
+        """Write ``values`` to the active lanes of register ``index``.
 
-        Every value produced by the issue loop is an already-masked int or
-        int64 lane vector, so both paths take the premasked register-file
-        writes; with every lane active the masked merge degenerates to a
-        plain assignment.
+        Every write outside the issue loop's inline ALU stores goes through
+        here.  ``values`` is already masked to 32 bits (an int, a ramp or a
+        lane vector); a write to r0, which is hard-wired to zero, is dropped,
+        and with every lane active the masked merge is a plain assignment.
         """
-        if wavefront.num_active == wavefront.wavefront_size:
-            wavefront.registers.set_row(index, values)
-        else:
-            wavefront.registers.merge_row(index, values, wavefront.active_mask)
+        if index:
+            registers = wavefront.registers
+            if wavefront.num_active == wavefront.wavefront_size:
+                registers[index] = values
+            else:
+                registers[index] = merge_lanes(wavefront.active_mask, values, registers[index])
 
-    def _execute_special(self, wavefront: Wavefront, op) -> None:
-        opcode = op.opcode
-        dim = op.imm
+    def _execute_special(self, wavefront: Wavefront, op: tuple) -> None:
+        opcode = op[P_FN]
+        dim = op[P_IMM]
         if dim:
             wavefront.check_dim(dim, opcode.mnemonic)
         # Local and global ids differ per lane; the workgroup id and the
@@ -627,11 +625,11 @@ class ComputeUnit:
             values = int(wavefront.groups_shape[dim])
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled special opcode {opcode.mnemonic}")
-        self._write_register(wavefront, op.rd, values)
+        self._write_register(wavefront, op[P_RD], values)
 
     def _address(self, wavefront: Wavefront, op: tuple) -> RegisterValue:
         """Byte address ``rs + imm`` of a memory instruction: an int, a ramp or lanes."""
-        base = wavefront.registers._values[op[P_RS]]
+        base = wavefront.registers[op[P_RS]]
         imm = op[P_IMM]
         if imm == 0:
             # Register values are stored masked, so the 32-bit wrap of the
@@ -652,8 +650,7 @@ class ComputeUnit:
             # and a ramp of addresses stays one.
             result = self.global_memory.load_words(addresses)
             completion = self._memory_timing(addresses, access_time, is_write=False)
-            if op[P_RD]:
-                wavefront.registers._values[op[P_RD]] = result
+            self._write_register(wavefront, op[P_RD], result)
             return completion
         addresses = lane_vector(addresses, wavefront.wavefront_size)
         mask = wavefront.active_mask
@@ -663,7 +660,7 @@ class ComputeUnit:
             active_addresses = addresses[mask]
             result[mask] = self.global_memory.load_words(active_addresses)
             completion = self._memory_timing(active_addresses, access_time, is_write=False)
-        wavefront.registers.merge_row(op[P_RD], result, mask)
+        self._write_register(wavefront, op[P_RD], result)
         return completion
 
     def _execute_uniform_load(
@@ -694,7 +691,7 @@ class ComputeUnit:
             lanes = wavefront.wavefront_size
             addresses = self._address(wavefront, op)
             # An int is stored as one scalar, whatever the addresses.
-            values = expand_ramp(wavefront.registers._values[op[P_RT]])
+            values = expand_ramp(wavefront.registers[op[P_RT]])
             if num_active != lanes:
                 mask = wavefront.active_mask
                 addresses = lane_vector(addresses, lanes)[mask]
@@ -760,16 +757,16 @@ class ComputeUnit:
         # zero fill or merge: every lane's word is the access.
         if kind == K_LOCAL_LOAD:
             if num_active == lanes:
-                wavefront.registers.set_row(op[P_RD], self.local_memory.load_words(word_indices))
-                return
-            mask = wavefront.active_mask
-            result = np.zeros(lanes, dtype=np.int64)
-            if num_active:
-                result[mask] = self.local_memory.load_words(word_indices[mask])
-            wavefront.registers.merge_row(op[P_RD], result, mask)
+                result = self.local_memory.load_words(word_indices)
+            else:
+                mask = wavefront.active_mask
+                result = np.zeros(lanes, dtype=np.int64)
+                if num_active:
+                    result[mask] = self.local_memory.load_words(word_indices[mask])
+            self._write_register(wavefront, op[P_RD], result)
         elif num_active:
             # An int is stored as one scalar, whatever the words.
-            values = expand_ramp(wavefront.registers._values[op[P_RT]])
+            values = expand_ramp(wavefront.registers[op[P_RT]])
             if num_active != lanes:
                 mask = wavefront.active_mask
                 word_indices = word_indices[mask]
@@ -778,9 +775,9 @@ class ComputeUnit:
             self.local_memory.store_words(word_indices, values)
 
     def _execute_branch(self, wavefront: Wavefront, op: tuple, fallthrough: int) -> int:
-        rows = wavefront.registers._values
-        a = wavefront.uniform_lane_value(rows[op[P_RS]])
-        b = wavefront.uniform_lane_value(rows[op[P_RT]])
+        registers = wavefront.registers
+        a = wavefront.uniform_lane_value(registers[op[P_RS]])
+        b = wavefront.uniform_lane_value(registers[op[P_RT]])
         signed_a = a - (1 << 32) if a & 0x80000000 else a
         signed_b = b - (1 << 32) if b & 0x80000000 else b
         code = op[P_FN]

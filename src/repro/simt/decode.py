@@ -4,23 +4,25 @@ The compute unit issues millions of wavefront-instructions per simulated
 kernel, and in the original engine every single issue re-derived the opcode
 class, rebuilt the latency table, converted ``Register`` operands to ints,
 and dict-dispatched to a handler.  :func:`predecode_program` resolves all of
-that exactly once per launch: each instruction becomes a :class:`DecodedOp`
-carrying
+that exactly once per launch: each instruction becomes one plain tuple (see
+the ``P_*`` field indices) carrying
 
 * a small integer ``kind`` the compute unit switches on,
 * plain-int operand fields (``rd``/``rs``/``rt``/``imm``),
 * the timing facts (``latency``, ``uses_pe``) already looked up, and
 * per-kind pre-resolved data: the lane, scalar and ramp forms of the
   arithmetic for ALU forms (:mod:`repro.simt.pe`), the immediate or constant as one
-  unsigned 32-bit ``int`` for immediate forms and LI/LUI, and the branch
-  comparison for conditional branches.
+  unsigned 32-bit ``int`` for immediate forms and LI/LUI, the branch
+  comparison for conditional branches, and the opcode for work-item
+  identification.
 
-``macro_safe`` marks instructions (ALU/MUL/DIV, SPECIAL, PARAM, LOCAL,
-MASK) that touch no shared machine state — no global memory, no control
-flow, no barriers — so an uncontended wavefront can issue a straight-line
-run of them in one scheduling event without any other wavefront being able
-to observe the difference; the compute unit's macro-stepping fast path
-checks this flag per instruction.
+The issue loop reads a field with one C-level tuple index instead of an
+attribute lookup.  ``macro_safe`` marks instructions (ALU/MUL/DIV, SPECIAL,
+PARAM, LOCAL, MASK) that touch no shared machine state — no global memory,
+no control flow, no barriers — so an uncontended wavefront can issue a
+straight-line run of them in one scheduling event without any other
+wavefront being able to observe the difference; the compute unit's
+macro-stepping checks this flag per instruction.
 
 The decoded program is immutable and depends only on the program and the
 timing model, so one decode is shared by every compute unit of a launch.
@@ -81,57 +83,7 @@ _MACRO_SAFE_CLASSES = frozenset(
     )
 )
 
-class DecodedOp:
-    """One fully resolved instruction of a bound kernel program."""
-
-    __slots__ = (
-        "kind",
-        "opcode",
-        "opclass",
-        "class_key",
-        "rd",
-        "rs",
-        "rt",
-        "imm",
-        "latency",
-        "uses_pe",
-        "macro_safe",
-        "fn",
-        "scalar_fn",
-        "ramp_fn",
-        "const",
-        "instruction",
-    )
-
-    def __init__(
-        self,
-        kind: int,
-        instruction: Instruction,
-        latency: int,
-        uses_pe: bool,
-    ) -> None:
-        self.kind = kind
-        self.opcode = instruction.opcode
-        self.opclass = instruction.opcode.opclass
-        self.class_key = self.opclass.value
-        self.rd = int(instruction.rd) if instruction.rd is not None else 0
-        self.rs = int(instruction.rs) if instruction.rs is not None else 0
-        self.rt = int(instruction.rt) if instruction.rt is not None else 0
-        self.imm = int(instruction.imm) if instruction.imm is not None else 0
-        self.latency = latency
-        self.uses_pe = uses_pe
-        self.macro_safe = self.opclass in _MACRO_SAFE_CLASSES
-        self.fn = None  # lane form (K_ALU_BIN / K_ALU_IMM), branch code (K_BCOND)
-        self.scalar_fn = None  # scalar form for int operands (K_ALU_BIN / K_ALU_IMM)
-        self.ramp_fn = None  # ramp form for Affine operands (K_ALU_BIN / K_ALU_IMM)
-        self.const = None  # unsigned 32-bit int (K_ALU_IMM / K_ALU_CONST)
-        self.instruction = instruction
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DecodedOp({self.instruction.text()}, kind={self.kind})"
-
-
-# Field positions of the packed per-op tuples (DecodedProgram.packed).
+# Field positions of the per-op tuples (DecodedProgram.ops).
 P_KIND = 0
 P_RD = 1
 P_RS = 2
@@ -140,58 +92,31 @@ P_IMM = 4
 P_LATENCY = 5
 P_USES_PE = 6
 P_MACRO_SAFE = 7
-P_FN = 8
-P_SCALAR_FN = 9
-P_CONST = 10
+P_FN = 8  # lane form (ALU), branch code (K_BCOND), opcode (K_SPECIAL)
+P_SCALAR_FN = 9  # scalar form for int operands (ALU)
+P_CONST = 10  # unsigned 32-bit int (K_ALU_IMM / K_ALU_CONST)
 P_CLASS_KEY = 11
-P_RAMP_FN = 12
+P_RAMP_FN = 12  # ramp form for Affine operands (ALU)
 
 
 class DecodedProgram:
     """A kernel program resolved for execution (shared by all CUs).
 
-    ``ops`` holds the :class:`DecodedOp` records; ``packed`` flattens each
-    record into a plain tuple (see the ``P_*`` field indices) so the issue
-    loop replaces half a dozen attribute lookups per issued instruction with
-    one C-level tuple index.  ``max_register`` is the largest register index
-    any instruction names; the compute unit checks it once against the
-    register-file depth when the program is bound, which lets the issue loop
-    index the register storage directly instead of bounds-checking every
-    operand of every issue.
+    ``ops`` holds one tuple per instruction.  ``max_register`` is the
+    largest register index any instruction names; the compute unit checks
+    it once against the register-file depth when the program is bound,
+    which lets the issue loop index the register list directly instead of
+    bounds-checking every operand of every issue.
     """
 
-    __slots__ = ("name", "ops", "packed", "max_register")
+    __slots__ = ("name", "ops", "max_register")
 
-    def __init__(self, name: str, ops: List[DecodedOp]) -> None:
+    def __init__(self, name: str, ops: List[tuple]) -> None:
         self.name = name
         self.ops = ops
-        self.packed = [
-            (
-                op.kind,
-                op.rd,
-                op.rs,
-                op.rt,
-                op.imm,
-                op.latency,
-                op.uses_pe,
-                op.macro_safe,
-                op.fn,
-                op.scalar_fn,
-                op.const,
-                op.class_key,
-                op.ramp_fn,
-            )
-            for op in ops
-        ]
         self.max_register = max(
-            (max(op.rd, op.rs, op.rt) for op in ops), default=0
+            (max(op[P_RD], op[P_RS], op[P_RT]) for op in ops), default=0
         )
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, index: int) -> DecodedOp:
-        return self.ops[index]
 
 
 def _classify(instruction: Instruction) -> int:
@@ -233,34 +158,51 @@ def _classify(instruction: Instruction) -> int:
     raise SimulationError(f"unhandled opcode class {opclass}")  # pragma: no cover
 
 
+def _field(value) -> int:
+    """An operand field as a plain int (0 when the instruction has none)."""
+    return int(value) if value is not None else 0
+
+
 def predecode_program(
     program: Program,
     timing: Optional[TimingModel] = None,
 ) -> DecodedProgram:
     """Resolve ``program`` into a :class:`DecodedProgram` for execution."""
     timing = timing or TimingModel()
-    ops: List[DecodedOp] = []
+    ops: List[tuple] = []
     for instruction in program.instructions:
-        opclass = instruction.opcode.opclass
-        op = DecodedOp(
-            kind=_classify(instruction),
-            instruction=instruction,
-            latency=timing.latency_for(opclass),
-            uses_pe=timing.uses_pe_array(opclass),
-        )
-        kind = op.kind
-        if kind == K_ALU_BIN:
-            op.fn, op.scalar_fn = pe.binary_operation(op.opcode)
-            op.ramp_fn = pe.ramp_operation(op.opcode)
-        elif kind == K_ALU_IMM:
-            base = pe.immediate_base(op.opcode)
-            op.fn, op.scalar_fn = pe.binary_operation(base)
-            op.ramp_fn = pe.ramp_operation(base)
-            op.const = op.imm & pe.WORD_MASK
+        opcode = instruction.opcode
+        opclass = opcode.opclass
+        kind = _classify(instruction)
+        imm = _field(instruction.imm)
+        fn = scalar_fn = ramp_fn = const = None
+        if kind == K_ALU_BIN or kind == K_ALU_IMM:
+            base = opcode if kind == K_ALU_BIN else pe.immediate_base(opcode)
+            fn, scalar_fn = pe.binary_operation(base)
+            ramp_fn = pe.ramp_operation(base)
+            if kind == K_ALU_IMM:
+                const = imm & pe.WORD_MASK
         elif kind == K_ALU_CONST:
-            value = op.imm if op.opcode is Opcode.LI else op.imm << 14
-            op.const = value & pe.WORD_MASK
+            const = (imm if opcode is Opcode.LI else imm << 14) & pe.WORD_MASK
         elif kind == K_BCOND:
-            op.fn = _BCOND_CODES[op.opcode]
-        ops.append(op)
+            fn = _BCOND_CODES[opcode]
+        elif kind == K_SPECIAL:
+            fn = opcode
+        ops.append(
+            (
+                kind,
+                _field(instruction.rd),
+                _field(instruction.rs),
+                _field(instruction.rt),
+                imm,
+                timing.latency_for(opclass),
+                timing.uses_pe_array(opclass),
+                opclass in _MACRO_SAFE_CLASSES,
+                fn,
+                scalar_fn,
+                const,
+                opclass.value,
+                ramp_fn,
+            )
+        )
     return DecodedProgram(program.name, ops)

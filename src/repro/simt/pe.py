@@ -26,11 +26,11 @@ three forms:
   the signed or unsigned order), as in ``lid < stride`` and ``0 < sample -
   gid``.  Every other case expands the ramps and applies the lane form.
 
-Where one expression is exact for both (AND, the shifts, MUL, ...) the lane
-and scalar forms are the same function; the lane forms of ADD, SUB, OR and
-XOR return the other operand for an int-0 operand (the right one for SUB);
-SLT/SLTU, MIN/MAX and DIV/REM need numpy, and their scalar form applies the
-lane form to int64 scalars.
+Where one expression is exact for both (SUB, AND, OR, XOR, the shifts,
+MUL, ...) the lane and scalar forms are the same function; the lane form of
+ADD returns the other operand for an int-0 operand; SLT/SLTU, MIN/MAX and
+DIV/REM need numpy, and their scalar form applies the lane form to int64
+scalars.
 """
 
 from __future__ import annotations
@@ -109,38 +109,16 @@ def _mulh(a, b):
     return ((_signed(a) * _signed(b)) >> 32) & WORD_MASK
 
 
-# Lane forms of the operations with an identity of 0: an int-0 operand (as in
-# histogram's ``count += match`` once a wavefront has matched) gives back the
-# other, already masked operand itself.  Register entries are rebound, never
-# changed in place, so the lane vector may be shared.
+# Lane form of ADD: an int-0 operand (as in histogram's ``count += match``
+# once a wavefront has matched) gives back the other, already masked operand
+# itself.  Register entries are rebound, never changed in place, so the lane
+# vector may be shared.
 def _add_lanes(a, b):
     if type(b) is int and not b:
         return a
     if type(a) is int and not a:
         return b
     return (a + b) & WORD_MASK
-
-
-def _sub_lanes(a, b):
-    if type(b) is int and not b:
-        return a
-    return (a - b) & WORD_MASK
-
-
-def _or_lanes(a, b):
-    if type(b) is int and not b:
-        return a
-    if type(a) is int and not a:
-        return b
-    return a | b
-
-
-def _xor_lanes(a, b):
-    if type(b) is int and not b:
-        return a
-    if type(a) is int and not a:
-        return b
-    return a ^ b
 
 
 # Lane forms that need numpy; _on_ints derives their scalar forms.  Register
@@ -296,10 +274,10 @@ _RAMP_FORMS: Dict[Opcode, Callable] = {
 # opcode -> (lane form, scalar form)
 _BINARY_OPS: Dict[Opcode, Tuple[Callable, Callable]] = {
     Opcode.ADD: (_add_lanes, _add),
-    Opcode.SUB: (_sub_lanes, _sub),
+    Opcode.SUB: (_sub, _sub),
     Opcode.AND: (_and, _and),
-    Opcode.OR: (_or_lanes, _or),
-    Opcode.XOR: (_xor_lanes, _xor),
+    Opcode.OR: (_or, _or),
+    Opcode.XOR: (_xor, _xor),
     Opcode.SLL: (_sll, _sll),
     Opcode.SRL: (_srl, _srl),
     Opcode.SRA: (_sra, _sra),
@@ -350,7 +328,7 @@ def execute_immediate(opcode: Opcode, a: np.ndarray, imm: int, lanes: int) -> np
 def binary_operation(opcode: Opcode) -> Tuple[Callable, Callable]:
     """Resolve the ``(lane form, scalar form)`` of a three-register opcode.
 
-    The instruction pre-decoder stores the pair on each ``DecodedOp`` so the
+    The instruction pre-decoder stores the pair in each decoded op so the
     per-issue path calls the operation directly.
     """
     try:

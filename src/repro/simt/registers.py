@@ -4,9 +4,11 @@ Each work-item owns ``num_registers`` 32-bit general-purpose registers.  In
 the hardware this is the banked SRAM register file inside each CU (one of the
 macros GPUPlanner splits to raise the clock frequency).
 
-Here a wavefront's register file is a list with one entry per register, and
-each entry has one of three forms (dynamic uniform and affine vector
-detection, Collange, Defour and Zhang, Euro-Par 2009 workshops):
+Here a wavefront's register file is a plain list with one entry per register
+(``Wavefront.registers``; register 0 is hard-wired to zero, and the compute
+unit drops every write to it), and each entry has one of three forms
+(dynamic uniform and affine vector detection, Collange, Defour and Zhang,
+Euro-Par 2009 workshops):
 
 * a Python ``int`` when all ``wavefront_size`` lanes, active or not, hold that
   value -- loop counters, kernel parameters, workgroup ids and the pointers
@@ -25,7 +27,8 @@ writes keep inactive lanes' values across divergent control flow
 (:func:`merge_lanes`), and merge into a lane vector.  The form is a
 host-side storage choice only: every lane of an ``int`` or ``Affine`` entry
 reads as the value its form defines, and every reader that needs lanes
-expands it first (:func:`lane_vector`, :meth:`Affine.vector`).
+expands it first (:func:`lane_vector`, :meth:`Affine.vector`,
+:func:`snapshot`).
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-
-from repro.errors import SimulationError
 
 WORD_MASK = 0xFFFFFFFF
 _SIGN_BIT = 0x80000000
@@ -132,70 +133,7 @@ def merge_lanes(mask: np.ndarray, values: RegisterValue, old: RegisterValue) -> 
     return np.where(mask, expand_ramp(values), expand_ramp(old))
 
 
-class WavefrontRegisterFile:
-    """Registers of all lanes of one wavefront.
-
-    Register 0 is hard-wired to zero: writes to it are ignored, reads always
-    return zero, matching the ISA definition.
-    """
-
-    def __init__(self, num_registers: int, wavefront_size: int) -> None:
-        if num_registers < 1 or wavefront_size < 1:
-            raise SimulationError("register file dimensions must be positive")
-        self.num_registers = num_registers
-        self.wavefront_size = wavefront_size
-        self._values: List[RegisterValue] = [0] * num_registers
-
-    def read(self, index: int) -> np.ndarray:
-        """Read a register for all lanes (unsigned 32-bit values in int64)."""
-        self._check(index)
-        return lane_vector(self._values[index], self.wavefront_size).copy()
-
-    def write(self, index: int, values: np.ndarray, mask: np.ndarray) -> None:
-        """Write a register for the lanes selected by ``mask``."""
-        self._check(index)
-        if index == 0:
-            return
-        values = np.asarray(values, dtype=np.int64) & WORD_MASK
-        if values.ndim == 0:
-            values = int(values)
-        self._values[index] = merge_lanes(mask, values, self._values[index])
-
-    def write_all_lanes(self, index: int, values: np.ndarray) -> None:
-        """Write a register unconditionally (used to seed work-item ids)."""
-        self._check(index)
-        if index == 0:
-            return
-        self._values[index] = np.asarray(values, dtype=np.int64) & WORD_MASK
-
-    def set_row(self, index: int, values: RegisterValue) -> None:
-        """Unconditional write of an already-masked int, ramp or lane vector.
-
-        The fast-path twin of :meth:`write_all_lanes`: every value produced
-        inside the issue loop (PE lane arithmetic, memory loads, constants,
-        work-item ids) is already wrapped to 32 bits, so the per-write
-        ``& WORD_MASK`` pass would re-mask masked data a quarter million
-        times per kernel.  Callers owning unmasked data must use
-        :meth:`write_all_lanes`.
-        """
-        self._check(index)
-        if index == 0:
-            return
-        self._values[index] = values
-
-    def merge_row(self, index: int, values: RegisterValue, mask: np.ndarray) -> None:
-        """Masked write of an already-masked register value (see set_row)."""
-        self._check(index)
-        if index == 0:
-            return
-        self._values[index] = merge_lanes(mask, values, self._values[index])
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the whole register state, one lane row per register (every
-        int and ramp expanded)."""
-        lanes = self.wavefront_size
-        return np.array([lane_vector(value, lanes) for value in self._values])
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.num_registers:
-            raise SimulationError(f"register index out of range: {index}")
+def snapshot(values: List[RegisterValue], lanes: int) -> np.ndarray:
+    """Copy of a wavefront's registers, one lane row per register (every int
+    and ramp expanded)."""
+    return np.array([lane_vector(value, lanes) for value in values])

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simt.registers import Affine, RegisterValue, WavefrontRegisterFile, expand_ramp
+from repro.simt.registers import Affine, RegisterValue, expand_ramp
 
 
 class Wavefront:
@@ -45,7 +45,8 @@ class Wavefront:
 
         self.pc = 0
         self.done = False
-        self.registers = WavefrontRegisterFile(num_registers, wavefront_size)
+        # One entry per register (see repro.simt.registers); r0 stays 0.
+        self.registers: List[RegisterValue] = [0] * num_registers
         self.active_mask = np.ones(wavefront_size, dtype=bool)
         self._mask_stack: List[np.ndarray] = []
 
@@ -165,14 +166,14 @@ class Wavefront:
     # ------------------------------------------------------------------ #
     # Uniform values
     # ------------------------------------------------------------------ #
-    def uniform_lane_value(self, values: RegisterValue, strict: bool = True) -> int:
+    def uniform_lane_value(self, values: RegisterValue) -> int:
         """Value of the first active lane, checking wavefront uniformity.
 
         Uniform branches (BEQ/BNE/BLT/BGE) require their operands to be equal
-        across active lanes; with ``strict`` the simulator verifies this and
-        raises, which catches kernels that should have used the mask
-        instructions instead.  An int register value is uniform by
-        construction and needs no lane reduction.
+        across active lanes; the simulator verifies this and raises, which
+        catches kernels that should have used the mask instructions instead.
+        An int register value is uniform by construction and needs no lane
+        reduction.
         """
         if not self.num_active:
             raise SimulationError("no active lane to read a uniform value from")
@@ -181,7 +182,7 @@ class Wavefront:
         active_values = np.asarray(expand_ramp(values))
         if self.num_active != active_values.size:
             active_values = active_values[self.active_mask]
-        if strict and (active_values != active_values[0]).any():
+        if (active_values != active_values[0]).any():
             raise SimulationError(
                 f"wavefront {self.wavefront_id}: non-uniform value used in uniform control flow"
             )

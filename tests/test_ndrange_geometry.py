@@ -16,8 +16,6 @@ and checks three things:
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,6 +28,7 @@ from repro.cl import compile_source
 from repro.cl.codegen_riscv import RiscvCodeGenerator
 from repro.errors import CompilationError, KernelError, SimulationError
 from repro.simt.gpu import GGPUSimulator
+from test_simt_golden import _cu_stats, single_step
 
 # Flat workgroup sizes must be wavefront multiples (64); these 2-D shapes
 # cover tall, wide, square, and degenerate-axis factorizations.
@@ -122,21 +121,6 @@ def test_rank_mismatch_and_nonpositive_extents_are_rejected():
 # --------------------------------------------------------------------- #
 # Per-dimension ids on the G-GPU, fuzzed over geometry and both issue modes
 # --------------------------------------------------------------------- #
-def _simulator(num_cus: int, macro_step: bool, **kwargs) -> GGPUSimulator:
-    simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), **kwargs)
-    for cu in simulator.compute_units:
-        cu.macro_step = macro_step
-    return simulator
-
-
-def _cu_stats(result) -> list:
-    """Per-CU statistics except ``issue_events`` (the one macro-stepping may change)."""
-    rows = [asdict(stats) for stats in result.stats.cu_stats]
-    for row in rows:
-        del row["issue_events"]
-    return rows
-
-
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     ws=st.sampled_from(WG_SHAPES_2D),
@@ -158,19 +142,20 @@ def test_rank2_ids_match_row_major_reference(ws, nwg0, nwg1, num_cus):
         "w1": ys // ws[1],
     }
     stats = {}
-    for macro_step in (True, False):
-        simulator = _simulator(num_cus, macro_step, memory_bytes=8 * 1024 * 1024)
-        buffers = {name: simulator.allocate_buffer(total) for name in
-                   ("g0", "g1", "l0", "l1", "w0", "w1")}
-        result = simulator.launch(kernel, NDRange(gs, ws), dict(buffers))
-        stats[macro_step] = (result.cycles, _cu_stats(result))
+    for macro in (True, False):
+        with single_step(not macro):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus), memory_bytes=8 * 1024 * 1024)
+            buffers = {name: simulator.allocate_buffer(total) for name in
+                       ("g0", "g1", "l0", "l1", "w0", "w1")}
+            result = simulator.launch(kernel, NDRange(gs, ws), dict(buffers))
+        stats[macro] = (result.cycles, _cu_stats(result))
         for name, want in expected.items():
             got = np.asarray(simulator.read_buffer(buffers[name], total)).reshape(
                 gs[1], gs[0]
             )
             assert np.array_equal(got, want), (
                 f"{name} wrong for global {gs} workgroup {ws} on {num_cus} CU(s) "
-                f"(macro_step={macro_step})"
+                f"(macro-stepped: {macro})"
             )
     assert stats[True] == stats[False]
 
@@ -191,12 +176,12 @@ def _dim1_gpu_kernel():
     return builder.build()
 
 
-@pytest.mark.parametrize("macro_step", [True, False])
-def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(macro_step):
+@pytest.mark.parametrize("macro", [True, False])
+def test_dim1_query_on_rank1_launch_raises_in_the_simt_engines(macro):
     kernel = _dim1_gpu_kernel()
-    simulator = _simulator(1, macro_step)
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1))
     out = simulator.allocate_buffer(64)
-    with pytest.raises(SimulationError, match="dimension 1 of a rank-1"):
+    with single_step(not macro), pytest.raises(SimulationError, match="dimension 1 of a rank-1"):
         simulator.launch(kernel, NDRange(64, 64), {"out": out})
 
 

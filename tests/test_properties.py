@@ -17,7 +17,7 @@ from repro.arch.config import AxiConfig, CacheConfig
 from repro.errors import SimulationError
 from repro.tech.sram import SramCompiler, SramMacroSpec
 from repro.simt.cu import _lram_ramp
-from repro.simt.decode import predecode_program
+from repro.simt.decode import P_CONST, P_FN, P_RAMP_FN, P_SCALAR_FN, predecode_program
 from repro.simt.gpu import GGPUSimulator
 from repro.simt.memory import GlobalMemory, LocalMemory
 from repro.simt.registers import Affine, lane_vector, merge_lanes, ramp
@@ -127,10 +127,10 @@ def test_scalar_immediate_form_matches_every_lane(opcode, a, imm):
     (op,) = predecode_program(asm.assemble()).ops
     a_lanes = np.full(LANES, a, dtype=np.int64)
     expected = pe.execute_immediate(opcode, a_lanes, imm, LANES).tolist()
-    result = op.scalar_fn(a, op.const)
+    result = op[P_SCALAR_FN](a, op[P_CONST])
     assert type(result) is int
     assert expected == [result] * LANES
-    assert op.fn(a_lanes, op.const).tolist() == expected
+    assert op[P_FN](a_lanes, op[P_CONST]).tolist() == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -233,7 +233,7 @@ def test_ramp_forms_match_the_lane_form(data):
         asm = Assembler("imm")
         asm.emit(opcode, rd=1, rs=2, imm=data.draw(IMMEDIATE))
         (op,) = predecode_program(asm.assemble()).ops
-        operands, ramp_form, lane_form = (first, op.const), op.ramp_fn, op.fn
+        operands, ramp_form, lane_form = (first, op[P_CONST]), op[P_RAMP_FN], op[P_FN]
         opcode = pe.immediate_base(opcode)
     else:
         other = _operand(data.draw, lanes)

@@ -39,12 +39,12 @@ from repro.arch.isa import Opcode
 from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
 from repro.errors import KernelError, SimulationError
 from repro.kernels import get_kernel_spec, run_workload
-from repro.simt import cu as cu_module, gpu as gpu_module
+from repro.simt import cu as cu_module, decode as decode_module, gpu as gpu_module
 from repro.simt.cu import ComputeUnit
 from repro.simt.decode import K_RET
 from repro.simt.dispatcher import WorkgroupDispatcher
 from repro.simt.gpu import GGPUSimulator
-from repro.simt.registers import Affine, WavefrontRegisterFile
+from repro.simt.registers import Affine, snapshot
 from repro.simt.wavefront import Wavefront
 
 CU_COUNTS = (1, 2, 4, 8)
@@ -110,13 +110,27 @@ def _cu_stats(result) -> list:
     return rows
 
 
-def _run(name: str, num_cus: int, size: int, macro_step: bool = True, **sim_kwargs):
+@contextlib.contextmanager
+def single_step(enabled: bool = True):
+    """Run the launches inside with the single-step reference of the issue loop.
+
+    Every op is decoded as not macro-safe, so each scheduling event issues
+    one instruction: ``issue_events`` equals ``instructions_issued``, and the
+    outputs, the cycles and every other statistic must match macro-stepped
+    issue.  It has no package option; only this context installs it (for
+    the launches that decode inside it).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(decode_module, "_MACRO_SAFE_CLASSES", frozenset())
+        yield
+
+
+def _run(name: str, num_cus: int, size: int, **sim_kwargs):
     spec = get_kernel_spec(name)
     workload = spec.workload(size, SEED)
     config = sim_kwargs.pop("config", GGPUConfig().with_cus(num_cus))
     simulator = GGPUSimulator(config, **sim_kwargs)
-    for cu in simulator.compute_units:
-        cu.macro_step = macro_step
     # run_workload checks the outputs against the numpy reference, so every
     # golden run also verifies functional correctness.
     result, _ = run_workload(simulator, spec.build(), workload)
@@ -173,10 +187,9 @@ def test_macro_stepping_is_cycle_exact(name):
     for macro in (True, False):
         spec = get_kernel_spec(name)
         workload = spec.workload(size, SEED)
-        simulator = GGPUSimulator(GGPUConfig(num_cus=2))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        result, outputs = run_workload(simulator, spec.build(), workload)
+        with single_step(not macro):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=2))
+            result, outputs = run_workload(simulator, spec.build(), workload)
         outcomes[macro] = (
             result.cycles,
             _cu_stats(result),
@@ -194,7 +207,11 @@ def test_default_issue_statistics_match_the_single_step_reference():
     """
     size, cycles_by_cu, _ = ALL_GOLDEN["div_int"]
     default = _run("div_int", 2, size)
-    reference = _run("div_int", 2, size, macro_step=False)
+    with single_step():
+        reference = _run("div_int", 2, size)
+    # The reference really issues one instruction per event.
+    for stats in reference.stats.cu_stats:
+        assert stats.issue_events == stats.instructions_issued
     assert _cu_stats(default) == _cu_stats(reference)
     assert default.cycles == reference.cycles == cycles_by_cu[2]
     assert sum(stats.active_lane_issues for stats in default.stats.cu_stats) == 222_712
@@ -286,11 +303,10 @@ def test_barrier_macro_stepping_equivalence():
     kernel = _barrier_kernel(rounds=1)
     cycles = {}
     for macro in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=1))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        out = simulator.allocate_buffer(512)
-        result = simulator.launch(kernel, NDRange(512, 512), {"out": out})
+        with single_step(not macro):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+            out = simulator.allocate_buffer(512)
+            result = simulator.launch(kernel, NDRange(512, 512), {"out": out})
         cycles[macro] = result.cycles
     assert cycles[True] == cycles[False]
 
@@ -345,11 +361,10 @@ def test_nested_divergence_masks_are_exact():
     kernel = _nested_divergence_kernel()
     expected = {1: 1, 3: 3, 2: 2, 0: 4}
     for macro in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=1))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        out = simulator.allocate_buffer(256)
-        result = simulator.launch(kernel, NDRange(256, 64), {"out": out})
+        with single_step(not macro):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+            out = simulator.allocate_buffer(256)
+            result = simulator.launch(kernel, NDRange(256, 64), {"out": out})
         values = simulator.read_buffer(out, 256)
         assert list(values) == [expected[gid % 4] for gid in range(256)]
         # Divergent regions issue both sides, so efficiency is below 1.
@@ -500,15 +515,15 @@ def test_cache_ports_serialize_scattered_accesses():
 # --------------------------------------------------------------------- #
 # The tests below keep the ``vectorized_issue`` names of the batched issue
 # engine they used to pin, so their ids stay stable across the history.  The
-# axes they sweep now are ``ComputeUnit.macro_step`` against single-step
-# issue, and the register forms (an int when every lane holds one value, an
-# ``Affine`` ramp when the lanes count up by a stride) against the two
-# references below: ``affine=False`` expands every ramp, and
+# axes they sweep now are macro-stepped against single-step issue
+# (:func:`single_step`), and the register forms (an int when every lane
+# holds one value, an ``Affine`` ramp when the lanes count up by a stride)
+# against the two references below: ``affine=False`` expands every ramp, and
 # ``uniform=False`` every int and every ramp.  They compare results, cycles,
 # whole per-CU, cache and AXI statistics, and every wavefront's registers
 # when it retires.
 #
-# A mode is (macro_step, uniform, affine).  The ramp reference runs
+# A mode is (macro, uniform, affine).  The ramp reference runs
 # macro-stepped only: it changes no event, so the default's macro and single
 # stepping already pin it.
 DEFAULT_MODE = (True, True, True)
@@ -517,7 +532,7 @@ MODES = AFFINE_MODES + [(False, True, True), (True, False, False), (False, False
 
 
 class _ExpandedRegisters(list):
-    """Register storage of the ramp and the lane-vector references.
+    """``Wavefront.registers`` of the ramp and the lane-vector references.
 
     Every ``Affine`` ramp (and, with ``expand_ints``, every int) is expanded
     into its lane vector before it is stored, so the compute unit sees the
@@ -553,25 +568,25 @@ def _register_form(uniform: bool = True, affine: bool = True):
     assert affine <= uniform, "the lane-vector reference holds no ramps either"
     record = {"snapshots": {}, "int_registers": {}, "affine_registers": {}}
     retire = Wavefront.retire
-    init = WavefrontRegisterFile.__init__
+    init = Wavefront.__init__
 
     def recording_retire(self, time):
-        values = self.registers._values
-        record["snapshots"][self.wavefront_id] = self.registers.snapshot().tolist()
+        values = self.registers
+        record["snapshots"][self.wavefront_id] = snapshot(values, self.wavefront_size).tolist()
         for key, form in (("int_registers", int), ("affine_registers", Affine)):
             record[key][self.wavefront_id] = [
                 index for index, value in enumerate(values) if type(value) is form
             ]
         retire(self, time)
 
-    def expanding_init(self, num_registers, wavefront_size):
-        init(self, num_registers, wavefront_size)
-        self._values = _ExpandedRegisters(self._values, wavefront_size, not uniform)
+    def expanding_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.registers = _ExpandedRegisters(self.registers, self.wavefront_size, not uniform)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Wavefront, "retire", recording_retire)
         if not affine:
-            patch.setattr(WavefrontRegisterFile, "__init__", expanding_init)
+            patch.setattr(Wavefront, "__init__", expanding_init)
         yield record
 
 
@@ -579,11 +594,8 @@ def _launch_modes(num_cus: int, launch, modes=MODES) -> dict:
     """Run ``launch(simulator) -> (result, outputs)`` under each issue mode."""
     outcomes = {}
     for macro, uniform, affine in modes:
-        with _register_form(uniform, affine) as record:
-            simulator = GGPUSimulator(GGPUConfig(num_cus=num_cus))
-            for cu in simulator.compute_units:
-                cu.macro_step = macro
-            result, outputs = launch(simulator)
+        with _register_form(uniform, affine) as record, single_step(not macro):
+            result, outputs = launch(GGPUSimulator(GGPUConfig(num_cus=num_cus)))
         stats = result.stats
         outcomes[(macro, uniform, affine)] = {
             "cycles": stats.cycles,
@@ -662,14 +674,13 @@ def test_vectorized_issue_matches_scalar_under_port_contention(ports):
     """Cache-port serialization is charged identically in both modes."""
     outcomes = {}
     for macro in (True, False):
-        simulator = GGPUSimulator(GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)))
-        for cu in simulator.compute_units:
-            cu.macro_step = macro
-        buf = simulator.create_buffer(range(64 * 16))
-        out = simulator.allocate_buffer(64)
-        result = simulator.launch(
-            _strided_double_load_kernel(), NDRange(64, 64), {"buf": buf, "out": out}
-        )
+        with single_step(not macro):
+            simulator = GGPUSimulator(GGPUConfig(num_cus=1, cache=CacheConfig(ports=ports)))
+            buf = simulator.create_buffer(range(64 * 16))
+            out = simulator.allocate_buffer(64)
+            result = simulator.launch(
+                _strided_double_load_kernel(), NDRange(64, 64), {"buf": buf, "out": out}
+            )
         assert list(simulator.read_buffer(out, 64)) == [gid * 16 for gid in range(64)]
         outcomes[macro] = (result.cycles, _cu_stats(result))
     assert outcomes[True] == outcomes[False]
@@ -680,7 +691,8 @@ def test_vectorized_issue_matches_goldens_with_engine_off(name):
     """The pinned goldens hold with macro-stepping disabled too."""
     size, cycles_by_cu, instructions = ALL_GOLDEN[name]
     for num_cus in (1, 8):
-        result = _run(name, num_cus, size, macro_step=False)
+        with single_step():
+            result = _run(name, num_cus, size)
         assert result.cycles == cycles_by_cu[num_cus]
         assert result.stats.instructions_issued == instructions
 
@@ -725,10 +737,8 @@ def test_vectorized_issue_property_random_kernels(rounds, c0, c1, threshold, op,
 
     outcomes = {}
     for macro, uniform, affine in MODES:
-        with _register_form(uniform, affine):
+        with _register_form(uniform, affine), single_step(not macro):
             simulator = GGPUSimulator(GGPUConfig(num_cus=2), memory_bytes=4 * 1024 * 1024)
-            for cu in simulator.compute_units:
-                cu.macro_step = macro
             a_addr = simulator.create_buffer(a)
             out_addr = simulator.allocate_buffer(n)
             result = simulator.launch(

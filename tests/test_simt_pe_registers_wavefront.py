@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.arch.assembler import Assembler
+from repro.arch.config import GGPUConfig
 from repro.arch.isa import Opcode
-from repro.errors import SimulationError
+from repro.arch.kernel import Kernel, KernelArg, KernelBuilder, NDRange
+from repro.errors import ConfigurationError, SimulationError
 from repro.simt import pe
-from repro.simt.registers import WavefrontRegisterFile
+from repro.simt.gpu import GGPUSimulator
 from repro.simt.wavefront import Wavefront
 
 
@@ -73,26 +76,90 @@ def test_is_alu_classifiers():
 # --------------------------------------------------------------------------- #
 # Register file
 # --------------------------------------------------------------------------- #
+def _r0_writes_kernel() -> Kernel:
+    """Writes to r0 through every write path of the compute unit, then
+    ``out[gid] = r0``: ALU (ramp and int results), LI, LP, a work-item id,
+    LW through a uniform and a ramp address, and LLW, each with every lane
+    active, and the vector LW and LLW again on the odd lanes only."""
+    builder = KernelBuilder("r0_writes", args=(KernelArg("inp"), KernelArg("out")))
+    gid, odd, value, addr, lram, inp, out = (
+        builder.alloc(name) for name in ("gid", "odd", "value", "addr", "lram", "inp", "out")
+    )
+    zero = builder.ZERO
+    builder.global_id(gid)
+    builder.load_arg(inp, "inp")
+    builder.load_arg(out, "out")
+    builder.emit(Opcode.ADDI, rd=value, rs=gid, imm=1)
+    builder.emit(Opcode.SLLI, rd=lram, rs=gid, imm=2)
+    builder.emit(Opcode.LSW, rs=lram, rt=value, imm=0)
+    builder.address_of_element(addr, inp, gid)
+    builder.emit(Opcode.ADD, rd=zero, rs=gid, rt=value)  # a ramp
+    builder.emit(Opcode.ADDI, rd=zero, rs=inp, imm=4)  # an int
+    builder.emit(Opcode.LI, rd=zero, imm=7)
+    builder.load_arg(zero, "out")
+    builder.global_id(zero)
+    builder.emit(Opcode.LW, rd=zero, rs=inp, imm=4)  # uniform address
+    builder.emit(Opcode.LW, rd=zero, rs=addr, imm=0)  # ramp address
+    builder.emit(Opcode.LLW, rd=zero, rs=lram, imm=0)
+    builder.emit(Opcode.ANDI, rd=odd, rs=gid, imm=1)
+    builder.emit(Opcode.PUSHM)
+    builder.emit(Opcode.CMASK, rs=odd)  # odd lanes only
+    builder.emit(Opcode.LW, rd=zero, rs=addr, imm=0)
+    builder.emit(Opcode.LLW, rd=zero, rs=lram, imm=0)
+    builder.emit(Opcode.POPM)
+    builder.address_of_element(addr, out, gid)
+    builder.emit(Opcode.SW, rs=addr, rt=zero, imm=0)
+    builder.ret()
+    return builder.build()
+
+
 def test_register_zero_is_hardwired():
-    registers = WavefrontRegisterFile(32, 8)
-    registers.write(0, np.full(8, 99), np.ones(8, dtype=bool))
-    assert list(registers.read(0)) == [0] * 8
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1))
+    inp = simulator.create_buffer(range(1, 65))
+    out = simulator.create_buffer([0xAB] * 64)
+    simulator.launch(_r0_writes_kernel(), NDRange(64, 64), {"inp": inp, "out": out})
+    assert list(simulator.read_buffer(out, 64)) == [0] * 64
 
 
 def test_masked_write_preserves_inactive_lanes():
-    registers = WavefrontRegisterFile(32, 4)
-    registers.write_all_lanes(5, np.array([1, 2, 3, 4]))
-    mask = np.array([True, False, True, False])
-    registers.write(5, np.array([10, 20, 30, 40]), mask)
-    assert list(registers.read(5)) == [10, 2, 30, 4]
+    cu = GGPUSimulator(GGPUConfig(num_cus=1)).compute_units[0]
+    wavefront = _wavefront()
+    wavefront.registers[5] = np.arange(64, dtype=np.int64)
+    wavefront.registers[6] = 4
+    wavefront.push_mask()
+    wavefront.constrain_mask(np.arange(64) % 2 == 0)
+    cu._write_register(wavefront, 5, np.full(64, 99, dtype=np.int64))
+    assert wavefront.registers[5].tolist() == [99 if lane % 2 == 0 else lane for lane in range(64)]
+    # An equal int keeps the int form, a different one merges into lanes.
+    cu._write_register(wavefront, 6, 4)
+    assert wavefront.registers[6] == 4 and type(wavefront.registers[6]) is int
+    cu._write_register(wavefront, 6, 9)
+    assert wavefront.registers[6].tolist() == [9, 4] * 32
+    cu._write_register(wavefront, 0, 9)
+    assert wavefront.registers[0] == 0
+
+
+def _program_writing(register: int):
+    asm = Assembler(f"uses_r{register}")
+    asm.emit(Opcode.LI, rd=register, imm=1)
+    asm.emit(Opcode.RET)
+    return asm.assemble()
 
 
 def test_register_index_bounds():
-    registers = WavefrontRegisterFile(16, 4)
-    with pytest.raises(SimulationError):
-        registers.read(16)
-    with pytest.raises(SimulationError):
-        WavefrontRegisterFile(0, 4)
+    """The register count is checked once, when a program is bound; the
+    issue loop indexes the register list without a check."""
+    simulator = GGPUSimulator(GGPUConfig(num_cus=1, num_registers=8))
+    cu = simulator.compute_units[0]
+    cu.bind(_program_writing(7), simulator.rtm)
+    program = _program_writing(9)
+    message = "uses register r9 but the register file holds only 8 registers"
+    with pytest.raises(SimulationError, match=message):
+        cu.bind(program, simulator.rtm)
+    with pytest.raises(SimulationError, match=message):
+        simulator.launch(Kernel(program.name, program, ()), NDRange(64, 64), {})
+    with pytest.raises(ConfigurationError):
+        GGPUConfig(num_registers=4)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,8 +220,6 @@ def test_uniform_lane_value_detects_divergence():
     values[3] = 9
     with pytest.raises(SimulationError):
         wavefront.uniform_lane_value(values)
-    # Non-strict mode just picks the first active lane.
-    assert wavefront.uniform_lane_value(values, strict=False) == 7
 
 
 def test_retire_records_completion_time():
