@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import AnalysisReport
+from repro.arch.kernel import NDRange
 from repro.cl.nodes import (
     AssignStmt,
     BarrierStmt,
@@ -59,19 +60,6 @@ _LogEntry = Tuple[str, str, int, int, int, str, int, str]
 def _signed(value: int) -> int:
     value &= _MASK
     return value - (1 << 32) if value & 0x80000000 else value
-
-
-def _as_shape(size: "int | Sequence[int]") -> Tuple[int, ...]:
-    if isinstance(size, int):
-        return (size,)
-    return tuple(int(extent) for extent in size)
-
-
-def _prod(shape: Tuple[int, ...]) -> int:
-    total = 1
-    for extent in shape:
-        total *= extent
-    return total
 
 
 @dataclass(frozen=True)
@@ -121,31 +109,15 @@ class _OracleRun:
     def __init__(
         self,
         kernel: KernelDecl,
-        global_size: "int | Sequence[int]",
-        workgroup_size: "int | Sequence[int]",
+        ndrange: NDRange,
         buffers: Mapping[str, Sequence[int]],
         scalars: Mapping[str, int],
         max_steps: int,
     ) -> None:
-        self.global_shape = _as_shape(global_size)
-        self.workgroup_shape = _as_shape(workgroup_size)
-        if len(self.global_shape) != len(self.workgroup_shape):
-            raise SimulationError(
-                "global and workgroup sizes must have the same rank "
-                f"({self.global_shape} vs {self.workgroup_shape})"
-            )
-        for dim, (gs, ws) in enumerate(zip(self.global_shape, self.workgroup_shape)):
-            if ws <= 0 or gs % ws != 0:
-                raise SimulationError(
-                    "global size must be a multiple of the workgroup size "
-                    f"(dimension {dim}: {gs} vs {ws})"
-                )
-        self.rank = len(self.global_shape)
         self.kernel = kernel
         # Flat sizes drive the workgroup/lane loops; per-dimension ids are
         # recovered from the shapes in _call (dimension 0 fastest).
-        self.global_size = _prod(self.global_shape)
-        self.workgroup_size = _prod(self.workgroup_shape)
+        self.ndrange = ndrange
         self.buffers: Dict[str, List[int]] = {
             name: [int(v) & _MASK for v in contents] for name, contents in buffers.items()
         }
@@ -167,7 +139,7 @@ class _OracleRun:
                 raise SimulationError(f"oracle needs a buffer for parameter {param.name!r}")
             if not param.is_pointer and param.name not in self.scalars:
                 raise SimulationError(f"oracle needs a value for parameter {param.name!r}")
-        for workgroup in range(self.global_size // self.workgroup_size):
+        for workgroup in range(self.ndrange.num_workgroups):
             self._workgroup = workgroup
             self._run_workgroup(workgroup)
         self._extract_races()
@@ -181,7 +153,7 @@ class _OracleRun:
             if symbol.is_local_array
         }
         self._interval = 0
-        lanes = list(range(self.workgroup_size))
+        lanes = list(range(self.ndrange.workgroup_size))
         generators = {lane: self._run_lane(workgroup, lane) for lane in lanes}
         active = list(lanes)
         while active:
@@ -383,28 +355,30 @@ class _OracleRun:
             dim = 0
             if expr.args and isinstance(expr.args[0], IntLiteral):
                 dim = expr.args[0].value
-            if dim >= self.rank:
+            global_shape = self.ndrange.global_shape
+            workgroup_shape = self.ndrange.workgroup_shape
+            if dim >= len(global_shape):
                 raise SimulationError(
-                    f"{expr.name} queries dimension {dim} of a rank-{self.rank} launch"
+                    f"{expr.name} queries dimension {dim} of a rank-{len(global_shape)} launch"
                 )
             # Row-major decomposition, dimension 0 fastest: flat lane and
             # workgroup numbers factor over the dim-0 extents exactly the way
             # the G-GPU dispatcher assigns them.
-            ws0 = self.workgroup_shape[0]
-            nwg0 = self.global_shape[0] // ws0
+            ws0 = workgroup_shape[0]
+            nwg0 = global_shape[0] // ws0
             local = lane % ws0 if dim == 0 else lane // ws0
             group = workgroup % nwg0 if dim == 0 else workgroup // nwg0
             if expr.name == "get_local_id":
                 return local
             if expr.name == "get_global_id":
-                return group * self.workgroup_shape[dim] + local
+                return group * workgroup_shape[dim] + local
             if expr.name == "get_group_id":
                 return group
             if expr.name == "get_local_size":
-                return self.workgroup_shape[dim]
+                return workgroup_shape[dim]
             if expr.name == "get_global_size":
-                return self.global_shape[dim]
-            return self.global_shape[dim] // self.workgroup_shape[dim]
+                return global_shape[dim]
+            return global_shape[dim] // workgroup_shape[dim]
         values = [self._eval(arg, workgroup, lane, env) for arg in expr.args]
         if expr.name == "min":
             return min(_signed(values[0]), _signed(values[1])) & _MASK
@@ -510,8 +484,7 @@ class _OracleRun:
 def run_oracle(
     kernel: KernelDecl,
     *,
-    global_size: "int | Sequence[int]",
-    workgroup_size: "int | Sequence[int]",
+    ndrange: NDRange,
     buffers: Mapping[str, Sequence[int]],
     scalars: Mapping[str, int],
     max_steps: int = 2_000_000,
@@ -520,14 +493,13 @@ def run_oracle(
 
     ``buffers`` maps pointer parameters to integer sequences (copied; the
     oracle mutates its own copies), ``scalars`` maps value parameters.
-    ``global_size``/``workgroup_size`` accept an int (rank-1) or a tuple of
-    per-dimension extents (rank-2 NDRange, dimension 0 fastest).
+    ``ndrange`` is the launch, rank 1 or 2 (dimension 0 fastest).
     """
     if not kernel.symbols:
         raise SimulationError(
             f"kernel {kernel.name!r} has no symbol table; run cl.semantics.analyze first"
         )
-    run = _OracleRun(kernel, global_size, workgroup_size, buffers, scalars, max_steps)
+    run = _OracleRun(kernel, ndrange, buffers, scalars, max_steps)
     return run.run()
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.assembler import (
     Assembler,
@@ -73,11 +73,12 @@ class NDRange:
     row-major into flat workgroup ids before the dispatcher deals them
     round-robin across the CUs.
 
-    ``global_size``/``workgroup_size``/``num_workgroups`` stay *flat* totals
-    so every geometry consumer of the 1-D era (dispatcher capacity checks,
-    LRAM slot geometry, runtime descriptors, stats, digests) is untouched;
-    the per-dimension extents live in ``global_shape``/``workgroup_shape``/
-    ``groups_shape``.
+    This is the one object that parses and checks a launch's shape: the
+    dispatcher and its wavefronts, the RISC-V back end and the race oracle
+    all take it.  ``global_size``/``workgroup_size``/``num_workgroups`` are
+    *flat* totals (dispatcher capacity checks, LRAM slot geometry, stats,
+    digests); the per-dimension extents live in ``global_shape``/
+    ``workgroup_shape``/``groups_shape``.
     """
 
     __slots__ = ("global_shape", "workgroup_shape")
@@ -113,11 +114,6 @@ class NDRange:
         for extent in self.global_shape:
             total *= extent
         return total
-
-    @property
-    def total_items(self) -> int:
-        """Alias for the flat work-item total; the scheduler cost-model key."""
-        return self.global_size
 
     @property
     def workgroup_size(self) -> int:
@@ -175,6 +171,15 @@ class Kernel:
     @property
     def num_args(self) -> int:
         return len(self.args)
+
+    def check_arg_names(self, args: Mapping[str, object]) -> None:
+        """Reject launch arguments whose names differ from the signature."""
+        missing = [arg.name for arg in self.args if arg.name not in args]
+        if missing:
+            raise KernelError(f"kernel {self.name!r} is missing argument(s) {missing}")
+        unknown = sorted(set(args).difference(arg.name for arg in self.args))
+        if unknown:
+            raise KernelError(f"kernel {self.name!r} has no argument(s) {unknown}")
 
 
 class KernelBuilder:

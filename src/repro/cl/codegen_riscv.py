@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.arch.kernel import NDRange
 from repro.cl.lowering import Lowering
 from repro.cl.nodes import Call, Index, IntLiteral, KernelDecl
 from repro.errors import CompilationError
@@ -70,38 +71,20 @@ class RiscvCodeGenerator(Lowering):
         self,
         kernel: KernelDecl,
         param_values: Dict[str, int],
-        global_size,
-        workgroup_size,
+        ndrange: NDRange,
         name: Optional[str] = None,
         local_addresses: Optional[Dict[str, int]] = None,
     ) -> None:
         super().__init__(kernel)
-        global_shape = self._as_shape(global_size)
-        workgroup_shape = self._as_shape(workgroup_size)
-        if len(global_shape) != len(workgroup_shape):
-            raise CompilationError(
-                f"global shape {global_shape} and workgroup shape {workgroup_shape} "
-                f"must have the same rank"
-            )
-        for extent, local in zip(global_shape, workgroup_shape):
-            if extent % local != 0:
-                raise CompilationError(
-                    f"global shape {global_shape} is not divisible by workgroup "
-                    f"shape {workgroup_shape}"
-                )
         self.param_values = dict(param_values)
         self.local_addresses = dict(local_addresses or {})
-        self.global_shape = global_shape
-        self.workgroup_shape = workgroup_shape
-        self.rank = len(global_shape)
-        self.global_size = global_shape[0] if self.rank == 1 else None
-        self.workgroup_size = workgroup_shape[0] if self.rank == 1 else None
+        self.ndrange = ndrange
         self.asm = RvAssembler(name or f"{kernel.name}_riscv")
         self._free: List[int] = list(_AVAILABLE_REGISTERS)
         # Loop bookkeeping registers.  The rank-1 trio is reserved in the
         # exact order the 1-D generator always used, keeping its register
         # assignment (and therefore every compiled 1-D program) unchanged.
-        if self.rank == 1:
+        if ndrange.rank == 1:
             self._gid_reg = self._reserve()
             self._gsize_reg = self._reserve()
             self._wgsize_reg = self._reserve()
@@ -113,18 +96,6 @@ class RiscvCodeGenerator(Lowering):
             self._ws_regs = (self._reserve(), self._reserve())
             self._nwg_regs = (self._reserve(), self._reserve())
 
-    @staticmethod
-    def _as_shape(value) -> tuple:
-        if isinstance(value, (tuple, list)):
-            shape = tuple(int(extent) for extent in value)
-        else:
-            shape = (int(value),)
-        if not 1 <= len(shape) <= 2:
-            raise CompilationError(f"NDRange rank must be 1 or 2, got {len(shape)}")
-        if any(extent <= 0 for extent in shape):
-            raise CompilationError("NDRange sizes must be positive")
-        return shape
-
     # ------------------------------------------------------------------ #
     # Entry point: the work-item loop
     # ------------------------------------------------------------------ #
@@ -132,10 +103,10 @@ class RiscvCodeGenerator(Lowering):
         """Emit the work-item loop (or rank-2 loop nest) and the lowered body."""
         self._allocate_variables()
         self._load_parameters()
-        if self.rank == 1:
+        if self.ndrange.rank == 1:
             self.asm.li(self._gid_reg, 0)
-            self.asm.li(self._gsize_reg, self.global_size)
-            self.asm.li(self._wgsize_reg, self.workgroup_size)
+            self.asm.li(self._gsize_reg, self.ndrange.global_size)
+            self.asm.li(self._wgsize_reg, self.ndrange.workgroup_size)
             loop = self.asm.unique_label("wi_loop")
             end = self.asm.unique_label("wi_end")
             self.asm.label(loop)
@@ -158,11 +129,12 @@ class RiscvCodeGenerator(Lowering):
         work-item only observes local slots already written by work-items
         with lower local ids of its *own* workgroup.
         """
-        ws0, ws1 = self.workgroup_shape
+        ws0, ws1 = self.ndrange.workgroup_shape
+        nwg0, nwg1 = self.ndrange.groups_shape
         self.asm.li(self._ws_regs[0], ws0)
         self.asm.li(self._ws_regs[1], ws1)
-        self.asm.li(self._nwg_regs[0], self.global_shape[0] // ws0)
-        self.asm.li(self._nwg_regs[1], self.global_shape[1] // ws1)
+        self.asm.li(self._nwg_regs[0], nwg0)
+        self.asm.li(self._nwg_regs[1], nwg1)
         loops = (
             # (counter, bound, label stem) from outermost to innermost.
             (self._wg_regs[1], self._nwg_regs[1], "wg1"),
@@ -221,9 +193,9 @@ class RiscvCodeGenerator(Lowering):
         """Literal dimension argument of a work-item builtin, rank-checked."""
         dimension = expr.args[0]
         dim = dimension.value if isinstance(dimension, IntLiteral) else 0
-        if dim >= self.rank:
+        if dim >= self.ndrange.rank:
             raise CompilationError(
-                f"{expr.name} queries dimension {dim} of a rank-{self.rank} launch"
+                f"{expr.name} queries dimension {dim} of a rank-{self.ndrange.rank} launch"
             )
         return dim
 
@@ -251,9 +223,9 @@ class RiscvCodeGenerator(Lowering):
         if name not in _ID_BUILTINS:
             raise CompilationError(f"unknown function {name!r}")
         dim = self._builtin_dim(expr)
-        if self.rank == 2:
+        if self.ndrange.rank == 2:
             if name == "get_global_size":
-                self.asm.li(destination, self.global_shape[dim])
+                self.asm.li(destination, self.ndrange.global_shape[dim])
                 return destination
             registers = {
                 "get_global_id": self._gid_regs,
@@ -372,12 +344,7 @@ def generate_riscv_case(
         if symbol.is_local_array:
             local_addresses[symbol_name] = memory.allocate(symbol.array_words)
     generator = RiscvCodeGenerator(
-        kernel,
-        values,
-        global_size=workload.ndrange.global_shape,
-        workgroup_size=workload.ndrange.workgroup_shape,
-        name=name,
-        local_addresses=local_addresses,
+        kernel, values, workload.ndrange, name=name, local_addresses=local_addresses
     )
     program = generator.generate()
     return RiscvCase(program.name, program, memory, addresses, workload.expected)

@@ -216,8 +216,6 @@ class KernelAnalyzer:
                 if isinstance(statement.target, VarRef):
                     if control_varying or self._expr_varying(statement.value):
                         self._varying_vars.add(statement.target.name)
-                    elif statement.op != "=" and statement.target.name in self._varying_vars:
-                        pass  # already varying
             elif isinstance(statement, IfStmt):
                 branch_varying = control_varying or self._expr_varying(statement.condition)
                 self._mark_varying(statement.then_body, branch_varying)

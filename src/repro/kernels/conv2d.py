@@ -112,6 +112,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=2048,
         paper_riscv_size=128,
-        parallel_friendly=True,
     )
 )

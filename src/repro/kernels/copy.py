@@ -65,6 +65,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=32768,
         paper_riscv_size=512,
-        parallel_friendly=True,
     )
 )

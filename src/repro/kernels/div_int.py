@@ -102,6 +102,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=4096,
         paper_riscv_size=512,
-        parallel_friendly=False,
     )
 )

@@ -87,6 +87,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=4096,
         paper_riscv_size=128,
-        parallel_friendly=True,
     )
 )

@@ -109,6 +109,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=8192,
         paper_riscv_size=512,
-        parallel_friendly=True,
     )
 )

@@ -55,7 +55,6 @@ class KernelSpec:
     workload: Callable[[int, int], GpuWorkload]
     paper_gpu_size: int
     paper_riscv_size: int
-    parallel_friendly: bool
     #: Smallest input-size step ``workload`` accepts.  64 (one wavefront) for
     #: every 1-D kernel; the rank-2 dense workloads need a full workgroup
     #: grid row, e.g. 128 for matmul2d's (8, 8) workgroups over 16 columns.

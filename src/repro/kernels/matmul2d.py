@@ -151,7 +151,6 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=2048,
         paper_riscv_size=128,
-        parallel_friendly=True,
         size_granularity=128,
     )
 )

@@ -86,6 +86,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=32768,
         paper_riscv_size=1024,
-        parallel_friendly=True,
     )
 )

@@ -86,6 +86,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=16384,
         paper_riscv_size=512,
-        parallel_friendly=True,
     )
 )

@@ -72,6 +72,5 @@ SPEC = register_kernel(
         workload=workload,
         paper_gpu_size=65536,
         paper_riscv_size=1024,
-        parallel_friendly=True,
     )
 )

@@ -708,18 +708,7 @@ class MultiDeviceQueue:
         ``device`` is a scheduling affinity hint: the launch is placed on
         that device instead of the earliest-projected-start one.
         """
-        known_names = {arg.name for arg in kernel.args}
-        unknown = sorted(set(args) - known_names)
-        if unknown:
-            raise KernelError(
-                f"kernel {kernel.name!r} has no argument(s) {unknown}"
-            )
-        missing = [arg.name for arg in kernel.args if arg.name not in args]
-        if missing:
-            raise KernelError(
-                f"kernel {kernel.name!r} is missing argument(s) {missing} "
-                f"at enqueue time"
-            )
+        kernel.check_arg_names(args)
         buffer_names = [arg.name for arg in kernel.args if arg.kind == "buffer"]
         resolved: Dict[str, ArgValue] = {}
         for arg in kernel.args:
@@ -1005,21 +994,21 @@ class MultiDeviceQueue:
     def _lpt_order(self, pending: List[_Command]) -> List[_Command]:
         """LPT: largest NDRange first among the ready launches.
 
-        The flat work-item total (``total_items``, rank-independent) is the
+        The flat work-item total (``global_size``, rank-independent) is the
         deterministic proxy for projected compute time; ties break toward the
         earlier sequence.
         """
         return self._ready_order(
             pending,
             lambda ready: max(
-                ready, key=lambda c: (c.ndrange.total_items, -c.event.sequence)
+                ready, key=lambda c: (c.ndrange.global_size, -c.event.sequence)
             ),
         )
 
     def _compute_estimate(self, command: _Command) -> float:
         """Deterministic projected compute cycles of one command."""
         if command.kind == "launch":
-            return command.ndrange.total_items * SCHEDULE_CYCLES_PER_ITEM
+            return command.ndrange.global_size * SCHEDULE_CYCLES_PER_ITEM
         return 0.0
 
     def _heft_order(self, pending: List[_Command]) -> List[_Command]:
@@ -1161,7 +1150,7 @@ class MultiDeviceQueue:
                     ready_at = max(
                         (finish.get(w.sequence, 0.0) for w in command.waits), default=0.0
                     )
-                    entry = (ready_at, -command.ndrange.total_items, {})
+                    entry = (ready_at, -command.ndrange.global_size, {})
                     facts[command.event.sequence] = entry
                 ready_at, size, prices = entry
                 target = command.device if command.device in alive else thief

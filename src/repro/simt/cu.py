@@ -258,7 +258,7 @@ class ComputeUnit:
                 if workgroup not in self._wg_lram_base:
                     if self._free_lram_slots is None:
                         num_slots, self._slot_words = lram_slot_geometry(
-                            self.config, wavefront.workgroup_size
+                            self.config, wavefront.ndrange.workgroup_size
                         )
                         # pop() hands out slot 0 first, matching dispatch order.
                         self._free_lram_slots = list(range(num_slots - 1, -1, -1))
@@ -616,13 +616,13 @@ class ComputeUnit:
         elif opcode is Opcode.WGID:
             values = int(wavefront.workgroup_id_dims[dim])
         elif opcode is Opcode.WGSIZE:
-            values = int(wavefront.workgroup_shape[dim])
+            values = int(wavefront.ndrange.workgroup_shape[dim])
         elif opcode is Opcode.GID:
             values = wavefront.global_id_dims[dim]
         elif opcode is Opcode.GSIZE:
-            values = int(wavefront.global_shape[dim])
+            values = int(wavefront.ndrange.global_shape[dim])
         elif opcode is Opcode.NWG:
-            values = int(wavefront.groups_shape[dim])
+            values = int(wavefront.ndrange.groups_shape[dim])
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled special opcode {opcode.mnemonic}")
         self._write_register(wavefront, op[P_RD], values)
@@ -793,7 +793,7 @@ class ComputeUnit:
 
     def _execute_barrier(self, wavefront: Wavefront, arrival: float) -> tuple:
         """Handle a workgroup barrier; returns (release_time, parked)."""
-        expected = wavefront.workgroup_size // wavefront.wavefront_size
+        expected = wavefront.ndrange.workgroup_size // wavefront.wavefront_size
         waiters = self._barrier_waiters.setdefault(wavefront.workgroup_id, [])
         waiters.append(wavefront)
         if len(waiters) < expected:

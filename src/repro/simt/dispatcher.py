@@ -2,9 +2,11 @@
 
 The WG dispatcher of the FGPU assigns workgroups to compute units as they
 free up capacity.  Workgroups share a program counter space and are split into
-wavefronts on arrival at a CU; a CU can host up to
+wavefronts on arrival at a CU; each wavefront takes the launch's ``NDRange``
+and computes its work-item ids from it.  A CU can host up to
 ``max_wavefronts_per_cu`` wavefronts (512 work-items in the default
-configuration).
+configuration), and as many whole workgroups as it has LRAM windows
+(``lram_slot_geometry``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Deque, List, Optional
 from repro.arch.config import GGPUConfig
 from repro.arch.kernel import NDRange
 from repro.errors import SimulationError
+from repro.simt.cu import lram_slot_geometry
 from repro.simt.wavefront import Wavefront
 
 
@@ -53,8 +56,11 @@ class WorkgroupDispatcher:
         return bool(self._pending)
 
     def cu_capacity_workgroups(self) -> int:
-        """How many whole workgroups fit in one CU at the same time."""
-        return max(1, self.config.max_wavefronts_per_cu // self.wavefronts_per_workgroup)
+        """How many whole workgroups fit in one CU at the same time.
+
+        That is the number of LRAM windows, one per resident workgroup.
+        """
+        return lram_slot_geometry(self.config, self.ndrange.workgroup_size)[0]
 
     def dispatch(self, ready_time: float = 0.0) -> List[Wavefront]:
         """Pop the next workgroup and return its wavefronts, ready at ``ready_time``."""
@@ -70,12 +76,7 @@ class WorkgroupDispatcher:
                 index_in_workgroup=index,
                 wavefront_size=self.config.wavefront_size,
                 num_registers=self.config.num_registers,
-                workgroup_size=self.ndrange.workgroup_size,
-                global_size=self.ndrange.global_size,
-                num_workgroups=self.ndrange.num_workgroups,
-                global_shape=self.ndrange.global_shape,
-                workgroup_shape=self.ndrange.workgroup_shape,
-                groups_shape=self.ndrange.groups_shape,
+                ndrange=self.ndrange,
             )
             wavefront.ready_time = ready_time
             self._next_wavefront_id += 1

@@ -173,7 +173,7 @@ class GGPUSimulator:
             from repro.analysis.isalint import verify_kernel_or_raise
 
             verify_kernel_or_raise(kernel)
-        ordered_args = self._order_args(kernel, args)
+        kernel.check_arg_names(args)
         if len(kernel.program) > self.config.cram_words:
             raise KernelError(
                 f"kernel {kernel.name!r} has {len(kernel.program)} instructions but the "
@@ -187,7 +187,7 @@ class GGPUSimulator:
                     f"a workgroup of {ndrange.workgroup_size} work-items only gets a "
                     f"{slot_words}-word LRAM window"
                 )
-        self.rtm.write_descriptor(ndrange.global_size, ndrange.workgroup_size, ordered_args)
+        self.rtm.write_args([int(args[arg.name]) for arg in kernel.args])
         self.cache.reset()
         self.memory_controller.reset()
         decoded = self._decoded_program(kernel)
@@ -239,15 +239,6 @@ class GGPUSimulator:
         self._decode_cache[key] = (kernel.program, decoded)
         self.decode_cache_misses += 1
         return decoded
-
-    def _order_args(self, kernel: Kernel, args: Dict[str, ArgValue]) -> List[int]:
-        missing = [arg.name for arg in kernel.args if arg.name not in args]
-        if missing:
-            raise KernelError(f"kernel {kernel.name!r} is missing arguments: {missing}")
-        unknown = [name for name in args if all(arg.name != name for arg in kernel.args)]
-        if unknown:
-            raise KernelError(f"kernel {kernel.name!r} got unexpected arguments: {unknown}")
-        return [int(args[arg.name]) for arg in kernel.args]
 
     def _run(self, dispatcher: WorkgroupDispatcher) -> float:
         """Drive all CUs to completion, ordering only their shared events.

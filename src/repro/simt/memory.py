@@ -212,11 +212,13 @@ class GlobalMemory:
 
 
 class RuntimeMemory:
-    """Runtime memory (RTM) holding the launch descriptor and kernel arguments.
+    """Runtime memory (RTM) holding the kernel arguments.
 
-    The host writes the kernel arguments, NDRange geometry, and workgroup size
-    here through the AXI control interface before starting the accelerator;
-    the ``LP`` instruction and the work-item id instructions read it.
+    The host writes the kernel arguments here through the AXI control
+    interface before starting the accelerator, and the ``LP`` instruction
+    reads them.  Eight words stay reserved for the hardware's launch
+    descriptor, which this model does not store: the work-item id
+    instructions read the wavefront's geometry, its ``NDRange``.
     """
 
     def __init__(self, num_words: int = 512) -> None:
@@ -224,17 +226,13 @@ class RuntimeMemory:
             raise SimulationError("runtime memory must have a positive size")
         self.num_words = num_words
         self._args: Dict[int, int] = {}
-        self.global_size: Optional[int] = None
-        self.workgroup_size: Optional[int] = None
 
-    def write_descriptor(self, global_size: int, workgroup_size: int, args: Sequence[int]) -> None:
-        """Store one kernel launch descriptor."""
+    def write_args(self, args: Sequence[int]) -> None:
+        """Store one launch's kernel arguments, in declaration order."""
         if len(args) > self.num_words - 8:
             raise SimulationError(
                 f"too many kernel arguments ({len(args)}) for a {self.num_words}-word RTM"
             )
-        self.global_size = global_size
-        self.workgroup_size = workgroup_size
         self._args = {index: int(value) & 0xFFFFFFFF for index, value in enumerate(args)}
 
     def read_arg(self, index: int) -> int:

@@ -10,16 +10,27 @@ divergent kernels lose efficiency on the real hardware.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
+from repro.arch.kernel import NDRange
 from repro.errors import SimulationError
 from repro.simt.registers import Affine, RegisterValue, expand_ramp
 
 
 class Wavefront:
-    """Execution state of one wavefront of a workgroup."""
+    """Execution state of one wavefront of a workgroup.
+
+    The work-item ids come from the launch's ``NDRange`` in OpenCL's
+    row-major enumeration, dimension 0 fastest: the flat local id walks
+    dimension 0 first within the workgroup, and the flat workgroup id walks
+    the workgroup grid the same way.  A rank-1 launch is the one-dimension
+    case.  Every lane is active at the start, because a valid launch has
+    no lanes past its end: its global size is a multiple of its workgroup
+    size, which the dispatcher requires to be a multiple of the wavefront
+    size.
+    """
 
     def __init__(
         self,
@@ -28,20 +39,13 @@ class Wavefront:
         index_in_workgroup: int,
         wavefront_size: int,
         num_registers: int,
-        workgroup_size: int,
-        global_size: int,
-        num_workgroups: int,
-        global_shape: Optional[Tuple[int, ...]] = None,
-        workgroup_shape: Optional[Tuple[int, ...]] = None,
-        groups_shape: Optional[Tuple[int, ...]] = None,
+        ndrange: NDRange,
     ) -> None:
         self.wavefront_id = wavefront_id
         self.workgroup_id = workgroup_id
         self.index_in_workgroup = index_in_workgroup
         self.wavefront_size = wavefront_size
-        self.workgroup_size = workgroup_size
-        self.global_size = global_size
-        self.num_workgroups = num_workgroups
+        self.ndrange = ndrange
 
         self.pc = 0
         self.done = False
@@ -49,55 +53,33 @@ class Wavefront:
         self.registers: List[RegisterValue] = [0] * num_registers
         self.active_mask = np.ones(wavefront_size, dtype=bool)
         self._mask_stack: List[np.ndarray] = []
-
-        first_lid = index_in_workgroup * wavefront_size
-        self.local_ids = np.arange(first_lid, first_lid + wavefront_size, dtype=np.int64)
-        if global_shape is not None and len(global_shape) == 2:
-            # Rank-2 launch: OpenCL row-major enumeration, dimension 0 fastest.
-            # The flat local id walks dimension 0 first within the workgroup,
-            # and the flat workgroup id walks the workgroup grid the same way.
-            gs0, _gs1 = global_shape
-            ws0, ws1 = workgroup_shape
-            nwg0 = groups_shape[0]
-            wg0 = workgroup_id % nwg0
-            wg1 = workgroup_id // nwg0
-            lid0 = self.local_ids % ws0
-            lid1 = self.local_ids // ws0
-            gid0 = wg0 * ws0 + lid0
-            gid1 = wg1 * ws1 + lid1
-            # Row-major flattened global index over the full grid.  Note this
-            # differs from ``wgid * workgroup_size + lid``: a 2-D workgroup's
-            # cells are not contiguous in the flattened grid.
-            self.global_ids = gid1 * gs0 + gid0
-            # Dimension 0 counts up by one across the wavefront exactly when
-            # the wavefront stays inside one workgroup row (crossing a row
-            # wraps lid0 back, so its last lane no longer ends the ramp).
-            if lid0[-1] - lid0[0] == wavefront_size - 1:
-                lid0 = Affine(int(lid0[0]), 1, wavefront_size, lid0)
-                gid0 = Affine(int(gid0[0]), 1, wavefront_size, gid0)
-            self.local_id_dims = (lid0, lid1)
-            self.global_id_dims = (gid0, gid1)
-            self.workgroup_id_dims = (wg0, wg1)
-            self.global_shape = tuple(global_shape)
-            self.workgroup_shape = tuple(workgroup_shape)
-            self.groups_shape = tuple(groups_shape)
-        else:
-            self.global_ids = self.local_ids + workgroup_id * workgroup_size
-            self.local_id_dims = (Affine(first_lid, 1, wavefront_size, self.local_ids),)
-            self.global_id_dims = (
-                Affine(int(self.global_ids[0]), 1, wavefront_size, self.global_ids),
-            )
-            self.workgroup_id_dims = (workgroup_id,)
-            self.global_shape = (global_size,)
-            self.workgroup_shape = (workgroup_size,)
-            self.groups_shape = (num_workgroups,)
-        # Lanes beyond the global size (possible only if the NDRange is not a
-        # multiple of the wavefront size) start permanently inactive.
-        self.active_mask &= self.global_ids < global_size
         # The active-lane count is consulted on every issued instruction, so
         # it is a plain attribute that the mask-stack operations keep current
         # instead of a reduction over the lanes per issue.
-        self.num_active = int(np.count_nonzero(self.active_mask))
+        self.num_active = wavefront_size
+
+        first_lid = index_in_workgroup * wavefront_size
+        flat_lids = np.arange(first_lid, first_lid + wavefront_size, dtype=np.int64)
+        flat_wgid = workgroup_id
+        local_ids: List[RegisterValue] = []
+        global_ids: List[RegisterValue] = []
+        workgroup_ids: List[int] = []
+        for size, groups in zip(ndrange.workgroup_shape, ndrange.groups_shape, strict=True):
+            flat_lids, lid = np.divmod(flat_lids, size)
+            flat_wgid, wgid = divmod(flat_wgid, groups)
+            local_ids.append(lid)
+            global_ids.append(wgid * size + lid)
+            workgroup_ids.append(wgid)
+        # Dimension 0 counts up by one across the wavefront exactly when the
+        # wavefront stays inside one workgroup row (crossing a row wraps lid0
+        # back, so its last lane no longer ends the ramp): always at rank 1.
+        lid0, gid0 = local_ids[0], global_ids[0]
+        if lid0[-1] - lid0[0] == wavefront_size - 1:
+            local_ids[0] = Affine(int(lid0[0]), 1, wavefront_size, lid0)
+            global_ids[0] = Affine(int(gid0[0]), 1, wavefront_size, gid0)
+        self.local_id_dims = tuple(local_ids)
+        self.global_id_dims = tuple(global_ids)
+        self.workgroup_id_dims = tuple(workgroup_ids)
 
         # Scheduling state (owned by the compute unit's scheduler).
         self.ready_time = 0.0
@@ -108,17 +90,12 @@ class Wavefront:
     # ------------------------------------------------------------------ #
     # Launch geometry
     # ------------------------------------------------------------------ #
-    @property
-    def rank(self) -> int:
-        """Rank of the launch geometry this wavefront belongs to."""
-        return len(self.global_shape)
-
     def check_dim(self, dim: int, mnemonic: str) -> None:
         """Reject a work-item-identification query outside the launch rank."""
-        if not 0 <= dim < len(self.global_shape):
+        if not 0 <= dim < self.ndrange.rank:
             raise SimulationError(
-                f"{mnemonic} queries dimension {dim} of a rank-{len(self.global_shape)} "
-                f"launch (global shape {self.global_shape})"
+                f"{mnemonic} queries dimension {dim} of a rank-{self.ndrange.rank} "
+                f"launch (global shape {self.ndrange.global_shape})"
             )
 
     # ------------------------------------------------------------------ #

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import check_source, run_oracle, soundness_violations
+from repro.arch.kernel import NDRange
 from repro.cl.compiler import compile_source
-from repro.errors import SimulationError
+from repro.errors import KernelError, SimulationError
 
 from analysis.analysis_corpus import (
     ALL_ENTRIES,
@@ -33,8 +34,7 @@ def _run(entry):
     launch = entry.launch
     return run_oracle(
         program.declaration(),
-        global_size=launch.global_size,
-        workgroup_size=launch.workgroup_size,
+        ndrange=NDRange(launch.global_size, launch.workgroup_size),
         buffers=launch.buffer_dict(),
         scalars=launch.scalar_dict(),
     )
@@ -79,11 +79,10 @@ def test_static_verdicts_are_sound_against_oracle(entry) -> None:
 
 def test_oracle_rejects_bad_geometry() -> None:
     program = compile_source(CLEAN[0].source)
-    with pytest.raises(SimulationError):
+    with pytest.raises(KernelError, match="multiple of the workgroup size"):
         run_oracle(
             program.declaration(),
-            global_size=10,
-            workgroup_size=4,  # 10 % 4 != 0
+            ndrange=NDRange(10, 4),  # 10 % 4 != 0
             buffers={"x": [0] * 10, "y": [0] * 10, "out": [0] * 10},
             scalars={"a": 1},
         )
@@ -94,8 +93,7 @@ def test_oracle_rejects_missing_params() -> None:
     with pytest.raises(SimulationError):
         run_oracle(
             program.declaration(),
-            global_size=8,
-            workgroup_size=4,
+            ndrange=NDRange(8, 4),
             buffers={"x": [0] * 8},  # y/out/a missing
             scalars={},
         )
@@ -115,8 +113,7 @@ __kernel void spin(__global int *out) {
     with pytest.raises(SimulationError):
         run_oracle(
             program.declaration(),
-            global_size=1,
-            workgroup_size=1,
+            ndrange=NDRange(1, 1),
             buffers={"out": [0]},
             scalars={},
             max_steps=10_000,
@@ -158,8 +155,7 @@ def test_fuzzed_local_patterns_never_violate_soundness(
     program = compile_source(source)
     dynamic = run_oracle(
         program.declaration(),
-        global_size=2 * wg,
-        workgroup_size=wg,
+        ndrange=NDRange(2 * wg, wg),
         buffers={"a": list(range(2 * wg)), "out": [0] * (2 * wg)},
         scalars={},
     )

@@ -609,7 +609,7 @@ def _uncached_stealing_order(self, pending):
         for command in ready:
             target = command.device if command.device in alive else thief
             start = max(clock[target], ready_at(command)) + claim_cost(command, target)
-            scored.append((start, -command.ndrange.total_items, target, command))
+            scored.append((start, -command.ndrange.global_size, target, command))
         best = min((start, size) for start, size, _, _ in scored)
         ties = [entry for entry in scored if (entry[0], entry[1]) == best]
         if len(ties) == 1:

